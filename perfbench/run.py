@@ -6,7 +6,9 @@ Run from the root of a source checkout; the program is taken from ``src/``.
 Every run synthesises its corpus from ``--seed`` as several shards, each
 written by one `wlf synth` child. With ``--trace 0`` it then runs one
 `wlf pipeline` child per shard, round robin, until every shard ran once and
-``--seconds`` have passed, and reports the end-to-end metrics. With
+``--seconds`` have passed, times the host probe of ``probe.py`` between
+children, and reports the end-to-end metrics, with its timings scaled by
+how much slower than the reference host the probe ran. With
 ``--trace 1`` it runs the first shards in-process, untraced and under the
 span tracer of ``spans.py``, and reports the per-layer metrics. Every output
 file but ``run.json`` is hashed and compared with a reference: the one in
@@ -63,6 +65,12 @@ CHILD_TIMEOUT_S = 150.0
 # pool followed the other tenants' load (NOTES.md). The traced runs measure
 # the pool.
 THREADS = 1
+# Host speed, from probe.py. After each child the probe runs for
+# PROBE_SHARE of the child's wall, so a third of a run measures the host.
+# PROBE_REFERENCE_S is one probe unit on the 2-vCPU Xeon VM the benchmark was
+# made on; a run's timings are reported at that speed (NOTES.md).
+PROBE_SHARE = 0.5
+PROBE_REFERENCE_S = 0.12
 
 
 @dataclass(frozen=True)
@@ -75,10 +83,8 @@ class Workload:
 
 # A run's corpus is `shards` separate `wlf synth` outputs, and one
 # `wlf pipeline` invocation reads one shard. Many distinct frames per run keep
-# the spread of the figures across seeds small; many invocations let a median
-# drop those that other tenants of a shared host slowed down. Why each
-# workload exists, and what each layer metric should move on it, is in
-# NOTES.md.
+# the spread of the figures across seeds small. Why each workload exists, and
+# what each layer metric should move on it, is in NOTES.md.
 WORKLOADS = {
     w.name: w
     for w in (
@@ -263,6 +269,53 @@ def stats(values: list[float], value: float | None = None) -> dict:
     return {"value": median if value is None else value, "median": median, "q1": q[0], "q3": q[2], "n": len(values)}
 
 
+class HostProbe:
+    """Client of ``probe.py``, which times a fixed unit of work between
+    children; see there. Use it in a ``with`` block, which stops the probe."""
+
+    def __init__(self) -> None:
+        self.units: list[float] = []
+        self.proc = subprocess.Popen(
+            [sys.executable, str(HERE / "probe.py")],
+            cwd=REPO,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+
+    def __enter__(self) -> HostProbe:
+        return self
+
+    def __exit__(self, exc_type: type | None, *_: object) -> None:
+        # The probe exits at the end of its input; on an error it is killed.
+        try:
+            if exc_type is None:
+                self.proc.stdin.close()
+                self.proc.wait(timeout=CHILD_TIMEOUT_S)
+        finally:
+            self.proc.kill()
+            self.proc.wait()
+            self.proc.stdin.close()
+            self.proc.stdout.close()
+
+    def sample(self, seconds: float) -> None:
+        """Time probe units, at least one, for ``seconds``."""
+        self.proc.stdin.write(f"{seconds}\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise BenchError(f"the host probe exited {self.proc.wait()}")
+        self.units += json.loads(line)
+
+    def slowdown(self) -> float:
+        """Mean unit time of the run over the reference host's."""
+        return statistics.fmean(self.units) / PROBE_REFERENCE_S
+
+
+def scaled(s: dict, factor: float) -> dict:
+    return {k: v * factor if k != "n" else v for k, v in s.items()}
+
+
 def startup_times() -> list[float]:
     """Wall time of `wlf --help`: interpreter start and every module import."""
     times = []
@@ -275,12 +328,12 @@ def startup_times() -> list[float]:
 
 
 def measure_untraced(
-    shards: dict[str, Path], frames: int, out: Path, gate: Gate, seconds: float
+    shards: dict[str, Path], frames: int, out: Path, gate: Gate, probe: HostProbe, seconds: float
 ) -> tuple[dict, dict[str, list[float]]]:
     """Closed loop, one `wlf pipeline` child at a time, round robin over the
-    shards until every shard ran once and ``seconds`` have passed. Returns
-    the end-to-end metrics other than setup_s, and the invocation walls of
-    each shard."""
+    shards until every shard ran once and ``seconds`` have passed, with the
+    host probe between children. Returns the unscaled end-to-end metrics
+    other than setup_s, and the invocation walls of each shard."""
     passes: dict[str, list[Child]] = {name: [] for name in shards}
     scores: dict[str, tuple[float, float]] = {}
     start = time.perf_counter()
@@ -295,24 +348,25 @@ def measure_untraced(
             if child.returncode == 0:
                 passes[name].append(child)
                 scores.setdefault(name, quality(out))
+            probe.sample(PROBE_SHARE * child.wall_s)
             if rounds > 1 and time.perf_counter() - start >= seconds:
                 break
     if not all(passes.values()):
         raise BenchError("on some shard no invocation of wlf pipeline exited 0")
-    # Medians per shard, then over shards: robust to an invocation that
-    # another tenant of the shared host slowed down, and to a shard whose
-    # frames happen to be unusually heavy. Quality is the mean over shards,
-    # so every frame of the corpus counts.
-    fps = [statistics.median(frames / c.wall_s for c in v) for v in passes.values()]
+    # Every shard weighs the same, however often it ran before the time was
+    # up: frames of the corpus over the summed mean wall of each shard.
+    # Quality is the mean over shards, so every frame counts.
+    walls = {name: [c.wall_s for c in v] for name, v in passes.items()}
+    fps = [frames / w for v in walls.values() for w in v]
     rss = [statistics.median(c.peak_rss_mb for c in v) for v in passes.values()]
     miou, ap = ([s[i] for s in scores.values()] for i in (0, 1))
     dist = {
-        "frames_per_s": stats(fps),
+        "frames_per_s": stats(fps, frames * len(walls) / sum(statistics.fmean(v) for v in walls.values())),
         "peak_rss_mb": stats(rss),
         "miou": stats(miou, statistics.fmean(miou)),
         "ap": stats(ap, statistics.fmean(ap)),
     }
-    return dist, {name: [c.wall_s for c in v] for name, v in passes.items()}
+    return dist, walls
 
 
 def measure(
@@ -346,8 +400,17 @@ def measure(
             layers["cli.startup_s"] = statistics.median(startup)
             dist = {k: stats([v]) for k, v in layers.items()}
         else:
-            dist, walls = measure_untraced(shards, frames, run_dir / "out", gate, seconds)
+            with HostProbe() as probe:
+                dist, walls = measure_untraced(shards, frames, run_dir / "out", gate, probe, seconds)
             dist["setup_s"] = stats(setup)
+            # One slowdown per run, from every probe unit of the run, scales
+            # every timing of the run alike.
+            slowdown = probe.slowdown()
+            dist["frames_per_s_unscaled"] = dist["frames_per_s"]
+            dist["setup_s_unscaled"] = dist["setup_s"]
+            dist["frames_per_s"] = scaled(dist["frames_per_s"], slowdown)
+            dist["setup_s"] = scaled(dist["setup_s"], 1.0 / slowdown)
+            dist["host_slowdown"] = stats([u / PROBE_REFERENCE_S for u in probe.units], slowdown)
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
     return {
