@@ -34,14 +34,13 @@ def label_variants(scene, pvc_cfg, score_sigma):
     spg_trinary = wlf.refine_by_segments(assign, segments)
     spg_labels = wlf.generate_labels(frame, spg_trinary, assign, scene.boxes, radii)
 
-    buf = wlf.VoteBuffer(capacity=pvc_cfg.n_his, start_epoch=pvc_cfg.start_epoch)
-    for epoch in range(pvc_cfg.n_his):
-        scores = wlf.fabricate_scores(
-            frame.gt_semantic, 3, score_sigma, scene.config.seed, epoch
+    scores = np.stack([
+        wlf.foreground_score(
+            wlf.fabricate_scores(frame.gt_semantic, 3, score_sigma, scene.config.seed, epoch)
         )
-        buf.record_epoch(frame.frame_id, wlf.foreground_score(scores))
-    buf.epoch = pvc_cfg.n_his
-    voted = wlf.vote_correct(buf, pvc_cfg, spg_labels, frame.frame_id, assign, scene.boxes)
+        for epoch in range(pvc_cfg.n_his)
+    ])
+    voted = wlf.vote_correct(scores, pvc_cfg, spg_labels, assign, scene.boxes)
 
     return {
         "raw": wlf.frustum_semantic(assign, scene.boxes),

@@ -44,7 +44,6 @@ from .range_image import (
     build_range_image,
     dcs_dynamic,
     dcs_rows,
-    dcs_simplified,
 )
 from .ring_correct import RscConfig, rsc_correct
 from .spatial import (
@@ -55,7 +54,7 @@ from .spatial import (
     trinary_from_prop,
 )
 from .synth import CLASS_NAMES, Scene, SceneConfig, fabricate_scores, generate_scene
-from .voting import PvcConfig, VoteBuffer, foreground_score, vote_correct
+from .voting import PvcConfig, foreground_score, vote_correct
 
 __all__ = [
     "__version__",
@@ -81,7 +80,6 @@ __all__ = [
     "Scene",
     "SceneConfig",
     "StageToggles",
-    "VoteBuffer",
     "CLASS_NAMES",
     "back_project",
     "binarize",
@@ -94,7 +92,6 @@ __all__ = [
     "cscs_grad_student",
     "dcs_dynamic",
     "dcs_rows",
-    "dcs_simplified",
     "fabricate_scores",
     "foreground_score",
     "frustum_semantic",

@@ -11,10 +11,10 @@ One directory per frame:
     boxes.json          list of {box_id, class_id, bounds}
     votes_<epoch>.f32   (N,) float32 teacher foreground scores, optional
     masks/              mask_<k>.f32 + mask_<k>.json sidecars, optional
-    sem.i32, inst.i32   pseudo labels written by the pipeline
 
-All binary arrays are flat little-endian; shapes live in the manifest or the
-sidecar JSON.
+Pseudo labels (sem.i32, inst.i32) live outside the bundle, in
+``<out>/<frame_id>/`` of a run. All binary arrays are flat little-endian;
+shapes live in the manifest or the sidecar JSON.
 """
 
 from __future__ import annotations
@@ -135,6 +135,8 @@ def read_frame_bundle(
         frame_id = manifest["frame_id"]
     except KeyError as exc:
         raise BundleError(f"{manifest_path}: missing key {exc}") from exc
+    if not isinstance(frame_id, str) or frame_id in ("", "..") or Path(frame_id).name != frame_id:
+        raise BundleError(f"{manifest_path}: frame_id {frame_id!r} is not a plain directory name")
     points = _read_array(directory / "points.f32", "f32", 4 * n).reshape(n, 4)
     beam_row = _read_array(directory / "beam_row.u16", "u16", n)
     gt_semantic = gt_instance = None

@@ -3,14 +3,14 @@
 Subcommands:
     synth      generate synthetic frame bundles with ground truth and votes
     pipeline   full label generation over bundles (stages configurable)
-    spg        spatial refinement only (pipeline with pvc/rsc disabled)
-    pvc        vote-correct existing labels using buffered teacher scores
-    rsc        ring-segment-correct existing labels
+    spg        pipeline with only the spg stage
+    pvc        pipeline with only pvc, starting from --labels
+    rsc        pipeline with only rsc, starting from --labels
     ipg        fuse 2D mask predictions per annotated box
-    eval       score predicted labels against bundle ground truth
+    eval       pipeline with no stage, scoring --labels against ground truth
 
-Exit codes: 0 ok, 2 missing input, 3 malformed config, 4 internal invariant
-violation. Set WLF_LOG=debug|info|warning for verbosity.
+Exit codes: 0 ok, 2 missing input, 3 malformed config or bundle, 4 internal
+invariant violation. Set WLF_LOG=debug|info|warning for verbosity.
 """
 
 from __future__ import annotations
@@ -26,38 +26,24 @@ import numpy as np
 
 from .bundle import (
     BundleError,
-    list_vote_epochs,
     read_frame_bundle,
-    read_labels,
     read_mask_predictions,
-    read_votes,
     write_frame_bundle,
     write_json,
-    write_labels,
     write_votes,
 )
 from .config import ConfigError, PipelineConfig, StageToggles
-from .frames import crop_frustum, project_points
 from .mask_fusion import binarize, pseudo_loss, weight_masks
-from .metrics import (
-    confusion_counts,
-    instances_from_labels,
-    pred_instances_from_labels,
-)
 from .pipeline import (
-    FrameOutput,
     InvariantError,
     MissingInputError,
-    aggregate_report,
+    RunResult,
+    check_frame_ids,
     discover_bundles,
-    reconcile_instances,
     run_pipeline,
 )
-from .range_image import build_range_image, dcs_dynamic
-from .ring_correct import rsc_correct
-from .spatial import PseudoLabels
 from .synth import CLASS_NAMES, SceneConfig, fabricate_scores, generate_scene
-from .voting import VoteBuffer, foreground_score, vote_correct
+from .voting import foreground_score
 
 logger = logging.getLogger("wlf")
 
@@ -88,7 +74,7 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         cfg.seed = args.seed
     if getattr(args, "threads", None):
         cfg.threads = args.threads
-    if getattr(args, "stages", None):
+    if getattr(args, "stages", None) is not None:
         cfg.stages = StageToggles.from_list(
             [s for s in args.stages.split(",") if s]
         )
@@ -134,69 +120,22 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    cfg = _load_pipeline_config(args)
-    result = run_pipeline(cfg)
+def _run(args: argparse.Namespace) -> RunResult:
+    result = run_pipeline(_load_pipeline_config(args), getattr(args, "labels", None))
     print(f"processed {len(result.frame_ids)} frames -> {result.out_dir}")
     if result.report is not None:
         print(result.report.format_table(result.class_names))
+    return result
+
+
+def cmd_pipeline(args: argparse.Namespace) -> int:
+    _run(args)
     return EXIT_OK
 
 
-def cmd_spg(args: argparse.Namespace) -> int:
-    args.stages = "spg"
-    return cmd_pipeline(args)
-
-
-def _iter_label_bundles(args: argparse.Namespace):
-    bundles = discover_bundles(args.frames)
-    labels_dir = Path(args.labels) if args.labels else None
-    for bundle in bundles:
-        frame, calib, boxes, manifest = read_frame_bundle(bundle)
-        src = labels_dir / bundle.name if labels_dir else bundle
-        if not (Path(src) / "sem.i32").is_file():
-            raise MissingInputError(f"no labels found in {src}")
-        labels = read_labels(src, frame.num_points)
-        yield bundle, frame, calib, boxes, manifest, labels
-
-
-def cmd_pvc(args: argparse.Namespace) -> int:
-    cfg = _load_pipeline_config(args)
-    out_root = Path(cfg.out_dir)
-    count = 0
-    for bundle, frame, calib, boxes, manifest, labels in _iter_label_bundles(args):
-        epochs = list_vote_epochs(bundle)
-        if not epochs:
-            raise MissingInputError(f"no votes_*.f32 in {bundle}")
-        buffer = VoteBuffer(capacity=cfg.pvc.n_his, start_epoch=cfg.pvc.start_epoch)
-        for epoch in epochs[-cfg.pvc.n_his :]:
-            buffer.record_epoch(frame.frame_id, read_votes(bundle, epoch, frame.num_points))
-        buffer.epoch = max(epochs) + 1
-        proj = project_points(calib, frame)
-        box_assign = crop_frustum(proj, boxes)
-        corrected = vote_correct(buffer, cfg.pvc, labels, frame.frame_id, box_assign, boxes)
-        write_labels(out_root / bundle.name, corrected)
-        count += 1
-    print(f"vote-corrected {count} frames -> {out_root}")
-    return EXIT_OK
-
-
-def cmd_rsc(args: argparse.Namespace) -> int:
-    cfg = _load_pipeline_config(args)
-    out_root = Path(cfg.out_dir)
-    count = 0
-    for bundle, frame, calib, boxes, manifest, labels in _iter_label_bundles(args):
-        beams = int(manifest.get("beams", int(frame.beam_row.max()) + 1))
-        columns = int(manifest.get("columns", 2048))
-        ri = build_range_image(frame, beams, columns)
-        segments = dcs_dynamic(ri, cfg.dcs)
-        corrected = rsc_correct(labels.semantic, segments, cfg.rsc)
-        fixed = reconcile_instances(
-            PseudoLabels(semantic=corrected, instance=labels.instance), boxes
-        )
-        write_labels(out_root / bundle.name, fixed)
-        count += 1
-    print(f"ring-corrected {count} frames -> {out_root}")
+def cmd_eval(args: argparse.Namespace) -> int:
+    if _run(args).report is None:
+        raise MissingInputError("no bundle has ground-truth labels to score")
     return EXIT_OK
 
 
@@ -204,20 +143,21 @@ def cmd_ipg(args: argparse.Namespace) -> int:
     cfg = _load_pipeline_config(args)
     out_root = Path(cfg.out_dir)
     bundles = discover_bundles(cfg.frames)
+    frames = [read_frame_bundle(bundle) for bundle in bundles]
+    check_frame_ids(bundles, [frame.frame_id for frame, *_ in frames])
     count = 0
-    for bundle in bundles:
-        frame, calib, boxes, manifest = read_frame_bundle(bundle)
+    for bundle, (frame, calib, boxes, manifest) in zip(bundles, frames):
         grouped = read_mask_predictions(bundle)
         if not grouped:
             continue
         box_by_id = {b.box_id: b for b in boxes}
-        out_dir = out_root / bundle.name
+        out_dir = out_root / frame.frame_id
         out_dir.mkdir(parents=True, exist_ok=True)
         report = {}
         for box_id in sorted(grouped):
             box = box_by_id.get(box_id)
             if box is None:
-                logger.warning("%s: masks reference unknown box %d", bundle.name, box_id)
+                logger.warning("%s: masks reference unknown box %d", bundle, box_id)
                 continue
             preds = grouped[box_id]
             fused = weight_masks(preds, box, cfg.ipg.k)
@@ -237,37 +177,6 @@ def cmd_ipg(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _load_pipeline_config(args)
-    out_root = Path(cfg.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    class_names: list[str] = []
-    n_cls = 3
-    for bundle, frame, calib, boxes, manifest, labels in _iter_label_bundles(args):
-        if not frame.has_gt:
-            raise MissingInputError(f"{bundle} has no ground-truth labels")
-        class_names = manifest.get("class_names", class_names)
-        n_cls = int(manifest.get("num_classes", n_cls))
-        ignore = frame.gt_semantic == -1
-        out = FrameOutput(frame_id=frame.frame_id, labels=labels, n_points=frame.num_points)
-        out.tp, out.fp, out.fn = confusion_counts(labels.semantic, frame.gt_semantic, n_cls)
-        out.pred_instances = pred_instances_from_labels(
-            labels.semantic, labels.instance, frame.frame_id, ignore
-        )
-        out.gt_instances = instances_from_labels(
-            frame.gt_semantic, frame.gt_instance, frame.frame_id, ignore
-        )
-        outputs.append(out)
-    report = aggregate_report(outputs, n_cls)
-    if report is None:
-        raise MissingInputError("nothing to evaluate")
-    write_json(out_root / "metrics.json", report.to_dict(class_names))
-    (out_root / "metrics.txt").write_text(report.format_table(class_names) + "\n")
-    print(report.format_table(class_names))
-    return EXIT_OK
-
-
 def _add_common(parser: argparse.ArgumentParser, labels: bool = False) -> None:
     parser.add_argument("--config", help="pipeline config JSON")
     parser.add_argument("--frames", help="glob of frame bundle directories")
@@ -276,7 +185,7 @@ def _add_common(parser: argparse.ArgumentParser, labels: bool = False) -> None:
     parser.add_argument("--threads", type=int, default=None)
     if labels:
         parser.add_argument(
-            "--labels", help="directory holding per-frame sem.i32/inst.i32 (default: the bundle)"
+            "--labels", required=True, help="earlier run to start from: <labels>/<frame_id>/*.i32"
         )
 
 
@@ -298,25 +207,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", help="comma list from spg,pvc,rsc (default: all)")
     p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("spg", help="spatial refinement only")
-    _add_common(p)
-    p.set_defaults(func=cmd_spg)
-
-    p = sub.add_parser("pvc", help="vote-correct existing labels")
-    _add_common(p, labels=True)
-    p.set_defaults(func=cmd_pvc)
-
-    p = sub.add_parser("rsc", help="ring-segment-correct existing labels")
-    _add_common(p, labels=True)
-    p.set_defaults(func=cmd_rsc)
+    # Stage commands: the pipeline with a fixed stage list.
+    for name, stages, func, help_text in (
+        ("spg", "spg", cmd_pipeline, "spatial refinement only"),
+        ("pvc", "pvc", cmd_pipeline, "vote-correct existing labels"),
+        ("rsc", "rsc", cmd_pipeline, "ring-segment-correct existing labels"),
+        ("eval", "", cmd_eval, "score existing labels against ground truth"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, labels=name != "spg")
+        p.set_defaults(func=func, stages=stages)
 
     p = sub.add_parser("ipg", help="fuse 2D mask predictions per box")
     _add_common(p)
     p.set_defaults(func=cmd_ipg)
-
-    p = sub.add_parser("eval", help="score labels against ground truth")
-    _add_common(p, labels=True)
-    p.set_defaults(func=cmd_eval)
     return parser
 
 

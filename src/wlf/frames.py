@@ -19,6 +19,7 @@ __all__ = [
     "ProjectedPoints",
     "project_points",
     "back_project",
+    "box_classes",
     "crop_frustum",
 ]
 
@@ -196,6 +197,14 @@ def back_project(calib: Calibration, pixels: np.ndarray, depth: np.ndarray) -> n
     y = (v - calib.cy) / calib.fy * depth
     cam = np.stack([x, y, depth], axis=1)
     return (cam - calib.translation) @ calib.rotation
+
+
+def box_classes(boxes: list[Box2D]) -> np.ndarray:
+    """Lookup table from box id to class id; ids that name no box map to 0."""
+    class_of = np.zeros(max([b.box_id for b in boxes], default=0) + 1, dtype=np.int32)
+    for b in boxes:
+        class_of[b.box_id] = b.class_id
+    return class_of
 
 
 def crop_frustum(proj: ProjectedPoints, boxes: list[Box2D]) -> np.ndarray:

@@ -1,17 +1,20 @@
 """End-to-end label generation over frame bundles.
 
-Per frame: project points, crop frustums, build the range image and ring
-segments, refine to trinary labels (optional), cluster per box and keep the
-largest component, then apply the optional voting and ring-segment correction
-stages. Labels are written next to a metrics report when ground truth is
-available, plus a run.json with the config hash and stage timings. Frames are
-independent, so the worker pool never changes the output bytes.
+``process_frame`` is the one stage engine. Per frame: project points, crop
+frustums, build the range image and ring segments, take starting labels from
+an earlier run or from spg (refine to trinary labels, optional; cluster per
+box and keep the largest component), then apply the optional voting and
+ring-segment correction stages. Labels are written per frame id next to a
+metrics report when ground truth is available, plus a run.json with the
+config hash and stage timings. Frames are independent, so the worker pool
+never changes the output bytes.
 """
 
 from __future__ import annotations
 
 import glob
 import json
+import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,14 +24,16 @@ import numpy as np
 
 from . import __version__
 from .bundle import (
+    BundleError,
     list_vote_epochs,
     read_frame_bundle,
+    read_labels,
     read_votes,
     write_json,
     write_labels,
 )
 from .config import PipelineConfig
-from .frames import Box2D, crop_frustum, project_points
+from .frames import Box2D, box_classes, crop_frustum, project_points
 from .metrics import (
     MetricReport,
     instance_ap,
@@ -45,9 +50,12 @@ from .spatial import (
     refine_by_segments,
 )
 from .ring_correct import rsc_correct
-from .voting import VoteBuffer, vote_correct
+from .voting import vote_correct
 
-__all__ = ["MissingInputError", "InvariantError", "FrameOutput", "RunResult", "run_pipeline"]
+__all__ = ["MissingInputError", "InvariantError", "FrameOutput", "RunResult", "process_frame",
+           "run_pipeline"]
+
+logger = logging.getLogger(__name__)
 
 
 class MissingInputError(FileNotFoundError):
@@ -81,18 +89,32 @@ class RunResult:
 
 def reconcile_instances(labels: PseudoLabels, boxes: list[Box2D]) -> PseudoLabels:
     """Drop instance ids wherever the semantic label left the box class."""
-    class_of = np.zeros(max([b.box_id for b in boxes], default=0) + 1, dtype=np.int32)
-    for b in boxes:
-        class_of[b.box_id] = b.class_id
     out = labels.copy()
     owned = out.instance > 0
-    mismatch = owned & (out.semantic != class_of[out.instance])
+    mismatch = owned & (out.semantic != box_classes(boxes)[out.instance])
     out.instance[mismatch] = 0
     return out
 
 
-def process_frame(bundle_dir: Path, cfg: PipelineConfig) -> FrameOutput:
-    """Run the configured stages on one bundle and return labels + metrics."""
+def read_start_labels(directory: Path, num_points: int, boxes: list[Box2D]) -> PseudoLabels:
+    """Labels from an earlier run; BundleError unless they fit the frame's boxes."""
+    try:
+        labels = read_labels(directory, num_points)
+        labels.check_consistency(boxes)
+    except (BundleError, AssertionError) as exc:
+        raise BundleError(f"{directory}: {exc}") from exc
+    return labels
+
+
+def process_frame(
+    bundle_dir: Path, cfg: PipelineConfig, labels_dir: Path | None = None
+) -> FrameOutput:
+    """Run the configured stages on one bundle and return labels + metrics.
+
+    Starting labels come from spg (plain clustering when spg is off) or, when
+    ``labels_dir`` is given, from ``labels_dir/<frame_id>``; pvc and rsc then
+    apply as ``cfg.stages`` says.
+    """
     frame, calib, boxes, manifest = read_frame_bundle(bundle_dir)
     beams = int(manifest.get("beams", int(frame.beam_row.max()) + 1 if frame.num_points else 1))
     columns = int(manifest.get("columns", 2048))
@@ -104,28 +126,41 @@ def process_frame(bundle_dir: Path, cfg: PipelineConfig) -> FrameOutput:
     box_assign = crop_frustum(proj, boxes)
     timings["project"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    ri = build_range_image(frame, beams, columns)
-    segments = dcs_dynamic(ri, cfg.dcs)
-    timings["segments"] = time.perf_counter() - t0
+    if cfg.stages.rsc or (cfg.stages.spg and labels_dir is None):  # only they read segments
+        t0 = time.perf_counter()
+        segments = dcs_dynamic(build_range_image(frame, beams, columns), cfg.dcs)
+        timings["segments"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    if cfg.stages.spg:
-        trinary = refine_by_segments(box_assign, segments)
+    if labels_dir is not None:
+        labels = read_start_labels(Path(labels_dir) / frame.frame_id, frame.num_points, boxes)
     else:
-        trinary = np.where(box_assign > 0, TRINARY_FG, 0).astype(np.int8)
-    labels = generate_labels(frame, trinary, box_assign, boxes, cfg.radii)
-    timings["spg"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        if cfg.stages.spg:
+            trinary = refine_by_segments(box_assign, segments)
+        else:
+            trinary = np.where(box_assign > 0, TRINARY_FG, 0).astype(np.int8)
+        labels = generate_labels(frame, trinary, box_assign, boxes, cfg.radii)
+        timings["spg"] = time.perf_counter() - t0
 
     if cfg.stages.pvc:
+        # Vote over the latest n_his epochs once the next epoch (latest + 1)
+        # reaches start_epoch; a short history or a closed gate is logged.
         t0 = time.perf_counter()
         epochs = list_vote_epochs(bundle_dir)
-        buffer = VoteBuffer(capacity=cfg.pvc.n_his, start_epoch=cfg.pvc.start_epoch)
-        for epoch in epochs[-cfg.pvc.n_his :]:
-            buffer.record_epoch(frame.frame_id, read_votes(bundle_dir, epoch, frame.num_points))
-        if epochs:
-            buffer.epoch = max(epochs) + 1
-            labels = vote_correct(buffer, cfg.pvc, labels, frame.frame_id, box_assign, boxes)
+        if not epochs:
+            raise MissingInputError(f"no votes_*.f32 in {bundle_dir}")
+        recent, epoch = epochs[-cfg.pvc.n_his :], epochs[-1] + 1
+        if len(recent) < cfg.pvc.n_his or epoch < cfg.pvc.start_epoch:
+            logger.warning(
+                "%s: pvc skipped: %d of n_his=%d vote epochs, next epoch %d (start_epoch %d)",
+                bundle_dir, len(recent), cfg.pvc.n_his, epoch, cfg.pvc.start_epoch,
+            )
+        else:
+            scores = np.stack([read_votes(bundle_dir, e, frame.num_points) for e in recent])
+            try:
+                labels = vote_correct(scores, cfg.pvc, labels, box_assign, boxes)
+            except ValueError as exc:
+                raise BundleError(f"{bundle_dir}: {exc}") from exc
         timings["pvc"] = time.perf_counter() - t0
 
     if cfg.stages.rsc:
@@ -157,6 +192,15 @@ def process_frame(bundle_dir: Path, cfg: PipelineConfig) -> FrameOutput:
             frame.gt_semantic, frame.gt_instance, frame.frame_id, ignore
         )
     return out
+
+
+def check_frame_ids(bundles: list[Path], frame_ids: list[str]) -> None:
+    """BundleError if two bundles share a frame id, and so an output directory."""
+    owner: dict[str, Path] = {}
+    for bundle, frame_id in zip(bundles, frame_ids):
+        if frame_id in owner:
+            raise BundleError(f"frame_id {frame_id!r} is in both {owner[frame_id]} and {bundle}")
+        owner[frame_id] = bundle
 
 
 def discover_bundles(pattern: str) -> list[Path]:
@@ -192,8 +236,9 @@ def aggregate_report(outputs: list[FrameOutput], n_cls: int) -> MetricReport | N
     )
 
 
-def run_pipeline(cfg: PipelineConfig) -> RunResult:
-    """Process every bundle matched by the config and write all artifacts."""
+def run_pipeline(cfg: PipelineConfig, labels_dir: Path | None = None) -> RunResult:
+    """Process every bundle matched by the config (see ``process_frame``) and
+    write all artifacts, one directory per frame id."""
     bundles = discover_bundles(cfg.frames)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -201,9 +246,10 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outputs = list(pool.map(lambda b: process_frame(b, cfg), bundles))
+            outputs = list(pool.map(lambda b: process_frame(b, cfg, labels_dir), bundles))
     else:
-        outputs = [process_frame(b, cfg) for b in bundles]
+        outputs = [process_frame(b, cfg, labels_dir) for b in bundles]
+    check_frame_ids(bundles, [o.frame_id for o in outputs])
 
     outputs.sort(key=lambda o: o.frame_id)
     first_manifest = json.loads((bundles[0] / "manifest.json").read_text())

@@ -2,10 +2,11 @@
 
 A sweep is rasterised into an M x N depth matrix (M beams, N azimuth columns)
 and each row is split into "ring segments": runs of returns whose depth varies
-smoothly. Two variants are provided: a fixed-threshold scan that only links
-immediately adjacent columns, and an adaptive variant that scales both the
-linking window and the depth threshold with the row's maximum depth, bridging
-small gaps via a union-find equal table.
+smoothly. ``dcs_rows`` links cells within a per-row window and depth
+threshold through a union-find equal table; ``dcs_dynamic`` scales both with
+the row's maximum depth, bridging small gaps. A window of ``MIN_WINDOW`` and a
+constant threshold give the fixed-threshold scan that only links immediately
+adjacent columns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "RingSegments",
     "DcsConfig",
     "build_range_image",
-    "dcs_simplified",
     "dcs_dynamic",
     "dcs_rows",
     "MIN_WINDOW",
@@ -116,30 +116,6 @@ def _segments_from_cells(ri: RangeImage, cell_ids: np.ndarray, count: int) -> Ri
     if seg.size and seg.min() < 0:
         raise AssertionError("point mapped to an unsegmented cell")
     return RingSegments(segment_id=seg.astype(np.int32), num_segments=count)
-
-
-def dcs_simplified(ri: RangeImage, threshold: float = 0.24) -> RingSegments:
-    """Fixed-threshold row scan: a return joins its left neighbour's segment
-    iff the neighbour cell is occupied and the depth step is < threshold,
-    otherwise it starts a new segment. Ids are global and never span rows.
-    """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    beams, columns = ri.shape
-    cell_ids = np.full((beams, columns), -1, dtype=np.int64)
-    counter = 0
-    for r in range(beams):
-        d = ri.depth[r]
-        valid = np.isfinite(d)
-        if not valid.any():
-            continue
-        join = np.zeros(columns, dtype=bool)
-        join[1:] = valid[1:] & valid[:-1] & (np.abs(d[1:] - d[:-1]) < threshold)
-        starts = valid & ~join
-        ids = np.cumsum(starts) - 1
-        cell_ids[r, valid] = counter + ids[valid]
-        counter += int(starts.sum())
-    return _segments_from_cells(ri, cell_ids, counter)
 
 
 def dcs_rows(ri: RangeImage, windows: np.ndarray, thresholds: np.ndarray) -> RingSegments:

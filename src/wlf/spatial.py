@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClassRadii, ccl_cluster, max_component
-from .frames import Box2D, Frame
+from .frames import Box2D, Frame, box_classes
 from .range_image import RingSegments
 
 __all__ = [
@@ -56,17 +56,14 @@ class PseudoLabels:
         return PseudoLabels(self.semantic.copy(), self.instance.copy())
 
     def check_consistency(self, boxes: list[Box2D]) -> None:
-        """Assert the instance/semantic coupling invariants."""
-        class_of = {b.box_id: b.class_id for b in boxes}
-        inst = self.instance
-        sem = self.semantic
-        owned = inst > 0
-        if owned.any():
-            want = np.array([class_of[i] for i in inst[owned].tolist()])
-            if not np.array_equal(sem[owned], want):
-                raise AssertionError("instance points must carry their box class")
-        if np.any((sem == -1) & (inst > 0)):
-            raise AssertionError("ignored points cannot own an instance")
+        """Assert that every instance id names a box and carries its class."""
+        class_of = box_classes(boxes)
+        owned = self.instance > 0
+        ids = self.instance[owned]
+        if ids.size and (ids.max() >= class_of.size or not class_of[ids].all()):
+            raise AssertionError("instance ids must name a box")
+        if not np.array_equal(self.semantic[owned], class_of[ids]):
+            raise AssertionError("instance points must carry their box class")
 
 
 def trinary_from_prop(prop: float) -> int:
@@ -146,7 +143,4 @@ def generate_labels(
 
 def frustum_semantic(box_assign: np.ndarray, boxes: list[Box2D]) -> np.ndarray:
     """Raw frustum-crop labels: every in-box point gets its box class."""
-    class_of = np.zeros(max([b.box_id for b in boxes], default=0) + 1, dtype=np.int32)
-    for b in boxes:
-        class_of[b.box_id] = b.class_id
-    return class_of[np.asarray(box_assign)]
+    return box_classes(boxes)[np.asarray(box_assign)]

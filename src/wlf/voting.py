@@ -1,22 +1,21 @@
 """Historical-vote label correction.
 
-A ring buffer keeps the last few epochs of per-point foreground scores from a
-teacher model. Once voting is enabled (the epoch gate has passed and the
-buffer is full), points that were confidently foreground or background in
-enough epochs get their pseudo label overridden.
+Given the last few epochs of per-point foreground scores from a teacher
+model, points that were confidently foreground or background in enough epochs
+get their pseudo label overridden. Which epochs to pass, and whether voting
+is enabled yet, is decided by the caller (``pipeline.process_frame``).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Box2D
+from .frames import Box2D, box_classes
 from .spatial import PseudoLabels
 
-__all__ = ["PvcConfig", "VoteBuffer", "vote_correct", "foreground_score"]
+__all__ = ["PvcConfig", "vote_correct", "foreground_score"]
 
 
 @dataclass
@@ -42,48 +41,6 @@ class PvcConfig:
             raise ValueError("start_epoch must be >= 0")
 
 
-@dataclass
-class VoteBuffer:
-    """Per-frame FIFO of the last ``capacity`` epochs of foreground scores."""
-
-    capacity: int
-    start_epoch: int = 1
-    epoch: int = 0
-    _scores: dict[str, deque] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-
-    def record_epoch(self, frame_id: str, scores: np.ndarray) -> None:
-        """Store one epoch of scores; evicts the oldest epoch when full."""
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.ndim != 1:
-            raise ValueError("scores must be a flat per-point array")
-        if scores.size and (scores.min() < 0 or scores.max() > 1):
-            raise ValueError("scores must lie in [0, 1]")
-        buf = self._scores.get(frame_id)
-        if buf is None:
-            buf = deque(maxlen=self.capacity)
-            self._scores[frame_id] = buf
-        elif buf and buf[0].shape != scores.shape:
-            raise ValueError(f"score length mismatch for frame {frame_id}")
-        buf.append(scores.copy())
-
-    def num_epochs(self, frame_id: str) -> int:
-        buf = self._scores.get(frame_id)
-        return 0 if buf is None else len(buf)
-
-    def scores_for(self, frame_id: str) -> np.ndarray:
-        """Stored epochs for a frame, oldest first, as an (E, N) array."""
-        if frame_id not in self._scores:
-            raise KeyError(f"no votes recorded for frame {frame_id}")
-        return np.stack(list(self._scores[frame_id]))
-
-    def frame_ids(self) -> list[str]:
-        return sorted(self._scores)
-
-
 def foreground_score(class_scores: np.ndarray) -> np.ndarray:
     """Scalar foreground score per point: the best per-class score."""
     class_scores = np.asarray(class_scores, dtype=np.float64)
@@ -95,36 +52,30 @@ def foreground_score(class_scores: np.ndarray) -> np.ndarray:
 
 
 def vote_correct(
-    buffer: VoteBuffer,
+    scores: np.ndarray,
     cfg: PvcConfig,
     labels: PseudoLabels,
-    frame_id: str,
     box_assign: np.ndarray,
     boxes: list[Box2D],
 ) -> PseudoLabels:
-    """Override pseudo labels by majority vote over the buffered epochs.
+    """Override pseudo labels by majority vote over stacked epoch scores.
 
-    Disabled (labels returned unchanged) until the buffer's epoch reaches its
-    start epoch and the frame has a full history. Foreground overrides require
-    the point to lie in some box frustum, which supplies the class and the
-    instance id; a reliable-background vote clears both labels. A point that
-    is reliable in both directions follows the foreground rule first.
+    ``scores`` is (E, N): one row of per-point foreground scores in [0, 1] per
+    epoch. Foreground overrides require the point to lie in some box frustum,
+    which supplies the class and the instance id; a reliable-background vote
+    clears both labels. A point that is reliable in both directions follows
+    the foreground rule first.
     """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] != labels.semantic.shape[0]:
+        raise ValueError("scores must hold one row per epoch, as long as the labels")
+    if not ((scores >= 0) & (scores <= 1)).all():
+        raise ValueError("scores must lie in [0, 1]")
     out = labels.copy()
-    if frame_id not in buffer._scores:
-        raise KeyError(f"no votes recorded for frame {frame_id}")
-    if buffer.epoch < buffer.start_epoch or buffer.num_epochs(frame_id) < buffer.capacity:
-        return out
-    scores = buffer.scores_for(frame_id)
-    n = labels.semantic.shape[0]
-    if scores.shape[1] != n:
-        raise ValueError("stored scores do not match the label length")
     box_assign = np.asarray(box_assign)
     fg_votes = (scores > cfg.tau_high).sum(axis=0)
     bg_votes = (scores < cfg.tau_low).sum(axis=0)
-    class_of = np.zeros(max([b.box_id for b in boxes], default=0) + 1, dtype=np.int32)
-    for b in boxes:
-        class_of[b.box_id] = b.class_id
+    class_of = box_classes(boxes)
     fg = (fg_votes >= cfg.t_reliable) & (box_assign > 0)
     bg = (bg_votes >= cfg.t_reliable) & ~fg
     out.semantic[fg] = class_of[box_assign[fg]]

@@ -66,14 +66,13 @@ def chain100():
         labels = wlf.generate_labels(frame, trinary, assign, scene.boxes, radii)
         spg_seconds_mark = time.perf_counter()
 
-        buf = wlf.VoteBuffer(capacity=pvc_cfg.n_his, start_epoch=pvc_cfg.start_epoch)
-        for epoch in range(pvc_cfg.n_his):
-            scores = wlf.fabricate_scores(
+        scores = np.stack([
+            wlf.foreground_score(wlf.fabricate_scores(
                 frame.gt_semantic, 3, sigma=0.2, seed=scene.config.seed, epoch=epoch
-            )
-            buf.record_epoch(frame.frame_id, wlf.foreground_score(scores))
-        buf.epoch = pvc_cfg.n_his
-        voted = wlf.vote_correct(buf, pvc_cfg, labels, frame.frame_id, assign, scene.boxes)
+            ))
+            for epoch in range(pvc_cfg.n_his)
+        ])
+        voted = wlf.vote_correct(scores, pvc_cfg, labels, assign, scene.boxes)
         corrected = wlf.rsc_correct(voted.semantic, segments, rsc_cfg)
 
         variants = {
@@ -127,8 +126,8 @@ def test_3_algorithm_oracle_equivalence():
     rng = np.random.default_rng(20240801)
     t0 = time.perf_counter()
 
-    # Row segmentation: adaptive scan with a forced constant window/threshold
-    # must equal the simple adjacent-cell scan, ids included.
+    # Row segmentation: the scan with a fixed minimal window and constant
+    # threshold must equal the literal adjacent-cell trace, ids included.
     dcs_fail = 0
     for _ in range(1000):
         beams = int(rng.integers(1, 5))
@@ -138,14 +137,9 @@ def test_3_algorithm_oracle_equivalence():
         ri = _ri_from_depth(depth)
         t = float(rng.uniform(0.1, 4.0))
         forced = wlf.dcs_rows(ri, np.full(beams, 2.0), np.full(beams, t))
-        simple = wlf.dcs_simplified(ri, t)
         ids, count = dcs_simplified_trace(depth, t)
         trace_ids = ids[ri.point_cell[:, 0], ri.point_cell[:, 1]]
-        if not (
-            np.array_equal(forced.segment_id, simple.segment_id)
-            and forced.num_segments == simple.num_segments == count
-            and np.array_equal(simple.segment_id, trace_ids)
-        ):
+        if not (forced.num_segments == count and np.array_equal(forced.segment_id, trace_ids)):
             dcs_fail += 1
 
     ccl_fail = 0
@@ -181,12 +175,8 @@ def test_3_algorithm_oracle_equivalence():
         assign = rng.integers(0, 2, n).astype(np.int32)
         sem = rng.integers(-1, 3, n).astype(np.int32)
         labels = PseudoLabels(semantic=sem, instance=np.zeros(n, dtype=np.int32))
-        buf = wlf.VoteBuffer(capacity=epochs, start_epoch=1)
-        for row in scores:
-            buf.record_epoch("f", row)
-        buf.epoch = 5
         cfg = wlf.PvcConfig(tau_high=tau_high, tau_low=tau_low, t_reliable=t_rel, n_his=epochs)
-        got = wlf.vote_correct(buf, cfg, labels, "f", assign, boxes)
+        got = wlf.vote_correct(scores, cfg, labels, assign, boxes)
         want_sem, want_inst = vote_enumerate(
             scores, tau_high, tau_low, t_rel, sem, labels.instance, assign, {1: 2}
         )

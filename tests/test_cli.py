@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -10,6 +11,17 @@ from wlf.mask_fusion import MaskPrediction
 
 def run(*args) -> int:
     return main([str(a) for a in args])
+
+
+@pytest.fixture
+def scans(tmp_path):
+    """Bundles whose directory names (scanA, scanB) differ from their frame ids."""
+    out = tmp_path / "scans"
+    assert run("synth", "--out", out, "--seed", "3", "--num-frames", "2", "--epochs", "4",
+               "--score-sigma", "0.2") == 0
+    (out / "frame_0000").rename(out / "scanA")
+    (out / "frame_0001").rename(out / "scanB")
+    return out
 
 
 @pytest.fixture
@@ -115,6 +127,74 @@ class TestStageCommands:
         assert (report_dir / "metrics.txt").read_text().strip()
 
 
+    def test_stage_chain_keys_outputs_by_frame_id(self, scans, tmp_path):
+        frames = f"{scans}/*"
+        full = tmp_path / "full"
+        assert run("pipeline", "--frames", frames, "--out", full) == 0
+        assert run("spg", "--frames", frames, "--out", tmp_path / "spg") == 0
+        assert run("pvc", "--frames", frames, "--labels", tmp_path / "spg",
+                   "--out", tmp_path / "pvc") == 0
+        assert run("rsc", "--frames", frames, "--labels", tmp_path / "pvc",
+                   "--out", tmp_path / "rsc") == 0
+        assert run("eval", "--frames", frames, "--labels", tmp_path / "rsc",
+                   "--out", tmp_path / "eval") == 0
+        for frame in ("frame_0000", "frame_0001"):
+            for name in ("sem.i32", "inst.i32"):
+                want = (full / frame / name).read_bytes()
+                assert (tmp_path / "rsc" / frame / name).read_bytes() == want
+                assert (tmp_path / "eval" / frame / name).read_bytes() == want
+        want = (full / "metrics.json").read_bytes()
+        assert (tmp_path / "eval" / "metrics.json").read_bytes() == want
+
+    def test_duplicate_frame_id_exit_3(self, scans, tmp_path, capsys):
+        shutil.copytree(scans / "scanA", scans / "scanC")
+        out = tmp_path / "out"
+        assert run("pipeline", "--frames", f"{scans}/*", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "frame_0000" in err and "scanA" in err and "scanC" in err
+        assert not any(p.is_dir() for p in out.iterdir())
+        assert run("ipg", "--frames", f"{scans}/*", "--out", tmp_path / "ipg") == 3
+
+    def test_pipeline_requires_votes(self, tmp_path, capsys):
+        frames = tmp_path / "novotes"
+        assert run("synth", "--out", frames, "--num-frames", "1", "--epochs", "0") == 0
+        assert run("pipeline", "--frames", f"{frames}/*", "--out", tmp_path / "o") == 2
+        assert str(frames / "frame_0000") in capsys.readouterr().err
+        assert run("pipeline", "--frames", f"{frames}/*", "--out", tmp_path / "o",
+                   "--stages", "spg,rsc") == 0
+
+    def test_labels_required(self, bundles, tmp_path):
+        for command in ("pvc", "rsc", "eval"):
+            with pytest.raises(SystemExit) as exc:
+                run(command, "--frames", f"{bundles}/*", "--out", tmp_path / "o")
+            assert exc.value.code == 2
+
+    def test_missing_labels_exit_2(self, bundles, tmp_path, capsys):
+        assert run("eval", "--frames", f"{bundles}/*", "--labels", tmp_path / "none",
+                   "--out", tmp_path / "o") == 2
+        assert str(tmp_path / "none" / "frame_0000") in capsys.readouterr().err
+
+    def test_eval_without_ground_truth_exit_2(self, bundles, tmp_path):
+        labels = tmp_path / "labels"
+        assert run("spg", "--frames", f"{bundles}/*", "--out", labels) == 0
+        for gt in bundles.glob("*/gt_*.i32"):
+            gt.unlink()
+        assert run("eval", "--frames", f"{bundles}/*", "--labels", labels,
+                   "--out", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("command", ["pvc", "rsc", "eval"])
+    def test_inconsistent_labels_exit_3(self, bundles, tmp_path, capsys, command):
+        labels = tmp_path / "labels"
+        assert run("spg", "--frames", f"{bundles}/*", "--out", labels) == 0
+        inst_path = labels / "frame_0001" / "inst.i32"
+        inst = np.frombuffer(inst_path.read_bytes(), dtype="<i4").copy()
+        inst[0] = 999  # names no box
+        inst_path.write_bytes(inst.tobytes())
+        assert run(command, "--frames", f"{bundles}/*", "--labels", labels,
+                   "--out", tmp_path / "o") == 3
+        assert str(labels / "frame_0001") in capsys.readouterr().err
+
+
 class TestIpg:
     def test_fuses_masks(self, bundles, tmp_path, rng):
         frame_dir = bundles / "frame_0000"
@@ -142,6 +222,16 @@ class TestIpg:
         assert set(np.unique(tri)).issubset({-1, 0, 1})
         report = json.loads((out / "frame_0000" / "ipg.json").read_text())
         assert report[str(box["box_id"])]["num_predictions"] == 2
+
+    def test_outputs_keyed_by_frame_id(self, scans, tmp_path, rng):
+        box = json.loads((scans / "scanB" / "boxes.json").read_text())[0]
+        pred = MaskPrediction(prob_map=rng.uniform(0, 1, (4, 4)), score=0.5,
+                              pred_box=tuple(box["bounds"]))
+        write_mask_predictions(scans / "scanB", [(box["box_id"], pred)])
+        out = tmp_path / "ipg"
+        assert run("ipg", "--frames", f"{scans}/*", "--out", out) == 0
+        assert (out / "frame_0001" / "ipg.json").is_file()
+        assert not (out / "scanB").exists()
 
     def test_no_masks_exit_2(self, bundles, tmp_path):
         assert run("ipg", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 2

@@ -8,6 +8,7 @@ from wlf.frames import (
     Calibration,
     Frame,
     back_project,
+    box_classes,
     crop_frustum,
     project_points,
 )
@@ -203,3 +204,11 @@ class TestCropFrustum:
         perm = rng.permutation(40)
         shuffled = crop_frustum(self.make_proj(pix[perm]), boxes)
         assert np.array_equal(shuffled, base[perm])
+
+
+class TestBoxClasses:
+    def test_lookup_table(self):
+        boxes = [Box2D(box_id=3, class_id=2, bounds=(0, 0, 1, 1)),
+                 Box2D(box_id=1, class_id=1, bounds=(0, 0, 2, 2))]
+        assert box_classes(boxes).tolist() == [0, 1, 0, 2]
+        assert box_classes([]).tolist() == [0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_range_image, ri_from_depth
-from oracles import dcs_dynamic_trace
+from oracles import dcs_dynamic_trace, dcs_simplified_trace
 
 from wlf.frames import Frame
 from wlf.range_image import (
@@ -12,7 +12,6 @@ from wlf.range_image import (
     build_range_image,
     dcs_dynamic,
     dcs_rows,
-    dcs_simplified,
 )
 
 
@@ -64,29 +63,35 @@ class TestBuildRangeImage:
         assert ri.depth[r, c] == pytest.approx(5.0)
 
 
+def fixed_window_rows(ri, threshold):
+    """Fixed-threshold scan: the smallest window links adjacent columns only."""
+    beams = ri.shape[0]
+    return dcs_rows(ri, np.full(beams, float(MIN_WINDOW)), np.full(beams, threshold))
+
+
 class TestSimplified:
     def test_row_trace(self):
         ri = ri_from_depth([[10.0, 10.1, 10.15, 30.0]])
-        segs = dcs_simplified(ri, threshold=0.24)
+        segs = fixed_window_rows(ri, 0.24)
         assert segs.segment_id.tolist() == [0, 0, 0, 1]
         assert segs.num_segments == 2
 
     def test_single_point_row(self):
-        segs = dcs_simplified(ri_from_depth([[np.nan, 7.0, np.nan]]), 0.24)
+        segs = fixed_window_rows(ri_from_depth([[np.nan, 7.0, np.nan]]), 0.24)
         assert segs.num_segments == 1
         assert segs.segment_id.tolist() == [0]
 
     def test_all_nan_row_emits_nothing(self):
         depth = [[np.nan] * 4, [5.0, 5.1, np.nan, 9.0]]
-        segs = dcs_simplified(ri_from_depth(depth), 0.24)
+        segs = fixed_window_rows(ri_from_depth(depth), 0.24)
         assert segs.num_segments == 2
 
     def test_nan_gap_breaks_segment(self):
-        segs = dcs_simplified(ri_from_depth([[5.0, np.nan, 5.0]]), 0.24)
+        segs = fixed_window_rows(ri_from_depth([[5.0, np.nan, 5.0]]), 0.24)
         assert segs.num_segments == 2
 
     def test_rows_never_share_ids(self):
-        segs = dcs_simplified(ri_from_depth([[5.0, 5.0], [5.0, 5.0]]), 0.24)
+        segs = fixed_window_rows(ri_from_depth([[5.0, 5.0], [5.0, 5.0]]), 0.24)
         ids = segs.segment_id
         assert ids[0] == ids[1] and ids[2] == ids[3] and ids[0] != ids[2]
 
@@ -94,7 +99,7 @@ class TestSimplified:
         for _ in range(50):
             ri = random_range_image(rng)
             t = float(rng.uniform(0.1, 5.0))
-            segs = dcs_simplified(ri, t)
+            segs = fixed_window_rows(ri, t)
             for r in range(ri.shape[0]):
                 row_pts = [(c, d) for c, d in enumerate(ri.depth[r]) if np.isfinite(d)]
                 for (c0, d0), (c1, d1) in zip(row_pts, row_pts[1:]):
@@ -162,9 +167,9 @@ class TestDynamic:
             forced = dcs_rows(
                 ri, np.full(4, float(MIN_WINDOW)), np.full(4, t)
             )
-            simple = dcs_simplified(ri, t)
-            assert forced.num_segments == simple.num_segments
-            assert np.array_equal(forced.segment_id, simple.segment_id)
+            ids, count = dcs_simplified_trace(ri.depth, t)
+            assert forced.num_segments == count
+            assert np.array_equal(forced.segment_id, ids[ri.point_cell[:, 0], ri.point_cell[:, 1]])
 
     def test_linked_cells_have_close_witness(self, rng):
         # Weakened scan-order claim: every non-root cell sits within the row

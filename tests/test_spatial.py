@@ -199,3 +199,10 @@ class TestPseudoLabels:
         labels = PseudoLabels(semantic=np.array([1]), instance=np.array([1]))
         with pytest.raises(AssertionError):
             labels.check_consistency(boxes)
+
+    def test_consistency_catches_unknown_instance(self):
+        boxes = [Box2D(box_id=2, class_id=1, bounds=(0, 0, 1, 1))]
+        for inst in (1, 3):  # below and above the only box id
+            labels = PseudoLabels(semantic=np.array([0]), instance=np.array([inst]))
+            with pytest.raises(AssertionError, match="name a box"):
+                labels.check_consistency(boxes)

@@ -6,7 +6,7 @@ from wlf.frames import crop_frustum, project_points
 from wlf.range_image import build_range_image
 from wlf.spatial import PseudoLabels
 from wlf.synth import CLASS_NAMES, SceneConfig, fabricate_scores, generate_scene
-from wlf.voting import PvcConfig, VoteBuffer, foreground_score, vote_correct
+from wlf.voting import PvcConfig, foreground_score, vote_correct
 
 
 class TestDeterminism:
@@ -177,16 +177,15 @@ class TestFabricateScores:
         frame = scene.frame
         proj = project_points(scene.calibration, frame)
         assign = crop_frustum(proj, scene.boxes)
-        buf = VoteBuffer(capacity=4, start_epoch=1)
-        for epoch in range(4):
-            scores = fabricate_scores(frame.gt_semantic, 3, 0.0, seed=21, epoch=epoch)
-            buf.record_epoch(frame.frame_id, foreground_score(scores))
-        buf.epoch = 4
+        scores = np.stack([
+            foreground_score(fabricate_scores(frame.gt_semantic, 3, 0.0, seed=21, epoch=epoch))
+            for epoch in range(4)
+        ])
         start = PseudoLabels(
             semantic=np.full(frame.num_points, -1, dtype=np.int32),
             instance=np.zeros(frame.num_points, dtype=np.int32),
         )
-        out = vote_correct(buf, PvcConfig(), start, frame.frame_id, assign, scene.boxes)
+        out = vote_correct(scores, PvcConfig(), start, assign, scene.boxes)
         in_box = assign > 0
         box_class = {b.box_id: b.class_id for b in scene.boxes}
         frustum_cls = np.array([box_class.get(int(b), 0) for b in assign])

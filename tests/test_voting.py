@@ -5,9 +5,13 @@ from hypothesis import strategies as st
 
 from oracles import vote_enumerate
 
-from wlf.frames import Box2D
+from wlf.bundle import BundleError, list_vote_epochs, read_frame_bundle, write_votes
+from wlf.cli import main
+from wlf.config import PipelineConfig, StageToggles
+from wlf.frames import Box2D, crop_frustum, project_points
+from wlf.pipeline import MissingInputError, process_frame
 from wlf.spatial import PseudoLabels
-from wlf.voting import PvcConfig, VoteBuffer, foreground_score, vote_correct
+from wlf.voting import PvcConfig, foreground_score, vote_correct
 
 
 def make_labels(n, sem=0, inst=0):
@@ -19,107 +23,116 @@ def make_labels(n, sem=0, inst=0):
 BOXES = [Box2D(box_id=1, class_id=2, bounds=(0, 0, 10, 10))]
 
 
-def full_buffer(per_epoch_scores, capacity=None, epoch=10, start_epoch=1):
-    scores = np.asarray(per_epoch_scores, dtype=float)
-    buf = VoteBuffer(capacity=capacity or scores.shape[0], start_epoch=start_epoch)
-    for row in scores:
-        buf.record_epoch("f", row)
-    buf.epoch = epoch
-    return buf
+@pytest.fixture
+def bundle(tmp_path):
+    """One synthetic frame bundle with four vote epochs (0..3)."""
+    assert main(["synth", "--out", str(tmp_path), "--num-frames", "1", "--epochs", "4"]) == 0
+    return tmp_path / "frame_0000"
 
 
-class TestVoteBuffer:
-    def test_single_epoch_stored(self):
-        buf = VoteBuffer(capacity=4)
-        buf.record_epoch("f", np.array([0.5, 0.5]))
-        assert buf.num_epochs("f") == 1
+def engine_labels(bundle, stages, **pvc):
+    cfg = PipelineConfig(stages=StageToggles.from_list(stages), pvc=PvcConfig(**pvc))
+    return process_frame(bundle, cfg).labels
 
-    def test_fifo_eviction(self):
-        buf = VoteBuffer(capacity=4)
-        for e in range(5):
-            buf.record_epoch("f", np.full(3, e / 10))
-        assert buf.num_epochs("f") == 4
-        stored = buf.scores_for("f")
-        np.testing.assert_allclose(stored[:, 0], [0.1, 0.2, 0.3, 0.4])
 
-    def test_round_trip_bit_identical(self, rng):
-        buf = VoteBuffer(capacity=2)
-        scores = rng.uniform(0, 1, 7)
-        buf.record_epoch("f", scores)
-        assert np.array_equal(buf.scores_for("f")[0], scores)
-
-    def test_length_mismatch_rejected(self):
-        buf = VoteBuffer(capacity=2)
-        buf.record_epoch("f", np.zeros(3))
-        with pytest.raises(ValueError, match="length mismatch"):
-            buf.record_epoch("f", np.zeros(4))
-
-    def test_scores_out_of_range_rejected(self):
-        buf = VoteBuffer(capacity=2)
-        with pytest.raises(ValueError):
-            buf.record_epoch("f", np.array([1.2]))
-
-    def test_unknown_frame(self):
-        buf = VoteBuffer(capacity=2)
-        with pytest.raises(KeyError):
-            buf.scores_for("nope")
+def assert_pvc_skipped(bundle, caplog, wanted, **pvc):
+    """pvc leaves the spg labels as they are and logs one WARNING naming the bundle."""
+    with caplog.at_level("WARNING", logger="wlf"):
+        voted = engine_labels(bundle, ["spg", "pvc"], **pvc)
+    spg = engine_labels(bundle, ["spg"])
+    assert np.array_equal(voted.semantic, spg.semantic)
+    assert np.array_equal(voted.instance, spg.instance)
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert str(bundle) in warnings[0] and wanted in warnings[0]
 
 
 class TestVoteCorrect:
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="as long as the labels"):
+            vote_correct(np.zeros((2, 3)), PvcConfig(), make_labels(4), np.zeros(4), BOXES)
+
+    def test_one_row_per_epoch_required(self):
+        with pytest.raises(ValueError, match="one row per epoch"):
+            vote_correct(np.zeros(3), PvcConfig(), make_labels(3), np.zeros(3), BOXES)
+
+    def test_scores_out_of_range_rejected(self):
+        for bad in (1.2, -0.1, np.nan):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                vote_correct(np.array([[bad]]), PvcConfig(), make_labels(1), np.zeros(1), BOXES)
+
     def test_foreground_override(self):
         # Four confident epochs, threshold 3: the in-box point becomes its box class.
-        buf = full_buffer([[0.9], [0.8], [0.7], [0.9]])
+        scores = np.array([[0.9], [0.8], [0.7], [0.9]])
         cfg = PvcConfig(tau_high=0.5, tau_low=0.5, t_reliable=3)
-        out = vote_correct(buf, cfg, make_labels(1, sem=-1), "f", np.array([1]), BOXES)
+        out = vote_correct(scores, cfg, make_labels(1, sem=-1), np.array([1]), BOXES)
         assert out.semantic.tolist() == [2]
         assert out.instance.tolist() == [1]
 
     def test_background_override(self):
-        buf = full_buffer([[0.4], [0.6], [0.3], [0.2]])
+        scores = np.array([[0.4], [0.6], [0.3], [0.2]])
         cfg = PvcConfig(tau_high=0.5, tau_low=0.5, t_reliable=3)
-        out = vote_correct(buf, cfg, make_labels(1, sem=2, inst=1), "f", np.array([1]), BOXES)
+        out = vote_correct(scores, cfg, make_labels(1, sem=2, inst=1), np.array([1]), BOXES)
         assert out.semantic.tolist() == [0]
         assert out.instance.tolist() == [0]
 
-    def test_epoch_gate_returns_input(self):
-        buf = full_buffer([[0.9], [0.9], [0.9], [0.9]], epoch=0, start_epoch=1)
-        cfg = PvcConfig()
-        labels = make_labels(1, sem=-1)
-        out = vote_correct(buf, cfg, labels, "f", np.array([1]), BOXES)
-        assert out.semantic.tolist() == labels.semantic.tolist()
-        assert out.instance.tolist() == labels.instance.tolist()
+    def test_epoch_gate_returns_input(self, bundle, caplog):
+        # Latest epoch 3, so the next is 4: below start_epoch 5 voting waits.
+        assert_pvc_skipped(bundle, caplog, "4 of n_his=4", start_epoch=5)
 
-    def test_partial_history_returns_input(self):
-        buf = VoteBuffer(capacity=4, start_epoch=1)
-        buf.record_epoch("f", np.array([0.9]))
-        buf.epoch = 5
-        out = vote_correct(buf, PvcConfig(), make_labels(1, sem=-1), "f", np.array([1]), BOXES)
-        assert out.semantic.tolist() == [-1]
+    def test_partial_history_returns_input(self, bundle, caplog):
+        for epoch in (0, 1):
+            (bundle / f"votes_{epoch}.f32").unlink()
+        assert_pvc_skipped(bundle, caplog, "2 of n_his=4")
+
+    def test_votes_over_latest_n_his_epochs(self, bundle):
+        # Oldest epoch says background everywhere, latest says foreground:
+        # with n_his = 1 only the latest counts, so every in-box point is
+        # claimed by its box.
+        frame, calib, boxes, _ = read_frame_bundle(bundle)
+        for epoch in list_vote_epochs(bundle):
+            (bundle / f"votes_{epoch}.f32").unlink()
+        write_votes(bundle, 0, np.zeros(frame.num_points))
+        write_votes(bundle, 1, np.ones(frame.num_points))
+        labels = engine_labels(bundle, ["pvc"], n_his=1, t_reliable=1)
+        assign = crop_frustum(project_points(calib, frame), boxes)
+        in_box = assign > 0
+        assert in_box.any()
+        assert np.array_equal(labels.instance[in_box], assign[in_box])
+        assert (labels.semantic[in_box] > 0).all()
 
     def test_out_of_box_foreground_vote_skipped(self):
-        buf = full_buffer([[0.9], [0.9], [0.9], [0.9]])
-        out = vote_correct(buf, PvcConfig(), make_labels(1, sem=-1), "f", np.array([0]), BOXES)
+        scores = np.array([[0.9], [0.9], [0.9], [0.9]])
+        out = vote_correct(scores, PvcConfig(), make_labels(1, sem=-1), np.array([0]), BOXES)
         assert out.semantic.tolist() == [-1]
 
-    def test_unknown_frame_id(self):
-        buf = full_buffer([[0.5]])
-        with pytest.raises(KeyError):
-            vote_correct(buf, PvcConfig(), make_labels(1), "missing", np.array([0]), BOXES)
+    def test_bad_votes_name_the_bundle(self, bundle):
+        frame, *_ = read_frame_bundle(bundle)
+        write_votes(bundle, 3, np.full(frame.num_points, 2.0))
+        with pytest.raises(BundleError, match="frame_0000.*\\[0, 1\\]"):
+            engine_labels(bundle, ["pvc"])
+
+    def test_unknown_frame_id(self, bundle):
+        # A frame with no recorded votes cannot be vote-corrected.
+        for epoch in list_vote_epochs(bundle):
+            (bundle / f"votes_{epoch}.f32").unlink()
+        with pytest.raises(MissingInputError, match="frame_0000"):
+            engine_labels(bundle, ["spg", "pvc"])
 
     def test_pure_function_repeatable(self):
-        buf = full_buffer([[0.9], [0.2], [0.9], [0.9]])
+        scores = np.array([[0.9], [0.2], [0.9], [0.9]])
         cfg = PvcConfig()
         labels = make_labels(1, sem=-1)
-        a = vote_correct(buf, cfg, labels, "f", np.array([1]), BOXES)
-        b = vote_correct(buf, cfg, labels, "f", np.array([1]), BOXES)
+        a = vote_correct(scores, cfg, labels, np.array([1]), BOXES)
+        b = vote_correct(scores, cfg, labels, np.array([1]), BOXES)
         assert np.array_equal(a.semantic, b.semantic)
         assert np.array_equal(a.instance, b.instance)
         assert labels.semantic.tolist() == [-1]  # input untouched
 
     def test_exactly_threshold_scores_count_neither_side(self):
-        buf = full_buffer([[0.5], [0.5], [0.5], [0.5]])
+        scores = np.array([[0.5], [0.5], [0.5], [0.5]])
         cfg = PvcConfig(tau_high=0.5, tau_low=0.5, t_reliable=1)
-        out = vote_correct(buf, cfg, make_labels(1, sem=-1), "f", np.array([1]), BOXES)
+        out = vote_correct(scores, cfg, make_labels(1, sem=-1), np.array([1]), BOXES)
         assert out.semantic.tolist() == [-1]
 
     @settings(max_examples=60, deadline=None)
@@ -128,9 +141,8 @@ class TestVoteCorrect:
         rng = np.random.default_rng(seed)
         cfg = PvcConfig(tau_high=0.7, tau_low=0.3, t_reliable=1)
         scores = rng.uniform(0.31, 0.69, (4, 6))
-        buf = full_buffer(scores)
         labels = make_labels(6, sem=1, inst=0)
-        out = vote_correct(buf, cfg, labels, "f", rng.integers(0, 2, 6), BOXES)
+        out = vote_correct(scores, cfg, labels, rng.integers(0, 2, 6), BOXES)
         assert np.array_equal(out.semantic, labels.semantic)
 
     @settings(max_examples=60, deadline=None)
@@ -139,11 +151,10 @@ class TestVoteCorrect:
         rng = np.random.default_rng(seed)
         scores = rng.uniform(0, 1, (4, 8))
         cfg = PvcConfig(t_reliable=5)  # n_his + 1
-        buf = full_buffer(scores)
         sem = rng.integers(-1, 3, 8).astype(np.int32)
         inst = np.where(sem == 2, 1, 0).astype(np.int32)
         labels = PseudoLabels(semantic=sem, instance=inst)
-        out = vote_correct(buf, cfg, labels, "f", rng.integers(0, 2, 8), BOXES)
+        out = vote_correct(scores, cfg, labels, rng.integers(0, 2, 8), BOXES)
         assert np.array_equal(out.semantic, sem)
         assert np.array_equal(out.instance, inst)
 
@@ -161,8 +172,7 @@ class TestVoteCorrect:
         sem = rng.integers(-1, 3, n).astype(np.int32)
         inst = np.zeros(n, dtype=np.int32)
         labels = PseudoLabels(semantic=sem, instance=inst)
-        buf = full_buffer(scores)
-        got = vote_correct(buf, cfg, labels, "f", box_assign, BOXES)
+        got = vote_correct(scores, cfg, labels, box_assign, BOXES)
         want_sem, want_inst = vote_enumerate(
             scores, tau_high, tau_low, t_rel, sem, inst, box_assign, {1: 2}
         )
