@@ -59,7 +59,7 @@ def _write_array(path: Path, arr: np.ndarray, kind: str) -> None:
 def _read_array(path: Path, kind: str, count: int | None = None) -> np.ndarray:
     data = np.frombuffer(path.read_bytes(), dtype=_DTYPES[kind])
     if count is not None and data.size != count:
-        raise BundleError(f"{path.name}: expected {count} values, found {data.size}")
+        raise BundleError(f"{path}: expected {count} values, found {data.size}")
     return data
 
 
@@ -121,47 +121,62 @@ def write_frame_bundle(
 def read_frame_bundle(
     directory: str | Path,
 ) -> tuple[Frame, Calibration, list[Box2D], dict]:
-    """Load a frame bundle; raises BundleError on inconsistency."""
+    """Load a frame bundle.
+
+    Raises FileNotFoundError without manifest.json, and BundleError, naming
+    the bundle's file at fault, for any malformed or inconsistent content.
+    """
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.is_file():
+    if not (directory / "manifest.json").is_file():
         raise FileNotFoundError(f"no manifest.json in {directory}")
+    name = "manifest.json"  # the file being read, for the error message
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"{manifest_path}: invalid JSON ({exc})") from exc
-    try:
+        manifest = json.loads((directory / name).read_text())
         n = int(manifest["num_points"])
         frame_id = manifest["frame_id"]
+        beams, columns = int(manifest["beams"]), int(manifest["columns"])
+        if not isinstance(frame_id, str) or frame_id in ("", "..") or Path(frame_id).name != frame_id:
+            raise ValueError(f"frame_id {frame_id!r} is not a plain directory name")
+        if beams < 1 or columns < 1:
+            raise ValueError(f"raster {beams} x {columns} is empty")
+        points = _read_array(directory / "points.f32", "f32", 4 * n).reshape(n, 4)
+        name = "beam_row.u16"
+        beam_row = _read_array(directory / name, "u16", n)
+        if n and int(beam_row.max()) >= beams:
+            raise ValueError(f"beam_row {int(beam_row.max())} >= beams {beams}")
+        gt_semantic = gt_instance = None
+        if (directory / "gt_semantic.i32").is_file():
+            gt_semantic = _read_array(directory / "gt_semantic.i32", "i32", n)
+        if (directory / "gt_instance.i32").is_file():
+            gt_instance = _read_array(directory / "gt_instance.i32", "i32", n)
+        name = "points.f32"  # the one array Frame checks beyond its length
+        frame = Frame(
+            frame_id=frame_id,
+            points=points.astype(np.float64),
+            beam_row=beam_row.astype(np.int64),
+            gt_semantic=gt_semantic,
+            gt_instance=gt_instance,
+        )
+        name = "calibration.json"
+        calib_raw = json.loads((directory / name).read_text())
+        calib = Calibration(
+            intrinsic=np.asarray(calib_raw["intrinsic"]),
+            extrinsic=np.asarray(calib_raw["extrinsic"]),
+            image_size=tuple(calib_raw["image_size"]),
+        )
+        name = "boxes.json"
+        boxes = [
+            Box2D(box_id=b["box_id"], class_id=b["class_id"], bounds=tuple(b["bounds"]))
+            for b in json.loads((directory / name).read_text())
+        ]
+    except BundleError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise BundleError(f"{directory / name}: invalid JSON ({exc})") from exc
     except KeyError as exc:
-        raise BundleError(f"{manifest_path}: missing key {exc}") from exc
-    if not isinstance(frame_id, str) or frame_id in ("", "..") or Path(frame_id).name != frame_id:
-        raise BundleError(f"{manifest_path}: frame_id {frame_id!r} is not a plain directory name")
-    points = _read_array(directory / "points.f32", "f32", 4 * n).reshape(n, 4)
-    beam_row = _read_array(directory / "beam_row.u16", "u16", n)
-    gt_semantic = gt_instance = None
-    if (directory / "gt_semantic.i32").is_file():
-        gt_semantic = _read_array(directory / "gt_semantic.i32", "i32", n)
-    if (directory / "gt_instance.i32").is_file():
-        gt_instance = _read_array(directory / "gt_instance.i32", "i32", n)
-    frame = Frame(
-        frame_id=frame_id,
-        points=points.astype(np.float64),
-        beam_row=beam_row.astype(np.int64),
-        gt_semantic=gt_semantic,
-        gt_instance=gt_instance,
-    )
-    calib_raw = json.loads((directory / "calibration.json").read_text())
-    calib = Calibration(
-        intrinsic=np.asarray(calib_raw["intrinsic"]),
-        extrinsic=np.asarray(calib_raw["extrinsic"]),
-        image_size=tuple(calib_raw["image_size"]),
-    )
-    boxes_raw = json.loads((directory / "boxes.json").read_text())
-    boxes = [
-        Box2D(box_id=b["box_id"], class_id=b["class_id"], bounds=tuple(b["bounds"]))
-        for b in boxes_raw
-    ]
+        raise BundleError(f"{directory / name}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise BundleError(f"{directory / name}: {exc}") from exc
     return frame, calib, boxes, manifest
 
 

@@ -2,8 +2,10 @@
 
 Two points are connected iff their Euclidean distance is <= radius; clusters
 are the transitive closure. Neighbour search uses a uniform voxel grid with
-edge length equal to the radius, merging via union-find, which matches the
-naive all-pairs definition exactly.
+edge length equal to the radius, so only point pairs in the same or adjacent
+voxels are tested, which matches the naive all-pairs definition exactly.
+``connected_components`` merges the edges by hooking and pointer jumping; it
+is also the merge behind the ring segments of ``range_image.dcs_rows``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ __all__ = [
     "Components",
     "EmptySelectionError",
     "ccl_cluster",
+    "connected_components",
     "max_component",
 ]
 
@@ -57,65 +60,42 @@ class Components:
         return self.sizes.shape[0]
 
 
-# Half-space neighbour offsets: with cell edge == radius, any pair within the
-# radius lies in the same or an adjacent voxel, and each unordered voxel pair
-# is visited once.
-_HALF_OFFSETS = [
+# The same voxel and its half-space neighbours: with cell edge == radius, any
+# pair within the radius lies in the same or an adjacent voxel, and each
+# unordered voxel pair is visited once.
+_OFFSETS = [
     (dx, dy, dz)
     for dx in (-1, 0, 1)
     for dy in (-1, 0, 1)
     for dz in (-1, 0, 1)
-    if (dx, dy, dz) > (0, 0, 0)
+    if (dx, dy, dz) >= (0, 0, 0)
 ]
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
+def connected_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Component id of each of ``n`` nodes joined by the edges ``a[k]``-``b[k]``.
 
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _candidate_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs of points in the same or adjacent voxels."""
-    voxels: dict[tuple[int, int, int], np.ndarray] = {}
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    counts = np.bincount(inverse, minlength=uniq.shape[0])
-    splits = np.split(order, np.cumsum(counts)[:-1])
-    for key, members in zip(map(tuple, uniq), splits):
-        voxels[key] = members
-    left: list[np.ndarray] = []
-    right: list[np.ndarray] = []
-    for key, members in voxels.items():
-        m = members.shape[0]
-        if m > 1:
-            ia, ib = np.triu_indices(m, k=1)
-            left.append(members[ia])
-            right.append(members[ib])
-        for off in _HALF_OFFSETS:
-            nkey = (key[0] + off[0], key[1] + off[1], key[2] + off[2])
-            other = voxels.get(nkey)
-            if other is None:
-                continue
-            left.append(np.repeat(members, other.shape[0]))
-            right.append(np.tile(other, m))
-    if not left:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(left), np.concatenate(right)
+    Hooking plus pointer jumping (Shiloach & Vishkin, J. Algorithms 1982):
+    each round hooks the larger root of every edge onto the smaller, then
+    jumps pointers until every node points at its root. Every root ends as
+    its component's smallest node, so ids are dense in first-occurrence order.
+    """
+    parent = np.arange(n)
+    a = np.asarray(a, dtype=np.intp)
+    b = np.asarray(b, dtype=np.intp)
+    while True:
+        ra, rb = parent[a], parent[b]
+        live = ra != rb
+        if not live.any():
+            break
+        a, b, ra, rb = a[live], b[live], ra[live], rb[live]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:  # parents never exceed their node, so jumping converges
+            nxt = parent[parent]
+            if np.array_equal(nxt, parent):
+                break
+            parent = nxt
+    return (np.cumsum(parent == np.arange(n)) - 1)[parent]  # rank of each root
 
 
 def ccl_cluster(points: np.ndarray, radius: float) -> Components:
@@ -126,20 +106,41 @@ def ccl_cluster(points: np.ndarray, radius: float) -> Components:
     n = pts.shape[0]
     if n == 0:
         return Components(labels=np.zeros(0, dtype=np.int32), sizes=np.zeros(0, dtype=np.int64))
+    # Voxel coordinates with every gap of two or more cells narrowed to two and
+    # one cell of padding each side: adjacency is kept, a neighbour's code never
+    # aliases another voxel's, and codes fit int64 up to a million points.
     keys = np.floor(pts / radius).astype(np.int64)
-    ia, ib = _candidate_pairs(keys)
-    uf = _UnionFind(n)
-    if ia.size:
-        d2 = np.sum((pts[ia] - pts[ib]) ** 2, axis=1)
-        hits = d2 <= radius * radius
-        for a, b in zip(ia[hits].tolist(), ib[hits].tolist()):
-            uf.union(a, b)
-    labels = np.empty(n, dtype=np.int32)
-    remap: dict[int, int] = {}
-    for i in range(n):
-        root = uf.find(i)
-        labels[i] = remap.setdefault(root, len(remap))
-    sizes = np.bincount(labels, minlength=len(remap)).astype(np.int64)
+    for axis in range(3):
+        u, inv = np.unique(keys[:, axis], return_inverse=True)
+        keys[:, axis] = np.cumsum(np.minimum(np.diff(u, prepend=u[0] - 1), 2))[inv]
+    dims = keys.max(axis=0) + 2
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    codes = keys @ strides
+    order = np.argsort(codes, kind="stable")
+    voxels, starts, counts = np.unique(codes[order], return_index=True, return_counts=True)
+    xyz = np.ascontiguousarray(pts[order].T)  # one gather per coordinate is faster
+    left = [np.zeros(0, dtype=np.intp)]
+    right = [np.zeros(0, dtype=np.intp)]
+    for off in np.array(_OFFSETS) @ strides:
+        # Each member of voxel v[k] against each member of voxel w[k] = v[k] + off,
+        # by sorted position.
+        w = np.minimum(np.searchsorted(voxels, voxels + off), voxels.shape[0] - 1)
+        v = np.flatnonzero(voxels[w] == voxels + off)
+        w = w[v]
+        sizes = counts[v] * counts[w]
+        pair = np.repeat(np.arange(v.shape[0]), sizes)
+        k = np.arange(pair.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        ia, ib = np.divmod(k, counts[w][pair])
+        ia += starts[v][pair]
+        ib += starts[w][pair]
+        if off == 0:  # same voxel: each unordered pair once
+            once = ia < ib
+            ia, ib = ia[once], ib[once]
+        hits = sum((c[ia] - c[ib]) ** 2 for c in xyz) <= radius * radius
+        left.append(order[ia[hits]])
+        right.append(order[ib[hits]])
+    labels = connected_components(n, np.concatenate(left), np.concatenate(right)).astype(np.int32)
+    sizes = np.bincount(labels).astype(np.int64)
     return Components(labels=labels, sizes=sizes)
 
 

@@ -253,25 +253,14 @@ def pred_instances_from_labels(
     instance size divided by the frame's largest instance size, which keeps
     the ordering deterministic.
     """
-    semantic = np.asarray(semantic)
-    instance = np.asarray(instance)
-    keep = np.ones(semantic.shape[0], dtype=bool) if ignore is None else ~np.asarray(ignore)
-    groups = []
-    for inst in np.unique(instance[(instance > 0) & keep]):
-        idx = np.flatnonzero((instance == inst) & keep)
-        cls = int(semantic[idx[0]])
-        if cls <= 0:
-            continue
-        groups.append((cls, idx))
-    if not groups:
-        return []
-    biggest = max(idx.shape[0] for _, idx in groups)
+    groups = instances_from_labels(semantic, instance, frame_id, ignore)
+    biggest = max((len(g.indices) for g in groups), default=1)
     return [
         InstancePred(
             frame_id=frame_id,
-            class_id=cls,
-            indices=tuple(idx.tolist()),
-            score=idx.shape[0] / biggest,
+            class_id=g.class_id,
+            indices=g.indices,
+            score=len(g.indices) / biggest,
         )
-        for cls, idx in groups
+        for g in groups
     ]

@@ -116,8 +116,7 @@ def process_frame(
     apply as ``cfg.stages`` says.
     """
     frame, calib, boxes, manifest = read_frame_bundle(bundle_dir)
-    beams = int(manifest.get("beams", int(frame.beam_row.max()) + 1 if frame.num_points else 1))
-    columns = int(manifest.get("columns", 2048))
+    beams, columns = int(manifest["beams"]), int(manifest["columns"])
     n_cls = int(manifest.get("num_classes", 3))
     timings: dict[str, float] = {}
 
@@ -194,10 +193,17 @@ def process_frame(
     return out
 
 
+# Files a run writes next to its per-frame directories.
+RUN_FILES = ("run.json", "metrics.json", "metrics.txt")
+
+
 def check_frame_ids(bundles: list[Path], frame_ids: list[str]) -> None:
-    """BundleError if two bundles share a frame id, and so an output directory."""
+    """BundleError if a frame id names a run file or two bundles share a frame
+    id, so that no two outputs share a path."""
     owner: dict[str, Path] = {}
     for bundle, frame_id in zip(bundles, frame_ids):
+        if frame_id in RUN_FILES:
+            raise BundleError(f"{bundle}: frame_id {frame_id!r} is reserved for a run file")
         if frame_id in owner:
             raise BundleError(f"frame_id {frame_id!r} is in both {owner[frame_id]} and {bundle}")
         owner[frame_id] = bundle

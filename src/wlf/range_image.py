@@ -3,10 +3,10 @@
 A sweep is rasterised into an M x N depth matrix (M beams, N azimuth columns)
 and each row is split into "ring segments": runs of returns whose depth varies
 smoothly. ``dcs_rows`` links cells within a per-row window and depth
-threshold through a union-find equal table; ``dcs_dynamic`` scales both with
-the row's maximum depth, bridging small gaps. A window of ``MIN_WINDOW`` and a
-constant threshold give the fixed-threshold scan that only links immediately
-adjacent columns.
+threshold, and a segment is a connected component of those links;
+``dcs_dynamic`` scales both with the row's maximum depth, bridging small
+gaps. A window of ``MIN_WINDOW`` and a constant threshold give the
+fixed-threshold scan that only links immediately adjacent columns.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import connected_components
 from .frames import Frame
 
 __all__ = [
@@ -122,26 +123,29 @@ def dcs_rows(ri: RangeImage, windows: np.ndarray, thresholds: np.ndarray) -> Rin
     """Row scan with explicit per-row window sizes and depth thresholds.
 
     Each occupied cell links to the nearest occupied cell within window/2
-    columns to its left whose depth differs by less than the row threshold;
-    linked cells are merged through a union-find equal table and segment ids
-    are assigned to the roots in scan order.
+    columns to its left whose depth differs by less than the row threshold.
+    A segment is a connected component of those links, and segment ids rank
+    each segment's leftmost cell in row-major scan order.
     """
     beams, columns = ri.shape
     windows = np.asarray(windows, dtype=np.float64)
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if windows.shape != (beams,) or thresholds.shape != (beams,):
         raise ValueError("windows/thresholds must have one entry per beam")
+    occupied = np.isfinite(ri.depth)
+    n_cells = int(occupied.sum())
     cell_ids = np.full((beams, columns), -1, dtype=np.int64)
-    counter = 0
-    idx = np.arange(columns)
+    cell_ids[occupied] = np.arange(n_cells)  # occupied cells in scan order
+    left = [np.zeros(0, dtype=np.int64)]
+    right = [np.zeros(0, dtype=np.int64)]
     for r in range(beams):
         d = ri.depth[r]
-        valid = np.isfinite(d)
+        valid = occupied[r]
         if not valid.any():
             continue
         half = max(1, int(windows[r] // 2))
         t_r = thresholds[r]
-        # Distance to the nearest linkable cell on the left, 0 = root.
+        # Distance to the nearest linkable cell on the left, 0 = none.
         jstar = np.zeros(columns, dtype=np.int64)
         for j in range(1, half + 1):
             if j >= columns:
@@ -149,23 +153,12 @@ def dcs_rows(ri: RangeImage, windows: np.ndarray, thresholds: np.ndarray) -> Rin
             cand = valid[j:] & valid[:-j] & (np.abs(d[j:] - d[:-j]) < t_r) & (jstar[j:] == 0)
             if cand.any():
                 jstar[j:][cand] = j
-        parent = idx.copy()
-        linked = jstar > 0
-        parent[linked] = idx[linked] - jstar[linked]
-        root = parent
-        while True:  # parents always point left, so jumping converges
-            nxt = root[root]
-            if np.array_equal(nxt, root):
-                break
-            root = nxt
-        is_root = valid & (root == idx)
-        k = int(is_root.sum())
-        ids = np.full(columns, -1, dtype=np.int64)
-        ids[is_root] = counter + np.arange(k)
-        ids[valid] = ids[root[valid]]
-        cell_ids[r, valid] = ids[valid]
-        counter += k
-    return _segments_from_cells(ri, cell_ids, counter)
+        linked = np.flatnonzero(jstar)
+        left.append(cell_ids[r, linked])
+        right.append(cell_ids[r, linked - jstar[linked]])
+    ids = connected_components(n_cells, np.concatenate(left), np.concatenate(right))
+    cell_ids[occupied] = ids
+    return _segments_from_cells(ri, cell_ids, int(ids.max()) + 1 if n_cells else 0)
 
 
 def dcs_dynamic(ri: RangeImage, cfg: DcsConfig) -> RingSegments:

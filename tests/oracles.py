@@ -94,6 +94,29 @@ def bfs_components(points: np.ndarray, radius: float) -> np.ndarray:
     return labels
 
 
+def edge_list_components(n: int, a, b) -> np.ndarray:
+    """Components of an n-node edge list by depth-first search from each
+    unlabelled node in index order, so ids follow first occurrence."""
+    neighbours = [[] for _ in range(n)]
+    for u, v in zip(list(a), list(b)):
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    labels = [-1] * n
+    nxt = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = nxt
+        stack = [start]
+        while stack:
+            for v in neighbours[stack.pop()]:
+                if labels[v] < 0:
+                    labels[v] = nxt
+                    stack.append(v)
+        nxt += 1
+    return np.array(labels, dtype=int)
+
+
 def rsc_trace(
     pred: np.ndarray,
     seg: np.ndarray,

@@ -13,6 +13,12 @@ def run(*args) -> int:
     return main([str(a) for a in args])
 
 
+def edit_json(path, edit) -> None:
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
 @pytest.fixture
 def scans(tmp_path):
     """Bundles whose directory names (scanA, scanB) differ from their frame ids."""
@@ -154,6 +160,30 @@ class TestStageCommands:
         assert "frame_0000" in err and "scanA" in err and "scanC" in err
         assert not any(p.is_dir() for p in out.iterdir())
         assert run("ipg", "--frames", f"{scans}/*", "--out", tmp_path / "ipg") == 3
+
+    @pytest.mark.parametrize("frame_id", ["run.json", "metrics.json", "metrics.txt"])
+    def test_run_file_name_as_frame_id_exit_3(self, bundles, tmp_path, capsys, frame_id):
+        edit_json(bundles / "frame_0001" / "manifest.json", lambda m: m.update(frame_id=frame_id))
+        out = tmp_path / "out"
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", out) == 3
+        assert str(bundles / "frame_0001") in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("boxes.json", lambda boxes: boxes[0].update(bounds=[5, 5, 5, 9])),
+            ("calibration.json", lambda calib: calib.pop("extrinsic")),
+            ("manifest.json", lambda manifest: manifest.pop("columns")),
+            ("manifest.json", lambda manifest: manifest.update(beams=1)),
+        ],
+        ids=["degenerate-box", "no-extrinsic", "no-columns", "beam-row-past-beams"],
+    )
+    def test_malformed_bundle_exit_3(self, bundles, tmp_path, capsys, name, edit):
+        edit_json(bundles / "frame_0002" / name, edit)
+        # An exception escaping main would be a traceback and exit 1.
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 3
+        assert str(bundles / "frame_0002") in capsys.readouterr().err
 
     def test_pipeline_requires_votes(self, tmp_path, capsys):
         frames = tmp_path / "novotes"

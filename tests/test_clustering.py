@@ -3,14 +3,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfs_components
+from oracles import bfs_components, edge_list_components
 
 from wlf.clustering import (
     ClassRadii,
     EmptySelectionError,
     ccl_cluster,
+    connected_components,
     max_component,
 )
+
+
+@st.composite
+def edge_lists(draw):
+    """Random graphs whose edges include self-loops and repeats."""
+    n = draw(st.integers(0, 60))
+    if n == 0:
+        return 0, [], []
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=120))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=20))
+    return n, [u for u, _ in edges], [v for _, v in edges]
+
+
+class TestConnectedComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists())
+    def test_matches_edge_list_oracle(self, graph):
+        n, a, b = graph
+        got = connected_components(n, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+        assert np.array_equal(got, edge_list_components(n, a, b))
+
+    def test_long_path_with_reversed_edges(self):
+        # Edges listed from the far end of the path first.
+        n = 10_000
+        a = np.arange(n - 1)[::-1]
+        got = connected_components(n, a, a + 1)
+        assert np.array_equal(got, np.zeros(n, dtype=np.int64))
+
+    def test_no_nodes(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert connected_components(0, empty, empty).shape == (0,)
+
+    def test_nodes_without_edges(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert np.array_equal(connected_components(7, empty, empty), np.arange(7))
 
 
 class TestCclCluster:
@@ -53,6 +90,12 @@ class TestCclCluster:
         pts = np.random.default_rng(seed).uniform(-4, 4, (n, 3))
         got = ccl_cluster(pts, radius)
         assert np.array_equal(got.labels, bfs_components(pts, radius))
+
+    def test_far_apart_points(self):
+        # Gaps of millions of voxels between points still cluster exactly.
+        pts = np.array([[0, 0, 0], [1e6, 1e6, 1e6], [1e6 + 0.05, 1e6, 1e6], [3e7, -4e7, 1e3]])
+        comps = ccl_cluster(pts, 0.1)
+        assert np.array_equal(comps.labels, [0, 1, 1, 2])
 
     def test_partition_invariant_under_permutation(self, rng):
         pts = rng.uniform(-3, 3, (80, 3))

@@ -5,12 +5,17 @@ show when they run."""
 import importlib
 import importlib.util
 import inspect
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from wlf.cli import main
+from wlf.config import PipelineConfig
+from wlf.pipeline import run_pipeline
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,6 +43,23 @@ class TestTracedNames:
         assert params("wlf.pipeline", "vote_correct")[2] == "labels"
         assert params("wlf.pipeline", "rsc_correct")[0] == "pred"
         assert params("wlf.pipeline", "read_votes")[:2] == ["directory", "epoch"]
+
+
+def test_traced_run_counts_every_layer(tmp_path):
+    # The counters read fields of the program's results (Components.num,
+    # RingSegments.num_segments, ...), which only a traced run exercises.
+    spans = load_spans()
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--num-frames", "2", "--score-sigma", "0.2"]) == 0
+    tracer = spans.Tracer()
+    tracer.run(run_pipeline, PipelineConfig(frames=f"{corpus}/*", out_dir=str(tmp_path / "out")))
+    tracer.check_complete()
+    layers = spans.layer_metrics(tracer.spans)
+    assert set(layers) <= set(spans.LAYER_METRICS)
+    assert all(math.isfinite(v) and v >= 0 for v in layers.values()), layers
+    for name in ("range_image.segments", "clustering.ccl_calls", "clustering.components",
+                 "metrics.pred_instances", "metrics.gt_instances"):
+        assert layers[name] > 0, name
 
 
 @pytest.mark.parametrize(
