@@ -8,7 +8,7 @@ annotations, with a synthetic scene oracle for verification.
 __version__ = "0.1.0"
 
 from .clustering import ClassRadii, Components, ccl_cluster, max_component
-from .config import PipelineConfig, StageToggles
+from .config import PipelineConfig
 from .frames import (
     Box2D,
     Calibration,
@@ -79,7 +79,6 @@ __all__ = [
     "RscConfig",
     "Scene",
     "SceneConfig",
-    "StageToggles",
     "CLASS_NAMES",
     "back_project",
     "binarize",

@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .bundle import (
     write_json,
     write_votes,
 )
-from .config import ConfigError, PipelineConfig, StageToggles
+from .config import ConfigError, PipelineConfig
 from .mask_fusion import binarize, pseudo_loss, weight_masks
 from .pipeline import (
     InvariantError,
@@ -61,45 +62,37 @@ def _setup_logging() -> None:
     )
 
 
+def _flags(**values) -> dict:
+    """The flag values that were given; an absent flag leaves its field alone."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    if args.config:
-        cfg = PipelineConfig.from_json(args.config)
-    else:
-        cfg = PipelineConfig()
-    if args.frames:
-        cfg.frames = args.frames
-    if args.out:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "threads", None):
-        cfg.threads = args.threads
-    if getattr(args, "stages", None) is not None:
-        cfg.stages = StageToggles.from_list(
-            [s for s in args.stages.split(",") if s]
-        )
+    cfg = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
+    stages = None if args.stages is None else tuple(s for s in args.stages.split(",") if s)
+    cfg = replace(cfg, **_flags(frames=args.frames, out_dir=args.out, threads=args.threads,
+                                stages=stages))
     if not cfg.out_dir:
         raise ConfigError("no output directory (use --out or the config file)")
     return cfg
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    text = None
     if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise MissingInputError(f"scene config not found: {path}")
-        try:
-            scene_cfg = SceneConfig.from_dict(json.loads(path.read_text()))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad scene config: {exc}") from exc
-    else:
-        scene_cfg = SceneConfig()
+        text = path.read_text()
+    try:
+        scene_cfg = SceneConfig() if text is None else SceneConfig.from_dict(json.loads(text))
+        scene_cfg = replace(scene_cfg, **_flags(seed=args.seed, score_sigma=args.score_sigma))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad scene config: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base_seed = args.seed if args.seed is not None else scene_cfg.seed
-    sigma = args.score_sigma if args.score_sigma is not None else scene_cfg.score_sigma
     for i in range(args.num_frames):
-        cfg_i = SceneConfig.from_dict({**scene_cfg.to_dict(), "seed": base_seed + i})
+        cfg_i = replace(scene_cfg, seed=scene_cfg.seed + i)
         scene = generate_scene(cfg_i, frame_id=f"frame_{i:04d}")
         bundle = write_frame_bundle(
             out / scene.frame.frame_id,
@@ -112,7 +105,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
         for epoch in range(args.epochs):
             scores = fabricate_scores(
-                scene.frame.gt_semantic, len(CLASS_NAMES), sigma, cfg_i.seed, epoch
+                scene.frame.gt_semantic, len(CLASS_NAMES), cfg_i.score_sigma, cfg_i.seed, epoch
             )
             write_votes(bundle, epoch, foreground_score(scores))
         write_json(bundle / "scene.json", cfg_i.to_dict())
@@ -181,7 +174,6 @@ def _add_common(parser: argparse.ArgumentParser, labels: bool = False) -> None:
     parser.add_argument("--config", help="pipeline config JSON")
     parser.add_argument("--frames", help="glob of frame bundle directories")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None)
     if labels:
         parser.add_argument(
@@ -220,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ipg", help="fuse 2D mask predictions per box")
     _add_common(p)
-    p.set_defaults(func=cmd_ipg)
+    p.set_defaults(func=cmd_ipg, stages=None)
     return parser
 
 

@@ -3,25 +3,33 @@
 Every knob defaults to the standard module setup (0.24 m depth threshold with
 a window of 10 at 50 m, class radii 0.6/0.1/0.15 m, four-epoch voting at a 0.5
 confidence threshold, ring-vote thresholds 0.5/0.7, mask thresholds 0.3/0.7
-with k = 1, branch weights 1/1/0.5/100/1/2), so an empty config runs the
-reference setup.
+with k = 1, all of spg, pvc and rsc on), so an empty config runs the reference
+setup. A config holds only what a command reads. Config files and command-line
+flags both end in the constructor, so ``__post_init__`` and the sections' own
+checks validate either; every failure is a ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .clustering import ClassRadii
-from .losses import LossWeights
 from .mask_fusion import IpgConfig
 from .range_image import DcsConfig
 from .ring_correct import RscConfig
 from .voting import PvcConfig
 
-__all__ = ["ConfigError", "StageToggles", "PipelineConfig"]
+__all__ = ["ConfigError", "STAGES", "PipelineConfig"]
+
+# The optional label-correction stages in run order; frustum crop and
+# clustering always run.
+STAGES = ("spg", "pvc", "rsc")
+
+# Config-file sections given as keyword objects of their own dataclass.
+_SECTIONS = {"dcs": DcsConfig, "pvc": PvcConfig, "rsc": RscConfig, "ipg": IpgConfig}
 
 
 class ConfigError(ValueError):
@@ -29,73 +37,34 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class StageToggles:
-    """Optional label-correction stages; frustum crop + clustering always run."""
-
-    spg: bool = True
-    pvc: bool = True
-    rsc: bool = True
-
-    @classmethod
-    def from_list(cls, names: list[str]) -> "StageToggles":
-        known = {"spg", "pvc", "rsc"}
-        bad = set(names) - known
-        if bad:
-            raise ConfigError(f"unknown stages: {sorted(bad)}")
-        return cls(spg="spg" in names, pvc="pvc" in names, rsc="rsc" in names)
-
-    def as_list(self) -> list[str]:
-        return [name for name in ("spg", "pvc", "rsc") if getattr(self, name)]
-
-
-@dataclass
 class PipelineConfig:
     frames: str = ""
     out_dir: str = ""
-    seed: int = 0
     threads: int = 1
     dcs: DcsConfig = field(default_factory=DcsConfig)
     radii: ClassRadii = field(default_factory=ClassRadii)
     pvc: PvcConfig = field(default_factory=PvcConfig)
     rsc: RscConfig = field(default_factory=RscConfig)
     ipg: IpgConfig = field(default_factory=IpgConfig)
-    weights: LossWeights = field(default_factory=LossWeights)
-    stages: StageToggles = field(default_factory=StageToggles)
+    stages: tuple[str, ...] = STAGES
 
     def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if not isinstance(self.frames, str) or not isinstance(self.out_dir, str):
+            raise ConfigError("frames and out_dir must be strings")
+        if not isinstance(self.threads, int) or self.threads < 1:
+            raise ConfigError("threads must be an integer >= 1")
+        if not isinstance(self.stages, (list, tuple)):
+            raise ConfigError(f"stages must be a list drawn from {list(STAGES)}")
+        unknown = [name for name in self.stages if name not in STAGES]
+        if unknown:
+            raise ConfigError(f"unknown stages: {unknown}")
+        self.stages = tuple(name for name in STAGES if name in self.stages)
 
     def to_dict(self) -> dict:
-        return {
-            "frames": self.frames,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "threads": self.threads,
-            "dcs": {
-                "window": self.dcs.window,
-                "depth_base": self.dcs.depth_base,
-                "reference_range": self.dcs.reference_range,
-            },
-            "radii": {str(k): v for k, v in sorted(self.radii.radii.items())},
-            "pvc": {
-                "tau_high": self.pvc.tau_high,
-                "tau_low": self.pvc.tau_low,
-                "t_reliable": self.pvc.t_reliable,
-                "n_his": self.pvc.n_his,
-                "start_epoch": self.pvc.start_epoch,
-            },
-            "rsc": {"t1": self.rsc.t1, "t2": self.rsc.t2},
-            "ipg": {
-                "k": self.ipg.k,
-                "tau_low": self.ipg.tau_low,
-                "tau_high": self.ipg.tau_high,
-            },
-            "weights": {
-                f"a{i}": getattr(self.weights, f"a{i}") for i in range(1, 7)
-            },
-            "stages": self.stages.as_list(),
-        }
+        data = asdict(self)
+        data["radii"] = {str(k): v for k, v in sorted(self.radii.radii.items())}
+        data["stages"] = list(self.stages)
+        return data
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
@@ -103,41 +72,17 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            kwargs: dict = {}
-            for key in ("frames", "out_dir", "seed", "threads"):
-                if key in data:
-                    kwargs[key] = data[key]
-            if "dcs" in data:
-                kwargs["dcs"] = DcsConfig(**data["dcs"])
+            kwargs = {k: _SECTIONS[k](**v) if k in _SECTIONS else v for k, v in data.items()}
             if "radii" in data:
-                kwargs["radii"] = ClassRadii(
-                    radii={int(k): float(v) for k, v in data["radii"].items()}
-                )
-            if "pvc" in data:
-                kwargs["pvc"] = PvcConfig(**data["pvc"])
-            if "rsc" in data:
-                kwargs["rsc"] = RscConfig(**data["rsc"])
-            if "ipg" in data:
-                kwargs["ipg"] = IpgConfig(**data["ipg"])
-            if "weights" in data:
-                kwargs["weights"] = LossWeights(**data["weights"])
-            if "stages" in data:
-                stages = data["stages"]
-                if isinstance(stages, dict):
-                    kwargs["stages"] = StageToggles(**stages)
-                else:
-                    kwargs["stages"] = StageToggles.from_list(list(stages))
-            unknown = set(data) - {
-                "frames", "out_dir", "seed", "threads", "dcs", "radii",
-                "pvc", "rsc", "ipg", "weights", "stages",
-            }
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+                kwargs["radii"] = ClassRadii({int(k): float(v) for k, v in data["radii"].items()})
             return cls(**kwargs)
-        except (TypeError, ValueError, KeyError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"bad pipeline config: {exc}") from exc
 
     @classmethod

@@ -13,7 +13,6 @@ never changes the output bytes.
 from __future__ import annotations
 
 import glob
-import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -71,6 +70,7 @@ class FrameOutput:
     frame_id: str
     labels: PseudoLabels
     n_points: int
+    class_names: list[str]
     timings: dict[str, float] = field(default_factory=dict)
     tp: np.ndarray | None = None
     fp: np.ndarray | None = None
@@ -125,7 +125,8 @@ def process_frame(
     box_assign = crop_frustum(proj, boxes)
     timings["project"] = time.perf_counter() - t0
 
-    if cfg.stages.rsc or (cfg.stages.spg and labels_dir is None):  # only they read segments
+    # Only rsc and a running spg read the segments.
+    if "rsc" in cfg.stages or ("spg" in cfg.stages and labels_dir is None):
         t0 = time.perf_counter()
         segments = dcs_dynamic(build_range_image(frame, beams, columns), cfg.dcs)
         timings["segments"] = time.perf_counter() - t0
@@ -133,15 +134,20 @@ def process_frame(
     if labels_dir is not None:
         labels = read_start_labels(Path(labels_dir) / frame.frame_id, frame.num_points, boxes)
     else:
+        missing = sorted({b.class_id for b in boxes} - cfg.radii.radii.keys())
+        if missing:
+            raise BundleError(
+                f"{bundle_dir / 'boxes.json'}: no clustering radius for class {missing[0]}"
+            )
         t0 = time.perf_counter()
-        if cfg.stages.spg:
+        if "spg" in cfg.stages:
             trinary = refine_by_segments(box_assign, segments)
         else:
             trinary = np.where(box_assign > 0, TRINARY_FG, 0).astype(np.int8)
         labels = generate_labels(frame, trinary, box_assign, boxes, cfg.radii)
         timings["spg"] = time.perf_counter() - t0
 
-    if cfg.stages.pvc:
+    if "pvc" in cfg.stages:
         # Vote over the latest n_his epochs once the next epoch (latest + 1)
         # reaches start_epoch; a short history or a closed gate is logged.
         t0 = time.perf_counter()
@@ -162,7 +168,7 @@ def process_frame(
                 raise BundleError(f"{bundle_dir}: {exc}") from exc
         timings["pvc"] = time.perf_counter() - t0
 
-    if cfg.stages.rsc:
+    if "rsc" in cfg.stages:
         t0 = time.perf_counter()
         corrected = rsc_correct(labels.semantic, segments, cfg.rsc)
         labels = reconcile_instances(
@@ -179,6 +185,7 @@ def process_frame(
         frame_id=frame.frame_id,
         labels=labels,
         n_points=frame.num_points,
+        class_names=manifest.get("class_names", []),
         timings=timings,
     )
     if frame.has_gt:
@@ -220,7 +227,7 @@ def discover_bundles(pattern: str) -> list[Path]:
     return bundles
 
 
-def aggregate_report(outputs: list[FrameOutput], n_cls: int) -> MetricReport | None:
+def aggregate_report(outputs: list[FrameOutput]) -> MetricReport | None:
     """Pool confusion counts and instances over frames with ground truth."""
     scored = [o for o in outputs if o.tp is not None]
     if not scored:
@@ -257,15 +264,13 @@ def run_pipeline(cfg: PipelineConfig, labels_dir: Path | None = None) -> RunResu
         outputs = [process_frame(b, cfg, labels_dir) for b in bundles]
     check_frame_ids(bundles, [o.frame_id for o in outputs])
 
+    class_names = outputs[0].class_names  # the first bundle's
     outputs.sort(key=lambda o: o.frame_id)
-    first_manifest = json.loads((bundles[0] / "manifest.json").read_text())
-    class_names = first_manifest.get("class_names", [])
-    n_cls = int(first_manifest.get("num_classes", len(class_names) or 3))
 
     for out in outputs:
         write_labels(out_dir / out.frame_id, out.labels)
 
-    report = aggregate_report(outputs, n_cls)
+    report = aggregate_report(outputs)
     if report is not None:
         write_json(out_dir / "metrics.json", report.to_dict(class_names))
         (out_dir / "metrics.txt").write_text(report.format_table(class_names) + "\n")

@@ -66,16 +66,17 @@ class PseudoLabels:
             raise AssertionError("instance points must carry their box class")
 
 
-def trinary_from_prop(prop: float) -> int:
-    """Label for a segment whose outside-all-boxes share is ``prop``.
+def trinary_from_prop(prop: np.ndarray | float) -> np.ndarray:
+    """int8 labels for segments whose outside-all-boxes shares are ``prop``
+    (an array, or a scalar giving a 0-d array).
 
     Strict comparisons: > 0.5 background, < 0.1 foreground, else ignore.
     """
-    if prop > PROP_BG_THRESHOLD:
-        return TRINARY_BG
-    if prop < PROP_FG_THRESHOLD:
-        return TRINARY_FG
-    return TRINARY_IGNORE
+    prop = np.asarray(prop)
+    codes = np.full(prop.shape, TRINARY_IGNORE, dtype=np.int8)
+    codes[prop > PROP_BG_THRESHOLD] = TRINARY_BG
+    codes[prop < PROP_FG_THRESHOLD] = TRINARY_FG
+    return codes
 
 
 def refine_by_segments(box_assign: np.ndarray, segments: RingSegments) -> np.ndarray:
@@ -99,10 +100,7 @@ def refine_by_segments(box_assign: np.ndarray, segments: RingSegments) -> np.nda
     n_out = np.bincount(seg[~in_box], minlength=k).astype(np.float64)
     totals = n_in + n_out
     prop = np.divide(n_out, totals, out=np.zeros(k), where=totals > 0)
-    codes = np.full(k, TRINARY_IGNORE, dtype=np.int8)
-    codes[prop > PROP_BG_THRESHOLD] = TRINARY_BG
-    codes[prop < PROP_FG_THRESHOLD] = TRINARY_FG
-    labels[in_box] = codes[seg[in_box]]
+    labels[in_box] = trinary_from_prop(prop)[seg[in_box]]
     return labels
 
 

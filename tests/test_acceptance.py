@@ -299,7 +299,7 @@ def test_7_pipeline_determinism(tmp_path):
     for name in ("run_a", "run_b"):
         out = tmp_path / name
         rc = cli_main(
-            ["pipeline", "--frames", f"{frames}/*", "--out", str(out), "--seed", "11"]
+            ["pipeline", "--frames", f"{frames}/*", "--out", str(out)]
         )
         assert rc == 0
         outs.append(out)

@@ -48,6 +48,17 @@ class TestSynth:
                      "votes_0.f32", "votes_3.f32", "scene.json"):
             assert (first / name).is_file(), name
 
+    def test_scene_records_the_sigma_used(self, bundles):
+        scene = json.loads((bundles / "frame_0001" / "scene.json").read_text())
+        assert scene["score_sigma"] == 0.2
+        assert scene["seed"] == 8
+
+    def test_negative_sigma_exit_3_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "frames"
+        assert run("synth", "--out", out, "--num-frames", "1", "--score-sigma", "-1") == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_end_to_end_with_report(self, bundles, tmp_path):
@@ -64,11 +75,29 @@ class TestPipeline:
     def test_missing_input_exit_2(self, tmp_path):
         assert run("pipeline", "--frames", f"{tmp_path}/nothing/*", "--out", tmp_path / "o") == 2
 
-    def test_malformed_config_exit_3(self, bundles, tmp_path):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"rsc": {"t1": 4.0}},
+            {"seed": 1},
+            {"weights": {"a1": 1.0}},
+            {"stages": {"spg": True}},
+        ],
+        ids=["rsc-t1-out-of-range", "seed", "weights", "stages-dict"],
+    )
+    def test_malformed_config_exit_3(self, bundles, tmp_path, capsys, config):
         cfg = tmp_path / "bad.json"
-        cfg.write_text("{\"rsc\": {\"t1\": 4.0}}")
-        assert run("pipeline", "--config", cfg, "--frames", f"{bundles}/*",
-                   "--out", tmp_path / "o") == 3
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert run("pipeline", "--config", cfg, "--frames", f"{bundles}/*", "--out", out) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_threads_exit_3(self, bundles, tmp_path, threads):
+        out = tmp_path / "o"
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", out, "--threads", threads) == 3
+        assert not out.exists()
 
     def test_unknown_stage_exit_3(self, bundles, tmp_path):
         assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o",
@@ -76,8 +105,8 @@ class TestPipeline:
 
     def test_runs_are_byte_identical(self, bundles, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert run("pipeline", "--frames", f"{bundles}/*", "--out", out1, "--seed", "5") == 0
-        assert run("pipeline", "--frames", f"{bundles}/*", "--out", out2, "--seed", "5") == 0
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", out1) == 0
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", out2) == 0
         for rel in ("frame_0000/sem.i32", "frame_0001/inst.i32", "metrics.json"):
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
@@ -176,8 +205,10 @@ class TestStageCommands:
             ("calibration.json", lambda calib: calib.pop("extrinsic")),
             ("manifest.json", lambda manifest: manifest.pop("columns")),
             ("manifest.json", lambda manifest: manifest.update(beams=1)),
+            ("boxes.json", lambda boxes: boxes[0].update(class_id=4)),
         ],
-        ids=["degenerate-box", "no-extrinsic", "no-columns", "beam-row-past-beams"],
+        ids=["degenerate-box", "no-extrinsic", "no-columns", "beam-row-past-beams",
+             "class-without-radius"],
     )
     def test_malformed_bundle_exit_3(self, bundles, tmp_path, capsys, name, edit):
         edit_json(bundles / "frame_0002" / name, edit)

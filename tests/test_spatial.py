@@ -39,6 +39,13 @@ class TestTrinaryFromProp:
         assert trinary_from_prop(5 / 10) == -1
         assert trinary_from_prop(1 / 10) == -1
 
+    def test_array_matches_scalar_calls(self):
+        props = np.array([0.0, 0.1 - 1e-9, 0.1, 0.3, 0.5, 0.5 + 1e-9, 1.0])
+        codes = trinary_from_prop(props)
+        assert codes.dtype == np.int8
+        assert codes.tolist() == [int(trinary_from_prop(p)) for p in props]
+        assert codes.tolist() == [1, 1, -1, -1, -1, 0, 0]
+
 
 class TestRefineBySegments:
     def test_mostly_outside_becomes_background(self):

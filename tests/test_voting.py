@@ -7,7 +7,7 @@ from oracles import vote_enumerate
 
 from wlf.bundle import BundleError, list_vote_epochs, read_frame_bundle, write_votes
 from wlf.cli import main
-from wlf.config import PipelineConfig, StageToggles
+from wlf.config import PipelineConfig
 from wlf.frames import Box2D, crop_frustum, project_points
 from wlf.pipeline import MissingInputError, process_frame
 from wlf.spatial import PseudoLabels
@@ -31,7 +31,7 @@ def bundle(tmp_path):
 
 
 def engine_labels(bundle, stages, **pvc):
-    cfg = PipelineConfig(stages=StageToggles.from_list(stages), pvc=PvcConfig(**pvc))
+    cfg = PipelineConfig(stages=tuple(stages), pvc=PvcConfig(**pvc))
     return process_frame(bundle, cfg).labels
 
 
