@@ -27,7 +27,6 @@ import numpy as np
 
 from .frames import Box2D, Calibration, Frame
 from .mask_fusion import MaskPrediction
-from .range_image import RangeImage, RingSegments
 from .spatial import PseudoLabels
 
 __all__ = [
@@ -39,13 +38,12 @@ __all__ = [
     "write_votes",
     "read_votes",
     "list_vote_epochs",
-    "write_range_debug",
     "write_mask_predictions",
     "read_mask_predictions",
     "write_json",
 ]
 
-_DTYPES = {"f32": "<f4", "u16": "<u2", "i32": "<i4", "u32": "<u4", "i8": "<i1"}
+_DTYPES = {"f32": "<f4", "u16": "<u2", "i32": "<i4"}
 
 
 class BundleError(ValueError):
@@ -61,6 +59,12 @@ def _read_array(path: Path, kind: str, count: int | None = None) -> np.ndarray:
     if count is not None and data.size != count:
         raise BundleError(f"{path}: expected {count} values, found {data.size}")
     return data
+
+
+def _positive_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} {value!r} is not an integer >= 1")
+    return value
 
 
 def write_json(path: Path, payload: dict | list) -> None:
@@ -139,6 +143,7 @@ def read_frame_bundle(
             raise ValueError(f"frame_id {frame_id!r} is not a plain directory name")
         if beams < 1 or columns < 1:
             raise ValueError(f"raster {beams} x {columns} is empty")
+        _positive_int(manifest.get("num_classes", 1), "num_classes")
         points = _read_array(directory / "points.f32", "f32", 4 * n).reshape(n, 4)
         name = "beam_row.u16"
         beam_row = _read_array(directory / name, "u16", n)
@@ -166,9 +171,17 @@ def read_frame_bundle(
         )
         name = "boxes.json"
         boxes = [
-            Box2D(box_id=b["box_id"], class_id=b["class_id"], bounds=tuple(b["bounds"]))
+            Box2D(
+                box_id=_positive_int(b["box_id"], "box_id"),
+                class_id=_positive_int(b["class_id"], "class_id"),
+                bounds=tuple(b["bounds"]),
+            )
             for b in json.loads((directory / name).read_text())
         ]
+        ids = sorted(b.box_id for b in boxes)
+        repeated = [i for i, k in zip(ids, ids[1:]) if i == k]
+        if repeated:
+            raise ValueError(f"duplicate box_id {repeated[0]}")
     except BundleError:
         raise
     except json.JSONDecodeError as exc:
@@ -212,13 +225,6 @@ def read_votes(directory: str | Path, epoch: int, num_points: int | None = None)
     return _read_array(Path(directory) / f"votes_{epoch}.f32", "f32", num_points).astype(
         np.float64
     )
-
-
-def write_range_debug(directory: str | Path, ri: RangeImage, segments: RingSegments) -> None:
-    """Debug dump: the raw depth raster and per-point segment ids."""
-    directory = Path(directory)
-    _write_array(directory / "range.f32", ri.depth, "f32")
-    _write_array(directory / "segments.u32", segments.segment_id, "u32")
 
 
 def write_mask_predictions(

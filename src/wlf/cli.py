@@ -78,6 +78,8 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.num_frames < 0 or args.epochs < 0:
+        raise ConfigError("--num-frames and --epochs must be >= 0")
     text = None
     if args.config:
         path = Path(args.config)

@@ -69,7 +69,6 @@ class InvariantError(AssertionError):
 class FrameOutput:
     frame_id: str
     labels: PseudoLabels
-    n_points: int
     class_names: list[str]
     timings: dict[str, float] = field(default_factory=dict)
     tp: np.ndarray | None = None
@@ -117,7 +116,7 @@ def process_frame(
     """
     frame, calib, boxes, manifest = read_frame_bundle(bundle_dir)
     beams, columns = int(manifest["beams"]), int(manifest["columns"])
-    n_cls = int(manifest.get("num_classes", 3))
+    n_cls = manifest.get("num_classes", 3)
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -184,7 +183,6 @@ def process_frame(
     out = FrameOutput(
         frame_id=frame.frame_id,
         labels=labels,
-        n_points=frame.num_points,
         class_names=manifest.get("class_names", []),
         timings=timings,
     )

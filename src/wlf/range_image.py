@@ -112,13 +112,6 @@ def build_range_image(frame: Frame, beams: int, columns: int) -> RangeImage:
     return RangeImage(depth=depth, cell_point=cell_point, point_cell=point_cell)
 
 
-def _segments_from_cells(ri: RangeImage, cell_ids: np.ndarray, count: int) -> RingSegments:
-    seg = cell_ids[ri.point_cell[:, 0], ri.point_cell[:, 1]]
-    if seg.size and seg.min() < 0:
-        raise AssertionError("point mapped to an unsegmented cell")
-    return RingSegments(segment_id=seg.astype(np.int32), num_segments=count)
-
-
 def dcs_rows(ri: RangeImage, windows: np.ndarray, thresholds: np.ndarray) -> RingSegments:
     """Row scan with explicit per-row window sizes and depth thresholds.
 
@@ -132,49 +125,41 @@ def dcs_rows(ri: RangeImage, windows: np.ndarray, thresholds: np.ndarray) -> Rin
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if windows.shape != (beams,) or thresholds.shape != (beams,):
         raise ValueError("windows/thresholds must have one entry per beam")
+    # Rows sorted by falling half window, so the rows offset j reaches are a
+    # prefix. Offsets run from far to near and the nearest link is written
+    # last; NaN (empty) cells compare false and never link.
+    halves = np.maximum(windows // 2, 1)
+    order = np.argsort(-halves, kind="stable")
+    depth, t = ri.depth[order], thresholds[order, None]
+    jstar = np.zeros((beams, columns), dtype=np.int64)  # link distance, 0 = none
+    for j in range(int(min(halves.max(initial=0), columns - 1)), 0, -1):
+        k = int(np.count_nonzero(halves >= j))
+        np.copyto(jstar[:k, j:], j, where=np.abs(depth[:k, j:] - depth[:k, :-j]) < t[:k])
+    jstar = jstar[np.argsort(order)]
+    rows, cols = np.nonzero(jstar)  # row-major
     occupied = np.isfinite(ri.depth)
     n_cells = int(occupied.sum())
     cell_ids = np.full((beams, columns), -1, dtype=np.int64)
     cell_ids[occupied] = np.arange(n_cells)  # occupied cells in scan order
-    left = [np.zeros(0, dtype=np.int64)]
-    right = [np.zeros(0, dtype=np.int64)]
-    for r in range(beams):
-        d = ri.depth[r]
-        valid = occupied[r]
-        if not valid.any():
-            continue
-        half = max(1, int(windows[r] // 2))
-        t_r = thresholds[r]
-        # Distance to the nearest linkable cell on the left, 0 = none.
-        jstar = np.zeros(columns, dtype=np.int64)
-        for j in range(1, half + 1):
-            if j >= columns:
-                break
-            cand = valid[j:] & valid[:-j] & (np.abs(d[j:] - d[:-j]) < t_r) & (jstar[j:] == 0)
-            if cand.any():
-                jstar[j:][cand] = j
-        linked = np.flatnonzero(jstar)
-        left.append(cell_ids[r, linked])
-        right.append(cell_ids[r, linked - jstar[linked]])
-    ids = connected_components(n_cells, np.concatenate(left), np.concatenate(right))
+    ids = connected_components(
+        n_cells, cell_ids[rows, cols], cell_ids[rows, cols - jstar[rows, cols]]
+    )
     cell_ids[occupied] = ids
-    return _segments_from_cells(ri, cell_ids, int(ids.max()) + 1 if n_cells else 0)
+    seg = cell_ids[ri.point_cell[:, 0], ri.point_cell[:, 1]]
+    if seg.size and seg.min() < 0:
+        raise AssertionError("point mapped to an unsegmented cell")
+    return RingSegments(segment_id=seg.astype(np.int32), num_segments=int(ids.max(initial=-1)) + 1)
 
 
 def dcs_dynamic(ri: RangeImage, cfg: DcsConfig) -> RingSegments:
     """Adaptive segmentation: per row, scale the window inversely and the
     depth threshold proportionally with the row's maximum depth, clamped to
-    [MIN_WINDOW, N] columns and >= MIN_DEPTH_THRESHOLD metres.
+    [MIN_WINDOW, N] columns and >= MIN_DEPTH_THRESHOLD metres. An empty row
+    gets the minima; a row whose maximum depth is 0 gets an N-column window.
     """
-    beams, columns = ri.shape
-    windows = np.full(beams, float(MIN_WINDOW))
-    thresholds = np.full(beams, MIN_DEPTH_THRESHOLD)
-    for r in range(beams):
-        row = ri.depth[r]
-        finite = row[np.isfinite(row)]
-        if finite.size == 0:
-            continue
-        m_r = float(finite.max())
-        windows[r] = min(max(cfg.reference_range / m_r * cfg.window, MIN_WINDOW), columns)
-        thresholds[r] = max(m_r / cfg.reference_range * cfg.depth_base, MIN_DEPTH_THRESHOLD)
+    columns = ri.shape[1]
+    m = np.fmax.reduce(ri.depth, axis=1, initial=np.nan)  # NaN on empty rows
+    with np.errstate(divide="ignore"):
+        windows = np.fmin(np.fmax(cfg.reference_range / m * cfg.window, MIN_WINDOW), columns)
+    thresholds = np.fmax(m / cfg.reference_range * cfg.depth_base, MIN_DEPTH_THRESHOLD)
     return dcs_rows(ri, windows, thresholds)

@@ -11,7 +11,7 @@ as noisy one-hot vectors. Everything is a pure function of the config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -38,6 +38,17 @@ _LIDAR_TO_CAM = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
 _VEHICLE_SIZE = ((3.6, 5.0), (1.7, 2.2), (1.4, 1.9))
 _PEDESTRIAN_SIZE = ((0.25, 0.40), (1.5, 1.9))
 _CYCLIST_SIZE = ((0.30, 0.45), (1.5, 1.8))
+
+
+def _same_kind(value, default) -> bool:
+    """Whether ``value`` fits a field whose default is ``default``: an int
+    (not a bool) for an int, any number for a float, and for a tuple a tuple
+    of as many such items."""
+    if isinstance(default, tuple):
+        return (isinstance(value, tuple) and len(value) == len(default)
+                and all(map(_same_kind, value, default)))
+    kinds = int if isinstance(default, int) else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass
@@ -77,6 +88,9 @@ class SceneConfig:
     camera_offset: tuple[float, float, float] = (0.2, 0.0, -0.3)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not _same_kind(getattr(self, f.name), f.default):
+                raise TypeError(f"{f.name} must be {f.type}, not {getattr(self, f.name)!r}")
         if self.beams < 1 or self.columns < 1:
             raise ValueError("beams and columns must be >= 1")
         if self.fov_up_deg <= self.fov_down_deg:

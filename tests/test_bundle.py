@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,9 @@ from wlf.bundle import (
     write_frame_bundle,
     write_labels,
     write_mask_predictions,
-    write_range_debug,
     write_votes,
 )
 from wlf.mask_fusion import MaskPrediction
-from wlf.range_image import build_range_image, dcs_dynamic, DcsConfig
 from wlf.spatial import PseudoLabels
 from wlf.synth import CLASS_NAMES, SceneConfig, generate_scene
 
@@ -86,14 +86,27 @@ def test_truncated_array_rejected(tmp_path, scene):
         read_frame_bundle(bundle)
 
 
-def test_range_debug_dump(tmp_path, scene):
-    ri = build_range_image(scene.frame, scene.config.beams, scene.config.columns)
-    segs = dcs_dynamic(ri, DcsConfig())
-    write_range_debug(tmp_path, ri, segs)
-    raw = np.frombuffer((tmp_path / "range.f32").read_bytes(), dtype="<f4")
-    assert raw.size == scene.config.beams * scene.config.columns
-    ids = np.frombuffer((tmp_path / "segments.u32").read_bytes(), dtype="<u4")
-    assert ids.size == scene.frame.num_points
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("boxes.json", lambda boxes: boxes.append(dict(boxes[0])), "duplicate box_id"),
+        ("boxes.json", lambda boxes: boxes[0].update(box_id=1.5), "box_id 1.5"),
+        ("boxes.json", lambda boxes: boxes[0].update(box_id=True), "box_id True"),
+        ("boxes.json", lambda boxes: boxes[0].update(class_id="1"), "class_id '1'"),
+        ("manifest.json", lambda manifest: manifest.update(num_classes="three"), "num_classes"),
+        ("manifest.json", lambda manifest: manifest.update(num_classes=0), "num_classes 0"),
+    ],
+)
+def test_bad_ids_and_class_count_name_the_file(tmp_path, scene, name, edit, message):
+    bundle = write_frame_bundle(
+        tmp_path / "f0", scene.frame, scene.calibration, scene.boxes, CLASS_NAMES,
+        beams=scene.config.beams, columns=scene.config.columns,
+    )
+    payload = json.loads((bundle / name).read_text())
+    edit(payload)
+    (bundle / name).write_text(json.dumps(payload))
+    with pytest.raises(BundleError, match=f"{bundle / name}: {message}"):
+        read_frame_bundle(bundle)
 
 
 def test_mask_predictions_round_trip(tmp_path, rng):

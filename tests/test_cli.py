@@ -59,6 +59,22 @@ class TestSynth:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--num-frames", "--epochs"])
+    def test_negative_count_exit_3_writes_nothing(self, tmp_path, capsys, flag):
+        out = tmp_path / "frames"
+        assert run("synth", "--out", out, flag, "-1") == 3
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scene", [{"seed": "x"}, {"columns": 512.0}, {"vehicles": 2}])
+    def test_mistyped_scene_config_exit_3_writes_nothing(self, tmp_path, capsys, scene):
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(scene))
+        out = tmp_path / "frames"
+        assert run("synth", "--out", out, "--config", config, "--num-frames", "2") == 3
+        assert next(iter(scene)) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_end_to_end_with_report(self, bundles, tmp_path):
@@ -92,6 +108,16 @@ class TestPipeline:
         assert run("pipeline", "--config", cfg, "--frames", f"{bundles}/*", "--out", out) == 3
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_range_beam_row(self, bundles, tmp_path):
+        # Every return of the highest beam row at the sensor: the row's
+        # maximum depth is 0, which gives it the full-width window.
+        bundle = bundles / "frame_0001"
+        points = np.fromfile(bundle / "points.f32", dtype="<f4").reshape(-1, 4)
+        rows = np.fromfile(bundle / "beam_row.u16", dtype="<u2")
+        points[rows == rows.max(), :3] = 0.0
+        points.tofile(bundle / "points.f32")
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 0
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_bad_threads_exit_3(self, bundles, tmp_path, threads):
@@ -206,9 +232,12 @@ class TestStageCommands:
             ("manifest.json", lambda manifest: manifest.pop("columns")),
             ("manifest.json", lambda manifest: manifest.update(beams=1)),
             ("boxes.json", lambda boxes: boxes[0].update(class_id=4)),
+            ("boxes.json", lambda boxes: boxes.append(dict(boxes[0]))),
+            ("boxes.json", lambda boxes: boxes[0].update(box_id=1.5)),
+            ("manifest.json", lambda manifest: manifest.update(num_classes="three")),
         ],
         ids=["degenerate-box", "no-extrinsic", "no-columns", "beam-row-past-beams",
-             "class-without-radius"],
+             "class-without-radius", "duplicate-box-id", "float-box-id", "string-num-classes"],
     )
     def test_malformed_bundle_exit_3(self, bundles, tmp_path, capsys, name, edit):
         edit_json(bundles / "frame_0002" / name, edit)

@@ -63,6 +63,12 @@ class TestBuildRangeImage:
         assert ri.depth[r, c] == pytest.approx(5.0)
 
 
+def assert_matches_trace(segs, ri, windows, thresholds):
+    ids, count = dcs_dynamic_trace(ri.depth, windows, thresholds)
+    assert segs.num_segments == count
+    assert np.array_equal(segs.segment_id, ids[ri.point_cell[:, 0], ri.point_cell[:, 1]])
+
+
 def fixed_window_rows(ri, threshold):
     """Fixed-threshold scan: the smallest window links adjacent columns only."""
     beams = ri.shape[0]
@@ -154,11 +160,30 @@ class TestDynamic:
                 m_r = float(finite.max())
                 windows[r] = min(max(cfg.reference_range / m_r * cfg.window, MIN_WINDOW), 24)
                 thresholds[r] = max(m_r / cfg.reference_range * cfg.depth_base, MIN_DEPTH_THRESHOLD)
-            ids, count = dcs_dynamic_trace(ri.depth, windows, thresholds)
-            got = dcs_dynamic(ri, cfg)
-            want = ids[ri.point_cell[:, 0], ri.point_cell[:, 1]]
-            assert got.num_segments == count
-            assert np.array_equal(got.segment_id, want)
+            assert_matches_trace(dcs_dynamic(ri, cfg), ri, windows, thresholds)
+            # dcs_rows alone, with windows and thresholds drawn per row:
+            # windows below MIN_WINDOW, at or past the width, tied between
+            # rows; every other raster has an empty row.
+            depth = ri.depth.copy()
+            if rng.random() < 0.5:
+                depth[rng.integers(3)] = np.nan
+            ri = ri_from_depth(depth)
+            windows = rng.choice([0.5, 1.9, 2.0, 3.0, 7.5, 12.0, 24.0, 100.0], size=3)
+            thresholds = rng.uniform(0.05, 10.0, size=3)
+            assert_matches_trace(dcs_rows(ri, windows, thresholds), ri, windows, thresholds)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_range_row_takes_full_window(self):
+        # Row 0's maximum depth is 0: the window is the full width (half 12,
+        # so columns 0 and 5 link and 18 stands alone) and the threshold the
+        # minimum. Row 1 (max 25 m) keeps window 20 and threshold 0.12 m.
+        zeros = [np.nan] * 24
+        for c in (0, 5, 18):
+            zeros[c] = 0.0
+        ri = ri_from_depth([zeros, [10.0, 10.15] + [np.nan] * 21 + [25.0]])
+        segs = dcs_dynamic(ri, DcsConfig())
+        assert segs.num_segments == 5
+        assert_matches_trace(segs, ri, [24.0, 20.0], [MIN_DEPTH_THRESHOLD, 0.12])
 
     def test_forced_constant_equals_simplified(self, rng):
         for _ in range(100):

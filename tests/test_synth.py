@@ -212,5 +212,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             SceneConfig(depth_jitter=-0.1)
 
+    @pytest.mark.parametrize(
+        "field", [{"seed": "x"}, {"beams": 64.0}, {"box_pad_px": True}, {"vehicles": (1, 2, 3)},
+                  {"cyclists": (0, 2.0)}, {"camera_offset": [0.2, 0.0, -0.3]}],
+    )
+    def test_field_types_checked(self, field):
+        with pytest.raises(TypeError, match=next(iter(field))):
+            SceneConfig(**field)
+
+    def test_int_accepted_for_float(self):
+        assert SceneConfig(max_range=100, wall_distance=(30, 40)).max_range == 100
+
     def test_class_names_stable(self):
         assert CLASS_NAMES == ["vehicle", "pedestrian", "cyclist"]

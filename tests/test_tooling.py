@@ -1,10 +1,11 @@
 """The benchmark tracer's wrapped names and the experiment scripts still fit
 the package: both reach into it by name, so a rename would otherwise only
-show when they run."""
+show when they run. The runtime imports nothing beyond numpy."""
 
 import importlib
 import importlib.util
 import inspect
+import json
 import math
 import os
 import subprocess
@@ -62,6 +63,25 @@ def test_traced_run_counts_every_layer(tmp_path):
         assert layers[name] > 0, name
 
 
+def src_env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_runtime_needs_only_numpy():
+    # Installed packages (scipy among them) would otherwise creep in unnoticed.
+    code = (
+        "import json, sys; before = set(sys.modules); import wlf, wlf.cli; "
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(json.dumps(sorted(new - set(sys.stdlib_module_names))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["numpy", "wlf"]
+
+
 @pytest.mark.parametrize(
     "script, args, expect",
     [
@@ -70,11 +90,9 @@ def test_traced_run_counts_every_layer(tmp_path):
     ],
 )
 def test_script_runs(script, args, expect):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=src_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
