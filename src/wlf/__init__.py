@@ -34,7 +34,6 @@ from .metrics import (
     InstancePred,
     MetricReport,
     instance_ap,
-    miou,
 )
 from .pipeline import run_pipeline
 from .range_image import (
@@ -99,7 +98,6 @@ __all__ = [
     "generate_scene",
     "instance_ap",
     "max_component",
-    "miou",
     "project_points",
     "pseudo_loss",
     "pseudo_loss_grad",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from .spatial import PseudoLabels
 __all__ = [
     "BundleError",
     "write_frame_bundle",
+    "read_manifest",
     "read_frame_bundle",
     "write_labels",
     "read_labels",
@@ -44,6 +46,8 @@ __all__ = [
 ]
 
 _DTYPES = {"f32": "<f4", "u16": "<u2", "i32": "<i4"}
+# A manifest without num_classes has the synth classes: vehicle, pedestrian, cyclist.
+DEFAULT_NUM_CLASSES = 3
 
 
 class BundleError(ValueError):
@@ -55,16 +59,32 @@ def _write_array(path: Path, arr: np.ndarray, kind: str) -> None:
 
 
 def _read_array(path: Path, kind: str, count: int | None = None) -> np.ndarray:
-    data = np.frombuffer(path.read_bytes(), dtype=_DTYPES[kind])
-    if count is not None and data.size != count:
-        raise BundleError(f"{path}: expected {count} values, found {data.size}")
-    return data
+    raw = path.read_bytes()
+    itemsize = np.dtype(_DTYPES[kind]).itemsize
+    if count is not None and len(raw) != count * itemsize:
+        raise BundleError(f"{path}: expected {count} values, found {len(raw) / itemsize:g}")
+    return np.frombuffer(raw, dtype=_DTYPES[kind])
 
 
-def _positive_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{what} {value!r} is not an integer >= 1")
+def _int_at_least(value, low: int, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{what} {value!r} is not an integer >= {low}")
     return value
+
+
+@contextmanager
+def _naming(path: Path):
+    """Re-raise what a malformed file causes as a BundleError naming the file."""
+    try:
+        yield
+    except BundleError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise BundleError(f"{path}: invalid JSON ({exc})") from exc
+    except KeyError as exc:
+        raise BundleError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise BundleError(f"{path}: {exc}") from exc
 
 
 def write_json(path: Path, payload: dict | list) -> None:
@@ -122,74 +142,77 @@ def write_frame_bundle(
     return directory
 
 
+def read_manifest(directory: str | Path) -> dict:
+    """A bundle's manifest with its counts checked and ``num_classes`` and
+    ``class_names`` filled in when absent.
+
+    Raises FileNotFoundError without manifest.json, and BundleError naming it
+    for any malformed content.
+    """
+    path = Path(directory) / "manifest.json"
+    if not path.is_file():
+        raise FileNotFoundError(f"no manifest.json in {directory}")
+    with _naming(path):
+        manifest = json.loads(path.read_text())
+        frame_id = manifest["frame_id"]
+        if not isinstance(frame_id, str) or frame_id in ("", "..") or Path(frame_id).name != frame_id:
+            raise ValueError(f"frame_id {frame_id!r} is not a plain directory name")
+        _int_at_least(manifest["num_points"], 0, "num_points")
+        _int_at_least(manifest["beams"], 1, "beams")
+        _int_at_least(manifest["columns"], 1, "columns")
+        _int_at_least(manifest.setdefault("num_classes", DEFAULT_NUM_CLASSES), 1, "num_classes")
+        names = manifest.setdefault("class_names", [])
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise ValueError(f"class_names {names!r} is not a list of strings")
+    return manifest
+
+
 def read_frame_bundle(
     directory: str | Path,
 ) -> tuple[Frame, Calibration, list[Box2D], dict]:
-    """Load a frame bundle.
+    """Load a frame bundle and its manifest (see ``read_manifest``).
 
-    Raises FileNotFoundError without manifest.json, and BundleError, naming
-    the bundle's file at fault, for any malformed or inconsistent content.
+    Raises FileNotFoundError for a missing file, and BundleError, naming the
+    bundle's file at fault, for any malformed or inconsistent content.
     """
     directory = Path(directory)
-    if not (directory / "manifest.json").is_file():
-        raise FileNotFoundError(f"no manifest.json in {directory}")
-    name = "manifest.json"  # the file being read, for the error message
-    try:
-        manifest = json.loads((directory / name).read_text())
-        n = int(manifest["num_points"])
-        frame_id = manifest["frame_id"]
-        beams, columns = int(manifest["beams"]), int(manifest["columns"])
-        if not isinstance(frame_id, str) or frame_id in ("", "..") or Path(frame_id).name != frame_id:
-            raise ValueError(f"frame_id {frame_id!r} is not a plain directory name")
-        if beams < 1 or columns < 1:
-            raise ValueError(f"raster {beams} x {columns} is empty")
-        _positive_int(manifest.get("num_classes", 1), "num_classes")
-        points = _read_array(directory / "points.f32", "f32", 4 * n).reshape(n, 4)
-        name = "beam_row.u16"
-        beam_row = _read_array(directory / name, "u16", n)
-        if n and int(beam_row.max()) >= beams:
-            raise ValueError(f"beam_row {int(beam_row.max())} >= beams {beams}")
-        gt_semantic = gt_instance = None
-        if (directory / "gt_semantic.i32").is_file():
-            gt_semantic = _read_array(directory / "gt_semantic.i32", "i32", n)
-        if (directory / "gt_instance.i32").is_file():
-            gt_instance = _read_array(directory / "gt_instance.i32", "i32", n)
-        name = "points.f32"  # the one array Frame checks beyond its length
-        frame = Frame(
-            frame_id=frame_id,
-            points=points.astype(np.float64),
-            beam_row=beam_row.astype(np.int64),
-            gt_semantic=gt_semantic,
-            gt_instance=gt_instance,
-        )
-        name = "calibration.json"
-        calib_raw = json.loads((directory / name).read_text())
+    manifest = read_manifest(directory)
+    n = manifest["num_points"]
+    points = _read_array(directory / "points.f32", "f32", 4 * n).reshape(n, 4)
+    with _naming(directory / "beam_row.u16"):
+        beam_row = _read_array(directory / "beam_row.u16", "u16", n)
+        if n and int(beam_row.max()) >= manifest["beams"]:
+            raise ValueError(f"beam_row {int(beam_row.max())} >= beams {manifest['beams']}")
+    gt = {
+        name: _read_array(directory / f"{name}.i32", "i32", n)
+        for name in ("gt_semantic", "gt_instance")
+        if (directory / f"{name}.i32").is_file()
+    }
+    with _naming(directory / "points.f32"):  # the one array Frame checks beyond its length
+        frame = Frame(manifest["frame_id"], points, beam_row, **gt)
+    with _naming(directory / "calibration.json"):
+        calib_raw = json.loads((directory / "calibration.json").read_text())
         calib = Calibration(
             intrinsic=np.asarray(calib_raw["intrinsic"]),
             extrinsic=np.asarray(calib_raw["extrinsic"]),
             image_size=tuple(calib_raw["image_size"]),
         )
-        name = "boxes.json"
+    with _naming(directory / "boxes.json"):
         boxes = [
             Box2D(
-                box_id=_positive_int(b["box_id"], "box_id"),
-                class_id=_positive_int(b["class_id"], "class_id"),
+                box_id=_int_at_least(b["box_id"], 1, "box_id"),
+                class_id=_int_at_least(b["class_id"], 1, "class_id"),
                 bounds=tuple(b["bounds"]),
             )
-            for b in json.loads((directory / name).read_text())
+            for b in json.loads((directory / "boxes.json").read_text())
         ]
         ids = sorted(b.box_id for b in boxes)
         repeated = [i for i, k in zip(ids, ids[1:]) if i == k]
         if repeated:
             raise ValueError(f"duplicate box_id {repeated[0]}")
-    except BundleError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"{directory / name}: invalid JSON ({exc})") from exc
-    except KeyError as exc:
-        raise BundleError(f"{directory / name}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise BundleError(f"{directory / name}: {exc}") from exc
+        above = [b.class_id for b in boxes if b.class_id > manifest["num_classes"]]
+        if above:
+            raise ValueError(f"class_id {above[0]} is above num_classes {manifest['num_classes']}")
     return frame, calib, boxes, manifest
 
 

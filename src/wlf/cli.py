@@ -39,8 +39,8 @@ from .pipeline import (
     InvariantError,
     MissingInputError,
     RunResult,
-    check_frame_ids,
     discover_bundles,
+    read_manifests,
     run_pipeline,
 )
 from .synth import CLASS_NAMES, SceneConfig, fabricate_scores, generate_scene
@@ -138,10 +138,10 @@ def cmd_ipg(args: argparse.Namespace) -> int:
     cfg = _load_pipeline_config(args)
     out_root = Path(cfg.out_dir)
     bundles = discover_bundles(cfg.frames)
-    frames = [read_frame_bundle(bundle) for bundle in bundles]
-    check_frame_ids(bundles, [frame.frame_id for frame, *_ in frames])
+    read_manifests(bundles)
     count = 0
-    for bundle, (frame, calib, boxes, manifest) in zip(bundles, frames):
+    for bundle in bundles:
+        frame, _, boxes, _ = read_frame_bundle(bundle)
         grouped = read_mask_predictions(bundle)
         if not grouped:
             continue

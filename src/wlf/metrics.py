@@ -1,9 +1,11 @@
 """Segmentation metrics: per-class IoU / mIoU and COCO-style instance AP.
 
 Semantic IoU is computed from pooled TP/FP/FN counts over foreground classes;
-points with ground-truth label -1 are excluded everywhere. Instance AP uses
-greedy max-IoU matching of score-sorted predictions per class and frame, with
-101-point interpolated precision averaged over the 0.50:0.05:0.95 thresholds.
+points with ground-truth label -1 are excluded everywhere. Instance AP keeps,
+per frame, each instance's class and size and one pred x gt table of shared
+points; greedy max-IoU matching of score-sorted predictions per class runs on
+those tables, with 101-point interpolated precision averaged over the
+0.50:0.05:0.95 thresholds.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ __all__ = [
     "MetricReport",
     "InstancePred",
     "InstanceGT",
+    "FrameInstances",
     "IOU_THRESHOLDS",
-    "miou",
     "confusion_counts",
     "miou_from_counts",
-    "point_set_iou",
+    "overlap_table",
     "instance_ap",
     "instances_from_labels",
     "pred_instances_from_labels",
@@ -32,17 +34,34 @@ _RECALL_GRID = np.linspace(0.0, 1.0, 101)
 
 @dataclass(frozen=True)
 class InstancePred:
-    frame_id: str
+    instance_id: int
     class_id: int
-    indices: tuple[int, ...]
+    size: int
     score: float
 
 
 @dataclass(frozen=True)
 class InstanceGT:
-    frame_id: str
+    instance_id: int
     class_id: int
-    indices: tuple[int, ...]
+    size: int
+
+
+@dataclass(frozen=True)
+class FrameInstances:
+    """One frame's instances and ``inter[p, g]``, the points that pred ``p``
+    and gt ``g`` share."""
+
+    frame_id: str
+    preds: list[InstancePred]
+    gts: list[InstanceGT]
+    inter: np.ndarray
+
+    def iou(self) -> np.ndarray:
+        """IoU of every pred (row) with every gt (column), in float64."""
+        size_p = np.array([p.size for p in self.preds], dtype=np.int64).reshape(-1, 1)
+        size_g = np.array([g.size for g in self.gts], dtype=np.int64)
+        return self.inter / (size_p + size_g - self.inter)
 
 
 @dataclass
@@ -101,18 +120,11 @@ def confusion_counts(
     if pred.shape != gt.shape:
         raise ValueError("pred/gt length mismatch")
     keep = gt != -1
-    pred = pred[keep]
-    gt = gt[keep]
-    tp = np.zeros(n_cls + 1, dtype=np.int64)
-    fp = np.zeros(n_cls + 1, dtype=np.int64)
-    fn = np.zeros(n_cls + 1, dtype=np.int64)
-    for c in range(1, n_cls + 1):
-        p = pred == c
-        g = gt == c
-        tp[c] = int((p & g).sum())
-        fp[c] = int((p & ~g).sum())
-        fn[c] = int((~p & g).sum())
-    return tp, fp, fn
+    # One row per class; row 0, the background, stays zero.
+    classes = np.arange(n_cls + 1)[:, None]
+    p = (pred[keep] == classes) & (classes > 0)
+    g = (gt[keep] == classes) & (classes > 0)
+    return (p & g).sum(axis=1), (p & ~g).sum(axis=1), (~p & g).sum(axis=1)
 
 
 def miou_from_counts(
@@ -128,123 +140,83 @@ def miou_from_counts(
     return per_class, mean
 
 
-def miou(pred: np.ndarray, gt: np.ndarray, n_cls: int) -> tuple[dict[int, float], float]:
-    """Per-class IoU and mIoU for one frame (or any pooled label pair)."""
-    return miou_from_counts(*confusion_counts(pred, gt, n_cls))
-
-
-def point_set_iou(a: tuple[int, ...], b: tuple[int, ...]) -> float:
-    sa, sb = set(a), set(b)
-    union = len(sa | sb)
-    return len(sa & sb) / union if union else 0.0
-
-
 def _ap_from_matches(tp_flags: np.ndarray, n_gt: int) -> float:
     """101-point interpolated AP from per-prediction hit flags in score order."""
-    if n_gt == 0:
-        return 0.0
-    if tp_flags.size == 0:
-        return 0.0
     tp_cum = np.cumsum(tp_flags)
-    fp_cum = np.cumsum(~tp_flags)
     recall = tp_cum / n_gt
-    precision = tp_cum / (tp_cum + fp_cum)
-    # Monotone envelope: precision at recall r is the max at recall >= r.
-    for i in range(precision.size - 1, 0, -1):
-        precision[i - 1] = max(precision[i - 1], precision[i])
-    idx = np.searchsorted(recall, _RECALL_GRID, side="left")
-    sampled = np.zeros(_RECALL_GRID.size)
-    ok = idx < precision.size
-    sampled[ok] = precision[idx[ok]]
-    return float(sampled.mean())
-
-
-def _class_ap(
-    preds: list[InstancePred], gts: list[InstanceGT], threshold: float
-) -> float:
-    """AP for one class at one IoU threshold."""
-    n_gt = len(gts)
-    gts_by_frame: dict[str, list[int]] = {}
-    for gi, g in enumerate(gts):
-        gts_by_frame.setdefault(g.frame_id, []).append(gi)
-    matched: set[int] = set()
-    flags = np.zeros(len(preds), dtype=bool)
-    for pi, p in enumerate(preds):
-        best_iou = 0.0
-        best_gi = -1
-        for gi in gts_by_frame.get(p.frame_id, []):
-            if gi in matched:
-                continue
-            iou = point_set_iou(p.indices, gts[gi].indices)
-            if iou > best_iou:
-                best_iou = iou
-                best_gi = gi
-        if best_gi >= 0 and best_iou >= threshold:
-            matched.add(best_gi)
-            flags[pi] = True
-    return _ap_from_matches(flags, n_gt)
+    precision = tp_cum / np.arange(1, tp_flags.size + 1)
+    # Monotone envelope: precision at recall r is the max at recall >= r;
+    # past the last recall it is 0.
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    return float(envelope[np.searchsorted(recall, _RECALL_GRID, side="left")].mean())
 
 
 def instance_ap(
-    preds: list[InstancePred],
-    gts: list[InstanceGT],
+    frames: list[FrameInstances],
     iou_thresholds: np.ndarray | None = None,
 ) -> tuple[dict[int, float], float, float, float]:
     """Per-class AP (averaged over thresholds), mAP, AP50 and AP75.
 
-    Classes with no ground-truth instances anywhere are excluded.
+    Within a class, predictions are matched in order of score descending,
+    then frame id, then instance order, each to the unmatched gt of its
+    frame and class with the largest IoU (the first in gt order on a tie; an
+    IoU of 0 never matches). Classes with no ground-truth instances anywhere
+    are excluded.
     """
     thresholds = IOU_THRESHOLDS if iou_thresholds is None else np.asarray(iou_thresholds)
-    classes = sorted({g.class_id for g in gts})
+    ious = [f.iou() for f in frames]
+    gt_classes = [np.array([g.class_id for g in f.gts], dtype=np.int64) for f in frames]
+    classes = sorted({g.class_id for f in frames for g in f.gts})
+    steps = np.arange(thresholds.size)
     per_class: dict[int, float] = {}
     ap_matrix = np.zeros((len(classes), thresholds.size))
     for ci, cls in enumerate(classes):
-        cls_preds = [p for p in preds if p.class_id == cls]
-        # Stable order: score desc, then frame id, then insertion order.
-        order = sorted(
-            range(len(cls_preds)),
-            key=lambda i: (-cls_preds[i].score, cls_preds[i].frame_id, i),
-        )
-        cls_preds = [cls_preds[i] for i in order]
-        cls_gts = [g for g in gts if g.class_id == cls]
-        for ti, t in enumerate(thresholds):
-            ap_matrix[ci, ti] = _class_ap(cls_preds, cls_gts, float(t))
+        order = sorted((-p.score, f.frame_id, fi, pi) for fi, f in enumerate(frames)
+                       for pi, p in enumerate(f.preds) if p.class_id == cls)
+        # This class's IoU columns; one matched-gt mask and one hit flag per threshold.
+        cls_ious = [iou[:, c == cls] for iou, c in zip(ious, gt_classes)]
+        matched = [np.zeros((thresholds.size, iou.shape[1]), dtype=bool) for iou in cls_ious]
+        flags = np.zeros((thresholds.size, len(order)), dtype=bool)
+        for k, (_, _, fi, pi) in enumerate(order):
+            if not matched[fi].size:
+                continue
+            avail = np.where(matched[fi], 0.0, cls_ious[fi][pi])
+            best = avail.argmax(axis=1)
+            best_iou = avail[steps, best]
+            hit = (best_iou > 0.0) & (best_iou >= thresholds)
+            matched[fi][steps[hit], best[hit]] = True
+            flags[:, k] = hit
+        n_gt = sum(iou.shape[1] for iou in cls_ious)
+        ap_matrix[ci] = [_ap_from_matches(f, n_gt) for f in flags]
         per_class[cls] = float(ap_matrix[ci].mean())
-    if per_class:
-        mean_ap = float(np.mean(list(per_class.values())))
-        i50 = int(np.argmin(np.abs(thresholds - 0.5)))
-        i75 = int(np.argmin(np.abs(thresholds - 0.75)))
-        ap50 = float(ap_matrix[:, i50].mean())
-        ap75 = float(ap_matrix[:, i75].mean())
-    else:
-        mean_ap = ap50 = ap75 = 0.0
-    return per_class, mean_ap, ap50, ap75
+    if not per_class:
+        return per_class, 0.0, 0.0, 0.0
+    i50, i75 = (int(np.argmin(np.abs(thresholds - t))) for t in (0.5, 0.75))
+    mean_ap = float(np.mean(list(per_class.values())))
+    return per_class, mean_ap, float(ap_matrix[:, i50].mean()), float(ap_matrix[:, i75].mean())
 
 
 def instances_from_labels(
     semantic: np.ndarray,
     instance: np.ndarray,
-    frame_id: str,
     ignore: np.ndarray | None = None,
 ) -> list[InstanceGT]:
-    """Ground-truth instances from label arrays; drops ignored points."""
+    """Instances in id order from label arrays, ignored points dropped.
+
+    An instance takes the class of its lowest-index kept point and is left
+    out when that class is not a foreground class.
+    """
     semantic = np.asarray(semantic)
     instance = np.asarray(instance)
-    keep = np.ones(semantic.shape[0], dtype=bool) if ignore is None else ~np.asarray(ignore)
-    out = []
-    for inst in np.unique(instance[(instance > 0) & keep]):
-        idx = np.flatnonzero((instance == inst) & keep)
-        cls = int(semantic[idx[0]])
-        if cls <= 0:
-            continue
-        out.append(InstanceGT(frame_id=frame_id, class_id=cls, indices=tuple(idx.tolist())))
-    return out
+    kept = instance > 0 if ignore is None else (instance > 0) & ~np.asarray(ignore)
+    ids, first, sizes = np.unique(instance[kept], return_index=True, return_counts=True)
+    classes = semantic[kept][first]
+    return [InstanceGT(int(i), int(c), int(n)) for i, c, n in zip(ids, classes, sizes) if c > 0]
 
 
 def pred_instances_from_labels(
     semantic: np.ndarray,
     instance: np.ndarray,
-    frame_id: str,
     ignore: np.ndarray | None = None,
 ) -> list[InstancePred]:
     """Predicted instances from label arrays.
@@ -253,14 +225,27 @@ def pred_instances_from_labels(
     instance size divided by the frame's largest instance size, which keeps
     the ordering deterministic.
     """
-    groups = instances_from_labels(semantic, instance, frame_id, ignore)
-    biggest = max((len(g.indices) for g in groups), default=1)
-    return [
-        InstancePred(
-            frame_id=frame_id,
-            class_id=g.class_id,
-            indices=g.indices,
-            score=len(g.indices) / biggest,
-        )
-        for g in groups
-    ]
+    groups = instances_from_labels(semantic, instance, ignore)
+    biggest = max((g.size for g in groups), default=1)
+    return [InstancePred(g.instance_id, g.class_id, g.size, g.size / biggest) for g in groups]
+
+
+def overlap_table(
+    preds: list[InstancePred],
+    gts: list[InstanceGT],
+    pred_instance: np.ndarray,
+    gt_instance: np.ndarray,
+    ignore: np.ndarray | None = None,
+) -> np.ndarray:
+    """Points that each pred (row) shares with each gt (column), ignored
+    points left out; ``preds`` and ``gts`` as the two extractors give them."""
+    pred_ids = [p.instance_id for p in preds]
+    gt_ids = [g.instance_id for g in gts]
+    both = np.isin(pred_instance, pred_ids) & np.isin(gt_instance, gt_ids)
+    if ignore is not None:
+        both &= ~np.asarray(ignore)
+    inter = np.zeros((len(preds), len(gts)), dtype=np.int64)
+    rows = np.searchsorted(pred_ids, np.asarray(pred_instance)[both])
+    cols = np.searchsorted(gt_ids, np.asarray(gt_instance)[both])
+    np.add.at(inter, (rows, cols), 1)
+    return inter

@@ -4,9 +4,11 @@
 frustums, build the range image and ring segments, take starting labels from
 an earlier run or from spg (refine to trinary labels, optional; cluster per
 box and keep the largest component), then apply the optional voting and
-ring-segment correction stages. Labels are written per frame id next to a
-metrics report when ground truth is available, plus a run.json with the
-config hash and stage timings. Frames are independent, so the worker pool
+ring-segment correction stages, and score the labels when the bundle has
+ground truth. ``run_pipeline`` writes each frame's labels as soon as it is
+done and keeps only its counts; a metrics report (when ground truth is
+available) and a run.json with the config hash and stage timings come last,
+so run.json marks a finished run. Frames are independent, so the worker pool
 never changes the output bytes.
 """
 
@@ -27,6 +29,7 @@ from .bundle import (
     list_vote_epochs,
     read_frame_bundle,
     read_labels,
+    read_manifest,
     read_votes,
     write_json,
     write_labels,
@@ -34,11 +37,13 @@ from .bundle import (
 from .config import PipelineConfig
 from .frames import Box2D, box_classes, crop_frustum, project_points
 from .metrics import (
+    FrameInstances,
     MetricReport,
+    confusion_counts,
     instance_ap,
     instances_from_labels,
     miou_from_counts,
-    confusion_counts,
+    overlap_table,
     pred_instances_from_labels,
 )
 from .range_image import build_range_image, dcs_dynamic
@@ -67,15 +72,13 @@ class InvariantError(AssertionError):
 
 @dataclass
 class FrameOutput:
+    """What a run keeps of a frame once its labels are written: stage timings
+    and, with ground truth, the TP/FP/FN rows and the instance table."""
+
     frame_id: str
-    labels: PseudoLabels
-    class_names: list[str]
     timings: dict[str, float] = field(default_factory=dict)
-    tp: np.ndarray | None = None
-    fp: np.ndarray | None = None
-    fn: np.ndarray | None = None
-    pred_instances: list = field(default_factory=list)
-    gt_instances: list = field(default_factory=list)
+    counts: np.ndarray | None = None
+    instances: FrameInstances | None = None
 
 
 @dataclass
@@ -107,16 +110,15 @@ def read_start_labels(directory: Path, num_points: int, boxes: list[Box2D]) -> P
 
 def process_frame(
     bundle_dir: Path, cfg: PipelineConfig, labels_dir: Path | None = None
-) -> FrameOutput:
-    """Run the configured stages on one bundle and return labels + metrics.
+) -> tuple[PseudoLabels, FrameOutput]:
+    """Run the configured stages on one bundle; return its labels and scores.
 
     Starting labels come from spg (plain clustering when spg is off) or, when
     ``labels_dir`` is given, from ``labels_dir/<frame_id>``; pvc and rsc then
     apply as ``cfg.stages`` says.
     """
     frame, calib, boxes, manifest = read_frame_bundle(bundle_dir)
-    beams, columns = int(manifest["beams"]), int(manifest["columns"])
-    n_cls = manifest.get("num_classes", 3)
+    beams, columns = manifest["beams"], manifest["columns"]
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -180,38 +182,21 @@ def process_frame(
     except AssertionError as exc:
         raise InvariantError(f"frame {frame.frame_id}: {exc}") from exc
 
-    out = FrameOutput(
-        frame_id=frame.frame_id,
-        labels=labels,
-        class_names=manifest.get("class_names", []),
-        timings=timings,
-    )
+    out = FrameOutput(frame_id=frame.frame_id, timings=timings)
     if frame.has_gt:
         ignore = frame.gt_semantic == -1
-        out.tp, out.fp, out.fn = confusion_counts(labels.semantic, frame.gt_semantic, n_cls)
-        out.pred_instances = pred_instances_from_labels(
-            labels.semantic, labels.instance, frame.frame_id, ignore
+        out.counts = np.stack(
+            confusion_counts(labels.semantic, frame.gt_semantic, manifest["num_classes"])
         )
-        out.gt_instances = instances_from_labels(
-            frame.gt_semantic, frame.gt_instance, frame.frame_id, ignore
-        )
-    return out
+        preds = pred_instances_from_labels(labels.semantic, labels.instance, ignore)
+        gts = instances_from_labels(frame.gt_semantic, frame.gt_instance, ignore)
+        inter = overlap_table(preds, gts, labels.instance, frame.gt_instance, ignore)
+        out.instances = FrameInstances(frame.frame_id, preds, gts, inter)
+    return labels, out
 
 
 # Files a run writes next to its per-frame directories.
 RUN_FILES = ("run.json", "metrics.json", "metrics.txt")
-
-
-def check_frame_ids(bundles: list[Path], frame_ids: list[str]) -> None:
-    """BundleError if a frame id names a run file or two bundles share a frame
-    id, so that no two outputs share a path."""
-    owner: dict[str, Path] = {}
-    for bundle, frame_id in zip(bundles, frame_ids):
-        if frame_id in RUN_FILES:
-            raise BundleError(f"{bundle}: frame_id {frame_id!r} is reserved for a run file")
-        if frame_id in owner:
-            raise BundleError(f"frame_id {frame_id!r} is in both {owner[frame_id]} and {bundle}")
-        owner[frame_id] = bundle
 
 
 def discover_bundles(pattern: str) -> list[Path]:
@@ -225,70 +210,72 @@ def discover_bundles(pattern: str) -> list[Path]:
     return bundles
 
 
-def aggregate_report(outputs: list[FrameOutput]) -> MetricReport | None:
-    """Pool confusion counts and instances over frames with ground truth."""
-    scored = [o for o in outputs if o.tp is not None]
-    if not scored:
-        return None
-    tp = np.sum([o.tp for o in scored], axis=0)
-    fp = np.sum([o.fp for o in scored], axis=0)
-    fn = np.sum([o.fn for o in scored], axis=0)
-    per_class_iou, mean_iou = miou_from_counts(tp, fp, fn)
-    preds = [p for o in scored for p in o.pred_instances]
-    gts = [g for o in scored for g in o.gt_instances]
-    per_class_ap, mean_ap, ap50, ap75 = instance_ap(preds, gts)
-    return MetricReport(
-        per_class_iou=per_class_iou,
-        miou=mean_iou,
-        ap=mean_ap,
-        ap50=ap50,
-        ap75=ap75,
-        per_class_ap=per_class_ap,
-    )
+def read_manifests(bundles: list[Path]) -> list[dict]:
+    """Every bundle's manifest, read before anything is written. BundleError
+    for a malformed one, a ``num_classes`` other than the first bundle's, and
+    a frame id that names a run file or another bundle's output directory."""
+    manifests = [read_manifest(b) for b in bundles]
+    owner: dict[str, Path] = {}
+    for bundle, manifest in zip(bundles, manifests):
+        frame_id, n_cls = manifest["frame_id"], manifest["num_classes"]
+        if n_cls != manifests[0]["num_classes"]:
+            raise BundleError(f"{bundle / 'manifest.json'}: num_classes {n_cls} differs "
+                              f"from {manifests[0]['num_classes']} in {bundles[0]}")
+        if frame_id in RUN_FILES:
+            raise BundleError(f"{bundle}: frame_id {frame_id!r} is reserved for a run file")
+        if frame_id in owner:
+            raise BundleError(f"frame_id {frame_id!r} is in both {owner[frame_id]} and {bundle}")
+        owner[frame_id] = bundle
+    return manifests
 
 
 def run_pipeline(cfg: PipelineConfig, labels_dir: Path | None = None) -> RunResult:
-    """Process every bundle matched by the config (see ``process_frame``) and
-    write all artifacts, one directory per frame id."""
+    """Process every bundle matched by the config (see ``process_frame``) in
+    frame-id order, one output directory per frame id."""
     bundles = discover_bundles(cfg.frames)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
+    manifests = read_manifests(bundles)
+    class_names = manifests[0]["class_names"]  # the first bundle's
+    bundles = [b for _, b in sorted(zip((m["frame_id"] for m in manifests), bundles))]
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outputs = list(pool.map(lambda b: process_frame(b, cfg, labels_dir), bundles))
-    else:
-        outputs = [process_frame(b, cfg, labels_dir) for b in bundles]
-    check_frame_ids(bundles, [o.frame_id for o in outputs])
+    def run_frame(bundle: Path) -> FrameOutput:
+        labels, out = process_frame(bundle, cfg, labels_dir)
+        write_labels(out_dir / out.frame_id, labels)
+        return out
 
-    class_names = outputs[0].class_names  # the first bundle's
-    outputs.sort(key=lambda o: o.frame_id)
+    counts = None
+    scored: list[FrameInstances] = []
+    frame_ids: list[str] = []
+    stage_totals: dict[str, float] = {}
+    # A pool yields the frames in order too; after a failed frame it starts no other.
+    pool = ThreadPoolExecutor(max_workers=cfg.threads)
+    try:
+        for out in pool.map(run_frame, bundles) if cfg.threads > 1 else map(run_frame, bundles):
+            frame_ids.append(out.frame_id)
+            for stage, dt in out.timings.items():
+                stage_totals[stage] = stage_totals.get(stage, 0.0) + dt
+            if out.instances is not None:
+                counts = out.counts if counts is None else counts + out.counts
+                scored.append(out.instances)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
-    for out in outputs:
-        write_labels(out_dir / out.frame_id, out.labels)
-
-    report = aggregate_report(outputs)
-    if report is not None:
+    report = None
+    if scored:
+        per_class_iou, mean_iou = miou_from_counts(*counts)
+        per_class_ap, mean_ap, ap50, ap75 = instance_ap(scored)
+        report = MetricReport(per_class_iou, mean_iou, mean_ap, ap50, ap75, per_class_ap)
         write_json(out_dir / "metrics.json", report.to_dict(class_names))
         (out_dir / "metrics.txt").write_text(report.format_table(class_names) + "\n")
-
-    stage_totals: dict[str, float] = {}
-    for out in outputs:
-        for stage, dt in out.timings.items():
-            stage_totals[stage] = stage_totals.get(stage, 0.0) + dt
     run_info = {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
         "versions": {"wlf": __version__, "numpy": np.__version__},
-        "num_frames": len(outputs),
+        "num_frames": len(frame_ids),
         "stage_seconds": {k: round(v, 6) for k, v in sorted(stage_totals.items())},
         "total_seconds": round(time.perf_counter() - started, 6),
     }
     write_json(out_dir / "run.json", run_info)
-    return RunResult(
-        out_dir=out_dir,
-        frame_ids=[o.frame_id for o in outputs],
-        report=report,
-        class_names=class_names,
-    )
+    return RunResult(out_dir=out_dir, frame_ids=frame_ids, report=report, class_names=class_names)

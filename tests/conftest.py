@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from wlf.metrics import FrameInstances, InstanceGT, InstancePred
 from wlf.range_image import RangeImage
 
 
@@ -24,6 +25,18 @@ def random_range_image(rng: np.random.Generator, beams=4, columns=24, fill=0.7) 
     depth = rng.uniform(2.0, 40.0, (beams, columns))
     depth[rng.random((beams, columns)) > fill] = np.nan
     return ri_from_depth(depth)
+
+
+def instances_from_sets(frame_id: str, preds: list, gts: list) -> FrameInstances:
+    """A frame's instance table built from point sets: ``preds`` as
+    (class_id, indices, score), ``gts`` as (class_id, indices)."""
+    inter = [[len(set(p[1]) & set(g[1])) for g in gts] for p in preds]
+    return FrameInstances(
+        frame_id,
+        [InstancePred(k + 1, c, len(set(idx)), s) for k, (c, idx, s) in enumerate(preds)],
+        [InstanceGT(k + 1, c, len(set(idx))) for k, (c, idx) in enumerate(gts)],
+        np.array(inter, dtype=np.int64).reshape(len(preds), len(gts)),
+    )
 
 
 @pytest.fixture

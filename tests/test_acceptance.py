@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import instances_from_sets
 from oracles import (
     ap_trace,
     bfs_components,
@@ -325,13 +326,14 @@ def test_8_metric_oracles():
         n = int(rng.integers(1, 21))
         pred_sem = rng.integers(-1, 4, n)
         gt_sem = rng.integers(-1, 4, n)
-        per, mean = wlf.miou(pred_sem, gt_sem, 3)
+        per, mean = miou_from_counts(*confusion_counts(pred_sem, gt_sem, 3))
         want_per, want_mean = miou_trace(pred_sem, gt_sem, 3)
         if set(per) != set(want_per) or any(
             abs(per[c] - want_per[c]) > 1e-12 for c in per
         ) or abs(mean - want_mean) > 1e-12:
             miou_fail += 1
 
+        # Overlapping random point sets; the instance table is built from them.
         n_gt = int(rng.integers(1, 5))
         n_pred = int(rng.integers(0, 5))
         pool = np.arange(20)
@@ -339,37 +341,32 @@ def test_8_metric_oracles():
         preds = []
         for _g in range(n_gt):
             k = int(rng.integers(1, 6))
-            gts.append(
-                wlf.InstanceGT(frame_id="f", class_id=1,
-                               indices=tuple(rng.choice(pool, k, replace=False).tolist()))
-            )
+            gts.append((1, tuple(rng.choice(pool, k, replace=False).tolist())))
         for _p in range(n_pred):
             k = int(rng.integers(1, 6))
             preds.append(
-                wlf.InstancePred(frame_id="f", class_id=1,
-                                 indices=tuple(rng.choice(pool, k, replace=False).tolist()),
-                                 score=float(rng.uniform(0, 1)))
+                (1, tuple(rng.choice(pool, k, replace=False).tolist()), float(rng.uniform(0, 1)))
             )
+        frames = [instances_from_sets("f", preds, gts)]
         for threshold in (0.5, 0.75):
-            _, mean_ap, _, _ = wlf.instance_ap(preds, gts, iou_thresholds=np.array([threshold]))
-            order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, preds[i].frame_id, i))
+            _, mean_ap, _, _ = wlf.instance_ap(frames, iou_thresholds=np.array([threshold]))
+            order = sorted(range(len(preds)), key=lambda i: (-preds[i][2], i))
             want = ap_trace(
-                [(preds[i].frame_id, preds[i].indices, preds[i].score) for i in order],
-                [(g.frame_id, g.indices) for g in gts],
+                [("f", preds[i][1], preds[i][2]) for i in order],
+                [("f", idx) for _, idx in gts],
                 threshold,
             )
             if abs(mean_ap - want) > 1e-9:
                 ap_fail += 1
 
-    gts = [
-        wlf.InstanceGT(frame_id="f", class_id=1, indices=tuple(range(5))),
-        wlf.InstanceGT(frame_id="f", class_id=1, indices=tuple(range(10, 15))),
+    frames = [
+        instances_from_sets(
+            "f",
+            [(1, range(5), 0.9), (1, range(20, 25), 0.8)],
+            [(1, range(5)), (1, range(10, 15))],
+        )
     ]
-    preds = [
-        wlf.InstancePred(frame_id="f", class_id=1, indices=tuple(range(5)), score=0.9),
-        wlf.InstancePred(frame_id="f", class_id=1, indices=tuple(range(20, 25)), score=0.8),
-    ]
-    _, _, ap50, _ = wlf.instance_ap(preds, gts)
+    _, _, ap50, _ = wlf.instance_ap(frames)
     ap50_err = abs(ap50 - 51 / 101)
     check(
         8,

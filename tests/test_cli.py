@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlf.bundle import write_mask_predictions
 from wlf.cli import main
@@ -235,15 +241,58 @@ class TestStageCommands:
             ("boxes.json", lambda boxes: boxes.append(dict(boxes[0]))),
             ("boxes.json", lambda boxes: boxes[0].update(box_id=1.5)),
             ("manifest.json", lambda manifest: manifest.update(num_classes="three")),
+            ("manifest.json", lambda manifest: manifest.update(columns=512.9)),
+            ("manifest.json", lambda manifest: manifest.update(beams="32")),
+            ("manifest.json", lambda manifest: manifest.update(num_points=-1)),
+            ("manifest.json", lambda manifest: manifest.update(num_points=float(manifest["num_points"]))),
+            ("manifest.json", lambda manifest: manifest.update(num_classes=4)),
         ],
         ids=["degenerate-box", "no-extrinsic", "no-columns", "beam-row-past-beams",
-             "class-without-radius", "duplicate-box-id", "float-box-id", "string-num-classes"],
+             "class-without-radius", "duplicate-box-id", "float-box-id", "string-num-classes",
+             "float-columns", "string-beams", "negative-num-points", "float-num-points",
+             "num-classes-differs"],
     )
     def test_malformed_bundle_exit_3(self, bundles, tmp_path, capsys, name, edit):
         edit_json(bundles / "frame_0002" / name, edit)
         # An exception escaping main would be a traceback and exit 1.
         assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 3
         assert str(bundles / "frame_0002") in capsys.readouterr().err
+
+    def test_box_class_above_num_classes_exit_3(self, bundles, tmp_path, capsys):
+        for manifest in sorted(bundles.glob("*/manifest.json")):
+            edit_json(manifest, lambda m: m.update(num_classes=1))
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert f"{bundles / 'frame_0000' / 'boxes.json'}: class_id" in err
+        assert "above num_classes 1" in err
+
+    def test_box_class_without_radius_exit_3(self, bundles, tmp_path, capsys):
+        cfg = tmp_path / "radii.json"
+        cfg.write_text(json.dumps({"radii": {"1": 0.6, "3": 0.15}}))
+        assert run("pipeline", "--config", cfg, "--frames", f"{bundles}/*",
+                   "--out", tmp_path / "o") == 3
+        assert "boxes.json: no clustering radius for class 2" in capsys.readouterr().err
+
+    def test_frames_pool_in_frame_id_order(self, bundles, tmp_path):
+        aligned = tmp_path / "aligned"
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", aligned) == 0
+        # Directory names in the reverse of their frame ids.
+        for k, name in enumerate(("frame_0000", "frame_0001", "frame_0002")):
+            (bundles / name).rename(bundles / f"scan{2 - k}")
+        reversed_out = tmp_path / "reversed"
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", reversed_out) == 0
+        for rel in ("metrics.json", "metrics.txt", "frame_0000/sem.i32", "frame_0002/inst.i32"):
+            assert (reversed_out / rel).read_bytes() == (aligned / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_frame_leaves_no_run_files(self, bundles, tmp_path, capsys, threads):
+        (bundles / "frame_0002" / "points.f32").write_bytes(b"\0" * 12)
+        out = tmp_path / "out"
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", out, "--threads", threads) == 3
+        assert str(bundles / "frame_0002" / "points.f32") in capsys.readouterr().err
+        # The frames before it are written; a finished run would add run.json.
+        assert (out / "frame_0001" / "sem.i32").is_file()
+        assert not any((out / name).exists() for name in ("run.json", "metrics.json", "metrics.txt"))
 
     def test_pipeline_requires_votes(self, tmp_path, capsys):
         frames = tmp_path / "novotes"
@@ -325,3 +374,61 @@ class TestIpg:
 
     def test_no_masks_exit_2(self, bundles, tmp_path):
         assert run("ipg", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 2
+
+
+FUZZ_REQUIRED = ("manifest.json", "boxes.json", "calibration.json", "points.f32", "beam_row.u16")
+# Without these the bundle is still whole: no ground truth, or too few vote
+# epochs for pvc, which then logs that it skipped.
+FUZZ_OPTIONAL = ("gt_semantic.i32", "gt_instance.i32", "votes_0.f32", "votes_3.f32")
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundle(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    scene = root / "scene.json"
+    scene.write_text(json.dumps({"beams": 16, "columns": 256}))
+    assert run("synth", "--out", root / "frames", "--config", scene, "--seed", "11",
+               "--num-frames", "1", "--epochs", "4", "--score-sigma", "0.2") == 0
+    return root / "frames" / "frame_0000"
+
+
+class TestBundleFuzz:
+    """Each bundle file in turn is dropped, truncated or has bytes flipped.
+    A run ends with exit 2 or 3 and no traceback, or, where the damage
+    leaves a well-formed bundle, with exit 0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(FUZZ_REQUIRED + FUZZ_OPTIONAL),
+        action=st.sampled_from(["drop", "truncate", "corrupt"]),
+        cut=st.floats(0.0, 1.0, exclude_max=True),
+        flips=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255)),
+                       min_size=1, max_size=4),
+    )
+    def test_damaged_bundle_exits_cleanly(self, fuzz_bundle, name, action, cut, flips):
+        with tempfile.TemporaryDirectory() as tmp:
+            frames = Path(tmp) / "frames"
+            bundle = frames / fuzz_bundle.name
+            shutil.copytree(fuzz_bundle, bundle)
+            path = bundle / name
+            data = bytearray(path.read_bytes())
+            if action == "drop":
+                path.unlink()
+                expected = {2} if name in FUZZ_REQUIRED else {0}
+            elif action == "truncate":
+                # A JSON file cut by its final newline alone is still whole.
+                keep = len(data) - 2 if name.endswith(".json") else len(data) - 1
+                path.write_bytes(data[: int(cut * (keep + 1))])
+                expected = {3}
+            else:
+                for where, mask in flips:
+                    data[int(where * len(data))] ^= mask
+                path.write_bytes(bytes(data))
+                expected = {0, 3}
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                rc = run("pipeline", "--frames", f"{frames}/*", "--out", Path(tmp) / "out")
+            assert rc in expected, stderr.getvalue()
+            assert "Traceback" not in stderr.getvalue()
+            if rc == 3:
+                assert str(bundle) in stderr.getvalue()

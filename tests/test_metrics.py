@@ -3,19 +3,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import instances_from_sets
 from oracles import ap_trace, miou_trace
 
 from wlf.metrics import (
     IOU_THRESHOLDS,
+    FrameInstances,
     InstanceGT,
     InstancePred,
     MetricReport,
+    confusion_counts,
     instance_ap,
     instances_from_labels,
-    miou,
-    point_set_iou,
+    miou_from_counts,
+    overlap_table,
     pred_instances_from_labels,
 )
+
+
+def miou(pred, gt, n_cls):
+    return miou_from_counts(*confusion_counts(pred, gt, n_cls))
+
+
+def oracle_ap(frames: dict, classes: list[int], threshold: float) -> dict[int, float]:
+    """Per-class AP from ``ap_trace`` on point sets, ``frames`` mapping each
+    frame id to its (preds, gts) as ``instances_from_sets`` takes them."""
+    out = {}
+    for cls in classes:
+        preds = [(f, idx, s) for f, (ps, _) in frames.items() for c, idx, s in ps if c == cls]
+        order = sorted(range(len(preds)), key=lambda i: (-preds[i][2], preds[i][0], i))
+        gts = [(f, idx) for f, (_, gs) in frames.items() for c, idx in gs if c == cls]
+        out[cls] = ap_trace([preds[i] for i in order], gts, threshold)
+    return out
 
 
 class TestMiou:
@@ -64,36 +83,30 @@ class TestMiou:
 
 
 class TestInstanceAp:
-    def gt(self, frame, cls, idx):
-        return InstanceGT(frame_id=frame, class_id=cls, indices=tuple(idx))
-
-    def pred(self, frame, cls, idx, score):
-        return InstancePred(frame_id=frame, class_id=cls, indices=tuple(idx), score=score)
+    def frame(self, preds, gts, frame_id="f"):
+        return [instances_from_sets(frame_id, preds, gts)]
 
     def test_exact_single_prediction(self):
-        gts = [self.gt("f", 1, range(5))]
-        preds = [self.pred("f", 1, range(5), 0.9)]
-        per, mean_ap, ap50, ap75 = instance_ap(preds, gts)
+        frames = self.frame([(1, range(5), 0.9)], [(1, range(5))])
+        per, mean_ap, ap50, ap75 = instance_ap(frames)
         assert per[1] == 1.0 and mean_ap == 1.0 and ap50 == 1.0 and ap75 == 1.0
 
     def test_no_predictions(self):
-        gts = [self.gt("f", 1, range(5))]
-        per, mean_ap, ap50, ap75 = instance_ap([], gts)
+        per, mean_ap, ap50, ap75 = instance_ap(self.frame([], [(1, range(5))]))
         assert per[1] == 0.0 and mean_ap == 0.0
 
     def test_tp_plus_fp_gives_51_over_101(self):
-        gts = [self.gt("f", 1, range(5)), self.gt("f", 1, range(10, 15))]
+        gts = [(1, range(5)), (1, range(10, 15))]
         preds = [
-            self.pred("f", 1, range(5), 0.9),          # exact match
-            self.pred("f", 1, range(20, 25), 0.8),     # pure false positive
+            (1, range(5), 0.9),          # exact match
+            (1, range(20, 25), 0.8),     # pure false positive
         ]
-        _, _, ap50, _ = instance_ap(preds, gts)
+        _, _, ap50, _ = instance_ap(self.frame(preds, gts))
         assert ap50 == pytest.approx(51 / 101, abs=1e-6)
 
     def test_prediction_class_must_match(self):
-        gts = [self.gt("f", 1, range(5))]
-        preds = [self.pred("f", 2, range(5), 0.9)]
-        per, mean_ap, _, _ = instance_ap(preds, gts)
+        frames = self.frame([(2, range(5), 0.9)], [(1, range(5))])
+        per, mean_ap, _, _ = instance_ap(frames)
         assert per[1] == 0.0
 
     def test_monotone_in_threshold(self):
@@ -105,55 +118,64 @@ class TestInstanceAp:
             for g in range(n_gt):
                 pts = list(range(used, used + int(rng.integers(3, 8))))
                 used += len(pts)
-                gts.append(self.gt("f", 1, pts))
+                gts.append((1, pts))
                 take = int(rng.integers(1, len(pts) + 1))
-                preds.append(self.pred("f", 1, pts[:take], float(rng.uniform(0.1, 1))))
+                preds.append((1, pts[:take], float(rng.uniform(0.1, 1))))
             aps = []
             for t in IOU_THRESHOLDS:
-                _, mean_ap, _, _ = instance_ap(preds, gts, iou_thresholds=np.array([t]))
+                _, mean_ap, _, _ = instance_ap(self.frame(preds, gts), iou_thresholds=np.array([t]))
                 aps.append(mean_ap)
             assert all(a >= b - 1e-12 for a, b in zip(aps, aps[1:]))
 
     def test_invariant_under_instance_relabeling(self):
-        gts = [self.gt("f", 1, range(6)), self.gt("f", 1, range(10, 13))]
-        preds = [
-            self.pred("f", 1, range(6), 0.9),
-            self.pred("f", 1, range(10, 13), 0.7),
-        ]
-        base = instance_ap(preds, gts)
-        swapped = instance_ap(list(reversed(preds)), list(reversed(gts)))
+        gts = [(1, range(6)), (1, range(10, 13))]
+        preds = [(1, range(6), 0.9), (1, range(10, 13), 0.7)]
+        base = instance_ap(self.frame(preds, gts))
+        swapped = instance_ap(self.frame(list(reversed(preds)), list(reversed(gts))))
         assert base == swapped
 
-    @settings(max_examples=80, deadline=None)
+    def test_equal_iou_goes_to_the_first_gt(self):
+        # The pred overlaps both gts by 2 of 4 points; it takes the first gt,
+        # so the second pred, an exact copy of that gt, finds it taken.
+        gts = [(1, [0, 1, 2]), (1, [2, 3, 4])]
+        preds = [(1, [1, 2, 3], 0.9), (1, [0, 1, 2], 0.8)]
+        per, _, _, _ = instance_ap(self.frame(preds, gts), iou_thresholds=np.array([0.5]))
+        assert per[1] == pytest.approx(51 / 101)  # 1.0 had the second gt won the tie
+        assert per[1] == pytest.approx(oracle_ap({"f": (preds, gts)}, [1], 0.5)[1])
+
+    def test_zero_iou_never_matches(self):
+        # Even at a threshold of 0 a pred that shares no point with a gt is a
+        # false positive.
+        frames = self.frame([(1, [5, 6], 0.9)], [(1, [1, 2])])
+        per, _, _, _ = instance_ap(frames, iou_thresholds=np.array([0.0]))
+        assert per[1] == 0.0
+
+    @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_matches_pr_curve_oracle(self, seed):
+        # One to three frames, two classes, and scores drawn from a few values
+        # so that they tie across frames and within one.
         rng = np.random.default_rng(seed)
-        n_gt = int(rng.integers(0, 4))
-        n_pred = int(rng.integers(0, 5))
         pool = list(range(20))
-        gts, preds = [], []
-        for _ in range(n_gt):
-            k = int(rng.integers(1, 6))
-            gts.append(self.gt("f", 1, rng.choice(pool, k, replace=False).tolist()))
-        for _ in range(n_pred):
-            k = int(rng.integers(1, 6))
-            preds.append(
-                self.pred("f", 1, rng.choice(pool, k, replace=False).tolist(),
-                          float(rng.uniform(0, 1)))
-            )
-        if not gts:
-            return
+        frames = {}
+        for f in range(int(rng.integers(1, 4))):
+            gts = [
+                (int(rng.integers(1, 3)), rng.choice(pool, int(rng.integers(1, 6)), replace=False).tolist())
+                for _ in range(int(rng.integers(0, 5)))
+            ]
+            preds = [
+                (int(rng.integers(1, 3)), rng.choice(pool, int(rng.integers(1, 6)), replace=False).tolist(),
+                 float(rng.choice([0.25, 0.5, 1.0])))
+                for _ in range(int(rng.integers(0, 6)))
+            ]
+            frames[f"f{f}"] = (preds, gts)
+        tables = [instances_from_sets(f, preds, gts) for f, (preds, gts) in frames.items()]
+        classes = sorted({c for _, gts in frames.values() for c, _ in gts})
         for t in (0.5, 0.75):
-            _, mean_ap, _, _ = instance_ap(preds, gts, iou_thresholds=np.array([t]))
-            ordering = sorted(
-                range(len(preds)), key=lambda i: (-preds[i].score, preds[i].frame_id, i)
-            )
-            want = ap_trace(
-                [(preds[i].frame_id, preds[i].indices, preds[i].score) for i in ordering],
-                [(g.frame_id, g.indices) for g in gts],
-                t,
-            )
-            assert mean_ap == pytest.approx(want, abs=1e-9)
+            per, mean_ap, _, _ = instance_ap(tables, iou_thresholds=np.array([t]))
+            want = oracle_ap(frames, classes, t)
+            assert per == pytest.approx(want, abs=1e-9)
+            assert mean_ap == pytest.approx(np.mean(list(want.values())) if want else 0.0, abs=1e-9)
 
 
 class TestInstanceExtraction:
@@ -161,17 +183,58 @@ class TestInstanceExtraction:
         sem = np.array([1, 1, -1, 0])
         inst = np.array([1, 1, 1, 0])
         ignore = sem == -1
-        gts = instances_from_labels(sem, inst, "f", ignore)
-        assert len(gts) == 1
-        assert gts[0].indices == (0, 1)
+        gts = instances_from_labels(sem, inst, ignore)
+        assert gts == [InstanceGT(instance_id=1, class_id=1, size=2)]
 
     def test_pred_scores_are_relative_sizes(self):
         sem = np.array([1, 1, 1, 2])
         inst = np.array([1, 1, 1, 2])
-        preds = pred_instances_from_labels(sem, inst, "f")
-        by_inst = {p.indices: p.score for p in preds}
-        assert by_inst[(0, 1, 2)] == 1.0
-        assert by_inst[(3,)] == pytest.approx(1 / 3)
+        preds = pred_instances_from_labels(sem, inst)
+        by_inst = {p.instance_id: p.score for p in preds}
+        assert by_inst[1] == 1.0
+        assert by_inst[2] == pytest.approx(1 / 3)
+
+    def test_class_from_lowest_index_kept_point(self):
+        sem = np.array([-1, 2, 1, 0, 3])
+        inst = np.array([4, 4, 4, 7, 7])
+        gts = instances_from_labels(sem, inst, sem == -1)
+        assert gts == [InstanceGT(instance_id=4, class_id=2, size=2)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_table_and_ap_match_point_sets(self, seed):
+        # Label arrays as the pipeline scores them: the table counts the
+        # points each pred shares with each gt, and the AP equals the set
+        # oracle's on the instances' index sets.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        gt_sem = rng.integers(-1, 3, n)
+        gt_inst = rng.integers(0, 5, n) * 10
+        sem = rng.integers(0, 3, n)
+        inst = rng.integers(0, 4, n)
+        ignore = gt_sem == -1
+        preds = pred_instances_from_labels(sem, inst, ignore)
+        gts = instances_from_labels(gt_sem, gt_inst, ignore)
+        inter = overlap_table(preds, gts, inst, gt_inst, ignore)
+
+        def points(labels, i):
+            return set(np.flatnonzero((labels == i) & ~ignore).tolist())
+
+        for r, p in enumerate(preds):
+            assert p.size == len(points(inst, p.instance_id))
+            for c, g in enumerate(gts):
+                assert g.size == len(points(gt_inst, g.instance_id))
+                want = len(points(inst, p.instance_id) & points(gt_inst, g.instance_id))
+                assert inter[r, c] == want
+
+        frames = {"f": (
+            [(p.class_id, sorted(points(inst, p.instance_id)), p.score) for p in preds],
+            [(g.class_id, sorted(points(gt_inst, g.instance_id))) for g in gts],
+        )}
+        table = FrameInstances("f", preds, gts, inter)
+        classes = sorted({g.class_id for g in gts})
+        per, _, _, _ = instance_ap([table], iou_thresholds=np.array([0.5]))
+        assert per == pytest.approx(oracle_ap(frames, classes, 0.5), abs=1e-12)
 
 
 class TestReportFormatting:
@@ -197,7 +260,7 @@ class TestReportFormatting:
         assert "vehicle" in table and "mean" in table
 
 
-class TestPointSetIoU:
-    def test_basic(self):
-        assert point_set_iou((1, 2, 3), (2, 3, 4)) == pytest.approx(0.5)
-        assert point_set_iou((), ()) == 0.0
+class TestInstanceTable:
+    def test_iou_from_table(self):
+        table = instances_from_sets("f", [(1, (1, 2, 3), 1.0)], [(1, (2, 3, 4)), (1, (5,))])
+        np.testing.assert_array_equal(table.iou(), [[0.5, 0.0]])

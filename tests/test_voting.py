@@ -32,7 +32,8 @@ def bundle(tmp_path):
 
 def engine_labels(bundle, stages, **pvc):
     cfg = PipelineConfig(stages=tuple(stages), pvc=PvcConfig(**pvc))
-    return process_frame(bundle, cfg).labels
+    labels, _ = process_frame(bundle, cfg)
+    return labels
 
 
 def assert_pvc_skipped(bundle, caplog, wanted, **pvc):
