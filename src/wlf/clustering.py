@@ -1,15 +1,28 @@
 """Radius-graph connected components over 3D points.
 
-Two points are connected iff their Euclidean distance is <= radius; clusters
-are the transitive closure. Neighbour search uses a uniform voxel grid with
-edge length equal to the radius, so only point pairs in the same or adjacent
-voxels are tested, which matches the naive all-pairs definition exactly.
+Two points are connected iff ``(dx**2 + dy**2) + dz**2 <= r*r`` in float64;
+clusters are the transitive closure. ``ccl_cluster`` can cluster several
+groups of points at once, each at its own radius, and never joins two groups.
+
+Neighbour search uses cells of edge r/2 (the grid argument of Gan & Tao,
+"DBSCAN Revisited", SIGMOD 2015), so any pair within r lies in cells at most
+two apart per axis. A cell whose own bounding box passes the test is a
+clique, which at edge r/2 is every cell. A pair of neighbouring cells is
+decided from the two boxes when it can be: skipped when the gap between them
+fails the test, linked when their union box passes. Float subtraction,
+squaring and addition are monotone, so these box decisions agree with the
+point test bit for bit. Only the remaining pairs whose cells the sure links
+leave apart are tested point by point. The result equals the all-pairs
+definition while coordinates stay within 2**33 radii of the origin.
+
 ``connected_components`` merges the edges by hooking and pointer jumping; it
 is also the merge behind the ring segments of ``range_image.dcs_rows``.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +51,8 @@ class ClassRadii:
 
     def __post_init__(self) -> None:
         for cls, r in self.radii.items():
-            if r <= 0:
-                raise ValueError(f"radius for class {cls} must be positive")
+            if not 0 < r < math.inf:  # also rejects NaN
+                raise ValueError(f"radius for class {cls} must be finite and positive")
 
     def for_class(self, class_id: int) -> float:
         try:
@@ -60,16 +73,27 @@ class Components:
         return self.sizes.shape[0]
 
 
-# The same voxel and its half-space neighbours: with cell edge == radius, any
-# pair within the radius lies in the same or an adjacent voxel, and each
-# unordered voxel pair is visited once.
-_OFFSETS = [
-    (dx, dy, dz)
-    for dx in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-    if (dx, dy, dz) >= (0, 0, 0)
-]
+# Neighbour columns (dx, dy) >= (0, 0) of a cell's half space.
+_COLUMNS = np.array(
+    [(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3) if (dx, dy) >= (0, 0)]
+)
+
+
+def _expand(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, i) for every i < sizes[k], in order."""
+    owner = np.repeat(np.arange(sizes.shape[0]), sizes)
+    return owner, np.arange(owner.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _member_pairs(
+    starts: np.ndarray, counts: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted positions of each member of cell v[k] and each member of cell
+    w[k], for every k, and the k of each pair."""
+    pair, i = _expand(counts[v])
+    row, j = _expand(counts[w][pair])
+    pair = pair[row]
+    return starts[v[pair]] + i[row], starts[w[pair]] + j, pair
 
 
 def connected_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,48 +122,121 @@ def connected_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.cumsum(parent == np.arange(n)) - 1)[parent]  # rank of each root
 
 
-def ccl_cluster(points: np.ndarray, radius: float) -> Components:
-    """Cluster points into radius-connected components."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+def _squeeze(keys: np.ndarray) -> np.ndarray:
+    """Integer keys with every gap of three or more narrowed to three and the
+    smallest key at 2: gaps of one and two cells are kept, so neighbours within
+    two cells stay neighbours and no farther key aliases one."""
+    u, inv = np.unique(keys, return_inverse=True)
+    return np.cumsum(np.minimum(np.diff(u, prepend=u[0] - 2), 3))[inv]
+
+
+def _within(ext: Sequence[np.ndarray], rr: np.ndarray) -> np.ndarray:
+    """The point test ``(dx**2 + dy**2) + dz**2 <= r*r`` on per-axis arrays."""
+    dx, dy, dz = ext
+    return (dx * dx + dy * dy) + dz * dz <= rr
+
+
+def _cell_codes(pts: np.ndarray, r: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Each point's cell code and the code's (x, y, z) extents.
+
+    Cells are a hair over r/2 on a side, so that rounding in pts / edge never
+    puts a pair within r three cells apart. The group leads the x key, with a
+    narrowed gap of three between groups, so groups never neighbour.
+    """
+    keys = np.floor(pts / (r * (0.5 + 2.0**-20))[g][:, None]).astype(np.int64)
+    kx, ky, kz = (_squeeze(keys[:, axis]) for axis in range(3))
+    if r.size > 1:
+        kx = _squeeze(g * (int(kx.max()) + 3) + kx)
+    dims = [int(k.max()) + 3 for k in (kx, ky, kz)]
+    if dims[0] * dims[1] * dims[2] >= 2**63:
+        raise ValueError("too many cells to key in int64")
+    return (kx * dims[1] + ky) * dims[2] + kz, dims
+
+
+def _neighbour_cells(cells: np.ndarray, dims: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (v, w), v < w, of the sorted cell codes ``cells`` at most two
+    cells apart per axis.
+
+    A neighbour column's cells within two in z, or the next two in v's own
+    column, are one run of codes, found with two searches per column.
+    """
+    base = cells[:, None] + _COLUMNS @ np.array([dims[1] * dims[2], dims[2]])
+    begin = np.searchsorted(cells, base + np.where(_COLUMNS.any(axis=1), -2, 1))
+    run, k = _expand((np.searchsorted(cells, base + 2, "right") - begin).ravel())
+    return run // _COLUMNS.shape[0], begin.ravel()[run] + k
+
+
+def ccl_cluster(
+    points: np.ndarray, radius: float | np.ndarray, groups: np.ndarray | None = None
+) -> Components:
+    """Cluster points into radius-connected components.
+
+    With ``groups``, point i belongs to group ``groups[i]`` and is clustered at
+    ``radius[groups[i]]``; points of different groups never connect. Ids are
+    dense in first-occurrence order over all points.
+    """
+    r = np.asarray(radius, dtype=np.float64).reshape(-1)
+    if r.size == 0 or not np.all((r > 0) & np.isfinite(r)):
+        raise ValueError("radius must be finite and positive")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = pts.shape[0]
+    g = np.zeros(n, dtype=np.intp) if groups is None else np.asarray(groups, dtype=np.intp)
+    if g.shape != (n,) or (n and (g.min() < 0 or g.max() >= r.size)):
+        raise ValueError("groups must give each point an index into radius")
     if n == 0:
         return Components(labels=np.zeros(0, dtype=np.int32), sizes=np.zeros(0, dtype=np.int64))
-    # Voxel coordinates with every gap of two or more cells narrowed to two and
-    # one cell of padding each side: adjacency is kept, a neighbour's code never
-    # aliases another voxel's, and codes fit int64 up to a million points.
-    keys = np.floor(pts / radius).astype(np.int64)
-    for axis in range(3):
-        u, inv = np.unique(keys[:, axis], return_inverse=True)
-        keys[:, axis] = np.cumsum(np.minimum(np.diff(u, prepend=u[0] - 1), 2))[inv]
-    dims = keys.max(axis=0) + 2
-    strides = np.array([dims[1] * dims[2], dims[2], 1])
-    codes = keys @ strides
+    codes, dims = _cell_codes(pts, r, g)
     order = np.argsort(codes, kind="stable")
-    voxels, starts, counts = np.unique(codes[order], return_index=True, return_counts=True)
-    xyz = np.ascontiguousarray(pts[order].T)  # one gather per coordinate is faster
-    left = [np.zeros(0, dtype=np.intp)]
-    right = [np.zeros(0, dtype=np.intp)]
-    for off in np.array(_OFFSETS) @ strides:
-        # Each member of voxel v[k] against each member of voxel w[k] = v[k] + off,
-        # by sorted position.
-        w = np.minimum(np.searchsorted(voxels, voxels + off), voxels.shape[0] - 1)
-        v = np.flatnonzero(voxels[w] == voxels + off)
-        w = w[v]
-        sizes = counts[v] * counts[w]
-        pair = np.repeat(np.arange(v.shape[0]), sizes)
-        k = np.arange(pair.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        ia, ib = np.divmod(k, counts[w][pair])
-        ia += starts[v][pair]
-        ib += starts[w][pair]
-        if off == 0:  # same voxel: each unordered pair once
-            once = ia < ib
-            ia, ib = ia[once], ib[once]
-        hits = sum((c[ia] - c[ib]) ** 2 for c in xyz) <= radius * radius
-        left.append(order[ia[hits]])
-        right.append(order[ib[hits]])
-    labels = connected_components(n, np.concatenate(left), np.concatenate(right)).astype(np.int32)
+    sorted_codes = codes[order]
+    starts = np.flatnonzero(np.diff(sorted_codes, prepend=-1))
+    cells = sorted_codes[starts]
+    counts = np.diff(starts, append=n)
+    xyz = pts[order].T.copy()  # one array per axis gathers faster
+    lo = np.minimum.reduceat(xyz, starts, axis=1)
+    hi = np.maximum.reduceat(xyz, starts, axis=1)
+    cell_rr = (r * r)[g[order[starts]]]
+    # A clique cell: its own box passes the point test, so every member pair
+    # does (float subtraction, squaring and addition are monotone). At edge
+    # r/2 that is every cell but for rounding.
+    clique = _within(hi - lo, cell_rr)
+
+    # Nodes: one per clique cell, one per point of any other cell, numbered by
+    # their first point so that node ids keep first-occurrence order.
+    point_cell = np.repeat(np.arange(cells.shape[0]), counts)
+    first = np.where(clique[point_cell], order[starts][point_cell], order)
+    _, node = np.unique(first, return_inverse=True)
+    num_nodes = int(node.max()) + 1
+    head = node[starts]  # a clique cell's node
+
+    v, w = _neighbour_cells(cells, dims)
+    # Skip a pair whose box gap fails the test, link it when its union box passes.
+    gap, union = [], []
+    for a, b in zip(lo, hi):
+        av, aw, bv, bw = a[v], a[w], b[v], b[w]
+        gap.append(np.maximum(np.maximum(aw - bv, av - bw), 0.0))
+        union.append(np.maximum(bv, bw) - np.minimum(av, aw))
+    near, sure = _within(gap, cell_rr[v]), _within(union, cell_rr[v])
+    sure_a, sure_b = head[v[sure]], head[w[sure]]
+    # Point-test the other near pairs whose cells the sure links left apart,
+    # and the member pairs of every cell that is not a clique.
+    v, w = v[near & ~sure], w[near & ~sure]
+    comp = connected_components(num_nodes, sure_a, sure_b)
+    apart = ~(clique[v] & clique[w]) | (comp[head[v]] != comp[head[w]])
+    own = np.flatnonzero(~clique)
+    v = np.concatenate([own, v[apart]])
+    w = np.concatenate([own, w[apart]])
+    ia, ib, pair = _member_pairs(starts, counts, v, w)
+    if own.size:  # a cell's own pairs once each
+        once = (pair >= own.shape[0]) | (ia < ib)
+        ia, ib, pair = ia[once], ib[once], pair[once]
+    hits = _within([c[ia] - c[ib] for c in xyz], cell_rr[v][pair])
+    ids = connected_components(
+        num_nodes,
+        np.concatenate([sure_a, node[ia[hits]]]),
+        np.concatenate([sure_b, node[ib[hits]]]),
+    )
+    labels = np.empty(n, dtype=np.int32)
+    labels[order] = ids[node]
     sizes = np.bincount(labels).astype(np.int64)
     return Components(labels=labels, sizes=sizes)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClassRadii, ccl_cluster, max_component
+from .clustering import ClassRadii, Components, ccl_cluster, max_component
 from .frames import Box2D, Frame, box_classes
 from .range_image import RingSegments
 
@@ -116,7 +116,8 @@ def generate_labels(
     Per box, the trinary-foreground points are clustered at the box class
     radius and only the largest component becomes the instance; the remaining
     clusters are set to ignore since they may be occluded parts of something
-    else. A box with no foreground points emits no instance.
+    else. A box with no foreground points emits no instance. All boxes are
+    clustered in one call, the points sorted by box and each box its own group.
     """
     n = frame.num_points
     trinary = np.asarray(trinary)
@@ -126,14 +127,31 @@ def generate_labels(
     semantic = np.zeros(n, dtype=np.int32)
     semantic[trinary == TRINARY_IGNORE] = -1
     instance = np.zeros(n, dtype=np.int32)
-    for box in boxes:
-        idx = np.flatnonzero((box_assign == box.box_id) & (trinary == TRINARY_FG))
-        if idx.size == 0:
-            continue
-        sub = frame.xyz[idx]
-        comps = ccl_cluster(sub, radii.for_class(box.class_id))
-        keep = idx[max_component(comps, sub)]
-        semantic[idx] = -1
+    # Each foreground point's slot in ``boxes`` (a repeated box id takes its
+    # last slot), sorted by slot; points of no listed box are left alone.
+    box_ids = [b.box_id for b in boxes]
+    slot_of = np.full(max([int(box_assign.max(initial=0)), *box_ids]) + 1, -1)
+    slot_of[box_ids] = np.arange(len(boxes))
+    idx = np.flatnonzero((box_assign > 0) & (trinary == TRINARY_FG))
+    slot = slot_of[box_assign[idx]]
+    order = np.argsort(slot, kind="stable")
+    order = order[slot[order] >= 0]
+    if order.size == 0:
+        return PseudoLabels(semantic=semantic, instance=instance)
+    idx = idx[order]
+    slots, starts, group = np.unique(slot[order], return_index=True, return_inverse=True)
+    owners = [boxes[k] for k in slots]
+    sub = frame.xyz[idx]
+    comps = ccl_cluster(sub, [radii.for_class(b.class_id) for b in owners], group)
+    # Groups never join and ids are dense in first-occurrence order, so each
+    # box's ids are one range, from the id of its first point.
+    bounds = np.append(starts, idx.size)
+    ranges = np.append(comps.labels[starts], comps.num)
+    semantic[idx] = -1
+    for k, box in enumerate(owners):
+        lo, hi = bounds[k], bounds[k + 1]
+        view = Components(comps.labels[lo:hi] - ranges[k], comps.sizes[ranges[k] : ranges[k + 1]])
+        keep = idx[lo + max_component(view, sub[lo:hi])]
         semantic[keep] = box.class_id
         instance[keep] = box.box_id
     return PseudoLabels(semantic=semantic, instance=instance)

@@ -1,7 +1,10 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is deliberately written as plain loops, straight from the
-operation definitions, and shares no code with the package.
+operation definitions, and shares no code with the package. The one
+exception is ``generate_labels_per_box``: the box-at-a-time form of
+``spatial.generate_labels``, built on the package's single-radius
+``ccl_cluster`` (itself checked against ``bfs_components``).
 """
 
 from __future__ import annotations
@@ -77,8 +80,10 @@ def bfs_components(points: np.ndarray, radius: float) -> np.ndarray:
     labels = np.full(n, -1, dtype=int)
     if n == 0:
         return labels
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-    adj = d2 <= radius * radius
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(0, n, 256):  # row blocks keep the difference array small
+        d2 = ((pts[i : i + 256, None, :] - pts[None, :, :]) ** 2).sum(-1)
+        adj[i : i + 256] = d2 <= radius * radius
     nxt = 0
     for i in range(n):
         if labels[i] >= 0:
@@ -92,6 +97,27 @@ def bfs_components(points: np.ndarray, radius: float) -> np.ndarray:
         labels[comp] = nxt
         nxt += 1
     return labels
+
+
+def generate_labels_per_box(frame, trinary, box_assign, boxes, radii):
+    """Semantic and instance labels, one ``ccl_cluster`` call per box in list order."""
+    from wlf.clustering import ccl_cluster, max_component
+
+    n = frame.num_points
+    semantic = np.zeros(n, dtype=np.int32)
+    semantic[np.asarray(trinary) == -1] = -1
+    instance = np.zeros(n, dtype=np.int32)
+    for box in boxes:
+        idx = np.flatnonzero((np.asarray(box_assign) == box.box_id) & (np.asarray(trinary) == 1))
+        if idx.size == 0:
+            continue
+        sub = frame.xyz[idx]
+        comps = ccl_cluster(sub, radii.for_class(box.class_id))
+        keep = idx[max_component(comps, sub)]
+        semantic[idx] = -1
+        semantic[keep] = box.class_id
+        instance[keep] = box.box_id
+    return semantic, instance
 
 
 def edge_list_components(n: int, a, b) -> np.ndarray:

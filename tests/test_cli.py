@@ -104,8 +104,10 @@ class TestPipeline:
             {"seed": 1},
             {"weights": {"a1": 1.0}},
             {"stages": {"spg": True}},
+            {"radii": {"1": float("nan"), "2": 0.1, "3": 0.15}},
+            {"radii": {"1": 0.6, "2": float("inf"), "3": 0.15}},
         ],
-        ids=["rsc-t1-out-of-range", "seed", "weights", "stages-dict"],
+        ids=["rsc-t1-out-of-range", "seed", "weights", "stages-dict", "radius-nan", "radius-inf"],
     )
     def test_malformed_config_exit_3(self, bundles, tmp_path, capsys, config):
         cfg = tmp_path / "bad.json"

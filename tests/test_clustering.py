@@ -123,6 +123,129 @@ class TestCclCluster:
         assert np.array_equal(a, b)
 
 
+def per_group_labels(pts, radii, groups):
+    """Labels of one ccl_cluster call per group, renumbered in first-occurrence
+    order over all points."""
+    local = np.zeros(len(pts), dtype=np.int64)
+    for j, r in enumerate(radii):
+        mine = groups == j
+        local[mine] = ccl_cluster(pts[mine], r).labels
+    _, first, inv = np.unique(groups * (len(pts) + 1) + local, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inv]
+
+
+class TestGroupedCcl:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 300),
+        st.lists(st.floats(0.02, 1.5), min_size=1, max_size=5),
+        st.floats(0.05, 3.0),
+    )
+    def test_equals_separate_calls(self, seed, n, radii, extent):
+        # Groups interleave and overlap in space; none may join another.
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-extent, extent, (n, 3))
+        groups = rng.integers(0, len(radii), n)
+        got = ccl_cluster(pts, radii, groups)
+        want = per_group_labels(pts, radii, groups)
+        assert np.array_equal(got.labels, want)
+        assert np.array_equal(got.sizes, np.bincount(want))
+
+    def test_scalar_radius_is_one_group(self, rng):
+        pts = rng.uniform(-2, 2, (200, 3))
+        plain = ccl_cluster(pts, 0.4)
+        grouped = ccl_cluster(pts, [0.4], np.zeros(200, dtype=np.int64))
+        assert np.array_equal(plain.labels, grouped.labels)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, -0.5, 0.0])
+    def test_non_finite_or_nonpositive_radius(self, radius):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ccl_cluster([[0, 0, 0], [1, 0, 0]], [0.5, radius], [0, 1])
+        with pytest.raises(ValueError, match="finite and positive"):
+            ccl_cluster(np.zeros((0, 3)), radius)
+
+    @pytest.mark.parametrize("groups", [[0, 2], [-1, 0], [0]])
+    def test_groups_must_index_radius(self, groups):
+        with pytest.raises(ValueError, match="groups"):
+            ccl_cluster([[0, 0, 0], [1, 0, 0]], [0.5, 0.6], groups)
+
+
+class TestCclAdversarial:
+    """Cases built on the cell and box boundaries of the grid, against BFS."""
+
+    @pytest.mark.parametrize("radius", [0.5, 0.3, 0.15, 0.6, 1.0 / 3.0])
+    def test_half_radius_lattice(self, radius, rng):
+        for shift in (0.0, radius / 4, -radius / 2):
+            pts = rng.integers(-4, 5, (200, 3)) * (radius / 2) + shift
+            assert np.array_equal(ccl_cluster(pts, radius).labels, bfs_components(pts, radius))
+
+    @pytest.mark.parametrize("radius", [0.6, 0.1, 0.15, 0.5, 0.7])
+    def test_pairs_at_radius_and_one_ulp_either_side(self, radius, rng):
+        pts = []
+        for k in range(60):
+            p = rng.uniform(-3, 3, 3)
+            q = p.copy()
+            axis = k % 3
+            q[axis] = p[axis] + radius
+            q[axis] = (q[axis], np.nextafter(q[axis], np.inf), np.nextafter(q[axis], -np.inf))[k // 3 % 3]
+            pts += [p, q]
+        pts = np.array(pts)
+        assert np.array_equal(ccl_cluster(pts, radius).labels, bfs_components(pts, radius))
+
+    @pytest.mark.parametrize("sides, radius", [((1, 2, 2), 0.75), ((2, 3, 6), 0.7), ((1, 4, 8), 0.9)])
+    def test_box_corners_at_radius(self, sides, radius, rng):
+        # Boxes whose corner-to-corner distance is the radius (a Pythagorean
+        # quadruple scaled to it), so box tests sit on the boundary; each
+        # corner also appears one ulp outward.
+        edge = np.array(sides) * (radius / np.linalg.norm(sides))
+        corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)]) * edge
+        pts = []
+        for _ in range(12):
+            base = rng.integers(-8, 8, 3) * (radius / 2) + rng.choice([0.0, radius / 4], 3)
+            box = base + corners
+            pts += [box, np.nextafter(box, box + np.sign(corners - edge / 2) * np.inf)]
+        pts = np.vstack(pts)
+        assert np.array_equal(ccl_cluster(pts, radius).labels, bfs_components(pts, radius))
+
+    @pytest.mark.parametrize("radius", [0.6, 0.1, 0.15, 0.5, 1.0])
+    def test_cell_boxes_within_radius_whose_points_are_not(self, radius):
+        # Cell {(e, c, 0), (c, e, 0)} against cell {origin}: the gap between
+        # the boxes, (c, c, 0), passes the test, the union box (e, e, 0) fails
+        # it by a few ulps, and neither point is within the radius.
+        def d2(x, y):
+            return (x * x + y * y) + 0.0
+
+        c = radius / np.sqrt(2)
+        while d2(c, c) > radius * radius:
+            c = np.nextafter(c, 0)
+        e = c
+        while d2(e, c) <= radius * radius:
+            e = np.nextafter(e, 1)
+        assert d2(e, e) <= radius * radius * (1 + 1e-15)
+        pts = np.array([[0.0, 0.0, 0.0], [e, c, 0.0], [c, e, 0.0]])
+        labels = ccl_cluster(pts, radius).labels
+        assert np.array_equal(labels, bfs_components(pts, radius))
+        assert np.array_equal(labels, [0, 1, 1])
+
+    @pytest.mark.parametrize("n, radius", [(1000, 0.05), (2000, 0.1), (3000, 0.2)])
+    def test_dense_cloud_within_a_metre(self, n, radius, rng):
+        pts = rng.uniform(0.0, 1.0, (n, 3)) + np.array([12.0, -3.0, 0.5])
+        assert np.array_equal(ccl_cluster(pts, radius).labels, bfs_components(pts, radius))
+
+    def test_cells_that_are_not_cliques(self):
+        # So far from the origin that adjacent x values are 2048 apart: x keys
+        # round together, so cells hold points more than r apart and their
+        # own pairs are tested point by point.
+        radius = 1068.6682179493275
+        x0 = 1.350598106458436e19
+        xs = x0 + np.arange(6) * np.spacing(x0)
+        pts = np.array([[x, y, 0.0] for x in xs for y in (0.0, radius / 2)])
+        labels = ccl_cluster(pts, radius).labels
+        assert np.array_equal(labels, bfs_components(pts, radius))
+        assert np.array_equal(labels, np.repeat(np.arange(6), 2))
+
+
 class TestMaxComponent:
     def test_largest_wins(self):
         pts = np.vstack([np.random.default_rng(0).normal(0, 0.05, (5, 3)),
@@ -169,3 +292,8 @@ class TestClassRadii:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             ClassRadii(radii={1: 0.0})
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, radius):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ClassRadii(radii={1: radius, 2: 0.1})

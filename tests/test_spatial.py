@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import generate_labels_per_box
 
 from wlf.clustering import ClassRadii
 from wlf.frames import Box2D, Frame, crop_frustum, project_points
@@ -154,6 +158,74 @@ class TestGenerateLabels:
         sem, inst = labels.semantic, labels.instance
         assert np.all((inst > 0) == (sem > 0))
         assert np.all((sem == -1) | (sem == 0) | (inst > 0))
+
+
+def assert_matches_per_box(frame, trinary, assign, boxes, radii):
+    labels = generate_labels(frame, trinary, assign, boxes, radii)
+    semantic, instance = generate_labels_per_box(frame, trinary, assign, boxes, radii)
+    assert np.array_equal(labels.semantic, semantic)
+    assert np.array_equal(labels.instance, instance)
+
+
+@st.composite
+def label_cases(draw):
+    """Frames of clustered points with up to five boxes: ids in any order and
+    with gaps, repeated classes, class 4 (no radius, never foreground), the
+    highest id often given no points, and assignments to unlisted ids."""
+    ids = draw(st.lists(st.integers(1, 9), unique=True, max_size=5))
+    classes = [draw(st.integers(1, 4)) for _ in ids]
+    boxes = [Box2D(box_id=i, class_id=c, bounds=(0, 0, 1, 1)) for i, c in zip(ids, classes)]
+    n = draw(st.integers(0, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    centers = rng.uniform(-3, 3, (4, 3))
+    xyz = centers[rng.integers(0, 4, n)] + rng.normal(0, draw(st.floats(0.02, 0.5)), (n, 3))
+    pool = [0, 10] + ids
+    if ids and draw(st.booleans()):
+        pool.remove(max(ids))
+    assign = rng.choice(pool, n).astype(np.int32)
+    trinary = rng.integers(-1, 2, n).astype(np.int8)
+    no_radius = np.isin(assign, [b.box_id for b in boxes if b.class_id == 4])
+    trinary[no_radius & (trinary == 1)] = 0
+    radii = ClassRadii({c: draw(st.floats(0.05, 1.0)) for c in (1, 2, 3)})
+    return make_frame(xyz.reshape(n, 3)), trinary, assign, boxes, radii
+
+
+class TestGenerateLabelsMatchesPerBox:
+    @settings(max_examples=200, deadline=None)
+    @given(label_cases())
+    def test_random_frames(self, case):
+        assert_matches_per_box(*case)
+
+    def test_highest_box_without_points(self):
+        frame = make_frame(TestGenerateLabels().cluster_points(np.array([5.0, 0, 0]), 12))
+        boxes = [Box2D(box_id=k, class_id=1, bounds=(0, 0, 1, 1)) for k in (2, 7, 3)]
+        assign = np.array([2] * 6 + [3] * 6, dtype=np.int32)
+        assert_matches_per_box(frame, np.ones(12, dtype=np.int8), assign, boxes, ClassRadii())
+
+    def test_no_box_with_foreground(self):
+        frame = make_frame(TestGenerateLabels().cluster_points(np.array([5.0, 0, 0]), 6))
+        boxes = [Box2D(box_id=1, class_id=9, bounds=(0, 0, 1, 1))]
+        trinary = np.array([-1, 0, -1, 0, 0, 1], dtype=np.int8)
+        assign = np.array([1, 1, 1, 1, 0, 0], dtype=np.int32)
+        assert_matches_per_box(frame, trinary, assign, boxes, ClassRadii())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("stage", ["spg", "plain"])
+    def test_sensor_frames(self, seed, stage):
+        # The benchmark's sensor scene: four vehicles at 12-20 m on a 64x2048
+        # raster give dense clouds of thousands of points per box.
+        cfg = SceneConfig(seed=seed, beams=64, columns=2048, vehicles=(4, 4),
+                          vehicle_distance=(12.0, 20.0))
+        scene = generate_scene(cfg)
+        frame = scene.frame
+        assign = crop_frustum(project_points(scene.calibration, frame), scene.boxes)
+        if stage == "spg":
+            segments = dcs_dynamic(build_range_image(frame, cfg.beams, cfg.columns), DcsConfig())
+            trinary = refine_by_segments(assign, segments)
+        else:
+            trinary = (assign > 0).astype(np.int8)
+        assert np.count_nonzero((assign > 0) & (trinary == 1)) > 4000
+        assert_matches_per_box(frame, trinary, assign, scene.boxes, ClassRadii())
 
 
 class TestDirectionalQuality:
