@@ -18,36 +18,42 @@ import time
 
 import numpy as np
 
-import wlf
+from wlf.clustering import ClassRadii
+from wlf.frames import crop_frustum, project_points
 from wlf.metrics import confusion_counts, miou_from_counts
+from wlf.range_image import DcsConfig, build_range_image, dcs_dynamic
+from wlf.ring_correct import RscConfig, rsc_correct
+from wlf.spatial import frustum_semantic, generate_labels, refine_by_segments
+from wlf.synth import CLASS_NAMES, SceneConfig, fabricate_scores, generate_scene
+from wlf.voting import PvcConfig, foreground_score, vote_correct
 
 
 def label_variants(scene, pvc_cfg, score_sigma):
     frame = scene.frame
-    proj = wlf.project_points(scene.calibration, frame)
-    assign = wlf.crop_frustum(proj, scene.boxes)
-    ri = wlf.build_range_image(frame, scene.config.beams, scene.config.columns)
-    segments = wlf.dcs_dynamic(ri, wlf.DcsConfig())
-    radii = wlf.ClassRadii()
+    proj = project_points(scene.calibration, frame)
+    assign = crop_frustum(proj, scene.boxes)
+    ri = build_range_image(frame, scene.config.beams, scene.config.columns)
+    segments = dcs_dynamic(ri, DcsConfig())
+    radii = ClassRadii()
 
     ccl_trinary = np.where(assign > 0, 1, 0).astype(np.int8)
-    spg_trinary = wlf.refine_by_segments(assign, segments)
-    spg_labels = wlf.generate_labels(frame, spg_trinary, assign, scene.boxes, radii)
+    spg_trinary = refine_by_segments(assign, segments)
+    spg_labels = generate_labels(frame, spg_trinary, assign, scene.boxes, radii)
 
     scores = np.stack([
-        wlf.foreground_score(
-            wlf.fabricate_scores(frame.gt_semantic, 3, score_sigma, scene.config.seed, epoch)
+        foreground_score(
+            fabricate_scores(frame.gt_semantic, 3, score_sigma, scene.config.seed, epoch)
         )
         for epoch in range(pvc_cfg.n_his)
     ])
-    voted = wlf.vote_correct(scores, pvc_cfg, spg_labels, assign, scene.boxes)
+    voted = vote_correct(scores, pvc_cfg, spg_labels, assign, scene.boxes)
 
     return {
-        "raw": wlf.frustum_semantic(assign, scene.boxes),
-        "ccl": wlf.generate_labels(frame, ccl_trinary, assign, scene.boxes, radii).semantic,
+        "raw": frustum_semantic(assign, scene.boxes),
+        "ccl": generate_labels(frame, ccl_trinary, assign, scene.boxes, radii).semantic,
         "spg": spg_labels.semantic,
         "+pvc": voted.semantic,
-        "+rsc": wlf.rsc_correct(voted.semantic, segments, wlf.RscConfig()),
+        "+rsc": rsc_correct(voted.semantic, segments, RscConfig()),
     }
 
 
@@ -59,13 +65,13 @@ def main(argv=None) -> int:
     parser.add_argument("--box-pad", type=float, default=10.0)
     args = parser.parse_args(argv)
 
-    pvc_cfg = wlf.PvcConfig()
+    pvc_cfg = PvcConfig()
     stages = ("raw", "ccl", "spg", "+pvc", "+rsc")
     counts = {s: np.zeros((3, 4), dtype=np.int64) for s in stages}
 
     t0 = time.time()
     for i in range(args.frames):
-        cfg = wlf.SceneConfig(
+        cfg = SceneConfig(
             seed=args.seed + i,
             vehicles=(2, 4),
             pedestrians=(1, 3),
@@ -73,7 +79,7 @@ def main(argv=None) -> int:
             vehicle_distance=(8.0, 16.0),
             box_pad_px=args.box_pad,
         )
-        scene = wlf.generate_scene(cfg, frame_id=f"cmp_{i:04d}")
+        scene = generate_scene(cfg, frame_id=f"cmp_{i:04d}")
         for stage, sem in label_variants(scene, pvc_cfg, args.score_sigma).items():
             tp, fp, fn = confusion_counts(sem, scene.frame.gt_semantic, 3)
             counts[stage][0] += tp
@@ -81,7 +87,7 @@ def main(argv=None) -> int:
             counts[stage][2] += fn
     elapsed = time.time() - t0
 
-    names = wlf.CLASS_NAMES
+    names = CLASS_NAMES
     header = f"{'stage':<8}{'mIoU':>8}" + "".join(f"{n:>12}" for n in names)
     print(header)
     print("-" * len(header))

@@ -14,7 +14,16 @@ import sys
 
 import numpy as np
 
-import wlf
+from wlf.frames import Box2D
+from wlf.mask_fusion import (
+    IpgConfig,
+    MaskPrediction,
+    binarize,
+    box_iou,
+    fusion_weights,
+    pseudo_loss,
+    weight_masks,
+)
 
 
 def fabricate_predictions(rng, gt_box, shape=(48, 64), n=4):
@@ -32,7 +41,7 @@ def fabricate_predictions(rng, gt_box, shape=(48, 64), n=4):
         inside = (xs >= x0) & (xs < x1) & (ys >= y0) & (ys < y1)
         prob[inside] = np.clip(rng.normal(0.85, 0.1, int(inside.sum())), 0, 1)
         preds.append(
-            wlf.MaskPrediction(
+            MaskPrediction(
                 prob_map=prob,
                 score=float(rng.uniform(0.3, 1.0)),
                 pred_box=(float(x0), float(y0), float(x1), float(y1)),
@@ -49,24 +58,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
-    gt_box = wlf.Box2D(box_id=1, class_id=1, bounds=(20.0, 12.0, 44.0, 36.0))
+    gt_box = Box2D(box_id=1, class_id=1, bounds=(20.0, 12.0, 44.0, 36.0))
     preds = fabricate_predictions(rng, gt_box, n=args.predictions)
     scores = np.array([p.score for p in preds])
-    ious = np.array([wlf.box_iou(p.pred_box, gt_box.bounds) for p in preds])
+    ious = np.array([box_iou(p.pred_box, gt_box.bounds) for p in preds])
 
     print(f"{'pred':<6}{'score':>8}{'box IoU':>9}" + "".join(f"{f'w(k={k:g})':>12}" for k in args.k))
-    weight_sets = {k: wlf.fusion_weights(scores, ious, k) for k in args.k}
+    weight_sets = {k: fusion_weights(scores, ious, k) for k in args.k}
     for j in range(len(preds)):
         row = f"{j:<6}{scores[j]:>8.3f}{ious[j]:>9.3f}"
         for k in args.k:
             row += f"{weight_sets[k][j]:>12.4f}"
         print(row)
 
-    cfg = wlf.IpgConfig()
+    cfg = IpgConfig()
     for k in args.k:
-        fused = wlf.weight_masks(preds, gt_box, k)
-        target = wlf.binarize(fused, cfg)
-        losses = [wlf.pseudo_loss(p.prob_map, target) for p in preds]
+        fused = weight_masks(preds, gt_box, k)
+        target = binarize(fused, cfg)
+        losses = [pseudo_loss(p.prob_map, target) for p in preds]
         frac_ignore = float((target == -1).mean())
         print(
             f"k={k:g}: fused range [{fused.min():.3f}, {fused.max():.3f}], "

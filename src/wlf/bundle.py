@@ -270,7 +270,12 @@ def write_mask_predictions(
 
 
 def read_mask_predictions(directory: str | Path) -> dict[int, list[MaskPrediction]]:
-    """Load mask predictions grouped by their annotated box id."""
+    """Load mask predictions grouped by their annotated box id.
+
+    Raises FileNotFoundError for a sidecar without its map, and BundleError,
+    naming the sidecar, for malformed content or for maps of one box that
+    differ in shape.
+    """
     masks_dir = Path(directory) / "masks"
     if not masks_dir.is_dir():
         return {}
@@ -281,14 +286,18 @@ def read_mask_predictions(directory: str | Path) -> dict[int, list[MaskPredictio
         key=lambda p: int(pattern.match(p.name).group(1)),
     )
     for sidecar in sidecars:
-        meta = json.loads(sidecar.read_text())
-        h, w = meta["shape"]
-        prob = _read_array(sidecar.with_suffix(".f32"), "f32", h * w).reshape(h, w)
-        grouped.setdefault(int(meta["box_id"]), []).append(
-            MaskPrediction(
+        with _naming(sidecar):
+            meta = json.loads(sidecar.read_text())
+            h, w = (_int_at_least(v, 0, "shape entry") for v in meta["shape"])
+            prob = _read_array(sidecar.with_suffix(".f32"), "f32", h * w).reshape(h, w)
+            pred = MaskPrediction(
                 prob_map=prob.astype(np.float64),
                 score=float(meta["score"]),
-                pred_box=tuple(meta["pred_box"]),
+                pred_box=tuple(float(v) for v in meta["pred_box"]),
             )
-        )
+            preds = grouped.setdefault(_int_at_least(meta["box_id"], 1, "box_id"), [])
+            if preds and preds[0].prob_map.shape != (h, w):
+                raise ValueError(f"shape {[h, w]} differs from the "
+                                 f"{list(preds[0].prob_map.shape)} of an earlier mask of its box")
+            preds.append(pred)
     return grouped

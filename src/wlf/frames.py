@@ -18,7 +18,6 @@ __all__ = [
     "Box2D",
     "ProjectedPoints",
     "project_points",
-    "back_project",
     "box_classes",
     "crop_frustum",
 ]
@@ -187,16 +186,6 @@ def project_points(calib: Calibration, frame: Frame) -> ProjectedPoints:
     pixels = np.stack([u, v], axis=1)
     pixels[~in_front] = np.nan
     return ProjectedPoints(pixels=pixels, depth=z.copy(), valid=valid)
-
-
-def back_project(calib: Calibration, pixels: np.ndarray, depth: np.ndarray) -> np.ndarray:
-    """Invert the pinhole projection: (u, v, camera depth) back to LiDAR xyz."""
-    u = pixels[:, 0]
-    v = pixels[:, 1]
-    x = (u - calib.cx) / calib.fx * depth
-    y = (v - calib.cy) / calib.fy * depth
-    cam = np.stack([x, y, depth], axis=1)
-    return (cam - calib.translation) @ calib.rotation
 
 
 def box_classes(boxes: list[Box2D]) -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "weight_masks",
     "binarize",
     "pseudo_loss",
-    "pseudo_loss_grad",
     "EPS",
 ]
 
@@ -139,29 +138,3 @@ def pseudo_loss(pred: np.ndarray, target: np.ndarray) -> float:
     dice = 1.0 - 2.0 * inter / (float(p.sum()) + float(y.sum()) + EPS)
     return bce + dice
 
-
-def pseudo_loss_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Analytic gradient of ``pseudo_loss`` w.r.t. the predicted map.
-
-    Zero at ignored pixels and wherever the probability clamp is active.
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target)
-    if pred.shape != target.shape:
-        raise ValueError("pred/target shape mismatch")
-    grad = np.zeros(pred.shape)
-    keep = target >= 0
-    if not keep.any():
-        return grad
-    inside = keep & (pred > EPS) & (pred < 1.0 - EPS)
-    p = np.clip(pred[keep], EPS, 1.0 - EPS)
-    y = target[keep].astype(np.float64)
-    count = p.size
-    denom = float(p.sum()) + float(y.sum()) + EPS
-    inter = float((p * y).sum())
-    pk = np.clip(pred, EPS, 1.0 - EPS)
-    yk = np.where(keep, target, 0).astype(np.float64)
-    d_bce = (-yk / pk + (1.0 - yk) / (1.0 - pk)) / count
-    d_dice = -2.0 * (yk * denom - inter) / (denom * denom)
-    grad[inside] = (d_bce + d_dice)[inside]
-    return grad

@@ -266,3 +266,13 @@ def fusion_weights_direct(scores, ious, k) -> np.ndarray:
     if total <= 0:
         return np.full(len(raw), 1.0 / len(raw))
     return np.array([w / total for w in raw])
+
+
+def back_project(calib, pixels: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Invert the pinhole projection: (u, v, camera depth) back to LiDAR xyz,
+    read straight off the intrinsic and extrinsic matrices."""
+    k, ext = calib.intrinsic, calib.extrinsic
+    x = (pixels[:, 0] - k[0, 2]) / k[0, 0] * depth
+    y = (pixels[:, 1] - k[1, 2]) / k[1, 1] * depth
+    cam = np.stack([x, y, depth], axis=1)
+    return (cam - ext[:3, 3]) @ ext[:3, :3]

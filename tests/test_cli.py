@@ -377,11 +377,42 @@ class TestIpg:
     def test_no_masks_exit_2(self, bundles, tmp_path):
         assert run("ipg", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("mask_1.json", lambda path: path.write_text('{"box_id": ')),
+            ("mask_1.json", lambda path: edit_json(path, lambda m: m.pop("score"))),
+            ("mask_1.json", lambda path: edit_json(path, lambda m: m.update(pred_box=[5, 5, 5, 9]))),
+            ("mask_1.json", lambda path: edit_json(path, lambda m: m.update(score=-0.5))),
+            ("mask_1.f32", lambda path: path.write_bytes(np.full(16, np.nan, "<f4").tobytes())),
+            # Still 16 values, so the map reads, but not in the 4x4 of mask_0.
+            ("mask_1.json", lambda path: edit_json(path, lambda m: m.update(shape=[2, 8]))),
+        ],
+        ids=["bad-json", "missing-key", "degenerate-box", "negative-score", "non-finite-map",
+             "shape-mismatch"],
+    )
+    def test_malformed_masks_exit_3(self, bundles, tmp_path, capsys, rng, name, damage):
+        bundle = bundles / "frame_0001"
+        box = json.loads((bundle / "boxes.json").read_text())[0]
+        write_mask_predictions(bundle, [
+            (box["box_id"], MaskPrediction(prob_map=rng.uniform(0, 1, (4, 4)), score=0.5,
+                                           pred_box=tuple(box["bounds"])))
+            for _ in range(2)
+        ])
+        damage(bundle / "masks" / name)
+        # An exception escaping main would be a traceback and exit 1.
+        assert run("ipg", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(bundle / "masks" / "mask_1.json") in err
+
 
 FUZZ_REQUIRED = ("manifest.json", "boxes.json", "calibration.json", "points.f32", "beam_row.u16")
 # Without these the bundle is still whole: no ground truth, or too few vote
 # epochs for pvc, which then logs that it skipped.
 FUZZ_OPTIONAL = ("gt_semantic.i32", "gt_instance.i32", "votes_0.f32", "votes_3.f32")
+# Damage here is run through ipg, which has no mask to fuse without either file.
+FUZZ_MASKS = ("masks/mask_0.json", "masks/mask_0.f32")
 
 
 @pytest.fixture(scope="module")
@@ -391,17 +422,23 @@ def fuzz_bundle(tmp_path_factory):
     scene.write_text(json.dumps({"beams": 16, "columns": 256}))
     assert run("synth", "--out", root / "frames", "--config", scene, "--seed", "11",
                "--num-frames", "1", "--epochs", "4", "--score-sigma", "0.2") == 0
-    return root / "frames" / "frame_0000"
+    bundle = root / "frames" / "frame_0000"
+    box = json.loads((bundle / "boxes.json").read_text())[0]
+    write_mask_predictions(bundle, [(box["box_id"], MaskPrediction(
+        prob_map=np.linspace(0.0, 1.0, 12).reshape(3, 4), score=0.5,
+        pred_box=tuple(box["bounds"])))])
+    return bundle
 
 
 class TestBundleFuzz:
     """Each bundle file in turn is dropped, truncated or has bytes flipped.
-    A run ends with exit 2 or 3 and no traceback, or, where the damage
-    leaves a well-formed bundle, with exit 0."""
+    A run (ipg for the masks/ files, pipeline for the rest) ends with exit 2
+    or 3 and no traceback, or, where the damage leaves a well-formed bundle,
+    with exit 0."""
 
     @settings(max_examples=200, deadline=None)
     @given(
-        name=st.sampled_from(FUZZ_REQUIRED + FUZZ_OPTIONAL),
+        name=st.sampled_from(FUZZ_REQUIRED + FUZZ_OPTIONAL + FUZZ_MASKS),
         action=st.sampled_from(["drop", "truncate", "corrupt"]),
         cut=st.floats(0.0, 1.0, exclude_max=True),
         flips=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255)),
@@ -416,7 +453,7 @@ class TestBundleFuzz:
             data = bytearray(path.read_bytes())
             if action == "drop":
                 path.unlink()
-                expected = {2} if name in FUZZ_REQUIRED else {0}
+                expected = {0} if name in FUZZ_OPTIONAL else {2}
             elif action == "truncate":
                 # A JSON file cut by its final newline alone is still whole.
                 keep = len(data) - 2 if name.endswith(".json") else len(data) - 1
@@ -429,7 +466,8 @@ class TestBundleFuzz:
                 expected = {0, 3}
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr):
-                rc = run("pipeline", "--frames", f"{frames}/*", "--out", Path(tmp) / "out")
+                command = "ipg" if name in FUZZ_MASKS else "pipeline"
+                rc = run(command, "--frames", f"{frames}/*", "--out", Path(tmp) / "out")
             assert rc in expected, stderr.getvalue()
             assert "Traceback" not in stderr.getvalue()
             if rc == 3:

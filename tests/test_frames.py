@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import back_project
+
 from wlf.frames import (
     Box2D,
     Calibration,
     Frame,
-    back_project,
     box_classes,
     crop_frustum,
     project_points,

@@ -15,7 +15,6 @@ from wlf.mask_fusion import (
     box_iou,
     fusion_weights,
     pseudo_loss,
-    pseudo_loss_grad,
     weight_masks,
 )
 
@@ -158,21 +157,3 @@ class TestPseudoLoss:
 
     def test_all_ignored_is_zero(self):
         assert pseudo_loss(np.full((2, 2), 0.4), np.full((2, 2), -1, dtype=np.int8)) == 0.0
-
-    def test_gradient_matches_finite_differences(self, rng):
-        pred = rng.uniform(0.1, 0.9, (5, 5))
-        target = rng.integers(-1, 2, (5, 5)).astype(np.int8)
-        target[0, 0] = 1  # keep at least one pixel
-        grad = pseudo_loss_grad(pred, target)
-        eps = 1e-6
-        for _ in range(20):
-            i, j = rng.integers(0, 5, 2)
-            up = pred.copy()
-            up[i, j] += eps
-            dn = pred.copy()
-            dn[i, j] -= eps
-            fd = (pseudo_loss(up, target) - pseudo_loss(dn, target)) / (2 * eps)
-            if target[i, j] < 0:
-                assert grad[i, j] == 0.0
-            else:
-                assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)

@@ -1,6 +1,7 @@
-"""The benchmark tracer's wrapped names and the experiment scripts still fit
-the package: both reach into it by name, so a rename would otherwise only
-show when they run. The runtime imports nothing beyond numpy."""
+"""The benchmark tracer's wrapped names, the experiment scripts and the
+README's library example still fit the package: each reaches into it by
+name, so a rename would otherwise only show when they run. The runtime
+imports nothing beyond numpy."""
 
 import importlib
 import importlib.util
@@ -8,6 +9,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,3 +98,11 @@ def test_script_runs(script, args, expect):
     )
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
+
+
+def test_readme_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
