@@ -139,16 +139,16 @@ def cmd_ipg(args: argparse.Namespace) -> int:
     out_root = Path(cfg.out_dir)
     bundles = discover_bundles(cfg.frames)
     read_manifests(bundles)
-    count = 0
+    # Read, check and fuse every bundle before the first write, so a bad
+    # bundle late in the glob leaves no outputs behind.
+    fused_frames = []
     for bundle in bundles:
         frame, _, boxes, _ = read_frame_bundle(bundle)
         grouped = read_mask_predictions(bundle)
         if not grouped:
             continue
         box_by_id = {b.box_id: b for b in boxes}
-        out_dir = out_root / frame.frame_id
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report = {}
+        maps, report = [], {}
         for box_id in sorted(grouped):
             box = box_by_id.get(box_id)
             if box is None:
@@ -158,17 +158,22 @@ def cmd_ipg(args: argparse.Namespace) -> int:
             fused = weight_masks(preds, box, cfg.ipg.k)
             target = binarize(fused, cfg.ipg)
             losses = [pseudo_loss(p.prob_map, target) for p in preds]
-            fused.astype("<f4").tofile(out_dir / f"fused_{box_id}.f32")
-            target.astype("<i1").tofile(out_dir / f"trinary_{box_id}.i8")
+            maps.append((box_id, fused, target))
             report[str(box_id)] = {
                 "num_predictions": len(preds),
                 "mean_pseudo_loss": float(np.mean(losses)),
             }
-        write_json(out_dir / "ipg.json", report)
-        count += 1
-    if count == 0:
+        fused_frames.append((frame.frame_id, maps, report))
+    if not fused_frames:
         raise MissingInputError("no bundles with masks/ found")
-    print(f"fused masks for {count} frames -> {out_root}")
+    for frame_id, maps, report in fused_frames:
+        out_dir = out_root / frame_id
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for box_id, fused, target in maps:
+            fused.astype("<f4").tofile(out_dir / f"fused_{box_id}.f32")
+            target.astype("<i1").tofile(out_dir / f"trinary_{box_id}.i8")
+        write_json(out_dir / "ipg.json", report)
+    print(f"fused masks for {len(fused_frames)} frames -> {out_root}")
     return EXIT_OK
 
 

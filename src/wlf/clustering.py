@@ -15,8 +15,7 @@ point test bit for bit. Only the remaining pairs whose cells the sure links
 leave apart are tested point by point. The result equals the all-pairs
 definition while coordinates stay within 2**33 radii of the origin.
 
-``connected_components`` merges the edges by hooking and pointer jumping; it
-is also the merge behind the ring segments of ``range_image.dcs_rows``.
+``connected_components`` merges the edges by hooking and pointer jumping.
 """
 
 from __future__ import annotations

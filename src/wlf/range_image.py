@@ -7,6 +7,10 @@ threshold, and a segment is a connected component of those links;
 ``dcs_dynamic`` scales both with the row's maximum depth, bridging small
 gaps. A window of ``MIN_WINDOW`` and a constant threshold give the
 fixed-threshold scan that only links immediately adjacent columns.
+
+Each cell links at most once, to its nearest match on the left, so the links
+form a forest whose roots are the segments' leftmost cells, and pointer
+jumping finds every cell's segment without a general merge.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import connected_components
 from .frames import Frame
 
 __all__ = [
@@ -86,30 +89,39 @@ def build_range_image(frame: Frame, beams: int, columns: int) -> RangeImage:
     """Rasterise a frame into a beams x columns range image.
 
     Column = floor((azimuth + pi) / 2pi * columns), wrapped at the seam;
-    depth = Euclidean range from the sensor. When several points land in one
-    cell the nearest wins; evicted points keep their cell coordinates so they
+    depth = Euclidean range from the sensor, ``sqrt((x*x + y*y) + z*z)``.
+    When several points land in one cell the nearest wins, and the later
+    point wins a tie; evicted points keep their cell coordinates so they
     later inherit the cell's segment id.
     """
     if frame.num_points and int(frame.beam_row.max()) >= beams:
         raise ValueError(f"frame {frame.frame_id}: beam_row >= {beams}")
-    depth = np.full((beams, columns), np.nan)
-    cell_point = np.full((beams, columns), -1, dtype=np.int32)
-    n = frame.num_points
-    point_cell = np.zeros((n, 2), dtype=np.int32)
-    if n == 0:
-        return RangeImage(depth=depth, cell_point=cell_point, point_cell=point_cell)
-    xyz = frame.xyz
-    azimuth = np.arctan2(xyz[:, 1], xyz[:, 0])
-    col = np.floor((azimuth + np.pi) / (2.0 * np.pi) * columns).astype(np.int64) % columns
+    depth = np.full(beams * columns, np.nan)
+    cell_point = np.full(beams * columns, -1, dtype=np.int32)
+    pts = frame.points
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    col = np.floor((np.arctan2(y, x) + np.pi) / (2.0 * np.pi) * columns).astype(np.int64) % columns
     row = frame.beam_row
-    rng = np.linalg.norm(xyz, axis=1)
-    point_cell[:, 0] = row
-    point_cell[:, 1] = col
-    # Farthest first, so the nearest return is the last write per cell.
-    order = np.argsort(-rng, kind="stable")
-    depth[row[order], col[order]] = rng[order]
-    cell_point[row[order], col[order]] = order.astype(np.int32)
-    return RangeImage(depth=depth, cell_point=cell_point, point_cell=point_cell)
+    rng = np.sqrt((x * x + y * y) + z * z)
+    # Points grouped by cell, in point order within a cell: a stable sort
+    # that scan-ordered sweeps pass through almost untouched.
+    key = row * columns + col
+    order = np.argsort(key, kind="stable")
+    key, rng = key[order], rng[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    nearest = np.minimum.reduceat(rng, starts)
+    # The last sorted position per cell that holds the nearest range.
+    tie = rng == np.repeat(nearest, np.diff(starts, append=key.size))
+    winner = np.maximum.reduceat(np.where(tie, np.arange(key.size), -1), starts)
+    cells = key[starts]
+    depth[cells] = nearest
+    cell_point[cells] = order[winner]
+    point_cell = np.stack([row, col], axis=1).astype(np.int32)
+    return RangeImage(
+        depth=depth.reshape(beams, columns),
+        cell_point=cell_point.reshape(beams, columns),
+        point_cell=point_cell,
+    )
 
 
 def dcs_rows(ri: RangeImage, windows: np.ndarray, thresholds: np.ndarray) -> RingSegments:
@@ -125,30 +137,41 @@ def dcs_rows(ri: RangeImage, windows: np.ndarray, thresholds: np.ndarray) -> Rin
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if windows.shape != (beams,) or thresholds.shape != (beams,):
         raise ValueError("windows/thresholds must have one entry per beam")
-    # Rows sorted by falling half window, so the rows offset j reaches are a
-    # prefix. Offsets run from far to near and the nearest link is written
-    # last; NaN (empty) cells compare false and never link.
-    halves = np.maximum(windows // 2, 1)
-    order = np.argsort(-halves, kind="stable")
-    depth, t = ri.depth[order], thresholds[order, None]
-    jstar = np.zeros((beams, columns), dtype=np.int64)  # link distance, 0 = none
-    for j in range(int(min(halves.max(initial=0), columns - 1)), 0, -1):
-        k = int(np.count_nonzero(halves >= j))
-        np.copyto(jstar[:k, j:], j, where=np.abs(depth[:k, j:] - depth[:k, :-j]) < t[:k])
-    jstar = jstar[np.argsort(order)]
-    rows, cols = np.nonzero(jstar)  # row-major
-    occupied = np.isfinite(ri.depth)
-    n_cells = int(occupied.sum())
-    cell_ids = np.full((beams, columns), -1, dtype=np.int64)
-    cell_ids[occupied] = np.arange(n_cells)  # occupied cells in scan order
-    ids = connected_components(
-        n_cells, cell_ids[rows, cols], cell_ids[rows, cols - jstar[rows, cols]]
-    )
-    cell_ids[occupied] = ids
-    seg = cell_ids[ri.point_cell[:, 0], ri.point_cell[:, 1]]
-    if seg.size and seg.min() < 0:
+    if not np.isfinite(windows).all():
+        raise ValueError("windows must be finite")
+    depth = ri.depth.ravel()
+    cells = np.flatnonzero(np.isfinite(depth))  # occupied cells in scan order
+    n_cells = cells.size
+    index = np.full(depth.size, -1, dtype=np.int64)  # cell -> its rank in cells
+    index[cells] = np.arange(n_cells)
+    rows, cols = np.divmod(cells, columns)
+    # Offsets rise, so a cell's first match is its nearest link; a cell stops
+    # being tested once it links or its reach (half window, row start) ends.
+    reach = np.minimum(np.maximum(windows // 2, 1)[rows], cols).astype(np.int64)
+    t = thresholds[rows]
+    link = np.arange(n_cells)
+    pending = np.flatnonzero(reach)
+    j = 1
+    while pending.size:
+        at = cells[pending]
+        hit = np.abs(depth[at] - depth[at - j]) < t[pending]  # NaN never links
+        link[pending[hit]] = index[at[hit] - j]
+        pending = pending[~hit]
+        j += 1
+        pending = pending[reach[pending] >= j]
+    # Links point left, so they form a forest rooted at each segment's
+    # leftmost cell; jump pointers to the roots and rank them in scan order.
+    while True:
+        nxt = link[link]
+        if np.array_equal(nxt, link):
+            break
+        link = nxt
+    roots = link == np.arange(n_cells)
+    ids = (np.cumsum(roots) - 1)[link]
+    rank = index[ri.point_cell[:, 0].astype(np.int64) * columns + ri.point_cell[:, 1]]
+    if rank.size and rank.min() < 0:
         raise AssertionError("point mapped to an unsegmented cell")
-    return RingSegments(segment_id=seg.astype(np.int32), num_segments=int(ids.max(initial=-1)) + 1)
+    return RingSegments(segment_id=ids[rank].astype(np.int32), num_segments=int(roots.sum()))
 
 
 def dcs_dynamic(ri: RangeImage, cfg: DcsConfig) -> RingSegments:

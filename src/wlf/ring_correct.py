@@ -51,22 +51,23 @@ def rsc_correct(
     out = pred.copy()
     if pred.size == 0 or segments.num_segments == 0:
         return out
+    fg = pred > 0
+    fg_seg, fg_pred = seg[fg], pred[fg]
     if classes is None:
-        classes = sorted(int(c) for c in np.unique(pred) if c > 0)
+        classes = np.flatnonzero(np.bincount(fg_pred))
     k = segments.num_segments
     seg_total = np.bincount(seg, minlength=k)
     bg_count = np.bincount(seg[pred == 0], minlength=k)
+    # Each segment's new label, -1 for none; later classes overwrite earlier.
+    table = np.full(k, -1, dtype=np.int64)
     for cls in classes:
-        cls_count = np.bincount(seg[pred == cls], minlength=k)
+        cls_count = np.bincount(fg_seg[fg_pred == cls], minlength=k)
         touched = np.flatnonzero(cls_count > 0)
-        if touched.size == 0:
-            continue
         to_bg = bg_count[touched] / cls_count[touched] > cfg.t1
         to_cls = ~to_bg & (cls_count[touched] / seg_total[touched] > cfg.t2)
-        clear = touched[to_bg]
-        claim = touched[to_cls]
-        if clear.size:
-            out[np.isin(seg, clear)] = 0
-        if claim.size:
-            out[np.isin(seg, claim)] = cls
+        table[touched[to_bg]] = 0
+        table[touched[to_cls]] = cls
+    label = table[seg]
+    changed = label >= 0
+    out[changed] = label[changed]
     return out

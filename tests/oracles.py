@@ -14,6 +14,35 @@ import math
 import numpy as np
 
 
+def range_image_trace(
+    points: np.ndarray, beam_row: np.ndarray, beams: int, columns: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Literal per-point raster: depth, cell_point and point_cell matrices.
+
+    Points are visited in index order; a point takes its cell when the cell
+    is empty or its range is at most the stored one, so the nearest range
+    wins and the later point wins a tie. The azimuth is numpy's ``arctan2``,
+    one point at a time: numpy's vector loops may round differently from
+    ``math.atan2`` in the last place, which moves a point on a column edge.
+    """
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    depth = np.full((beams, columns), np.nan)
+    cell_point = np.full((beams, columns), -1, dtype=int)
+    point_cell = np.zeros((n, 2), dtype=int)
+    for i in range(n):
+        x, y, z = (float(v) for v in points[i, :3])
+        azimuth = float(np.arctan2(y, x))
+        col = math.floor((azimuth + math.pi) / (2.0 * math.pi) * columns) % columns
+        row = int(beam_row[i])
+        rng = math.sqrt((x * x + y * y) + z * z)
+        point_cell[i] = (row, col)
+        if cell_point[row, col] < 0 or rng <= depth[row, col]:
+            depth[row, col] = rng
+            cell_point[row, col] = i
+    return depth, cell_point, point_cell
+
+
 def dcs_simplified_trace(depth: np.ndarray, threshold: float) -> tuple[np.ndarray, int]:
     """Literal left-to-right scan; returns the per-cell id matrix and count."""
     depth = np.asarray(depth, dtype=float)

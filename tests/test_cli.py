@@ -406,6 +406,20 @@ class TestIpg:
         assert "Traceback" not in err
         assert str(bundle / "masks" / "mask_1.json") in err
 
+    def test_bad_later_bundle_writes_nothing(self, tmp_path, capsys, rng):
+        frames = tmp_path / "frames"
+        assert run("synth", "--out", frames, "--seed", "5", "--num-frames", "2") == 0
+        for name in ("frame_0000", "frame_0001"):
+            box = json.loads((frames / name / "boxes.json").read_text())[0]
+            write_mask_predictions(frames / name, [(box["box_id"], MaskPrediction(
+                prob_map=rng.uniform(0, 1, (4, 4)), score=0.5, pred_box=tuple(box["bounds"])))])
+        bad = frames / "frame_0001" / "masks" / "mask_0.json"
+        edit_json(bad, lambda m: m.pop("score"))
+        out = tmp_path / "o"
+        assert run("ipg", "--frames", f"{frames}/*", "--out", out) == 3
+        assert str(bad) in capsys.readouterr().err
+        assert not list(out.glob("frame_*"))
+
 
 FUZZ_REQUIRED = ("manifest.json", "boxes.json", "calibration.json", "points.f32", "beam_row.u16")
 # Without these the bundle is still whole: no ground truth, or too few vote

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_range_image, ri_from_depth
-from oracles import dcs_dynamic_trace, dcs_simplified_trace
+from oracles import dcs_dynamic_trace, dcs_simplified_trace, range_image_trace
 
 from wlf.frames import Frame
 from wlf.range_image import (
@@ -13,10 +15,11 @@ from wlf.range_image import (
     dcs_dynamic,
     dcs_rows,
 )
+from wlf.synth import SceneConfig, generate_scene
 
 
 def frame_from_xyz(xyz, beam_row) -> Frame:
-    xyz = np.asarray(xyz, dtype=float)
+    xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
     pts = np.zeros((xyz.shape[0], 4))
     pts[:, :3] = xyz
     return Frame(frame_id="t", points=pts, beam_row=np.asarray(beam_row))
@@ -61,6 +64,68 @@ class TestBuildRangeImage:
         ri = build_range_image(frame, beams=1, columns=8)
         r, c = ri.point_cell[0]
         assert ri.depth[r, c] == pytest.approx(5.0)
+
+
+# Small values make crowded cells and exact range ties; signed zeros and
+# tiny y on the negative x axis sit on the azimuth seam.
+COORDS = st.one_of(
+    st.sampled_from([-3.0, -1.0, -0.0, 0.0, 1e-300, -1e-300, 1.0, 3.0, 4.0]),
+    st.floats(-60.0, 60.0),
+)
+SEAM_Y = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17])
+
+
+@st.composite
+def sweeps(draw):
+    beams = draw(st.integers(1, 4))
+    columns = draw(st.integers(1, 48))
+    row = st.integers(0, beams - 1)
+    point = st.tuples(COORDS, COORDS, COORDS, row)
+    seam = st.tuples(st.floats(-60.0, -1e-3), SEAM_Y, COORDS, row)
+    pts = draw(st.lists(st.one_of(point, seam), max_size=60))
+    if pts:
+        # Repeats tie exactly in one cell; power-of-two scalings put nearer
+        # and farther returns in it.
+        extra = draw(st.lists(st.tuples(st.integers(0, len(pts) - 1),
+                                        st.sampled_from([1.0, 0.5, 2.0])), max_size=40))
+        pts += [(x * k, y * k, z * k, r) for (x, y, z, r), k in ((pts[i], k) for i, k in extra)]
+    pts = draw(st.permutations(pts))
+    xyz = np.array([p[:3] for p in pts], dtype=float).reshape(-1, 3)
+    return xyz, np.array([p[3] for p in pts], dtype=int), beams, columns
+
+
+def assert_build_matches_trace(frame, beams, columns):
+    ri = build_range_image(frame, beams, columns)
+    depth, cell_point, point_cell = range_image_trace(frame.points, frame.beam_row, beams, columns)
+    assert np.array_equal(ri.depth, depth, equal_nan=True)
+    assert np.array_equal(ri.cell_point, cell_point)
+    assert np.array_equal(ri.point_cell, point_cell)
+    assert ri.cell_point.dtype == ri.point_cell.dtype == np.int32
+
+
+class TestBuildMatchesTrace:
+    @settings(max_examples=300, deadline=None)
+    @given(sweeps())
+    def test_random_sweeps(self, sweep):
+        xyz, rows, beams, columns = sweep
+        assert_build_matches_trace(frame_from_xyz(xyz, rows), beams, columns)
+
+    def test_empty_frame(self):
+        assert_build_matches_trace(frame_from_xyz([], []), 3, 5)
+
+    def test_shuffled_crowded_scene(self, rng):
+        # A ray-cast sweep, shuffled, with every third point repeated and
+        # every fifth moved nearer along its ray, at half the scene's columns.
+        cfg = SceneConfig(seed=3, beams=16, columns=256)
+        frame = generate_scene(cfg).frame
+        thirds, fifths = np.arange(0, frame.num_points, 3), np.arange(0, frame.num_points, 5)
+        extra = np.r_[thirds, fifths]
+        points = np.concatenate([frame.points, frame.points[extra]])
+        points[frame.num_points + thirds.size :, :3] *= 0.5
+        rows = np.concatenate([frame.beam_row, frame.beam_row[extra]])
+        perm = rng.permutation(points.shape[0])
+        shuffled = Frame(frame_id="s", points=points[perm], beam_row=rows[perm])
+        assert_build_matches_trace(shuffled, cfg.beams, cfg.columns // 2)
 
 
 def assert_matches_trace(segs, ri, windows, thresholds):
@@ -224,6 +289,58 @@ class TestDynamic:
                         if b < c and c - b <= half and seg_of[b] == s and abs(d[b] - d[c]) < t_r
                     ]
                     assert witnesses, f"cell {c} joined segment {s} with no close witness"
+
+
+class TestDcsStress:
+    def test_constant_row_is_one_chain(self):
+        # Adjacent-only links down a 512-column row: one chain as long as
+        # the row, the deepest pointer jump.
+        depth = np.full((3, 512), 12.0)
+        depth[1, ::7] = np.nan
+        ri = ri_from_depth(depth)
+        windows = np.full(3, float(MIN_WINDOW))
+        thresholds = np.full(3, 0.1)
+        segs = dcs_rows(ri, windows, thresholds)
+        assert segs.num_segments == 1 + 73 + 1  # row 1 breaks at every 7th column
+        assert_matches_trace(segs, ri, windows, thresholds)
+
+    def test_windows_at_or_past_the_width(self, rng):
+        for _ in range(30):
+            ri = random_range_image(rng, beams=4, columns=20, fill=0.5)
+            windows = rng.choice([20.0, 21.0, 40.0, 41.0, 1000.0], size=4)
+            thresholds = rng.uniform(0.5, 10.0, size=4)
+            assert_matches_trace(dcs_rows(ri, windows, thresholds), ri, windows, thresholds)
+
+    @pytest.mark.parametrize("period", [2, 3, 5, 8])
+    def test_links_at_the_window_edge(self, period):
+        # Depths cycle with the period and steps wider than the threshold, so
+        # each cell matches only the cell one period back: the far edge of a
+        # half window equal to the period.
+        cols = np.arange(64)
+        depth = np.stack([10.0 + (cols % period), 30.0 - (cols % period)]).astype(float)
+        ri = ri_from_depth(depth)
+        windows = np.array([2.0 * period, 2.0 * period + 1])
+        thresholds = np.full(2, 0.5)
+        segs = dcs_rows(ri, windows, thresholds)
+        assert segs.num_segments == 2 * period
+        assert_matches_trace(segs, ri, windows, thresholds)
+
+    def test_step_equal_to_threshold_splits(self, rng):
+        # Quarter-metre steps against a quarter-metre threshold: the test is
+        # strict, so a step of exactly the threshold never links.
+        segs = fixed_window_rows(ri_from_depth([[10.0, 10.25, 10.5, 10.5]]), 0.25)
+        assert segs.segment_id.tolist() == [0, 1, 2, 2]
+        depth = 10.0 + 0.25 * rng.integers(0, 4, (3, 40))
+        depth[rng.random((3, 40)) > 0.8] = np.nan
+        ri = ri_from_depth(depth)
+        windows, thresholds = np.array([2.0, 5.0, 9.0]), np.full(3, 0.25)
+        assert_matches_trace(dcs_rows(ri, windows, thresholds), ri, windows, thresholds)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_window_rejected(self, bad):
+        ri = ri_from_depth([[5.0, 5.1], [7.0, 7.0]])
+        with pytest.raises(ValueError, match="windows"):
+            dcs_rows(ri, np.array([4.0, bad]), np.full(2, 0.5))
 
 
 class TestEqualTableIdempotence:
