@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Compare pseudo-label quality across correction stages on synthetic scenes.
 
-Generates seeded frames and reports pooled per-class IoU / mIoU for:
+Writes seeded frame bundles with ``wlf synth`` to a temporary directory, runs
+the pipeline's per-frame engine (``process_frame``) on each with the stage
+list of each row, and reports pooled per-class IoU / mIoU for:
   raw   frustum crop only (every in-box point takes its box class)
   ccl   frustum crop + per-box clustering, largest component kept
   spg   segment-vote refinement before the clustering step
@@ -13,48 +15,33 @@ Example:
 """
 
 import argparse
+import json
 import sys
+import tempfile
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from wlf.clustering import ClassRadii
+from wlf.bundle import read_frame_bundle
+from wlf.cli import main as wlf_main
+from wlf.config import PipelineConfig
 from wlf.frames import crop_frustum, project_points
 from wlf.metrics import confusion_counts, miou_from_counts
-from wlf.range_image import DcsConfig, build_range_image, dcs_dynamic
-from wlf.ring_correct import RscConfig, rsc_correct
-from wlf.spatial import frustum_semantic, generate_labels, refine_by_segments
-from wlf.synth import CLASS_NAMES, SceneConfig, fabricate_scores, generate_scene
-from wlf.voting import PvcConfig, foreground_score, vote_correct
+from wlf.pipeline import discover_bundles, process_frame
+from wlf.spatial import frustum_semantic
+from wlf.synth import CLASS_NAMES, SceneConfig
+
+# The engine's stages behind each row but raw.
+STAGES = {"ccl": (), "spg": ("spg",), "+pvc": ("spg", "pvc"), "+rsc": ("spg", "pvc", "rsc")}
 
 
-def label_variants(scene, pvc_cfg, score_sigma):
-    frame = scene.frame
-    proj = project_points(scene.calibration, frame)
-    assign = crop_frustum(proj, scene.boxes)
-    ri = build_range_image(frame, scene.config.beams, scene.config.columns)
-    segments = dcs_dynamic(ri, DcsConfig())
-    radii = ClassRadii()
-
-    ccl_trinary = np.where(assign > 0, 1, 0).astype(np.int8)
-    spg_trinary = refine_by_segments(assign, segments)
-    spg_labels = generate_labels(frame, spg_trinary, assign, scene.boxes, radii)
-
-    scores = np.stack([
-        foreground_score(
-            fabricate_scores(frame.gt_semantic, 3, score_sigma, scene.config.seed, epoch)
-        )
-        for epoch in range(pvc_cfg.n_his)
-    ])
-    voted = vote_correct(scores, pvc_cfg, spg_labels, assign, scene.boxes)
-
-    return {
-        "raw": frustum_semantic(assign, scene.boxes),
-        "ccl": generate_labels(frame, ccl_trinary, assign, scene.boxes, radii).semantic,
-        "spg": spg_labels.semantic,
-        "+pvc": voted.semantic,
-        "+rsc": rsc_correct(voted.semantic, segments, RscConfig()),
-    }
+def raw_counts(bundle: Path) -> np.ndarray:
+    frame, calib, boxes, manifest = read_frame_bundle(bundle)
+    assign = crop_frustum(project_points(calib, frame), boxes)
+    sem = frustum_semantic(assign, boxes)
+    return np.stack(confusion_counts(sem, frame.gt_semantic, manifest["num_classes"]))
 
 
 def main(argv=None) -> int:
@@ -65,36 +52,39 @@ def main(argv=None) -> int:
     parser.add_argument("--box-pad", type=float, default=10.0)
     args = parser.parse_args(argv)
 
-    pvc_cfg = PvcConfig()
-    stages = ("raw", "ccl", "spg", "+pvc", "+rsc")
-    counts = {s: np.zeros((3, 4), dtype=np.int64) for s in stages}
+    scene = SceneConfig(
+        seed=args.seed,
+        vehicles=(2, 4),
+        pedestrians=(1, 3),
+        cyclists=(0, 2),
+        vehicle_distance=(8.0, 16.0),
+        box_pad_px=args.box_pad,
+        score_sigma=args.score_sigma,
+    )
+    counts = {s: np.zeros((3, len(CLASS_NAMES) + 1), dtype=np.int64) for s in ("raw", *STAGES)}
 
     t0 = time.time()
-    for i in range(args.frames):
-        cfg = SceneConfig(
-            seed=args.seed + i,
-            vehicles=(2, 4),
-            pedestrians=(1, 3),
-            cyclists=(0, 2),
-            vehicle_distance=(8.0, 16.0),
-            box_pad_px=args.box_pad,
-        )
-        scene = generate_scene(cfg, frame_id=f"cmp_{i:04d}")
-        for stage, sem in label_variants(scene, pvc_cfg, args.score_sigma).items():
-            tp, fp, fn = confusion_counts(sem, scene.frame.gt_semantic, 3)
-            counts[stage][0] += tp
-            counts[stage][1] += fp
-            counts[stage][2] += fn
+    with tempfile.TemporaryDirectory() as tmp:
+        scene_file, corpus = Path(tmp) / "scene.json", Path(tmp) / "corpus"
+        scene_file.write_text(json.dumps(scene.to_dict()))
+        code = wlf_main(["synth", "--out", str(corpus), "--config", str(scene_file),
+                         "--num-frames", str(args.frames), "--epochs", "4"])
+        if code:
+            return code
+        cfg = PipelineConfig()
+        for bundle in discover_bundles(f"{corpus}/*"):
+            counts["raw"] += raw_counts(bundle)
+            for stage, stages in STAGES.items():
+                counts[stage] += process_frame(bundle, replace(cfg, stages=stages))[1].counts
     elapsed = time.time() - t0
 
-    names = CLASS_NAMES
-    header = f"{'stage':<8}{'mIoU':>8}" + "".join(f"{n:>12}" for n in names)
+    header = f"{'stage':<8}{'mIoU':>8}" + "".join(f"{n:>12}" for n in CLASS_NAMES)
     print(header)
     print("-" * len(header))
-    for stage in stages:
-        per, mean = miou_from_counts(*counts[stage])
+    for stage, (tp, fp, fn) in counts.items():
+        per, mean = miou_from_counts(tp, fp, fn)
         row = f"{stage:<8}{100 * mean:>8.2f}"
-        for c in range(1, 4):
+        for c in range(1, len(CLASS_NAMES) + 1):
             row += f"{100 * per.get(c, 0.0):>12.2f}"
         print(row)
     print(f"\n{args.frames} frames in {elapsed:.1f}s (IoU values in points, 0-100)")

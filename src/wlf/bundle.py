@@ -235,12 +235,15 @@ def write_votes(directory: str | Path, epoch: int, scores: np.ndarray) -> None:
 
 
 def list_vote_epochs(directory: str | Path) -> list[int]:
-    pattern = re.compile(r"votes_(\d+)\.f32$")
+    """Ascending epochs of the bundle's vote files; BundleError, naming the
+    file, for a ``votes_*.f32`` whose name is not ``votes_<epoch>.f32`` with
+    the epoch written as ``str(int)`` writes it (``votes_03.f32`` is not)."""
     epochs = []
-    for path in Path(directory).glob("votes_*.f32"):
-        m = pattern.match(path.name)
-        if m:
-            epochs.append(int(m.group(1)))
+    for path in sorted(Path(directory).glob("votes_*.f32")):
+        m = re.fullmatch(r"votes_(0|[1-9][0-9]*)\.f32", path.name)
+        if not m:
+            raise BundleError(f"{path}: vote file name is not votes_<epoch>.f32")
+        epochs.append(int(m.group(1)))
     return sorted(epochs)
 
 

@@ -201,8 +201,8 @@ def ccl_cluster(
 
     # Nodes: one per clique cell, one per point of any other cell, numbered by
     # their first point so that node ids keep first-occurrence order.
-    point_cell = np.repeat(np.arange(cells.shape[0]), counts)
-    first = np.where(clique[point_cell], order[starts][point_cell], order)
+    cell_of = np.repeat(np.arange(cells.shape[0]), counts)  # per sorted point
+    first = np.where(clique[cell_of], order[starts][cell_of], order)
     _, node = np.unique(first, return_inverse=True)
     num_nodes = int(node.max()) + 1
     head = node[starts]  # a clique cell's node

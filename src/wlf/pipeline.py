@@ -129,7 +129,7 @@ def process_frame(
     # Only rsc and a running spg read the segments.
     if "rsc" in cfg.stages or ("spg" in cfg.stages and labels_dir is None):
         t0 = time.perf_counter()
-        segments = dcs_dynamic(build_range_image(frame, beams, columns), cfg.dcs)
+        segments = dcs_dynamic(*build_range_image(frame, beams, columns), cfg.dcs)
         timings["segments"] = time.perf_counter() - t0
 
     if labels_dir is not None:

@@ -1,12 +1,14 @@
 """Range image construction and row-wise depth-continuity segmentation.
 
-A sweep is rasterised into an M x N depth matrix (M beams, N azimuth columns)
-and each row is split into "ring segments": runs of returns whose depth varies
-smoothly. ``dcs_rows`` links cells within a per-row window and depth
-threshold, and a segment is a connected component of those links;
+A sweep is rasterised into two arrays: an M x N depth matrix (M beams, N
+azimuth columns) holding each cell's nearest return, and each point's flat
+cell index. Each row is then split into "ring segments": runs of returns whose
+depth varies smoothly. ``dcs_rows`` links cells within a per-row window and
+depth threshold, and a segment is a connected component of those links;
 ``dcs_dynamic`` scales both with the row's maximum depth, bridging small
 gaps. A window of ``MIN_WINDOW`` and a constant threshold give the
-fixed-threshold scan that only links immediately adjacent columns.
+fixed-threshold scan that only links immediately adjacent columns. Every
+point takes its cell's segment, including points behind a nearer return.
 
 Each cell links at most once, to its nearest match on the left, so the links
 form a forest whose roots are the segments' leftmost cells, and pointer
@@ -22,7 +24,6 @@ import numpy as np
 from .frames import Frame
 
 __all__ = [
-    "RangeImage",
     "RingSegments",
     "DcsConfig",
     "build_range_image",
@@ -35,25 +36,6 @@ __all__ = [
 # Guards for degenerate near/far rows in the adaptive variant.
 MIN_WINDOW = 2
 MIN_DEPTH_THRESHOLD = 0.05
-
-
-@dataclass
-class RangeImage:
-    """M x N depth matrix with point-to-cell and cell-to-point index maps.
-
-    ``depth`` holds NaN where a cell received no return. ``cell_point`` holds
-    the index of the stored (nearest) point per cell, -1 when empty.
-    ``point_cell`` maps every point, including ones evicted by a nearer return
-    in the same cell, to its (row, col) cell.
-    """
-
-    depth: np.ndarray
-    cell_point: np.ndarray
-    point_cell: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.depth.shape
 
 
 @dataclass
@@ -85,61 +67,46 @@ class DcsConfig:
             raise ValueError("reference_range must be positive")
 
 
-def build_range_image(frame: Frame, beams: int, columns: int) -> RangeImage:
-    """Rasterise a frame into a beams x columns range image.
+def build_range_image(frame: Frame, beams: int, columns: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rasterise a frame into ``(depth, cell)``.
 
-    Column = floor((azimuth + pi) / 2pi * columns), wrapped at the seam;
-    depth = Euclidean range from the sensor, ``sqrt((x*x + y*y) + z*z)``.
-    When several points land in one cell the nearest wins, and the later
-    point wins a tie; evicted points keep their cell coordinates so they
-    later inherit the cell's segment id.
+    ``depth`` is the beams x columns matrix of each cell's nearest range,
+    ``sqrt((x*x + y*y) + z*z)``, and NaN where no point landed. ``cell`` is
+    each point's flat cell index ``row * columns + col``, with column =
+    floor((azimuth + pi) / 2pi * columns), wrapped at the seam.
     """
     if frame.num_points and int(frame.beam_row.max()) >= beams:
         raise ValueError(f"frame {frame.frame_id}: beam_row >= {beams}")
-    depth = np.full(beams * columns, np.nan)
-    cell_point = np.full(beams * columns, -1, dtype=np.int32)
     pts = frame.points
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     col = np.floor((np.arctan2(y, x) + np.pi) / (2.0 * np.pi) * columns).astype(np.int64) % columns
-    row = frame.beam_row
-    rng = np.sqrt((x * x + y * y) + z * z)
-    # Points grouped by cell, in point order within a cell: a stable sort
-    # that scan-ordered sweeps pass through almost untouched.
-    key = row * columns + col
-    order = np.argsort(key, kind="stable")
-    key, rng = key[order], rng[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    nearest = np.minimum.reduceat(rng, starts)
-    # The last sorted position per cell that holds the nearest range.
-    tie = rng == np.repeat(nearest, np.diff(starts, append=key.size))
-    winner = np.maximum.reduceat(np.where(tie, np.arange(key.size), -1), starts)
-    cells = key[starts]
-    depth[cells] = nearest
-    cell_point[cells] = order[winner]
-    point_cell = np.stack([row, col], axis=1).astype(np.int32)
-    return RangeImage(
-        depth=depth.reshape(beams, columns),
-        cell_point=cell_point.reshape(beams, columns),
-        point_cell=point_cell,
-    )
+    cell = frame.beam_row * columns + col
+    # A minimum is exact, so the order of the scatter does not matter.
+    depth = np.full(beams * columns, np.inf)
+    np.minimum.at(depth, cell, np.sqrt((x * x + y * y) + z * z))
+    depth[depth == np.inf] = np.nan
+    return depth.reshape(beams, columns), cell
 
 
-def dcs_rows(ri: RangeImage, windows: np.ndarray, thresholds: np.ndarray) -> RingSegments:
+def dcs_rows(
+    depth: np.ndarray, cell: np.ndarray, windows: np.ndarray, thresholds: np.ndarray
+) -> RingSegments:
     """Row scan with explicit per-row window sizes and depth thresholds.
 
     Each occupied cell links to the nearest occupied cell within window/2
     columns to its left whose depth differs by less than the row threshold.
     A segment is a connected component of those links, and segment ids rank
-    each segment's leftmost cell in row-major scan order.
+    each segment's leftmost cell in row-major scan order. ``depth`` and
+    ``cell`` are as ``build_range_image`` returns them.
     """
-    beams, columns = ri.shape
+    beams, columns = depth.shape
     windows = np.asarray(windows, dtype=np.float64)
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if windows.shape != (beams,) or thresholds.shape != (beams,):
         raise ValueError("windows/thresholds must have one entry per beam")
     if not np.isfinite(windows).all():
         raise ValueError("windows must be finite")
-    depth = ri.depth.ravel()
+    depth = depth.ravel()
     cells = np.flatnonzero(np.isfinite(depth))  # occupied cells in scan order
     n_cells = cells.size
     index = np.full(depth.size, -1, dtype=np.int64)  # cell -> its rank in cells
@@ -168,21 +135,21 @@ def dcs_rows(ri: RangeImage, windows: np.ndarray, thresholds: np.ndarray) -> Rin
         link = nxt
     roots = link == np.arange(n_cells)
     ids = (np.cumsum(roots) - 1)[link]
-    rank = index[ri.point_cell[:, 0].astype(np.int64) * columns + ri.point_cell[:, 1]]
+    rank = index[cell]
     if rank.size and rank.min() < 0:
         raise AssertionError("point mapped to an unsegmented cell")
     return RingSegments(segment_id=ids[rank].astype(np.int32), num_segments=int(roots.sum()))
 
 
-def dcs_dynamic(ri: RangeImage, cfg: DcsConfig) -> RingSegments:
+def dcs_dynamic(depth: np.ndarray, cell: np.ndarray, cfg: DcsConfig) -> RingSegments:
     """Adaptive segmentation: per row, scale the window inversely and the
     depth threshold proportionally with the row's maximum depth, clamped to
     [MIN_WINDOW, N] columns and >= MIN_DEPTH_THRESHOLD metres. An empty row
     gets the minima; a row whose maximum depth is 0 gets an N-column window.
     """
-    columns = ri.shape[1]
-    m = np.fmax.reduce(ri.depth, axis=1, initial=np.nan)  # NaN on empty rows
+    columns = depth.shape[1]
+    m = np.fmax.reduce(depth, axis=1, initial=np.nan)  # NaN on empty rows
     with np.errstate(divide="ignore"):
         windows = np.fmin(np.fmax(cfg.reference_range / m * cfg.window, MIN_WINDOW), columns)
     thresholds = np.fmax(m / cfg.reference_range * cfg.depth_base, MIN_DEPTH_THRESHOLD)
-    return dcs_rows(ri, windows, thresholds)
+    return dcs_rows(depth, cell, windows, thresholds)

@@ -32,12 +32,7 @@ class RscConfig:
             raise ValueError("thresholds must lie in [0, 1]")
 
 
-def rsc_correct(
-    pred: np.ndarray,
-    segments: RingSegments,
-    cfg: RscConfig,
-    classes: list[int] | None = None,
-) -> np.ndarray:
+def rsc_correct(pred: np.ndarray, segments: RingSegments, cfg: RscConfig) -> np.ndarray:
     """Correct predicted labels (0 = background) by segment-level voting.
 
     For each class c and each segment containing a c-predicted point:
@@ -53,14 +48,12 @@ def rsc_correct(
         return out
     fg = pred > 0
     fg_seg, fg_pred = seg[fg], pred[fg]
-    if classes is None:
-        classes = np.flatnonzero(np.bincount(fg_pred))
     k = segments.num_segments
     seg_total = np.bincount(seg, minlength=k)
     bg_count = np.bincount(seg[pred == 0], minlength=k)
     # Each segment's new label, -1 for none; later classes overwrite earlier.
     table = np.full(k, -1, dtype=np.int64)
-    for cls in classes:
+    for cls in np.flatnonzero(np.bincount(fg_pred)):
         cls_count = np.bincount(fg_seg[fg_pred == cls], minlength=k)
         touched = np.flatnonzero(cls_count > 0)
         to_bg = bg_count[touched] / cls_count[touched] > cfg.t1

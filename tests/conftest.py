@@ -7,21 +7,16 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from wlf.metrics import FrameInstances, InstanceGT, InstancePred
-from wlf.range_image import RangeImage
 
 
-def ri_from_depth(depth) -> RangeImage:
-    """Range image with one synthetic point per occupied cell."""
+def ri_from_depth(depth) -> tuple[np.ndarray, np.ndarray]:
+    """``(depth, cell)`` with one synthetic point per occupied cell, the points
+    in scan order."""
     depth = np.asarray(depth, dtype=float)
-    m, n = depth.shape
-    rows, cols = np.nonzero(np.isfinite(depth))
-    cell_point = np.full((m, n), -1, dtype=np.int32)
-    cell_point[rows, cols] = np.arange(rows.shape[0], dtype=np.int32)
-    point_cell = np.stack([rows, cols], axis=1).astype(np.int32)
-    return RangeImage(depth=depth.copy(), cell_point=cell_point, point_cell=point_cell)
+    return depth.copy(), np.flatnonzero(np.isfinite(depth))
 
 
-def random_range_image(rng: np.random.Generator, beams=4, columns=24, fill=0.7) -> RangeImage:
+def random_range_image(rng: np.random.Generator, beams=4, columns=24, fill=0.7):
     depth = rng.uniform(2.0, 40.0, (beams, columns))
     depth[rng.random((beams, columns)) > fill] = np.nan
     return ri_from_depth(depth)

@@ -16,31 +16,28 @@ import numpy as np
 
 def range_image_trace(
     points: np.ndarray, beam_row: np.ndarray, beams: int, columns: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Literal per-point raster: depth, cell_point and point_cell matrices.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Literal per-point raster: the depth matrix and each point's flat cell.
 
-    Points are visited in index order; a point takes its cell when the cell
-    is empty or its range is at most the stored one, so the nearest range
-    wins and the later point wins a tie. The azimuth is numpy's ``arctan2``,
-    one point at a time: numpy's vector loops may round differently from
-    ``math.atan2`` in the last place, which moves a point on a column edge.
+    A cell keeps the nearest range it is given. The azimuth is numpy's
+    ``arctan2``, one point at a time: numpy's vector loops may round
+    differently from ``math.atan2`` in the last place, which moves a point on
+    a column edge.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     depth = np.full((beams, columns), np.nan)
-    cell_point = np.full((beams, columns), -1, dtype=int)
-    point_cell = np.zeros((n, 2), dtype=int)
+    cell = np.zeros(n, dtype=int)
     for i in range(n):
         x, y, z = (float(v) for v in points[i, :3])
         azimuth = float(np.arctan2(y, x))
         col = math.floor((azimuth + math.pi) / (2.0 * math.pi) * columns) % columns
         row = int(beam_row[i])
         rng = math.sqrt((x * x + y * y) + z * z)
-        point_cell[i] = (row, col)
-        if cell_point[row, col] < 0 or rng <= depth[row, col]:
+        cell[i] = row * columns + col
+        if math.isnan(depth[row, col]) or rng < depth[row, col]:
             depth[row, col] = rng
-            cell_point[row, col] = i
-    return depth, cell_point, point_cell
+    return depth, cell
 
 
 def dcs_simplified_trace(depth: np.ndarray, threshold: float) -> tuple[np.ndarray, int]:
@@ -80,12 +77,8 @@ def dcs_dynamic_trace(
         for i in range(n):
             if math.isnan(depth[r, i]):
                 continue
-            for j in range(1, half + 1):
-                if (
-                    i >= j
-                    and not math.isnan(depth[r, i - j])
-                    and abs(depth[r, i - j] - depth[r, i]) < t_r
-                ):
+            for j in range(1, min(half, i) + 1):
+                if not math.isnan(depth[r, i - j]) and abs(depth[r, i - j] - depth[r, i]) < t_r:
                     equal[i] = equal[i - j]
                     break
         for i in range(n):

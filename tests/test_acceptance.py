@@ -24,7 +24,6 @@ from wlf.mask_fusion import fusion_weights
 from wlf.metrics import confusion_counts, instance_ap, miou_from_counts
 from wlf.range_image import (
     DcsConfig,
-    RangeImage,
     RingSegments,
     build_range_image,
     dcs_dynamic,
@@ -81,7 +80,7 @@ def chain100():
         proj = project_points(scene.calibration, frame)
         assign = crop_frustum(proj, scene.boxes)
         ri = build_range_image(frame, scene.config.beams, scene.config.columns)
-        segments = dcs_dynamic(ri, dcs_cfg)
+        segments = dcs_dynamic(*ri, dcs_cfg)
         trinary = refine_by_segments(assign, segments)
         labels = generate_labels(frame, trinary, assign, scene.boxes, radii)
         spg_seconds_mark = time.perf_counter()
@@ -154,11 +153,11 @@ def test_3_algorithm_oracle_equivalence():
         columns = int(rng.integers(4, 28))
         depth = rng.uniform(2.0, 40.0, (beams, columns))
         depth[rng.random((beams, columns)) > 0.7] = np.nan
-        ri = _ri_from_depth(depth)
+        cell = np.flatnonzero(np.isfinite(depth))  # one point per occupied cell
         t = float(rng.uniform(0.1, 4.0))
-        forced = dcs_rows(ri, np.full(beams, 2.0), np.full(beams, t))
+        forced = dcs_rows(depth, cell, np.full(beams, 2.0), np.full(beams, t))
         ids, count = dcs_simplified_trace(depth, t)
-        trace_ids = ids[ri.point_cell[:, 0], ri.point_cell[:, 1]]
+        trace_ids = ids.ravel()[cell]
         if not (forced.num_segments == count and np.array_equal(forced.segment_id, trace_ids)):
             dcs_fail += 1
 
@@ -211,16 +210,6 @@ def test_3_algorithm_oracle_equivalence():
         f"in {elapsed:.1f}s (need < 120)",
         dcs_fail == 0 and ccl_fail == 0 and rsc_fail == 0 and vote_fail == 0 and elapsed < 120.0,
     )
-
-
-def _ri_from_depth(depth):
-    depth = np.asarray(depth, dtype=float)
-    m, n = depth.shape
-    rows, cols = np.nonzero(np.isfinite(depth))
-    cell_point = np.full((m, n), -1, dtype=np.int32)
-    cell_point[rows, cols] = np.arange(rows.shape[0], dtype=np.int32)
-    point_cell = np.stack([rows, cols], axis=1).astype(np.int32)
-    return RangeImage(depth=depth.copy(), cell_point=cell_point, point_cell=point_cell)
 
 
 def test_4_fusion_weight_numerics():

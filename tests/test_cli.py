@@ -304,6 +304,19 @@ class TestStageCommands:
         assert run("pipeline", "--frames", f"{frames}/*", "--out", tmp_path / "o",
                    "--stages", "spg,rsc") == 0
 
+    @pytest.mark.parametrize("keep_canonical", [True, False], ids=["beside-votes_3", "only-copy"])
+    def test_zero_padded_vote_epoch_exit_3(self, bundles, tmp_path, capsys, keep_canonical):
+        # votes_03.f32 is no epoch: next to votes_3.f32 it would count epoch 3
+        # twice, and alone it would send the reader to a votes_3.f32 that
+        # does not exist.
+        bundle = bundles / "frame_0001"
+        padded = bundle / "votes_03.f32"
+        shutil.copy(bundle / "votes_3.f32", padded)
+        if not keep_canonical:
+            (bundle / "votes_3.f32").unlink()
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 3
+        assert f"{padded}: vote file name" in capsys.readouterr().err
+
     def test_labels_required(self, bundles, tmp_path):
         for command in ("pvc", "rsc", "eval"):
             with pytest.raises(SystemExit) as exc:

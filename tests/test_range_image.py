@@ -28,31 +28,29 @@ def frame_from_xyz(xyz, beam_row) -> Frame:
 class TestBuildRangeImage:
     def test_azimuth_zero_maps_to_middle_column(self):
         frame = frame_from_xyz([[10.0, 0.0, 0.0]], [3])
-        ri = build_range_image(frame, beams=8, columns=512)
-        assert ri.point_cell[0].tolist() == [3, 256]
-        assert ri.depth[3, 256] == pytest.approx(10.0)
+        depth, cell = build_range_image(frame, beams=8, columns=512)
+        assert cell.tolist() == [3 * 512 + 256]
+        assert depth[3, 256] == pytest.approx(10.0)
 
     def test_collision_keeps_nearer(self):
-        # Same beam and azimuth, depths 5 and 7.
+        # Same beam and azimuth, depths 5 and 7: both points map to the one
+        # cell, which holds the nearer depth.
         frame = frame_from_xyz([[7.0, 0.0, 0.0], [5.0, 0.0, 0.0]], [0, 0])
-        ri = build_range_image(frame, beams=1, columns=8)
-        col = ri.point_cell[0, 1]
-        assert ri.depth[0, col] == pytest.approx(5.0)
-        assert ri.cell_point[0, col] == 1
-        # The evicted point still maps to the same cell.
-        assert ri.point_cell[0].tolist() == ri.point_cell[1].tolist()
+        depth, cell = build_range_image(frame, beams=1, columns=8)
+        assert cell[0] == cell[1]
+        assert depth.flat[cell[0]] == pytest.approx(5.0)
 
     def test_empty_frame_all_nan(self):
         frame = frame_from_xyz(np.zeros((0, 3)), np.zeros(0, dtype=int))
-        ri = build_range_image(frame, beams=4, columns=16)
-        assert np.isnan(ri.depth).all()
-        assert (ri.cell_point == -1).all()
+        depth, cell = build_range_image(frame, beams=4, columns=16)
+        assert depth.shape == (4, 16) and np.isnan(depth).all()
+        assert cell.size == 0
 
     def test_seam_wraps(self):
         # Azimuth exactly pi maps onto column 0, not out of range.
         frame = frame_from_xyz([[-10.0, 0.0, 0.0]], [0])
-        ri = build_range_image(frame, beams=1, columns=16)
-        assert ri.point_cell[0, 1] in (0, 8)
+        _, cell = build_range_image(frame, beams=1, columns=16)
+        assert cell[0] in (0, 8)
 
     def test_beam_out_of_range_rejected(self):
         frame = frame_from_xyz([[1.0, 0.0, 0.0]], [5])
@@ -61,9 +59,8 @@ class TestBuildRangeImage:
 
     def test_depth_is_euclidean_range(self):
         frame = frame_from_xyz([[3.0, 0.0, 4.0]], [0])
-        ri = build_range_image(frame, beams=1, columns=8)
-        r, c = ri.point_cell[0]
-        assert ri.depth[r, c] == pytest.approx(5.0)
+        depth, cell = build_range_image(frame, beams=1, columns=8)
+        assert depth.flat[cell[0]] == pytest.approx(5.0)
 
 
 # Small values make crowded cells and exact range ties; signed zeros and
@@ -95,12 +92,11 @@ def sweeps(draw):
 
 
 def assert_build_matches_trace(frame, beams, columns):
-    ri = build_range_image(frame, beams, columns)
-    depth, cell_point, point_cell = range_image_trace(frame.points, frame.beam_row, beams, columns)
-    assert np.array_equal(ri.depth, depth, equal_nan=True)
-    assert np.array_equal(ri.cell_point, cell_point)
-    assert np.array_equal(ri.point_cell, point_cell)
-    assert ri.cell_point.dtype == ri.point_cell.dtype == np.int32
+    depth, cell = build_range_image(frame, beams, columns)
+    want_depth, want_cell = range_image_trace(frame.points, frame.beam_row, beams, columns)
+    assert np.array_equal(depth, want_depth, equal_nan=True)
+    assert np.array_equal(cell, want_cell)
+    assert cell.dtype == np.int64
 
 
 class TestBuildMatchesTrace:
@@ -129,15 +125,25 @@ class TestBuildMatchesTrace:
 
 
 def assert_matches_trace(segs, ri, windows, thresholds):
-    ids, count = dcs_dynamic_trace(ri.depth, windows, thresholds)
+    depth, cell = ri
+    ids, count = dcs_dynamic_trace(depth, windows, thresholds)
     assert segs.num_segments == count
-    assert np.array_equal(segs.segment_id, ids[ri.point_cell[:, 0], ri.point_cell[:, 1]])
+    assert np.array_equal(segs.segment_id, ids.ravel()[cell])
 
 
 def fixed_window_rows(ri, threshold):
     """Fixed-threshold scan: the smallest window links adjacent columns only."""
-    beams = ri.shape[0]
-    return dcs_rows(ri, np.full(beams, float(MIN_WINDOW)), np.full(beams, threshold))
+    beams = ri[0].shape[0]
+    return dcs_rows(*ri, np.full(beams, float(MIN_WINDOW)), np.full(beams, threshold))
+
+
+def segment_image(segs, ri):
+    """Each cell's segment id, -1 where empty, for a range image that holds
+    one point per occupied cell."""
+    depth, cell = ri
+    image = np.full(depth.size, -1)
+    image[cell] = segs.segment_id
+    return image.reshape(depth.shape)
 
 
 class TestSimplified:
@@ -170,13 +176,11 @@ class TestSimplified:
         for _ in range(50):
             ri = random_range_image(rng)
             t = float(rng.uniform(0.1, 5.0))
-            segs = fixed_window_rows(ri, t)
-            for r in range(ri.shape[0]):
-                row_pts = [(c, d) for c, d in enumerate(ri.depth[r]) if np.isfinite(d)]
+            seg = segment_image(fixed_window_rows(ri, t), ri)
+            for r, row in enumerate(ri[0]):
+                row_pts = [(c, d) for c, d in enumerate(row) if np.isfinite(d)]
                 for (c0, d0), (c1, d1) in zip(row_pts, row_pts[1:]):
-                    i0 = ri.cell_point[r, c0]
-                    i1 = ri.cell_point[r, c1]
-                    if segs.segment_id[i0] == segs.segment_id[i1] and c1 == c0 + 1:
+                    if seg[r, c0] == seg[r, c1] and c1 == c0 + 1:
                         assert abs(d1 - d0) < t
 
 
@@ -184,31 +188,31 @@ class TestDynamic:
     def test_scaled_window_and_threshold(self):
         # Row max 25 m: window 20 columns, threshold 0.12 m, so a 0.15 m step splits.
         row = [10.0, 10.15] + [np.nan] * 21 + [25.0]
-        segs = dcs_dynamic(ri_from_depth([row]), DcsConfig())
+        segs = dcs_dynamic(*ri_from_depth([row]), DcsConfig())
         assert segs.segment_id[0] != segs.segment_id[1]
         assert segs.num_segments == 3
 
     def test_window_bridges_nan_gap(self):
         row = [10.0, np.nan, 10.02] + [np.nan] * 5
-        segs = dcs_dynamic(ri_from_depth([row]), DcsConfig())
+        segs = dcs_dynamic(*ri_from_depth([row]), DcsConfig())
         assert segs.num_segments == 1
         assert segs.segment_id[0] == segs.segment_id[1]
 
     def test_constant_row_single_segment(self):
-        segs = dcs_dynamic(ri_from_depth([[12.0] * 16]), DcsConfig())
+        segs = dcs_dynamic(*ri_from_depth([[12.0] * 16]), DcsConfig())
         assert segs.num_segments == 1
 
     def test_ids_dense(self, rng):
         for _ in range(20):
             ri = random_range_image(rng, beams=3, columns=30)
-            segs = dcs_dynamic(ri, DcsConfig())
+            segs = dcs_dynamic(*ri, DcsConfig())
             present = np.unique(segs.segment_id)
             assert present.tolist() == list(range(segs.num_segments))
 
     def test_deterministic(self, rng):
         ri = random_range_image(rng)
-        a = dcs_dynamic(ri, DcsConfig())
-        b = dcs_dynamic(ri, DcsConfig())
+        a = dcs_dynamic(*ri, DcsConfig())
+        b = dcs_dynamic(*ri, DcsConfig())
         assert np.array_equal(a.segment_id, b.segment_id)
         assert a.num_segments == b.num_segments
 
@@ -216,26 +220,29 @@ class TestDynamic:
         cfg = DcsConfig()
         for _ in range(100):
             ri = random_range_image(rng, beams=3, columns=24, fill=0.75)
+            depth = ri[0]
             windows = np.full(3, float(MIN_WINDOW))
             thresholds = np.full(3, MIN_DEPTH_THRESHOLD)
             for r in range(3):
-                finite = ri.depth[r][np.isfinite(ri.depth[r])]
+                finite = depth[r][np.isfinite(depth[r])]
                 if finite.size == 0:
                     continue
                 m_r = float(finite.max())
                 windows[r] = min(max(cfg.reference_range / m_r * cfg.window, MIN_WINDOW), 24)
                 thresholds[r] = max(m_r / cfg.reference_range * cfg.depth_base, MIN_DEPTH_THRESHOLD)
-            assert_matches_trace(dcs_dynamic(ri, cfg), ri, windows, thresholds)
+            assert_matches_trace(dcs_dynamic(*ri, cfg), ri, windows, thresholds)
             # dcs_rows alone, with windows and thresholds drawn per row:
             # windows below MIN_WINDOW, at or past the width, tied between
-            # rows; every other raster has an empty row.
-            depth = ri.depth.copy()
+            # rows; every other raster has an empty row. The points come out
+            # of scan order, one to three to a cell.
+            depth = depth.copy()
             if rng.random() < 0.5:
                 depth[rng.integers(3)] = np.nan
-            ri = ri_from_depth(depth)
+            _, cell = ri_from_depth(depth)
+            ri = depth, rng.permutation(np.repeat(cell, rng.integers(1, 4, cell.size)))
             windows = rng.choice([0.5, 1.9, 2.0, 3.0, 7.5, 12.0, 24.0, 100.0], size=3)
             thresholds = rng.uniform(0.05, 10.0, size=3)
-            assert_matches_trace(dcs_rows(ri, windows, thresholds), ri, windows, thresholds)
+            assert_matches_trace(dcs_rows(*ri, windows, thresholds), ri, windows, thresholds)
 
     @pytest.mark.filterwarnings("error")
     def test_zero_range_row_takes_full_window(self):
@@ -246,20 +253,18 @@ class TestDynamic:
         for c in (0, 5, 18):
             zeros[c] = 0.0
         ri = ri_from_depth([zeros, [10.0, 10.15] + [np.nan] * 21 + [25.0]])
-        segs = dcs_dynamic(ri, DcsConfig())
+        segs = dcs_dynamic(*ri, DcsConfig())
         assert segs.num_segments == 5
         assert_matches_trace(segs, ri, [24.0, 20.0], [MIN_DEPTH_THRESHOLD, 0.12])
 
     def test_forced_constant_equals_simplified(self, rng):
         for _ in range(100):
-            ri = random_range_image(rng, beams=4, columns=20, fill=0.7)
+            depth, cell = random_range_image(rng, beams=4, columns=20, fill=0.7)
             t = float(rng.uniform(0.1, 4.0))
-            forced = dcs_rows(
-                ri, np.full(4, float(MIN_WINDOW)), np.full(4, t)
-            )
-            ids, count = dcs_simplified_trace(ri.depth, t)
+            forced = dcs_rows(depth, cell, np.full(4, float(MIN_WINDOW)), np.full(4, t))
+            ids, count = dcs_simplified_trace(depth, t)
             assert forced.num_segments == count
-            assert np.array_equal(forced.segment_id, ids[ri.point_cell[:, 0], ri.point_cell[:, 1]])
+            assert np.array_equal(forced.segment_id, ids.ravel()[cell])
 
     def test_linked_cells_have_close_witness(self, rng):
         # Weakened scan-order claim: every non-root cell sits within the row
@@ -267,9 +272,9 @@ class TestDynamic:
         cfg = DcsConfig()
         for _ in range(30):
             ri = random_range_image(rng, beams=3, columns=24)
-            segs = dcs_dynamic(ri, cfg)
+            seg = segment_image(dcs_dynamic(*ri, cfg), ri)
             for r in range(3):
-                d = ri.depth[r]
+                d = ri[0][r]
                 finite = d[np.isfinite(d)]
                 if finite.size == 0:
                     continue
@@ -277,7 +282,7 @@ class TestDynamic:
                 half = int(min(max(cfg.reference_range / m_r * cfg.window, MIN_WINDOW), 24) // 2)
                 t_r = max(m_r / cfg.reference_range * cfg.depth_base, MIN_DEPTH_THRESHOLD)
                 cols = np.flatnonzero(np.isfinite(d))
-                seg_of = {c: segs.segment_id[ri.cell_point[r, c]] for c in cols}
+                seg_of = {c: seg[r, c] for c in cols}
                 firsts = {}
                 for c in cols:
                     s = seg_of[c]
@@ -300,16 +305,16 @@ class TestDcsStress:
         ri = ri_from_depth(depth)
         windows = np.full(3, float(MIN_WINDOW))
         thresholds = np.full(3, 0.1)
-        segs = dcs_rows(ri, windows, thresholds)
+        segs = dcs_rows(*ri, windows, thresholds)
         assert segs.num_segments == 1 + 73 + 1  # row 1 breaks at every 7th column
         assert_matches_trace(segs, ri, windows, thresholds)
 
     def test_windows_at_or_past_the_width(self, rng):
         for _ in range(30):
             ri = random_range_image(rng, beams=4, columns=20, fill=0.5)
-            windows = rng.choice([20.0, 21.0, 40.0, 41.0, 1000.0], size=4)
+            windows = rng.choice([20.0, 21.0, 40.0, 41.0, 1000.0, 1e12], size=4)
             thresholds = rng.uniform(0.5, 10.0, size=4)
-            assert_matches_trace(dcs_rows(ri, windows, thresholds), ri, windows, thresholds)
+            assert_matches_trace(dcs_rows(*ri, windows, thresholds), ri, windows, thresholds)
 
     @pytest.mark.parametrize("period", [2, 3, 5, 8])
     def test_links_at_the_window_edge(self, period):
@@ -321,7 +326,7 @@ class TestDcsStress:
         ri = ri_from_depth(depth)
         windows = np.array([2.0 * period, 2.0 * period + 1])
         thresholds = np.full(2, 0.5)
-        segs = dcs_rows(ri, windows, thresholds)
+        segs = dcs_rows(*ri, windows, thresholds)
         assert segs.num_segments == 2 * period
         assert_matches_trace(segs, ri, windows, thresholds)
 
@@ -334,28 +339,28 @@ class TestDcsStress:
         depth[rng.random((3, 40)) > 0.8] = np.nan
         ri = ri_from_depth(depth)
         windows, thresholds = np.array([2.0, 5.0, 9.0]), np.full(3, 0.25)
-        assert_matches_trace(dcs_rows(ri, windows, thresholds), ri, windows, thresholds)
+        assert_matches_trace(dcs_rows(*ri, windows, thresholds), ri, windows, thresholds)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_window_rejected(self, bad):
         ri = ri_from_depth([[5.0, 5.1], [7.0, 7.0]])
         with pytest.raises(ValueError, match="windows"):
-            dcs_rows(ri, np.array([4.0, bad]), np.full(2, 0.5))
+            dcs_rows(*ri, np.array([4.0, bad]), np.full(2, 0.5))
 
 
 class TestEqualTableIdempotence:
     def test_resegmenting_is_stable(self, rng):
         ri = random_range_image(rng, beams=4, columns=30)
-        first = dcs_dynamic(ri, DcsConfig())
-        second = dcs_dynamic(ri, DcsConfig())
+        first = dcs_dynamic(*ri, DcsConfig())
+        second = dcs_dynamic(*ri, DcsConfig())
         assert np.array_equal(first.segment_id, second.segment_id)
 
     def test_trace_relabel_twice_is_noop(self, rng):
         # Re-running the relabel pass over resolved ids changes nothing.
-        ri = random_range_image(rng, beams=2, columns=16)
+        depth, _ = random_range_image(rng, beams=2, columns=16)
         windows = np.full(2, 8.0)
         thresholds = np.full(2, 0.5)
-        ids1, n1 = dcs_dynamic_trace(ri.depth, windows, thresholds)
-        ids2, n2 = dcs_dynamic_trace(ri.depth, windows, thresholds)
+        ids1, n1 = dcs_dynamic_trace(depth, windows, thresholds)
+        ids2, n2 = dcs_dynamic_trace(depth, windows, thresholds)
         assert n1 == n2
         assert np.array_equal(ids1, ids2)

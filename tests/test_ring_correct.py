@@ -20,9 +20,10 @@ CFG = RscConfig(t1=0.5, t2=0.7)
 class TestAlgorithmTraces:
     def test_background_dominates_vehicle_pass(self):
         # 4 vehicle, 3 background, 3 pedestrian: bg/veh = 0.75 > 0.5,
-        # so the vehicle pass clears the whole segment.
+        # so the vehicle pass clears the whole segment (and the pedestrian
+        # pass, bg/ped = 1 > 0.5, clears it too).
         pred = np.array([1, 1, 1, 1, 0, 0, 0, 2, 2, 2])
-        out = rsc_correct(pred, segs([0] * 10), CFG, classes=[1])
+        out = rsc_correct(pred, segs([0] * 10), CFG)
         assert out.tolist() == [0] * 10
 
     def test_class_claims_segment(self):
@@ -31,15 +32,10 @@ class TestAlgorithmTraces:
         out = rsc_correct(pred, segs([0] * 10), CFG)
         assert out.tolist() == [1] * 10
 
-    def test_neither_threshold_crossed(self):
-        # 5 vehicle, 2 bg, 3 ped: 0.4 <= 0.5 and 0.5 <= 0.7 leaves things alone.
-        pred = np.array([1, 1, 1, 1, 1, 0, 0, 2, 2, 2])
-        out = rsc_correct(pred, segs([0] * 10), CFG, classes=[1])
-        assert out.tolist() == pred.tolist()
-
     def test_full_pass_on_mixed_segment(self):
-        # Same input, full class loop: the pedestrian pass (bg/ped = 2/3 > 0.5)
-        # then clears the segment.
+        # 5 vehicle, 2 bg, 3 ped: the vehicle pass crosses neither threshold
+        # (0.4 <= 0.5, 0.5 <= 0.7), then the pedestrian pass (bg/ped = 2/3 > 0.5)
+        # clears the segment.
         pred = np.array([1, 1, 1, 1, 1, 0, 0, 2, 2, 2])
         out = rsc_correct(pred, segs([0] * 10), CFG)
         assert out.tolist() == [0] * 10

@@ -151,7 +151,7 @@ class TestGenerateLabels:
         proj = project_points(scene.calibration, frame)
         assign = crop_frustum(proj, scene.boxes)
         ri = build_range_image(frame, scene.config.beams, scene.config.columns)
-        segments = dcs_dynamic(ri, DcsConfig())
+        segments = dcs_dynamic(*ri, DcsConfig())
         trinary = refine_by_segments(assign, segments)
         labels = generate_labels(frame, trinary, assign, scene.boxes, ClassRadii())
         labels.check_consistency(scene.boxes)
@@ -220,7 +220,7 @@ class TestGenerateLabelsMatchesPerBox:
         frame = scene.frame
         assign = crop_frustum(project_points(scene.calibration, frame), scene.boxes)
         if stage == "spg":
-            segments = dcs_dynamic(build_range_image(frame, cfg.beams, cfg.columns), DcsConfig())
+            segments = dcs_dynamic(*build_range_image(frame, cfg.beams, cfg.columns), DcsConfig())
             trinary = refine_by_segments(assign, segments)
         else:
             trinary = (assign > 0).astype(np.int8)
@@ -244,7 +244,7 @@ class TestDirectionalQuality:
             proj = project_points(scene.calibration, frame)
             assign = crop_frustum(proj, scene.boxes)
             ri = build_range_image(frame, scene.config.beams, scene.config.columns)
-            segments = dcs_dynamic(ri, DcsConfig())
+            segments = dcs_dynamic(*ri, DcsConfig())
             trinary = refine_by_segments(assign, segments)
             labels = generate_labels(frame, trinary, assign, scene.boxes, ClassRadii())
             for acc, sem in (((tp, fp, fn), labels.semantic),
