@@ -39,7 +39,7 @@ STAGES = {"ccl": (), "spg": ("spg",), "+pvc": ("spg", "pvc"), "+rsc": ("spg", "p
 
 def raw_counts(bundle: Path) -> np.ndarray:
     frame, calib, boxes, manifest = read_frame_bundle(bundle)
-    assign = crop_frustum(project_points(calib, frame), boxes)
+    assign = crop_frustum(*project_points(calib, frame), frame.num_points, boxes)
     sem = frustum_semantic(assign, boxes)
     return np.stack(confusion_counts(sem, frame.gt_semantic, manifest["num_classes"]))
 

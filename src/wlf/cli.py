@@ -92,6 +92,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scene config: {exc}") from exc
     out = Path(args.out)
+    # A rerun with fewer frames or epochs would leave the old ones behind.
+    existing = sorted(out.glob("*/manifest.json"))
+    if existing:
+        raise ConfigError(f"{out} already holds frame bundle {existing[0].parent}; use a new --out")
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.num_frames):
         cfg_i = replace(scene_cfg, seed=scene_cfg.seed + i)

@@ -4,6 +4,11 @@ Coordinate conventions: the LiDAR frame is x forward, y left, z up, with the
 origin at the sensor. The camera frame is x right, y down, z along the optical
 axis. Pixel coordinates are continuous with (0, 0) at the upper-left corner,
 and a pixel lies inside a box under half-open containment [min, max).
+
+The crop is frustum first: ``project_points`` returns only the points whose
+pixel falls inside the image, from column sums ``x*r[i,0] + y*r[i,1] +
+z*r[i,2] + t[i]`` (no matrix product), and ``crop_frustum`` tests the boxes
+on those points alone.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ __all__ = [
     "Frame",
     "Calibration",
     "Box2D",
-    "ProjectedPoints",
     "project_points",
     "box_classes",
     "crop_frustum",
@@ -152,40 +156,28 @@ class Box2D:
         return (u >= x0) & (u < x1) & (v >= y0) & (v < y1)
 
 
-@dataclass
-class ProjectedPoints:
-    """Per-point pixel coordinates, camera depth, and a validity mask."""
+def project_points(calib: Calibration, frame: Frame) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, pixels)``: the ascending indices of the points in front of
+    the camera (positive camera z) whose pixel lies in [0, w) x [0, h), and
+    their (k, 2) pixels. Only points in front get a u and v computed."""
+    pts = frame.points
+    r, t = calib.rotation, calib.translation
 
-    pixels: np.ndarray
-    depth: np.ndarray
-    valid: np.ndarray
+    def cam(i: int, p: np.ndarray) -> np.ndarray:
+        return p[:, 0] * r[i, 0] + p[:, 1] * r[i, 1] + p[:, 2] * r[i, 2] + t[i]
 
-    def __post_init__(self) -> None:
-        n = self.pixels.shape[0]
-        if self.pixels.shape != (n, 2) or self.depth.shape != (n,) or self.valid.shape != (n,):
-            raise ValueError("inconsistent projection array shapes")
-
-
-def project_points(calib: Calibration, frame: Frame) -> ProjectedPoints:
-    """Project LiDAR points into the camera image.
-
-    A point is valid when it lies in front of the camera (positive camera-z)
-    and its pixel falls inside the image. Invalid points keep NaN pixels.
-    """
-    xyz = frame.xyz
-    if not np.isfinite(xyz).all():
+    # A non-finite coordinate makes camera z non-finite (inf * 0 is NaN).
+    with np.errstate(invalid="ignore"):
+        z = cam(2, pts)
+    if not np.isfinite(z).all():
         raise ValueError(f"frame {frame.frame_id}: non-finite point coordinates")
-    cam = xyz @ calib.rotation.T + calib.translation
-    z = cam[:, 2]
-    in_front = z > 0
-    z_safe = np.where(in_front, z, 1.0)
-    u = calib.fx * cam[:, 0] / z_safe + calib.cx
-    v = calib.fy * cam[:, 1] / z_safe + calib.cy
+    front = np.flatnonzero(z > 0)
+    p, z = pts.take(front, axis=0), z[front]  # take gathers rows faster than pts[front]
+    u = calib.fx * cam(0, p) / z + calib.cx
+    v = calib.fy * cam(1, p) / z + calib.cy
     w, h = calib.image_size
-    valid = in_front & (u >= 0) & (u < w) & (v >= 0) & (v < h)
-    pixels = np.stack([u, v], axis=1)
-    pixels[~in_front] = np.nan
-    return ProjectedPoints(pixels=pixels, depth=z.copy(), valid=valid)
+    inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
+    return front[inside], np.stack([u[inside], v[inside]], axis=1)
 
 
 def box_classes(boxes: list[Box2D]) -> np.ndarray:
@@ -196,22 +188,22 @@ def box_classes(boxes: list[Box2D]) -> np.ndarray:
     return class_of
 
 
-def crop_frustum(proj: ProjectedPoints, boxes: list[Box2D]) -> np.ndarray:
-    """Assign each point the id of the 2D box containing its pixel (0 = none).
-
-    Overlaps are resolved in favour of the smallest box area, then the
-    smallest box id. Invalid projections are always assigned 0.
-    """
+def crop_frustum(
+    index: np.ndarray, pixels: np.ndarray, num_points: int, boxes: list[Box2D]
+) -> np.ndarray:
+    """Each of ``num_points`` points' box id (0 = none), from the in-image
+    ``index`` and ``pixels`` of ``project_points``. Overlaps are resolved in
+    favour of the smallest box area, then the smallest box id."""
     ids = [b.box_id for b in boxes]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate box ids")
-    assign = np.zeros(proj.valid.shape[0], dtype=np.int32)
+    assign = np.zeros(num_points, dtype=np.int32)
     if not boxes:
         return assign
-    u = np.where(proj.valid, proj.pixels[:, 0], -1.0)
-    v = np.where(proj.valid, proj.pixels[:, 1], -1.0)
+    u, v = pixels[:, 0], pixels[:, 1]
+    box_of = np.zeros(index.shape[0], dtype=np.int32)
     # Write large/high-id boxes first so the preferred box lands last.
     for box in sorted(boxes, key=lambda b: (-b.area, -b.box_id)):
-        inside = proj.valid & box.contains(u, v)
-        assign[inside] = box.box_id
+        box_of[box.contains(u, v)] = box.box_id
+    assign[index] = box_of
     return assign

@@ -122,8 +122,7 @@ def process_frame(
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    proj = project_points(calib, frame)
-    box_assign = crop_frustum(proj, boxes)
+    box_assign = crop_frustum(*project_points(calib, frame), frame.num_points, boxes)
     timings["project"] = time.perf_counter() - t0
 
     # Only rsc and a running spg read the segments.

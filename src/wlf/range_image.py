@@ -10,9 +10,11 @@ gaps. A window of ``MIN_WINDOW`` and a constant threshold give the
 fixed-threshold scan that only links immediately adjacent columns. Every
 point takes its cell's segment, including points behind a nearer return.
 
-Each cell links at most once, to its nearest match on the left, so the links
-form a forest whose roots are the segments' leftmost cells, and pointer
-jumping finds every cell's segment without a general merge.
+Runs first, as in run-based two-scan labelling (He, Chao & Suzuki, IEEE TIP
+2008): one vectorised test links each cell to its left neighbour, and only
+the heads of the resulting runs look farther left, each linking once to the
+run of its nearest match. The links form a forest of runs rooted at each
+segment's leftmost run, and pointer jumping over run ids resolves it.
 """
 
 from __future__ import annotations
@@ -106,39 +108,41 @@ def dcs_rows(
         raise ValueError("windows/thresholds must have one entry per beam")
     if not np.isfinite(windows).all():
         raise ValueError("windows must be finite")
-    depth = depth.ravel()
-    cells = np.flatnonzero(np.isfinite(depth))  # occupied cells in scan order
-    n_cells = cells.size
-    index = np.full(depth.size, -1, dtype=np.int64)  # cell -> its rank in cells
-    index[cells] = np.arange(n_cells)
-    rows, cols = np.divmod(cells, columns)
-    # Offsets rise, so a cell's first match is its nearest link; a cell stops
-    # being tested once it links or its reach (half window, row start) ends.
+    # A cell continues the run on its left when that cell is near in depth
+    # (NaN never is); a row's first cell always starts a run. Run ids count
+    # the heads in scan order, and the run-id image holds -1 where empty.
+    head = np.isfinite(depth)
+    head[:, 1:] &= ~(np.abs(depth[:, 1:] - depth[:, :-1]) < thresholds[:, None])
+    run = np.where(np.isfinite(depth).ravel(), np.cumsum(head, dtype=np.int32) - 1, -1)
+    heads = np.flatnonzero(head)
+    rows, cols = np.divmod(heads, columns)
+    # Heads look farther left from offset 2, nearest first, until they link
+    # or pass their reach (half the window, at most the row start).
     reach = np.minimum(np.maximum(windows // 2, 1)[rows], cols).astype(np.int64)
     t = thresholds[rows]
-    link = np.arange(n_cells)
-    pending = np.flatnonzero(reach)
-    j = 1
+    depth = depth.ravel()
+    link = np.arange(heads.size, dtype=np.int32)
+    j = 2
+    pending = np.flatnonzero(reach >= j)
     while pending.size:
-        at = cells[pending]
-        hit = np.abs(depth[at] - depth[at - j]) < t[pending]  # NaN never links
-        link[pending[hit]] = index[at[hit] - j]
+        at = heads[pending]
+        hit = np.abs(depth[at] - depth[at - j]) < t[pending]
+        link[pending[hit]] = run[at[hit] - j]
         pending = pending[~hit]
         j += 1
         pending = pending[reach[pending] >= j]
-    # Links point left, so they form a forest rooted at each segment's
-    # leftmost cell; jump pointers to the roots and rank them in scan order.
+    # Links point left: jump pointers to the root runs, ranked in scan order.
     while True:
         nxt = link[link]
         if np.array_equal(nxt, link):
             break
         link = nxt
-    roots = link == np.arange(n_cells)
-    ids = (np.cumsum(roots) - 1)[link]
-    rank = index[cell]
+    roots = link == np.arange(heads.size)
+    ids = (np.cumsum(roots, dtype=np.int32) - 1)[link]
+    rank = run[cell]
     if rank.size and rank.min() < 0:
         raise AssertionError("point mapped to an unsegmented cell")
-    return RingSegments(segment_id=ids[rank].astype(np.int32), num_segments=int(roots.sum()))
+    return RingSegments(segment_id=ids[rank], num_segments=int(roots.sum()))
 
 
 def dcs_dynamic(depth: np.ndarray, cell: np.ndarray, cfg: DcsConfig) -> RingSegments:

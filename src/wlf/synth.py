@@ -323,7 +323,7 @@ def generate_scene(cfg: SceneConfig, frame_id: str | None = None) -> Scene:
         gt_instance=np.zeros(idx.shape[0], dtype=np.int32),
     )
     calib = _default_calibration(cfg)
-    proj = project_points(calib, frame)
+    index, pixels = project_points(calib, frame)
 
     # Boxed objects first, so instance ids equal box ids.
     boxes: list[Box2D] = []
@@ -335,10 +335,10 @@ def generate_scene(cfg: SceneConfig, frame_id: str | None = None) -> Scene:
         mask = is_object & (raw_obj == oi)
         if not mask.any():
             continue
-        vis = mask & proj.valid
+        vis = mask[index]
         if vis.any():
-            u = proj.pixels[vis, 0]
-            v = proj.pixels[vis, 1]
+            u = pixels[vis, 0]
+            v = pixels[vis, 1]
             pad = cfg.box_pad_px
             x0, x1 = float(u.min()) - pad, float(u.max()) + pad
             y0, y1 = float(v.min()) - pad, float(v.max()) + pad

@@ -298,3 +298,46 @@ def back_project(calib, pixels: np.ndarray, depth: np.ndarray) -> np.ndarray:
     y = (pixels[:, 1] - k[1, 2]) / k[1, 1] * depth
     cam = np.stack([x, y, depth], axis=1)
     return (cam - ext[:3, 3]) @ ext[:3, :3]
+
+
+def project_points_full(calib, frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full-array pinhole projection, one point at a time: every point's pixel
+    (NaN behind the camera), its camera depth, and whether it is valid (in
+    front of the camera, pixel inside the image).
+
+    Camera coordinates are summed as ``((x*r[i,0] + y*r[i,1]) + z*r[i,2]) +
+    t[i]``, the package's column order, in plain floats, so these pixels
+    equal the package's bit for bit and a point on a box edge stays on it.
+    """
+    r = calib.extrinsic[:3, :3].tolist()
+    t = calib.extrinsic[:3, 3].tolist()
+    k = calib.intrinsic
+    fx, fy, cx, cy = float(k[0, 0]), float(k[1, 1]), float(k[0, 2]), float(k[1, 2])
+    w, h = calib.image_size
+    n = frame.points.shape[0]
+    pixels = np.full((n, 2), np.nan)
+    depth = np.zeros(n)
+    valid = np.zeros(n, dtype=bool)
+    for i, (x, y, z) in enumerate(frame.points[:, :3].tolist()):
+        cam = [x * r[a][0] + y * r[a][1] + z * r[a][2] + t[a] for a in range(3)]
+        depth[i] = cam[2]
+        if cam[2] > 0:
+            u = fx * cam[0] / cam[2] + cx
+            v = fy * cam[1] / cam[2] + cy
+            pixels[i] = u, v
+            valid[i] = 0 <= u < w and 0 <= v < h
+    return pixels, depth, valid
+
+
+def crop_frustum_trace(pixels: np.ndarray, valid: np.ndarray, boxes) -> np.ndarray:
+    """Each point's box by enumeration: among the boxes whose half-open bounds
+    hold its valid pixel, the smallest area, then the smallest id; 0 if none."""
+    out = np.zeros(len(valid), dtype=np.int32)
+    for p in np.flatnonzero(valid):
+        u, v = pixels[p]
+        containing = [
+            b for b in boxes if b.bounds[0] <= u < b.bounds[2] and b.bounds[1] <= v < b.bounds[3]
+        ]
+        if containing:
+            out[p] = min(containing, key=lambda b: (b.area, b.box_id)).box_id
+    return out

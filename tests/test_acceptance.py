@@ -77,8 +77,8 @@ def chain100():
     t0 = time.perf_counter()
     for scene in scenes:
         frame = scene.frame
-        proj = project_points(scene.calibration, frame)
-        assign = crop_frustum(proj, scene.boxes)
+        index, pixels = project_points(scene.calibration, frame)
+        assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
         ri = build_range_image(frame, scene.config.beams, scene.config.columns)
         segments = dcs_dynamic(*ri, dcs_cfg)
         trinary = refine_by_segments(assign, segments)

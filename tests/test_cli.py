@@ -82,6 +82,26 @@ class TestSynth:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["--num-frames", "3", "--seed", "1"], ["--num-frames", "1", "--seed", "9"]),
+            (["--num-frames", "1", "--epochs", "4"], ["--num-frames", "1", "--epochs", "2"]),
+        ],
+    )
+    def test_rerun_over_a_corpus_exit_3_writes_nothing(self, tmp_path, capsys, first, second):
+        # Fewer frames or epochs over an old corpus would leave its frames or
+        # votes behind, mixed with the new ones.
+        out = tmp_path / "frames"
+        assert run("synth", "--out", out, *first) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run("synth", "--out", out, *second) == 3
+        err = capsys.readouterr().err
+        assert "frame_0000" in err and "Traceback" not in err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
 class TestPipeline:
     def test_end_to_end_with_report(self, bundles, tmp_path):
         out = tmp_path / "run1"

@@ -348,6 +348,52 @@ class TestDcsStress:
             dcs_rows(*ri, np.array([4.0, bad]), np.full(2, 0.5))
 
 
+# Per cell: a small step (an adjacent link), a step of exactly the
+# threshold, a NaN gap, an intrusion far off the row's depth, or a return to
+# the depth two or three cells back, which links across a gap or intrusion.
+CELL_KINDS = st.sampled_from(["near"] * 6 + ["tie", "gap", "intrusion", "back"])
+
+
+@st.composite
+def chained_rasters(draw):
+    """Rows made mostly of adjacent links with sparse far links across gaps,
+    in quarter metres so that a step can equal the threshold exactly. A row
+    often starts at the depth where the row above ended."""
+    beams, columns = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    thresholds = np.array([0.25 * draw(st.integers(1, 4)) for _ in range(beams)])
+    depth = np.full((beams, columns), np.nan)
+    level = 0.25 * draw(st.integers(8, 80))
+    for r in range(beams):
+        if draw(st.booleans()):
+            level = 0.25 * draw(st.integers(8, 80))
+        for c in range(columns):
+            kind = draw(CELL_KINDS)
+            if kind == "gap":
+                continue
+            if kind == "near":
+                level += 0.25 * draw(st.integers(-1, 1))
+            elif kind == "tie":
+                level += thresholds[r] * draw(st.sampled_from([-1.0, 1.0]))
+            elif kind == "back" and c >= 2:
+                back = depth[r, c - draw(st.integers(2, min(3, c)))]
+                level = level if np.isnan(back) else back
+            depth[r, c] = level + (40.0 if kind == "intrusion" else 0.0)
+    windows = np.array([draw(st.sampled_from([0.5, 2.0, 3.0, 5.0, 8.0, float(columns), 1e6]))
+                        for _ in range(beams)])
+    cell = np.flatnonzero(np.isfinite(depth))
+    copies = draw(st.lists(st.integers(1, 2), min_size=cell.size, max_size=cell.size))
+    cell = np.repeat(cell, copies)
+    return (depth, np.array(draw(st.permutations(cell)), dtype=np.int64)), windows, thresholds
+
+
+class TestDcsRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(chained_rasters())
+    def test_chained_rows_match_trace(self, case):
+        ri, windows, thresholds = case
+        assert_matches_trace(dcs_rows(*ri, windows, thresholds), ri, windows, thresholds)
+
+
 class TestEqualTableIdempotence:
     def test_resegmenting_is_stable(self, rng):
         ri = random_range_image(rng, beams=4, columns=30)

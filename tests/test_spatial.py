@@ -148,8 +148,8 @@ class TestGenerateLabels:
         # Every point lands in exactly one of ignore / background / one instance.
         scene = generate_scene(SceneConfig(seed=11, box_pad_px=6.0))
         frame = scene.frame
-        proj = project_points(scene.calibration, frame)
-        assign = crop_frustum(proj, scene.boxes)
+        index, pixels = project_points(scene.calibration, frame)
+        assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
         ri = build_range_image(frame, scene.config.beams, scene.config.columns)
         segments = dcs_dynamic(*ri, DcsConfig())
         trinary = refine_by_segments(assign, segments)
@@ -218,7 +218,8 @@ class TestGenerateLabelsMatchesPerBox:
                           vehicle_distance=(12.0, 20.0))
         scene = generate_scene(cfg)
         frame = scene.frame
-        assign = crop_frustum(project_points(scene.calibration, frame), scene.boxes)
+        index, pixels = project_points(scene.calibration, frame)
+        assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
         if stage == "spg":
             segments = dcs_dynamic(*build_range_image(frame, cfg.beams, cfg.columns), DcsConfig())
             trinary = refine_by_segments(assign, segments)
@@ -241,8 +242,8 @@ class TestDirectionalQuality:
                 SceneConfig(seed=seed, box_pad_px=10.0, vehicle_distance=(8.0, 16.0))
             )
             frame = scene.frame
-            proj = project_points(scene.calibration, frame)
-            assign = crop_frustum(proj, scene.boxes)
+            index, pixels = project_points(scene.calibration, frame)
+            assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
             ri = build_range_image(frame, scene.config.beams, scene.config.columns)
             segments = dcs_dynamic(*ri, DcsConfig())
             trinary = refine_by_segments(assign, segments)

@@ -47,9 +47,9 @@ class TestSceneContents:
         assert len(scene.boxes) == 1
         box = scene.boxes[0]
         assert box.box_id == 1 and box.class_id == 1
-        proj = project_points(scene.calibration, frame)
-        vis = hits & proj.valid
-        u, v = proj.pixels[vis, 0], proj.pixels[vis, 1]
+        index, pixels = project_points(scene.calibration, frame)
+        vis = hits[index]
+        u, v = pixels[vis, 0], pixels[vis, 1]
         assert box.contains(u, v).all()
 
     def test_empty_scene_is_all_background(self):
@@ -173,8 +173,8 @@ class TestFabricateScores:
         # ground-truth semantic label.
         scene = generate_scene(SceneConfig(seed=21, box_pad_px=8.0))
         frame = scene.frame
-        proj = project_points(scene.calibration, frame)
-        assign = crop_frustum(proj, scene.boxes)
+        index, pixels = project_points(scene.calibration, frame)
+        assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
         scores = np.stack([
             foreground_score(fabricate_scores(frame.gt_semantic, 3, 0.0, seed=21, epoch=epoch))
             for epoch in range(4)

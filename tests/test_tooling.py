@@ -63,6 +63,11 @@ def test_traced_run_counts_every_layer(tmp_path):
     for name in ("range_image.segments", "clustering.ccl_calls", "clustering.components",
                  "metrics.pred_instances", "metrics.gt_instances"):
         assert layers[name] > 0, name
+    # The crop must count every point of the frame, not only those in the image.
+    manifests = corpus.glob("*/manifest.json")
+    corpus_points = sum(json.loads(m.read_text())["num_points"] for m in manifests)
+    assert sum(s.counts["points"] for s in tracer.spans if s.name == "frames.crop") == corpus_points
+    assert 0 < layers["frames.in_frustum_share"] < 1
 
 
 def src_env() -> dict[str, str]:

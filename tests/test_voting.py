@@ -96,7 +96,7 @@ class TestVoteCorrect:
         write_votes(bundle, 0, np.zeros(frame.num_points))
         write_votes(bundle, 1, np.ones(frame.num_points))
         labels = engine_labels(bundle, ["pvc"], n_his=1, t_reliable=1)
-        assign = crop_frustum(project_points(calib, frame), boxes)
+        assign = crop_frustum(*project_points(calib, frame), frame.num_points, boxes)
         in_box = assign > 0
         assert in_box.any()
         assert np.array_equal(labels.instance[in_box], assign[in_box])
