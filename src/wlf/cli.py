@@ -23,9 +23,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
+# The runtime makes no BLAS call worth a thread, and OpenBLAS starts a worker
+# pool at `import numpy` unless told otherwise first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .bundle import (
+import numpy as np  # noqa: E402
+
+from .bundle import (  # noqa: E402
     BundleError,
     read_frame_bundle,
     read_mask_predictions,
@@ -33,9 +37,9 @@ from .bundle import (
     write_json,
     write_votes,
 )
-from .config import ConfigError, PipelineConfig
-from .mask_fusion import binarize, pseudo_loss, weight_masks
-from .pipeline import (
+from .config import ConfigError, PipelineConfig  # noqa: E402
+from .mask_fusion import binarize, pseudo_loss, weight_masks  # noqa: E402
+from .pipeline import (  # noqa: E402
     InvariantError,
     MissingInputError,
     RunResult,
@@ -43,8 +47,8 @@ from .pipeline import (
     read_manifests,
     run_pipeline,
 )
-from .synth import CLASS_NAMES, SceneConfig, fabricate_scores, generate_scene
-from .voting import foreground_score
+from .synth import CLASS_NAMES, SceneConfig, fabricate_scores, generate_scene  # noqa: E402
+from .voting import foreground_score  # noqa: E402
 
 logger = logging.getLogger("wlf")
 

@@ -88,6 +88,9 @@ class Calibration:
             raise ValueError("intrinsic must be 3x3")
         if self.extrinsic.shape != (4, 4):
             raise ValueError("extrinsic must be 4x4")
+        # NaN passes every comparison below.
+        if not (np.isfinite(self.intrinsic).all() and np.isfinite(self.extrinsic).all()):
+            raise ValueError("intrinsic and extrinsic must be finite")
         k = self.intrinsic
         lower = np.abs([k[1, 0], k[2, 0], k[2, 1]])
         if lower.max() > 0:

@@ -89,12 +89,15 @@ class SceneConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if not _same_kind(getattr(self, f.name), f.default):
-                raise TypeError(f"{f.name} must be {f.type}, not {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if not _same_kind(value, f.default):
+                raise TypeError(f"{f.name} must be {f.type}, not {value!r}")
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{f.name} must be finite, not {value!r}")
         if self.beams < 1 or self.columns < 1:
             raise ValueError("beams and columns must be >= 1")
-        if self.fov_up_deg <= self.fov_down_deg:
-            raise ValueError("fov_up_deg must exceed fov_down_deg")
+        if not -90.0 <= self.fov_down_deg < self.fov_up_deg <= 90.0:
+            raise ValueError("need -90 <= fov_down_deg < fov_up_deg <= 90")
         if self.depth_jitter < 0 or self.score_sigma < 0:
             raise ValueError("noise sigmas must be >= 0")
         for name in ("vehicles", "pedestrians", "cyclists", "background_walls"):
@@ -133,17 +136,41 @@ class _Cuboid:
     size: np.ndarray
     yaw: float
 
+    def azimuth_span(self) -> tuple[float, float] | None:
+        """Azimuths (lo, hi) that bound the footprint's four corners as seen
+        from the sensor axis; None when the axis passes through the footprint."""
+        c, s = math.cos(self.yaw), math.sin(self.yaw)
+        hx, hy = float(self.size[0]) / 2.0, float(self.size[1]) / 2.0
+        cx, cy = float(self.center[0]), float(self.center[1])
+        # The axis (0, 0) in the box frame.
+        if abs(-c * cx - s * cy) <= hx and abs(s * cx - c * cy) <= hy:
+            return None
+        # Corner azimuths relative to the centre's: within pi of it, no wrap.
+        rel = []
+        for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            px = cx + c * sx * hx - s * sy * hy
+            py = cy + s * sx * hx + c * sy * hy
+            rel.append(math.atan2(cx * py - cy * px, cx * px + cy * py))
+        base = math.atan2(cy, cx)
+        return base + min(rel), base + max(rel)
+
     def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """Ray distance to the box, inf on a miss: the slab test of Kay and
+        Kajiya (SIGGRAPH 1986) in the box frame, one 1-D pass per axis."""
         c, s = math.cos(-self.yaw), math.sin(-self.yaw)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         o = rot @ (origin - self.center)
+        # A matrix product, not per-axis sums: BLAS fuses the multiply-adds,
+        # and the corpora are pinned to its rounding.
         d = dirs @ rot.T
-        d = np.where(np.abs(d) < 1e-12, 1e-12, d)
         half = self.size / 2.0
-        t1 = (-half - o) / d
-        t2 = (half - o) / d
-        enter = np.minimum(t1, t2).max(axis=1)
-        exit_ = np.maximum(t1, t2).min(axis=1)
+        enter, exit_ = -np.inf, np.inf
+        for k in range(3):
+            dk = np.where(np.abs(d[:, k]) < 1e-12, 1e-12, d[:, k])
+            t1 = (-half[k] - o[k]) / dk
+            t2 = (half[k] - o[k]) / dk
+            enter = np.maximum(enter, np.minimum(t1, t2))
+            exit_ = np.minimum(exit_, np.maximum(t1, t2))
         hit = (exit_ >= enter) & (enter > _RAY_T_MIN)
         return np.where(hit, enter, np.inf)
 
@@ -154,6 +181,16 @@ class _Cylinder:
     center_xy: np.ndarray
     radius: float
     height: float
+
+    def azimuth_span(self) -> tuple[float, float] | None:
+        """Azimuths (lo, hi) of the footprint's tangents from the sensor axis;
+        None when the axis passes through the footprint."""
+        cx, cy = float(self.center_xy[0]), float(self.center_xy[1])
+        dist = math.hypot(cx, cy)
+        if self.radius >= dist:
+            return None
+        base, half = math.atan2(cy, cx), math.asin(self.radius / dist)
+        return base - half, base + half
 
     def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         ox, oy, oz = origin - np.array([self.center_xy[0], self.center_xy[1], 0.0])
@@ -265,6 +302,65 @@ def _default_calibration(cfg: SceneConfig) -> Calibration:
     )
 
 
+def _ray_directions(cfg: SceneConfig) -> np.ndarray:
+    """Unit direction of every ray, (beams * columns, 3), beam-major: beam b
+    at the b-th of ``beams`` elevations from fov_up to fov_down, column k at
+    azimuth ``-pi + (k + 0.5) * 2pi / columns``."""
+    elev = np.radians(np.linspace(cfg.fov_up_deg, cfg.fov_down_deg, cfg.beams))[:, None]
+    azim = -np.pi + (np.arange(cfg.columns) + 0.5) * (2.0 * np.pi / cfg.columns)
+    dirs = np.empty((cfg.beams, cfg.columns, 3))
+    dirs[..., 0] = np.cos(elev) * np.cos(azim)
+    dirs[..., 1] = np.cos(elev) * np.sin(azim)
+    dirs[..., 2] = np.sin(elev)
+    return dirs.reshape(-1, 3)
+
+
+def _span_rays(span: tuple[float, float] | None, beams: int, columns: int) -> np.ndarray:
+    """The rays, in every beam, of the columns that look inside ``span``
+    padded by one column on each side, wrapped at +-pi; all rays when there
+    is no span or it reaches pi."""
+    if span is None or span[1] - span[0] >= math.pi:
+        return np.arange(beams * columns)
+    width = 2.0 * math.pi / columns
+    # Column k looks along -pi + (k + 0.5) * width.
+    first = math.ceil((span[0] + math.pi) / width - 0.5) - 1
+    last = math.floor((span[1] + math.pi) / width - 0.5) + 1
+    if last - first + 1 >= columns:
+        return np.arange(beams * columns)
+    cols = np.arange(first, last + 1) % columns
+    return (np.arange(beams)[:, None] * columns + cols).ravel()
+
+
+def _cast(
+    objects: list, origin: np.ndarray, dirs: np.ndarray, columns: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest hit of every ray: the index of what it hits (``len(objects)``
+    for the ground) and the distance, inf where nothing is hit.
+
+    Each object is cast only over the columns of its azimuth span. A strict
+    ``<`` keeps the first of tied hits, objects before the ground, as an
+    argmin over all of them would.
+    """
+    n_rays = dirs.shape[0]
+    beams = n_rays // columns
+    winner = np.full(n_rays, len(objects))
+    t_hit = np.full(n_rays, np.inf)
+    for oi, obj in enumerate(objects):
+        rays = _span_rays(obj.azimuth_span(), beams, columns)
+        t = obj.intersect(origin, dirs[rays])
+        closer = t < t_hit[rays]
+        t_hit[rays[closer]] = t[closer]
+        winner[rays[closer]] = oi
+    # The ground distance depends on the beam alone.
+    dz = dirs[::columns, 2]
+    t_ground = np.where(dz < -1e-12, -origin[2] / np.where(dz < -1e-12, dz, -1.0), np.inf)
+    t_ground = np.repeat(np.where(t_ground > _RAY_T_MIN, t_ground, np.inf), columns)
+    closer = t_ground < t_hit
+    t_hit[closer] = t_ground[closer]
+    winner[closer] = len(objects)
+    return winner, t_hit
+
+
 def generate_scene(cfg: SceneConfig, frame_id: str | None = None) -> Scene:
     """Ray-cast one frame and derive its ground truth and 2D boxes.
 
@@ -277,25 +373,9 @@ def generate_scene(cfg: SceneConfig, frame_id: str | None = None) -> Scene:
     objects = _place_objects(cfg, rng)
     origin = np.array([0.0, 0.0, cfg.sensor_height])
 
-    elev = np.radians(np.linspace(cfg.fov_up_deg, cfg.fov_down_deg, cfg.beams))
-    azim = -np.pi + (np.arange(cfg.columns) + 0.5) * (2.0 * np.pi / cfg.columns)
-    ee, aa = np.meshgrid(elev, azim, indexing="ij")
-    dirs = np.stack(
-        [np.cos(ee) * np.cos(aa), np.cos(ee) * np.sin(aa), np.sin(ee)], axis=-1
-    ).reshape(-1, 3)
-    rows = np.repeat(np.arange(cfg.beams), cfg.columns)
-
+    dirs = _ray_directions(cfg)
     n_rays = dirs.shape[0]
-    t_all = np.full((len(objects) + 1, n_rays), np.inf)
-    for oi, obj in enumerate(objects):
-        t_all[oi] = obj.intersect(origin, dirs)
-    dz = dirs[:, 2]
-    t_ground = np.where(dz < -1e-12, -origin[2] / np.where(dz < -1e-12, dz, -1.0), np.inf)
-    t_ground = np.where(t_ground > _RAY_T_MIN, t_ground, np.inf)
-    t_all[-1] = t_ground
-
-    winner = np.argmin(t_all, axis=0)
-    t_hit = t_all[winner, np.arange(n_rays)]
+    winner, t_hit = _cast(objects, origin, dirs, cfg.columns)
     hit = np.isfinite(t_hit) & (t_hit <= cfg.max_range)
 
     if cfg.depth_jitter > 0:
@@ -309,16 +389,14 @@ def generate_scene(cfg: SceneConfig, frame_id: str | None = None) -> Scene:
     points[:, 3] = rng.uniform(0.0, 1.0, idx.shape[0])
 
     raw_obj = winner[idx]  # index into objects, len(objects) = ground
-    gt_semantic = np.zeros(idx.shape[0], dtype=np.int32)
-    is_object = raw_obj < len(objects)
-    for oi, obj in enumerate(objects):
-        gt_semantic[raw_obj == oi] = obj.class_id
+    class_of = np.array([obj.class_id for obj in objects] + [0], dtype=np.int32)
+    gt_semantic = class_of[raw_obj]
 
     frame_id = frame_id or f"synth-{cfg.seed:08d}"
     frame = Frame(
         frame_id=frame_id,
         points=points,
-        beam_row=rows[idx],
+        beam_row=idx // cfg.columns,
         gt_semantic=gt_semantic,
         gt_instance=np.zeros(idx.shape[0], dtype=np.int32),
     )
@@ -332,7 +410,7 @@ def generate_scene(cfg: SceneConfig, frame_id: str | None = None) -> Scene:
     for oi, obj in enumerate(objects):
         if obj.class_id == 0:
             continue
-        mask = is_object & (raw_obj == oi)
+        mask = raw_obj == oi
         if not mask.any():
             continue
         vis = mask[index]

@@ -48,7 +48,11 @@ def foreground_score(class_scores: np.ndarray) -> np.ndarray:
         raise ValueError("class_scores must be (N, n_cls)")
     if class_scores.shape[1] == 0:
         return np.zeros(class_scores.shape[0])
-    return class_scores.max(axis=1)
+    # Column maxima: a reduction along each short row is several times slower.
+    best = class_scores[:, 0].copy()
+    for column in class_scores.T[1:]:
+        np.maximum(best, column, out=best)
+    return best
 
 
 def vote_correct(

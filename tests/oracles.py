@@ -4,7 +4,9 @@ Everything here is deliberately written as plain loops, straight from the
 operation definitions, and shares no code with the package. The one
 exception is ``generate_labels_per_box``: the box-at-a-time form of
 ``spatial.generate_labels``, built on the package's single-radius
-``ccl_cluster`` (itself checked against ``bfs_components``).
+``ccl_cluster`` (itself checked against ``bfs_components``). ``cast_full``
+is synth's former ray cast, every object over every ray, kept as the
+reference for the cast that culls by azimuth.
 """
 
 from __future__ import annotations
@@ -341,3 +343,76 @@ def crop_frustum_trace(pixels: np.ndarray, valid: np.ndarray, boxes) -> np.ndarr
         if containing:
             out[p] = min(containing, key=lambda b: (b.area, b.box_id)).box_id
     return out
+
+
+RAY_T_MIN = 0.3  # synth's nearest admissible hit distance
+
+
+def ray_directions_grid(beams: int, columns: int, fov_up_deg: float, fov_down_deg: float):
+    """Unit ray directions, (beams * columns, 3), beam-major, from a full
+    (elevation, azimuth) meshgrid: column k looks along -pi + (k + 0.5) * 2pi /
+    columns."""
+    elev = np.radians(np.linspace(fov_up_deg, fov_down_deg, beams))
+    azim = -np.pi + (np.arange(columns) + 0.5) * (2.0 * np.pi / columns)
+    ee, aa = np.meshgrid(elev, azim, indexing="ij")
+    return np.stack(
+        [np.cos(ee) * np.cos(aa), np.cos(ee) * np.sin(aa), np.sin(ee)], axis=-1
+    ).reshape(-1, 3)
+
+
+def cuboid_hits_full(box, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Slab test of a yawed box over every ray at once, reduced over (N, 3)
+    arrays; inf on a miss."""
+    c, s = math.cos(-box.yaw), math.sin(-box.yaw)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    o = rot @ (origin - box.center)
+    d = dirs @ rot.T
+    d = np.where(np.abs(d) < 1e-12, 1e-12, d)
+    half = box.size / 2.0
+    t1 = (-half - o) / d
+    t2 = (half - o) / d
+    enter = np.minimum(t1, t2).max(axis=1)
+    exit_ = np.maximum(t1, t2).min(axis=1)
+    hit = (exit_ >= enter) & (enter > RAY_T_MIN)
+    return np.where(hit, enter, np.inf)
+
+
+def cylinder_hits_full(cyl, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Nearest admissible hit of a capped vertical cylinder on the ground, over
+    every ray: the side's two roots, then the top cap; inf on a miss."""
+    ox, oy, oz = origin - np.array([cyl.center_xy[0], cyl.center_xy[1], 0.0])
+    dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+    a = dx * dx + dy * dy
+    b = 2.0 * (ox * dx + oy * dy)
+    c = ox * ox + oy * oy - cyl.radius * cyl.radius
+    disc = b * b - 4.0 * a * c
+    best = np.full(dirs.shape[0], np.inf)
+    ok = (disc >= 0) & (a > 1e-12)
+    sq = np.sqrt(np.where(ok, disc, 0.0))
+    for sign in (-1.0, 1.0):
+        t = np.where(ok, (-b + sign * sq) / (2.0 * np.where(ok, a, 1.0)), np.inf)
+        z = oz + t * dz
+        good = ok & (t > RAY_T_MIN) & (z >= 0.0) & (z <= cyl.height)
+        best = np.where(good & (t < best), t, best)
+    dz_safe = np.where(np.abs(dz) < 1e-12, 1e-12, dz)
+    t_cap = (cyl.height - oz) / dz_safe
+    x = ox + t_cap * dx
+    y = oy + t_cap * dy
+    good = (t_cap > RAY_T_MIN) & (x * x + y * y <= cyl.radius * cyl.radius)
+    return np.where(good & (t_cap < best), t_cap, best)
+
+
+def cast_full(objects, origin: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest hit of every ray from a full (objects + ground) x rays table of
+    distances and its argmin: every object over every ray, and the first of
+    tied hits wins, objects before the ground. Returns each ray's winner
+    (``len(objects)`` for the ground) and distance, inf where nothing is hit."""
+    t_all = np.full((len(objects) + 1, dirs.shape[0]), np.inf)
+    for oi, obj in enumerate(objects):
+        hits = cuboid_hits_full if hasattr(obj, "yaw") else cylinder_hits_full
+        t_all[oi] = hits(obj, origin, dirs)
+    dz = dirs[:, 2]
+    t_ground = np.where(dz < -1e-12, -origin[2] / np.where(dz < -1e-12, dz, -1.0), np.inf)
+    t_all[-1] = np.where(t_ground > RAY_T_MIN, t_ground, np.inf)
+    winner = np.argmin(t_all, axis=0)
+    return winner, t_all[winner, np.arange(dirs.shape[0])]

@@ -81,6 +81,20 @@ class TestSynth:
         assert next(iter(scene)) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "scene, flags",
+        [({"max_range": float("nan")}, []), ({"score_sigma": float("nan")}, []),
+         ({"fov_up_deg": float("inf")}, []), ({}, ["--score-sigma", "nan"])],
+        ids=["max-range-nan", "score-sigma-nan", "fov-up-inf", "score-sigma-flag-nan"],
+    )
+    def test_non_finite_scene_config_exit_3_writes_nothing(self, tmp_path, capsys, scene, flags):
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(scene))  # NaN and Infinity, as json writes them
+        out = tmp_path / "frames"
+        assert run("synth", "--out", out, "--config", config, "--num-frames", "2", *flags) == 3
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "first, second",
@@ -279,6 +293,21 @@ class TestStageCommands:
         # An exception escaping main would be a traceback and exit 1.
         assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 3
         assert str(bundles / "frame_0002") in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, row, col, value",
+        [("extrinsic", 0, 0, float("nan")), ("intrinsic", 0, 2, float("inf")),
+         ("extrinsic", 2, 3, float("nan"))],
+        ids=["extrinsic-rotation-nan", "intrinsic-cx-inf", "extrinsic-translation-nan"],
+    )
+    def test_non_finite_calibration_exit_3(self, bundles, tmp_path, capsys, key, row, col, value):
+        # Every comparison with NaN is false, so range checks alone let it through.
+        edit_json(bundles / "frame_0002" / "calibration.json",
+                  lambda calib: calib[key][row].__setitem__(col, value))
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert f"{bundles / 'frame_0002' / 'calibration.json'}: " in err
+        assert "must be finite" in err and "Traceback" not in err
 
     def test_box_class_above_num_classes_exit_3(self, bundles, tmp_path, capsys):
         for manifest in sorted(bundles.glob("*/manifest.json")):

@@ -1,6 +1,15 @@
+import math
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import cast_full, ray_directions_grid
+
+from wlf import synth
 from wlf.clustering import ClassRadii, ccl_cluster
 from wlf.frames import crop_frustum, project_points
 from wlf.range_image import build_range_image
@@ -145,6 +154,112 @@ class TestSceneContents:
             assert (scene.frame.gt_instance == box.box_id).any()
 
 
+def full_cast(objects, origin, dirs, columns):
+    return cast_full(objects, origin, dirs)
+
+
+def ray_azimuth(k: int, columns: int) -> float:
+    return -math.pi + (k + 0.5) * (2.0 * math.pi / columns)
+
+
+@st.composite
+def edge_objects(draw, columns: int):
+    """A cylinder tangent to, or a box with a corner on, the vertical plane
+    of one column's rays: the span's pad is what keeps such a ray cast."""
+    az = ray_azimuth(draw(st.integers(0, columns - 1)), columns)
+    dist = draw(st.floats(2.0, 25.0))
+    if draw(st.booleans()):
+        radius = draw(st.floats(0.2, 1.5))
+        centre = az + draw(st.sampled_from([-1.0, 1.0])) * math.asin(radius / dist)
+        return synth._Cylinder(
+            class_id=draw(st.sampled_from([2, 3])),
+            center_xy=dist * np.array([math.cos(centre), math.sin(centre)]),
+            radius=radius, height=draw(st.floats(0.5, 3.0)),
+        )
+    size = np.array([draw(st.floats(0.5, 6.0)), draw(st.floats(0.5, 6.0)), draw(st.floats(0.5, 3.0))])
+    yaw = draw(st.floats(0.0, math.pi))
+    sx, sy = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+    c, s = math.cos(yaw), math.sin(yaw)
+    hx, hy = sx * size[0] / 2.0, sy * size[1] / 2.0
+    x = dist * math.cos(az) - (c * hx - s * hy)
+    y = dist * math.sin(az) - (s * hx + c * hy)
+    return synth._Cuboid(class_id=draw(st.sampled_from([0, 1])),
+                         center=np.array([x, y, size[2] / 2.0]), size=size, yaw=yaw)
+
+
+@st.composite
+def cast_cases(draw):
+    columns = draw(st.one_of(st.integers(1, 8), st.sampled_from([31, 64, 360, 512])))
+    fov_down = draw(st.floats(-90.0, 10.0))
+    wedge = draw(st.one_of(
+        st.sampled_from([(150.0, 210.0), (-180.0, 180.0), (-210.0, -150.0), (-32.0, 32.0)]),
+        st.tuples(st.floats(-360.0, 360.0), st.floats(0.0, 400.0)).map(lambda w: (w[0], w[0] + w[1])),
+    ))
+    near = draw(st.floats(0.05, 3.0))  # inside or just outside a cylinder
+    cfg = SceneConfig(
+        seed=draw(st.integers(0, 2**31 - 1)),
+        beams=draw(st.integers(1, 12)),
+        columns=columns,
+        fov_down_deg=fov_down,
+        fov_up_deg=draw(st.floats(fov_down + 1.0, 90.0)),
+        azimuth_deg=wedge,
+        vehicles=(0, draw(st.integers(0, 4))),
+        pedestrians=(0, draw(st.integers(0, 4))),
+        cyclists=(0, draw(st.integers(0, 3))),
+        background_walls=(0, draw(st.integers(0, 3))),
+        vehicle_distance=(draw(st.floats(0.5, 4.0)), 20.0),
+        pedestrian_distance=(near, near + draw(st.floats(0.0, 6.0))),
+        cyclist_distance=(near, near + draw(st.floats(0.0, 8.0))),
+        wall_distance=(draw(st.floats(1.0, 30.0)), 45.0),
+        min_separation=draw(st.floats(0.0, 2.5)),
+        depth_jitter=draw(st.sampled_from([0.0, 0.02, 0.3])),
+        box_pad_px=draw(st.sampled_from([0.0, 2.5, 40.0])),
+    )
+    # Copies of placed objects under another class tie with them on every ray.
+    copies = draw(st.lists(st.integers(0, 20), max_size=3))
+    edges = draw(st.lists(edge_objects(columns), max_size=3))
+    return cfg, copies, edges
+
+
+def placing(copies: list[int], edges: list):
+    place = synth._place_objects
+
+    def placed(cfg, rng):
+        objects = place(cfg, rng)
+        tied = [objects[i % len(objects)] for i in copies] if objects else []
+        return objects + [replace(o, class_id=(o.class_id + 1) % 4) for o in tied] + edges
+
+    return mock.patch.object(synth, "_place_objects", placed)
+
+
+class TestCastMatchesOracle:
+    # A beam at exactly 0 deg elevation multiplies a cylinder miss's inf by
+    # dz = 0; the NaN then fails every comparison, as a miss should.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(cast_cases())
+    def test_generate_scene_matches_full_cast(self, case):
+        cfg, copies, edges = case
+        with placing(copies, edges):
+            got = generate_scene(cfg)
+            with mock.patch.object(synth, "_cast", full_cast):
+                want = generate_scene(cfg)
+        for name in ("points", "beam_row", "gt_semantic", "gt_instance"):
+            a, b = getattr(got.frame, name), getattr(want.frame, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert [(x.box_id, x.class_id, x.bounds) for x in got.boxes] == [
+            (x.box_id, x.class_id, x.bounds) for x in want.boxes
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 70), st.integers(1, 3000), st.floats(-90.0, 89.0), st.floats(1.0, 180.0))
+    def test_ray_directions_match_meshgrid(self, beams, columns, fov_down, fov_span):
+        fov_up = min(fov_down + fov_span, 90.0)
+        cfg = SceneConfig(beams=beams, columns=columns, fov_down_deg=fov_down, fov_up_deg=fov_up)
+        want = ray_directions_grid(beams, columns, fov_up, fov_down)
+        assert np.array_equal(synth._ray_directions(cfg), want)
+
+
 class TestFabricateScores:
     def test_zero_noise_is_one_hot(self):
         gt = np.array([0, 1, 3, 2])
@@ -217,6 +332,24 @@ class TestConfig:
     def test_field_types_checked(self, field):
         with pytest.raises(TypeError, match=next(iter(field))):
             SceneConfig(**field)
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"max_range": math.nan}, {"score_sigma": math.nan}, {"fov_up_deg": math.inf},
+         {"depth_jitter": math.inf}, {"azimuth_deg": (-math.inf, 32.0)},
+         {"camera_offset": (0.2, math.nan, -0.3)}],
+    )
+    def test_non_finite_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{next(iter(field))} must be finite"):
+            SceneConfig(**field)
+
+    @pytest.mark.parametrize(
+        "fov", [(91.0, -24.5), (2.0, -90.5), (-10.0, -10.0), (2.0, 5.0)],
+    )
+    def test_beam_elevations_within_plus_minus_90(self, fov):
+        with pytest.raises(ValueError, match="fov"):
+            SceneConfig(fov_up_deg=fov[0], fov_down_deg=fov[1])
+        assert SceneConfig(fov_up_deg=90.0, fov_down_deg=-90.0).beams == 32
 
     def test_int_accepted_for_float(self):
         assert SceneConfig(max_range=100, wall_distance=(30, 40)).max_range == 100

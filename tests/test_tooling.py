@@ -89,6 +89,29 @@ def test_runtime_needs_only_numpy():
     assert json.loads(proc.stdout) == ["numpy", "wlf"]
 
 
+def cli_import_env(**extra: str) -> dict[str, str]:
+    env = {k: v for k, v in src_env().items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {**env, **extra}
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+def test_cli_import_starts_no_blas_worker():
+    # Left alone, OpenBLAS starts a pool of worker threads at `import numpy`.
+    code = "import os, wlf.cli; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_import_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
+def test_cli_import_keeps_explicit_blas_threads():
+    code = "import os, wlf.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_import_env(OPENBLAS_NUM_THREADS="2"), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2"
+
+
 @pytest.mark.parametrize(
     "script, args, expect",
     [
