@@ -40,15 +40,13 @@ from .bundle import (  # noqa: E402
 from .config import ConfigError, PipelineConfig  # noqa: E402
 from .mask_fusion import binarize, pseudo_loss, weight_masks  # noqa: E402
 from .pipeline import (  # noqa: E402
-    InvariantError,
     MissingInputError,
     RunResult,
     discover_bundles,
     read_manifests,
     run_pipeline,
 )
-from .synth import CLASS_NAMES, SceneConfig, fabricate_scores, generate_scene  # noqa: E402
-from .voting import foreground_score  # noqa: E402
+from .synth import CLASS_NAMES, SceneConfig, fabricate_votes, generate_scene  # noqa: E402
 
 logger = logging.getLogger("wlf")
 
@@ -114,10 +112,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
             columns=cfg_i.columns,
         )
         for epoch in range(args.epochs):
-            scores = fabricate_scores(
+            votes = fabricate_votes(
                 scene.frame.gt_semantic, len(CLASS_NAMES), cfg_i.score_sigma, cfg_i.seed, epoch
             )
-            write_votes(bundle, epoch, foreground_score(scores))
+            write_votes(bundle, epoch, votes)
         write_json(bundle / "scene.json", cfg_i.to_dict())
     print(f"wrote {args.num_frames} frame bundles to {out}")
     return EXIT_OK
@@ -185,11 +183,14 @@ def cmd_ipg(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, labels: bool = False) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, labels: bool = False, threads: bool = True
+) -> None:
     parser.add_argument("--config", help="pipeline config JSON")
     parser.add_argument("--frames", help="glob of frame bundle directories")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--threads", type=int, default=None)
+    if threads:
+        parser.add_argument("--threads", type=int, default=None)
     if labels:
         parser.add_argument(
             "--labels", required=True, help="earlier run to start from: <labels>/<frame_id>/*.i32"
@@ -226,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, stages=stages)
 
     p = sub.add_parser("ipg", help="fuse 2D mask predictions per box")
-    _add_common(p)
-    p.set_defaults(func=cmd_ipg, stages=None)
+    _add_common(p, threads=False)
+    p.set_defaults(func=cmd_ipg, stages=None, threads=None)
     return parser
 
 
@@ -243,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, BundleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (InvariantError, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

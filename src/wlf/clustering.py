@@ -240,20 +240,20 @@ def ccl_cluster(
     return Components(labels=labels, sizes=sizes)
 
 
-def max_component(comps: Components, points: np.ndarray) -> np.ndarray:
-    """Indices of the largest component.
+def max_component(labels: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Indices of the largest component, given each point's component id.
 
     Size ties go to the component with the smaller mean range to the sensor,
     then the smaller component id.
     """
-    if comps.num == 0:
+    labels = np.asarray(labels)
+    if labels.size == 0:
         raise EmptySelectionError("no points to select a component from")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    best = int(comps.sizes.max())
-    tied = np.flatnonzero(comps.sizes == best)
+    sizes = np.bincount(labels)
+    tied = np.flatnonzero(sizes == sizes.max())
     if tied.shape[0] > 1:
         ranges = np.linalg.norm(pts, axis=1)
-        means = [float(ranges[comps.labels == c].mean()) for c in tied]
+        means = [float(ranges[labels == c].mean()) for c in tied]
         tied = tied[np.lexsort((tied, np.asarray(means)))]
-    winner = int(tied[0])
-    return np.flatnonzero(comps.labels == winner)
+    return np.flatnonzero(labels == tied[0])

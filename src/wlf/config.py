@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .range_image import DcsConfig
 from .ring_correct import RscConfig
 from .voting import PvcConfig
 
-__all__ = ["ConfigError", "STAGES", "PipelineConfig"]
+__all__ = ["ConfigError", "STAGES", "PipelineConfig", "check_fields"]
 
 # The optional label-correction stages in run order; frustum crop and
 # clustering always run.
@@ -34,6 +35,35 @@ _SECTIONS = {"dcs": DcsConfig, "pvc": PvcConfig, "rsc": RscConfig, "ipg": IpgCon
 
 class ConfigError(ValueError):
     """Malformed pipeline configuration."""
+
+
+def _same_kind(value, default) -> bool:
+    """Whether ``value`` fits a field whose default is ``default``: an int
+    (not a bool) for an int, any number for a float, and for a tuple a tuple
+    of as many such items."""
+    if isinstance(default, tuple):
+        return (isinstance(value, tuple) and len(value) == len(default)
+                and all(map(_same_kind, value, default)))
+    kinds = int if isinstance(default, int) else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def check_fields(obj) -> None:
+    """TypeError unless each field of the dataclass ``obj`` is of its
+    default's kind; ValueError unless each number in it is finite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not _same_kind(value, f.default):
+            raise TypeError(f"{f.name} must be {f.type}, not {value!r}")
+        if not all(map(_finite, value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{f.name} must be finite, not {value!r}")
 
 
 @dataclass
@@ -59,6 +89,11 @@ class PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown stages: {unknown}")
         self.stages = tuple(name for name in STAGES if name in self.stages)
+        for name in _SECTIONS:
+            try:
+                check_fields(getattr(self, name))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
 
     def to_dict(self) -> dict:
         data = asdict(self)

@@ -56,18 +56,13 @@ from .spatial import (
 from .ring_correct import rsc_correct
 from .voting import vote_correct
 
-__all__ = ["MissingInputError", "InvariantError", "FrameOutput", "RunResult", "process_frame",
-           "run_pipeline"]
+__all__ = ["MissingInputError", "FrameOutput", "RunResult", "process_frame", "run_pipeline"]
 
 logger = logging.getLogger(__name__)
 
 
 class MissingInputError(FileNotFoundError):
     """Input bundles or required files are absent."""
-
-
-class InvariantError(AssertionError):
-    """An internal pipeline invariant was violated."""
 
 
 @dataclass
@@ -179,7 +174,7 @@ def process_frame(
     try:
         labels.check_consistency(boxes)
     except AssertionError as exc:
-        raise InvariantError(f"frame {frame.frame_id}: {exc}") from exc
+        raise AssertionError(f"frame {frame.frame_id}: {exc}") from exc
 
     out = FrameOutput(frame_id=frame.frame_id, timings=timings)
     if frame.has_gt:

@@ -13,8 +13,9 @@ point takes its cell's segment, including points behind a nearer return.
 Runs first, as in run-based two-scan labelling (He, Chao & Suzuki, IEEE TIP
 2008): one vectorised test links each cell to its left neighbour, and only
 the heads of the resulting runs look farther left, each linking once to the
-run of its nearest match. The links form a forest of runs rooted at each
-segment's leftmost run, and pointer jumping over run ids resolves it.
+run of its nearest match. ``clustering.connected_components`` resolves the
+links over run ids, the same hooking and pointer jumping that merges ccl's
+edges.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import connected_components
 from .frames import Frame
 
 __all__ = [
@@ -131,18 +133,13 @@ def dcs_rows(
         pending = pending[~hit]
         j += 1
         pending = pending[reach[pending] >= j]
-    # Links point left: jump pointers to the root runs, ranked in scan order.
-    while True:
-        nxt = link[link]
-        if np.array_equal(nxt, link):
-            break
-        link = nxt
-    roots = link == np.arange(heads.size)
-    ids = (np.cumsum(roots, dtype=np.int32) - 1)[link]
+    # A segment is a component of the run links. Links point left, so each
+    # component's smallest run is its leftmost, and ids follow scan order.
+    ids = connected_components(heads.size, np.arange(heads.size), link).astype(np.int32)
     rank = run[cell]
     if rank.size and rank.min() < 0:
         raise AssertionError("point mapped to an unsegmented cell")
-    return RingSegments(segment_id=ids[rank], num_segments=int(roots.sum()))
+    return RingSegments(segment_id=ids[rank], num_segments=int(ids.max(initial=-1)) + 1)
 
 
 def dcs_dynamic(depth: np.ndarray, cell: np.ndarray, cfg: DcsConfig) -> RingSegments:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClassRadii, Components, ccl_cluster, max_component
+from .clustering import ClassRadii, ccl_cluster, max_component
 from .frames import Box2D, Frame, box_classes
 from .range_image import RingSegments
 
@@ -143,15 +143,11 @@ def generate_labels(
     owners = [boxes[k] for k in slots]
     sub = frame.xyz[idx]
     comps = ccl_cluster(sub, [radii.for_class(b.class_id) for b in owners], group)
-    # Groups never join and ids are dense in first-occurrence order, so each
-    # box's ids are one range, from the id of its first point.
     bounds = np.append(starts, idx.size)
-    ranges = np.append(comps.labels[starts], comps.num)
     semantic[idx] = -1
     for k, box in enumerate(owners):
         lo, hi = bounds[k], bounds[k + 1]
-        view = Components(comps.labels[lo:hi] - ranges[k], comps.sizes[ranges[k] : ranges[k + 1]])
-        keep = idx[lo + max_component(view, sub[lo:hi])]
+        keep = idx[lo + max_component(comps.labels[lo:hi], sub[lo:hi])]
         semantic[keep] = box.class_id
         instance[keep] = box.box_id
     return PseudoLabels(semantic=semantic, instance=instance)

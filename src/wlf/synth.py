@@ -4,17 +4,19 @@ Scenes are built from closed-form primitives (cuboids for vehicles, vertical
 cylinders for pedestrians and cyclists) standing on the ground plane z = 0,
 scanned by nearest-hit ray casting from a sensor on the z axis. Every return
 carries the hit object's class and instance, 2D boxes are the tight pixel
-bounds of each object's projected points, and teacher scores can be fabricated
-as noisy one-hot vectors. Everything is a pure function of the config seed.
+bounds of each object's projected points, and teacher votes can be fabricated
+as the best score of a noisy one-hot vector. Everything is a pure function of
+the config seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import check_fields
 from .frames import Box2D, Calibration, Frame, project_points
 
 __all__ = [
@@ -22,7 +24,7 @@ __all__ = [
     "Scene",
     "CLASS_NAMES",
     "generate_scene",
-    "fabricate_scores",
+    "fabricate_votes",
 ]
 
 CLASS_NAMES = ["vehicle", "pedestrian", "cyclist"]
@@ -38,17 +40,6 @@ _LIDAR_TO_CAM = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
 _VEHICLE_SIZE = ((3.6, 5.0), (1.7, 2.2), (1.4, 1.9))
 _PEDESTRIAN_SIZE = ((0.25, 0.40), (1.5, 1.9))
 _CYCLIST_SIZE = ((0.30, 0.45), (1.5, 1.8))
-
-
-def _same_kind(value, default) -> bool:
-    """Whether ``value`` fits a field whose default is ``default``: an int
-    (not a bool) for an int, any number for a float, and for a tuple a tuple
-    of as many such items."""
-    if isinstance(default, tuple):
-        return (isinstance(value, tuple) and len(value) == len(default)
-                and all(map(_same_kind, value, default)))
-    kinds = int if isinstance(default, int) else (int, float)
-    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass
@@ -88,12 +79,7 @@ class SceneConfig:
     camera_offset: tuple[float, float, float] = (0.2, 0.0, -0.3)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _same_kind(value, f.default):
-                raise TypeError(f"{f.name} must be {f.type}, not {value!r}")
-            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-                raise ValueError(f"{f.name} must be finite, not {value!r}")
+        check_fields(self)
         if self.beams < 1 or self.columns < 1:
             raise ValueError("beams and columns must be >= 1")
         if not -90.0 <= self.fov_down_deg < self.fov_up_deg <= 90.0:
@@ -203,7 +189,8 @@ class _Cylinder:
         ok = (disc >= 0) & (a > 1e-12)
         sq = np.sqrt(np.where(ok, disc, 0.0))
         for sign in (-1.0, 1.0):
-            t = np.where(ok, (-b + sign * sq) / (2.0 * np.where(ok, a, 1.0)), np.inf)
+            # Finite on every ray: a root is only taken where ``ok`` holds.
+            t = (-b + sign * sq) / (2.0 * np.where(ok, a, 1.0))
             z = oz + t * dz
             good = ok & (t > _RAY_T_MIN) & (z >= 0.0) & (z <= self.height)
             best = np.where(good & (t < best), t, best)
@@ -405,7 +392,7 @@ def generate_scene(cfg: SceneConfig, frame_id: str | None = None) -> Scene:
 
     # Boxed objects first, so instance ids equal box ids.
     boxes: list[Box2D] = []
-    boxed: list[tuple[int, np.ndarray]] = []
+    boxed: list[np.ndarray] = []
     unboxed: list[np.ndarray] = []
     for oi, obj in enumerate(objects):
         if obj.class_id == 0:
@@ -426,39 +413,41 @@ def generate_scene(cfg: SceneConfig, frame_id: str | None = None) -> Scene:
                 min(x1 + 1e-3, float(cfg.image_width)),
                 min(y1 + 1e-3, float(cfg.image_height)),
             )
-            boxed.append((obj.class_id, mask))
+            boxed.append(mask)
             boxes.append(
                 Box2D(box_id=len(boxed), class_id=obj.class_id, bounds=bounds)
             )
         else:
             unboxed.append(mask)
-    for inst_id, (_, mask) in enumerate(boxed, start=1):
+    for inst_id, mask in enumerate(boxed + unboxed, start=1):
         frame.gt_instance[mask] = inst_id
-    for extra, mask in enumerate(unboxed, start=len(boxed) + 1):
-        frame.gt_instance[mask] = extra
     return Scene(frame=frame, calibration=calib, boxes=boxes, config=cfg)
 
 
-def fabricate_scores(
+def fabricate_votes(
     gt_semantic: np.ndarray,
     n_cls: int,
     sigma: float,
     seed: int,
     epoch: int = 0,
 ) -> np.ndarray:
-    """Noisy stand-in for teacher predictions: clamp(one-hot + N(0, sigma)).
+    """Noisy stand-in for a teacher's per-point foreground votes: the best
+    class score of clamp(one-hot + N(0, sigma)).
 
-    Deterministic per (seed, epoch). Background points get an all-zero base
-    row; labels outside 1..n_cls contribute no one-hot column.
+    Deterministic per (seed, epoch). Labels outside 1..n_cls get no one-hot
+    column. Clamping commutes with the maximum, so only the maximum is clamped.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     gt_semantic = np.asarray(gt_semantic)
-    n = gt_semantic.shape[0]
-    onehot = np.zeros((n, n_cls))
     fg = (gt_semantic >= 1) & (gt_semantic <= n_cls)
-    onehot[np.flatnonzero(fg), gt_semantic[fg] - 1] = 1.0
     if sigma == 0:
-        return onehot
+        return fg.astype(np.float64)
     rng = np.random.default_rng([seed, epoch])
-    return np.clip(onehot + rng.normal(0.0, sigma, onehot.shape), 0.0, 1.0)
+    scores = rng.normal(0.0, sigma, (gt_semantic.shape[0], n_cls))
+    scores[np.flatnonzero(fg), gt_semantic[fg] - 1] += 1.0
+    # Column maxima: a reduction along each short row is several times slower.
+    best = np.full(gt_semantic.shape[0], -np.inf)
+    for column in scores.T:
+        np.maximum(best, column, out=best)
+    return np.clip(best, 0.0, 1.0)

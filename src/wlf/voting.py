@@ -15,7 +15,7 @@ import numpy as np
 from .frames import Box2D, box_classes
 from .spatial import PseudoLabels
 
-__all__ = ["PvcConfig", "vote_correct", "foreground_score"]
+__all__ = ["PvcConfig", "vote_correct"]
 
 
 @dataclass
@@ -39,20 +39,6 @@ class PvcConfig:
             raise ValueError("n_his must be >= 1")
         if self.start_epoch < 0:
             raise ValueError("start_epoch must be >= 0")
-
-
-def foreground_score(class_scores: np.ndarray) -> np.ndarray:
-    """Scalar foreground score per point: the best per-class score."""
-    class_scores = np.asarray(class_scores, dtype=np.float64)
-    if class_scores.ndim != 2:
-        raise ValueError("class_scores must be (N, n_cls)")
-    if class_scores.shape[1] == 0:
-        return np.zeros(class_scores.shape[0])
-    # Column maxima: a reduction along each short row is several times slower.
-    best = class_scores[:, 0].copy()
-    for column in class_scores.T[1:]:
-        np.maximum(best, column, out=best)
-    return best
 
 
 def vote_correct(

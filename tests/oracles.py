@@ -6,7 +6,8 @@ exception is ``generate_labels_per_box``: the box-at-a-time form of
 ``spatial.generate_labels``, built on the package's single-radius
 ``ccl_cluster`` (itself checked against ``bfs_components``). ``cast_full``
 is synth's former ray cast, every object over every ray, kept as the
-reference for the cast that culls by azimuth.
+reference for the cast that culls by azimuth, and ``fabricate_votes_full``
+the former class-score matrix that synth's votes were the row maxima of.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def generate_labels_per_box(frame, trinary, box_assign, boxes, radii):
             continue
         sub = frame.xyz[idx]
         comps = ccl_cluster(sub, radii.for_class(box.class_id))
-        keep = idx[max_component(comps, sub)]
+        keep = idx[max_component(comps.labels, sub)]
         semantic[idx] = -1
         semantic[keep] = box.class_id
         instance[keep] = box.box_id
@@ -391,7 +392,10 @@ def cylinder_hits_full(cyl, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     sq = np.sqrt(np.where(ok, disc, 0.0))
     for sign in (-1.0, 1.0):
         t = np.where(ok, (-b + sign * sq) / (2.0 * np.where(ok, a, 1.0)), np.inf)
-        z = oz + t * dz
+        # A miss's inf times dz = 0 (a beam at 0 deg) is NaN, which fails
+        # every comparison below, as a miss should.
+        with np.errstate(invalid="ignore"):
+            z = oz + t * dz
         good = ok & (t > RAY_T_MIN) & (z >= 0.0) & (z <= cyl.height)
         best = np.where(good & (t < best), t, best)
     dz_safe = np.where(np.abs(dz) < 1e-12, 1e-12, dz)
@@ -416,3 +420,20 @@ def cast_full(objects, origin: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray
     t_all[-1] = np.where(t_ground > RAY_T_MIN, t_ground, np.inf)
     winner = np.argmin(t_all, axis=0)
     return winner, t_all[winner, np.arange(dirs.shape[0])]
+
+
+def fabricate_votes_full(gt_semantic, n_cls: int, sigma: float, seed: int, epoch: int = 0):
+    """Teacher votes from the full class-score matrix: clamp(one-hot +
+    N(0, sigma)) with the noise drawn as one (N, n_cls) array per (seed,
+    epoch), then each point's best class score (0 with no classes)."""
+    gt_semantic = np.asarray(gt_semantic)
+    n = gt_semantic.shape[0]
+    onehot = np.zeros((n, n_cls))
+    for i in range(n):
+        if 1 <= gt_semantic[i] <= n_cls:
+            onehot[i, gt_semantic[i] - 1] = 1.0
+    scores = onehot
+    if sigma > 0:
+        rng = np.random.default_rng([seed, epoch])
+        scores = np.clip(onehot + rng.normal(0.0, sigma, onehot.shape), 0.0, 1.0)
+    return np.array([max(row, default=0.0) for row in scores.tolist()])

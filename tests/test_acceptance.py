@@ -37,8 +37,8 @@ from wlf.spatial import (
     refine_by_segments,
     trinary_from_prop,
 )
-from wlf.synth import SceneConfig, fabricate_scores, generate_scene
-from wlf.voting import PvcConfig, foreground_score, vote_correct
+from wlf.synth import SceneConfig, fabricate_votes, generate_scene
+from wlf.voting import PvcConfig, vote_correct
 
 
 def check(num: int, description: str, condition: bool) -> None:
@@ -86,9 +86,7 @@ def chain100():
         spg_seconds_mark = time.perf_counter()
 
         scores = np.stack([
-            foreground_score(fabricate_scores(
-                frame.gt_semantic, 3, sigma=0.2, seed=scene.config.seed, epoch=epoch
-            ))
+            fabricate_votes(frame.gt_semantic, 3, sigma=0.2, seed=scene.config.seed, epoch=epoch)
             for epoch in range(pvc_cfg.n_his)
         ])
         voted = vote_correct(scores, pvc_cfg, labels, assign, scene.boxes)

@@ -25,6 +25,26 @@ def edit_json(path, edit) -> None:
     path.write_text(json.dumps(payload))
 
 
+# Pipeline configs that every command but synth rejects with exit 3.
+MALFORMED_CONFIGS = {
+    "rsc-t1-out-of-range": {"rsc": {"t1": 4.0}},
+    "seed": {"seed": 1},
+    "weights": {"weights": {"a1": 1.0}},
+    "stages-dict": {"stages": {"spg": True}},
+    "radius-nan": {"radii": {"1": float("nan"), "2": 0.1, "3": 0.15}},
+    "radius-inf": {"radii": {"1": 0.6, "2": float("inf"), "3": 0.15}},
+    # Section fields of the wrong kind or not finite.
+    "pvc-n_his-float": {"pvc": {"n_his": 2.5}},
+    "ipg-k-string": {"ipg": {"k": "x"}},
+    "ipg-k-nan": {"ipg": {"k": float("nan")}},
+    "ipg-k-inf": {"ipg": {"k": float("inf")}},
+    "dcs-depth_base-nan": {"dcs": {"depth_base": float("nan")}},
+    "dcs-window-float": {"dcs": {"window": 2.5}},
+    "dcs-window-past-float-range": {"dcs": {"window": 10**400}},
+    "rsc-t2-bool": {"rsc": {"t2": True}},
+}
+
+
 @pytest.fixture
 def scans(tmp_path):
     """Bundles whose directory names (scanA, scanB) differ from their frame ids."""
@@ -131,18 +151,7 @@ class TestPipeline:
     def test_missing_input_exit_2(self, tmp_path):
         assert run("pipeline", "--frames", f"{tmp_path}/nothing/*", "--out", tmp_path / "o") == 2
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            {"rsc": {"t1": 4.0}},
-            {"seed": 1},
-            {"weights": {"a1": 1.0}},
-            {"stages": {"spg": True}},
-            {"radii": {"1": float("nan"), "2": 0.1, "3": 0.15}},
-            {"radii": {"1": 0.6, "2": float("inf"), "3": 0.15}},
-        ],
-        ids=["rsc-t1-out-of-range", "seed", "weights", "stages-dict", "radius-nan", "radius-inf"],
-    )
+    @pytest.mark.parametrize("config", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
     def test_malformed_config_exit_3(self, bundles, tmp_path, capsys, config):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(config))
@@ -438,6 +447,22 @@ class TestIpg:
 
     def test_no_masks_exit_2(self, bundles, tmp_path):
         assert run("ipg", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("config", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+    def test_malformed_config_exit_3(self, bundles, tmp_path, capsys, config):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert run("ipg", "--config", cfg, "--frames", f"{bundles}/*", "--out", out) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_flag_rejected(self, bundles, tmp_path, capsys):
+        # ipg fuses masks in one pass; --threads is a pipeline flag.
+        with pytest.raises(SystemExit) as exc:
+            run("ipg", "--frames", f"{bundles}/*", "--out", tmp_path / "o", "--threads", "7")
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, damage",

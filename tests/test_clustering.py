@@ -251,7 +251,7 @@ class TestMaxComponent:
         pts = np.vstack([np.random.default_rng(0).normal(0, 0.05, (5, 3)),
                          np.random.default_rng(1).normal(10, 0.05, (3, 3))])
         comps = ccl_cluster(pts, 0.5)
-        idx = max_component(comps, pts)
+        idx = max_component(comps.labels, pts)
         assert len(idx) == 5 == comps.sizes.max()
 
     def test_tie_breaks_to_nearer_cluster(self):
@@ -259,23 +259,23 @@ class TestMaxComponent:
         far = np.array([[20.0, 0, 0], [20.3, 0, 0], [20.6, 0, 0]])
         pts = np.vstack([far, near])
         comps = ccl_cluster(pts, 0.5)
-        idx = max_component(comps, pts)
+        idx = max_component(comps.labels, pts)
         assert sorted(idx.tolist()) == [3, 4, 5]
 
     def test_single_component_is_identity(self):
         pts = np.array([[0, 0, 0], [0.1, 0, 0]])
         comps = ccl_cluster(pts, 0.5)
-        assert sorted(max_component(comps, pts).tolist()) == [0, 1]
+        assert sorted(max_component(comps.labels, pts).tolist()) == [0, 1]
 
     def test_empty_selection_error(self):
         comps = ccl_cluster(np.zeros((0, 3)), 0.5)
         with pytest.raises(EmptySelectionError):
-            max_component(comps, np.zeros((0, 3)))
+            max_component(comps.labels, np.zeros((0, 3)))
 
     def test_size_matches_sizes_max(self, rng):
         pts = rng.uniform(-4, 4, (100, 3))
         comps = ccl_cluster(pts, 0.6)
-        assert len(max_component(comps, pts)) == comps.sizes.max()
+        assert len(max_component(comps.labels, pts)) == comps.sizes.max()
 
 
 class TestClassRadii:

