@@ -248,9 +248,8 @@ def list_vote_epochs(directory: str | Path) -> list[int]:
 
 
 def read_votes(directory: str | Path, epoch: int, num_points: int | None = None) -> np.ndarray:
-    return _read_array(Path(directory) / f"votes_{epoch}.f32", "f32", num_points).astype(
-        np.float64
-    )
+    """The epoch's float32 scores as stored, read-only like ``read_labels``."""
+    return _read_array(Path(directory) / f"votes_{epoch}.f32", "f32", num_points)
 
 
 def write_mask_predictions(

@@ -9,8 +9,8 @@ Subcommands:
     ipg        fuse 2D mask predictions per annotated box
     eval       pipeline with no stage, scoring --labels against ground truth
 
-Exit codes: 0 ok, 2 missing input, 3 malformed config or bundle, 4 internal
-invariant violation. Set WLF_LOG=debug|info|warning for verbosity.
+Exit codes: 0 ok, 2 missing input, 3 malformed config or bundle or a usage
+error, 4 internal invariant violation. Set WLF_LOG=debug|info|warning for verbosity.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .pipeline import (  # noqa: E402
     read_manifests,
     run_pipeline,
 )
-from .synth import CLASS_NAMES, SceneConfig, fabricate_votes, generate_scene  # noqa: E402
 
 logger = logging.getLogger("wlf")
 
@@ -54,6 +53,15 @@ EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
 EXIT_BAD_CONFIG = 3
 EXIT_INVARIANT = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits 3 on a usage error, so that exit 2 means missing input alone;
+    subparsers are made of the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def _setup_logging() -> None:
@@ -80,6 +88,9 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Only this command needs the scene generator; the others skip its import.
+    from .synth import CLASS_NAMES, SceneConfig, fabricate_votes, generate_scene  # noqa: PLC0415
+
     if args.num_frames < 0 or args.epochs < 0:
         raise ConfigError("--num-frames and --epochs must be >= 0")
     text = None
@@ -198,7 +209,7 @@ def _add_common(
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wlf", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="wlf", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic frame bundles")

@@ -12,8 +12,12 @@ decided from the two boxes when it can be: skipped when the gap between them
 fails the test, linked when their union box passes. Float subtraction,
 squaring and addition are monotone, so these box decisions agree with the
 point test bit for bit. Only the remaining pairs whose cells the sure links
-leave apart are tested point by point. The result equals the all-pairs
-definition while coordinates stay within 2**33 radii of the origin.
+leave apart are tested point by point, in blocks of whole cell pairs of about
+``_BLOCK`` member pairs each, so the test's scratch arrays stay small however
+many candidate pairs a frame has. Every member of a clique cell is one graph
+node, so a pair of two clique cells adds one edge when any member pair hits;
+a pair involving another cell adds every hit. The result equals the
+all-pairs definition while coordinates stay within 2**33 radii of the origin.
 
 ``connected_components`` merges the edges by hooking and pointer jumping.
 """
@@ -71,6 +75,11 @@ class Components:
     def num(self) -> int:
         return self.sizes.shape[0]
 
+
+# About this many member pairs are point-tested at once, in blocks of whole
+# cell pairs, so the test's scratch arrays stay small however many candidate
+# pairs a call has.
+_BLOCK = 2**14
 
 # Neighbour columns (dx, dy) >= (0, 0) of a cell's half space.
 _COLUMNS = np.array(
@@ -224,16 +233,27 @@ def ccl_cluster(
     own = np.flatnonzero(~clique)
     v = np.concatenate([own, v[apart]])
     w = np.concatenate([own, w[apart]])
-    ia, ib, pair = _member_pairs(starts, counts, v, w)
-    if own.size:  # a cell's own pairs once each
-        once = (pair >= own.shape[0]) | (ia < ib)
-        ia, ib, pair = ia[once], ib[once], pair[once]
-    hits = _within([c[ia] - c[ib] for c in xyz], cell_rr[v][pair])
-    ids = connected_components(
-        num_nodes,
-        np.concatenate([sure_a, node[ia[hits]]]),
-        np.concatenate([sure_b, node[ib[hits]]]),
-    )
+    # Every member of a clique cell is that cell's node, so a pair of clique
+    # cells needs one edge however many member pairs hit.
+    one_edge = clique[v] & clique[w]
+    ends = np.cumsum(counts[v] * counts[w])
+    edges_a, edges_b = [sure_a], [sure_b]
+    lo_k = 0
+    while lo_k < v.shape[0]:
+        done = ends[lo_k - 1] if lo_k else 0
+        hi_k = max(int(np.searchsorted(ends, done + _BLOCK, "right")), lo_k + 1)
+        bv, bw = v[lo_k:hi_k], w[lo_k:hi_k]
+        ia, ib, pair = _member_pairs(starts, counts, bv, bw)
+        if lo_k < own.shape[0]:  # a cell's own pairs once each
+            once = (bv[pair] != bw[pair]) | (ia < ib)
+            ia, ib, pair = ia[once], ib[once], pair[once]
+        hits = _within([c[ia] - c[ib] for c in xyz], cell_rr[bv[pair]])
+        ia, ib, pair = ia[hits], ib[hits], pair[hits]
+        keep = ~one_edge[lo_k:hi_k][pair] | (np.diff(pair, prepend=-1) != 0)
+        edges_a.append(node[ia[keep]])
+        edges_b.append(node[ib[keep]])
+        lo_k = hi_k
+    ids = connected_components(num_nodes, np.concatenate(edges_a), np.concatenate(edges_b))
     labels = np.empty(n, dtype=np.int32)
     labels[order] = ids[node]
     sizes = np.bincount(labels).astype(np.int64)

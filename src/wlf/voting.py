@@ -51,20 +51,26 @@ def vote_correct(
     """Override pseudo labels by majority vote over stacked epoch scores.
 
     ``scores`` is (E, N): one row of per-point foreground scores in [0, 1] per
-    epoch. Foreground overrides require the point to lie in some box frustum,
-    which supplies the class and the instance id; a reliable-background vote
-    clears both labels. A point that is reliable in both directions follows
-    the foreground rule first.
+    epoch, float32 as the bundle stores them or any dtype that converts to
+    float64; the thresholds are compared in float64 either way. Foreground
+    overrides require the point to lie in some box frustum, which supplies the
+    class and the instance id; a reliable-background vote clears both labels.
+    A point that is reliable in both directions follows the foreground rule
+    first.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
+    if scores.dtype != np.float32:  # float32 scores stay uncopied
+        scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[1] != labels.semantic.shape[0]:
         raise ValueError("scores must hold one row per epoch, as long as the labels")
     if not ((scores >= 0) & (scores <= 1)).all():
         raise ValueError("scores must lie in [0, 1]")
     out = labels.copy()
     box_assign = np.asarray(box_assign)
-    fg_votes = (scores > cfg.tau_high).sum(axis=0)
-    bg_votes = (scores < cfg.tau_low).sum(axis=0)
+    # A float64 threshold makes every comparison a float64 one, float32 scores
+    # included: a Python float would be rounded to float32 first.
+    fg_votes = (scores > np.float64(cfg.tau_high)).sum(axis=0)
+    bg_votes = (scores < np.float64(cfg.tau_low)).sum(axis=0)
     class_of = box_classes(boxes)
     fg = (fg_votes >= cfg.t_reliable) & (box_assign > 0)
     bg = (bg_votes >= cfg.t_reliable) & ~fg

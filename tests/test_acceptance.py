@@ -2,7 +2,9 @@
 PASS/FAIL line (run with -s to see them) and enforcing its runtime budget.
 """
 
+import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +19,14 @@ from oracles import (
     vote_enumerate,
 )
 
+from wlf import spatial
 from wlf.cli import main as cli_main
 from wlf.clustering import ClassRadii, ccl_cluster
+from wlf.config import PipelineConfig
 from wlf.frames import Box2D, crop_frustum, project_points
 from wlf.mask_fusion import fusion_weights
 from wlf.metrics import confusion_counts, instance_ap, miou_from_counts
+from wlf.pipeline import process_frame
 from wlf.range_image import (
     DcsConfig,
     RingSegments,
@@ -326,4 +331,48 @@ def test_8_metric_oracles():
         f"metric oracles over 500 micro-instances: miou={miou_fail} ap={ap_fail} mismatches; "
         f"interpolated AP50 example error {ap50_err:.2e} (need < 1e-6)",
         miou_fail == 0 and ap_fail == 0 and ap50_err < 1e-6,
+    )
+
+
+# The scene of the sensor-64x2048 benchmark workload: four vehicles at 12-20 m
+# on a 64 x 2048 raster, about 118k points a frame.
+SENSOR_SCENE = {"beams": 64, "columns": 2048, "vehicles": [4, 4], "vehicle_distance": [12.0, 20.0]}
+
+
+def test_9_sensor_frame_memory(tmp_path, monkeypatch):
+    # Scene seed 2 has the most candidate member pairs of the first four
+    # sensor frames. Tested all at once, with float64 votes in pvc, they made
+    # a 13.7 MiB ccl transient and a 21.3 MiB frame peak; the frame's own
+    # arrays are about 7.5 MiB.
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(SENSOR_SCENE))
+    rc = cli_main(["synth", "--out", str(tmp_path / "c"), "--config", str(scene), "--seed", "2",
+                   "--num-frames", "1", "--epochs", "4", "--score-sigma", "0.2"])
+    assert rc == 0
+    bundle, cfg = tmp_path / "c" / "frame_0000", PipelineConfig()
+    process_frame(bundle, cfg)  # one-time set-up is not the frame's
+
+    peaks, transients = [], []
+
+    def traced_ccl(*args, **kwargs):
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        tracemalloc.reset_peak()
+        comps = ccl_cluster(*args, **kwargs)
+        transients.append(tracemalloc.get_traced_memory()[1] - current)
+        return comps
+
+    monkeypatch.setattr(spatial, "ccl_cluster", traced_ccl)
+    tracemalloc.start()
+    try:
+        process_frame(bundle, cfg)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    mib = 2**20
+    check(
+        9,
+        f"sensor frame traced peak {max(peaks) / mib:.1f} MiB <= 13, "
+        f"ccl transient {max(transients) / mib:.1f} MiB <= 4",
+        len(transients) == 1 and max(transients) <= 4 * mib and max(peaks) <= 13 * mib,
     )

@@ -61,7 +61,10 @@ def test_votes_round_trip(tmp_path):
     for epoch in (3, 0, 11):
         write_votes(tmp_path, epoch, np.full(4, epoch / 16))
     assert list_vote_epochs(tmp_path) == [0, 3, 11]
-    np.testing.assert_allclose(read_votes(tmp_path, 3, 4), 3 / 16)
+    votes = read_votes(tmp_path, 3, 4)
+    np.testing.assert_allclose(votes, 3 / 16)
+    # The stored float32 values, uncopied: pvc compares them in float64.
+    assert votes.dtype == np.float32 and not votes.flags.writeable
 
 
 def test_missing_manifest(tmp_path):

@@ -151,6 +151,13 @@ class TestPipeline:
     def test_missing_input_exit_2(self, tmp_path):
         assert run("pipeline", "--frames", f"{tmp_path}/nothing/*", "--out", tmp_path / "o") == 2
 
+    def test_unknown_flag_exit_3(self, tmp_path, capsys):
+        # Exit 2 is kept for missing input; a usage error is a malformed call.
+        with pytest.raises(SystemExit) as exc:
+            run("pipeline", "--frames", f"{tmp_path}/*", "--out", tmp_path / "o", "--bogus")
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
     @pytest.mark.parametrize("config", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
     def test_malformed_config_exit_3(self, bundles, tmp_path, capsys, config):
         cfg = tmp_path / "bad.json"
@@ -379,7 +386,7 @@ class TestStageCommands:
         for command in ("pvc", "rsc", "eval"):
             with pytest.raises(SystemExit) as exc:
                 run(command, "--frames", f"{bundles}/*", "--out", tmp_path / "o")
-            assert exc.value.code == 2
+            assert exc.value.code == 3
 
     def test_missing_labels_exit_2(self, bundles, tmp_path, capsys):
         assert run("eval", "--frames", f"{bundles}/*", "--labels", tmp_path / "none",
@@ -461,7 +468,7 @@ class TestIpg:
         # ipg fuses masks in one pass; --threads is a pipeline flag.
         with pytest.raises(SystemExit) as exc:
             run("ipg", "--frames", f"{bundles}/*", "--out", tmp_path / "o", "--threads", "7")
-        assert exc.value.code == 2
+        assert exc.value.code == 3
         assert "--threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import bfs_components, edge_list_components
 
+from wlf import clustering
 from wlf.clustering import (
     ClassRadii,
     EmptySelectionError,
@@ -123,13 +124,13 @@ class TestCclCluster:
         assert np.array_equal(a, b)
 
 
-def per_group_labels(pts, radii, groups):
-    """Labels of one ccl_cluster call per group, renumbered in first-occurrence
-    order over all points."""
+def per_group_labels(pts, radii, groups, label=lambda p, r: ccl_cluster(p, r).labels):
+    """Labels of one ``label(points, radius)`` call per group, renumbered in
+    first-occurrence order over all points."""
     local = np.zeros(len(pts), dtype=np.int64)
     for j, r in enumerate(radii):
         mine = groups == j
-        local[mine] = ccl_cluster(pts[mine], r).labels
+        local[mine] = label(pts[mine], r)
     _, first, inv = np.unique(groups * (len(pts) + 1) + local, return_index=True, return_inverse=True)
     return np.argsort(np.argsort(first))[inv]
 
@@ -169,6 +170,41 @@ class TestGroupedCcl:
     def test_groups_must_index_radius(self, groups):
         with pytest.raises(ValueError, match="groups"):
             ccl_cluster([[0, 0, 0], [1, 0, 0]], [0.5, 0.6], groups)
+
+
+# So far from the origin that adjacent float64 x values are 2048 apart.
+FAR_X = 1.350598106458436e19
+
+
+@st.composite
+def blocked_clouds(draw):
+    """(points, radii, groups): near the origin in up to three groups, or at
+    FAR_X, where x keys round together, so that cells hold x values more than
+    a radius apart and are not cliques."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n = draw(st.integers(1, 120))
+    if draw(st.booleans()):
+        radii = draw(st.lists(st.floats(0.1, 1.5), min_size=1, max_size=3))
+        extent = draw(st.floats(0.3, 2.0))
+        return rng.uniform(-extent, extent, (n, 3)), radii, rng.integers(0, len(radii), n)
+    radius = draw(st.floats(600.0, 3000.0))
+    x = FAR_X + rng.integers(0, 8, n) * np.spacing(FAR_X)
+    yz = rng.integers(0, 3, (n, 2)) * (radius / 2)
+    return np.column_stack([x, yz]), [radius], np.zeros(n, dtype=np.intp)
+
+
+class TestBlockedCcl:
+    """Cell pairs point-tested a few member pairs at a time, against BFS."""
+
+    @pytest.mark.parametrize("block", [1, 5])
+    @settings(max_examples=150, deadline=None)
+    @given(blocked_clouds())
+    def test_matches_bfs_oracle(self, block, cloud):
+        pts, radii, groups = cloud
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "_BLOCK", block)
+            got = ccl_cluster(pts, radii, groups).labels
+        assert np.array_equal(got, per_group_labels(pts, radii, groups, bfs_components))
 
 
 class TestCclAdversarial:

@@ -78,8 +78,10 @@ def src_env() -> dict[str, str]:
 
 def test_runtime_needs_only_numpy():
     # Installed packages (scipy among them) would otherwise creep in unnoticed.
+    # Every module is imported, the lazily imported ones included.
     code = (
-        "import json, sys; before = set(sys.modules); import wlf, wlf.cli; "
+        "import importlib, json, pkgutil, sys; before = set(sys.modules); import wlf; "
+        "[importlib.import_module(m.name) for m in pkgutil.iter_modules(wlf.__path__, 'wlf.')]; "
         "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
         "print(json.dumps(sorted(new - set(sys.stdlib_module_names))))"
     )
@@ -87,6 +89,16 @@ def test_runtime_needs_only_numpy():
                           env=src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == ["numpy", "wlf"]
+
+
+def test_cli_import_leaves_synth_out():
+    # Only `wlf synth` needs the scene generator; every other command would
+    # pay for compiling it at start-up.
+    code = "import sys, wlf.cli; print('wlf.synth' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def cli_import_env(**extra: str) -> dict[str, str]:

@@ -62,6 +62,38 @@ class TestVoteCorrect:
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 vote_correct(np.array([[bad]]), PvcConfig(), make_labels(1), np.zeros(1), BOXES)
 
+    def test_float32_scores_out_of_range_rejected(self):
+        one_up = np.nextafter(np.float32(1), np.float32(2))
+        below = -np.finfo(np.float32).smallest_subnormal
+        for bad in (np.nan, np.inf, one_up, below, 1.5):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                scores = np.array([[bad]], dtype=np.float32)
+                vote_correct(scores, PvcConfig(), make_labels(1), np.zeros(1), BOXES)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_float32_scores_vote_as_float64(self, data):
+        # Thresholds float32 cannot hold, and scores at np.float32(tau) and its
+        # neighbours: float32(0.3) lies above 0.3 and must count as above it.
+        taus = st.sampled_from([0.3, 0.1, 0.7, 1 / 3, 0.5]) | st.floats(0, 1)
+        tau_low, tau_high = sorted(data.draw(st.tuples(taus, taus)))
+        near = []
+        for tau in (tau_low, tau_high):
+            t = np.float32(tau)
+            near += [t, np.nextafter(t, np.float32(0)), np.nextafter(t, np.float32(1))]
+        n = data.draw(st.integers(1, 12))
+        score = st.sampled_from([s for s in near if 0 <= s <= 1]) | st.floats(0, 1, width=32)
+        scores = np.array(data.draw(st.lists(score, min_size=4 * n, max_size=4 * n)),
+                          dtype=np.float32).reshape(4, n)
+        cfg = PvcConfig(tau_high=tau_high, tau_low=tau_low,
+                        t_reliable=data.draw(st.integers(1, 4)))
+        box_assign = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        labels = make_labels(n, sem=-1)
+        got = vote_correct(scores, cfg, labels, box_assign, BOXES)
+        want = vote_correct(scores.astype(np.float64), cfg, labels, box_assign, BOXES)
+        assert np.array_equal(got.semantic, want.semantic)
+        assert np.array_equal(got.instance, want.instance)
+
     def test_foreground_override(self):
         # Four confident epochs, threshold 3: the in-box point becomes its box class.
         scores = np.array([[0.9], [0.8], [0.7], [0.9]])
