@@ -203,10 +203,18 @@ def crop_frustum(
     assign = np.zeros(num_points, dtype=np.int32)
     if not boxes:
         return assign
-    u, v = pixels[:, 0], pixels[:, 1]
+    # Sorted by u once, the points of a box's [x0, x1) are one slice, and
+    # only that slice gets the v test. (A scan's rows are runs of falling u,
+    # which the stable sort merges.)
+    order = np.argsort(pixels[:, 0], kind="stable")
+    u, v = pixels.take(order, axis=0).T
     box_of = np.zeros(index.shape[0], dtype=np.int32)
     # Write large/high-id boxes first so the preferred box lands last.
-    for box in sorted(boxes, key=lambda b: (-b.area, -b.box_id)):
-        box_of[box.contains(u, v)] = box.box_id
+    boxes = sorted(boxes, key=lambda b: (-b.area, -b.box_id))
+    slices = np.searchsorted(u, [(b.bounds[0], b.bounds[2]) for b in boxes], "left").tolist()
+    for box, (lo, hi) in zip(boxes, slices):
+        _, y0, _, y1 = box.bounds
+        vs = v[lo:hi]
+        box_of[order[lo:hi][(vs >= y0) & (vs < y1)]] = box.box_id
     assign[index] = box_of
     return assign

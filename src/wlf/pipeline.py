@@ -17,7 +17,6 @@ from __future__ import annotations
 import glob
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -243,10 +242,15 @@ def run_pipeline(cfg: PipelineConfig, labels_dir: Path | None = None) -> RunResu
     scored: list[FrameInstances] = []
     frame_ids: list[str] = []
     stage_totals: dict[str, float] = {}
-    # A pool yields the frames in order too; after a failed frame it starts no other.
-    pool = ThreadPoolExecutor(max_workers=cfg.threads)
+    # A pool yields the frames in order too; after a failed frame it starts no
+    # other. One thread needs no pool, nor the import of concurrent.futures.
+    pool = None
+    if cfg.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # noqa: PLC0415
+
+        pool = ThreadPoolExecutor(max_workers=cfg.threads)
     try:
-        for out in pool.map(run_frame, bundles) if cfg.threads > 1 else map(run_frame, bundles):
+        for out in map(run_frame, bundles) if pool is None else pool.map(run_frame, bundles):
             frame_ids.append(out.frame_id)
             for stage, dt in out.timings.items():
                 stage_totals[stage] = stage_totals.get(stage, 0.0) + dt
@@ -254,7 +258,8 @@ def run_pipeline(cfg: PipelineConfig, labels_dir: Path | None = None) -> RunResu
                 counts = out.counts if counts is None else counts + out.counts
                 scored.append(out.instances)
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     report = None
     if scored:

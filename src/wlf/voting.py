@@ -63,14 +63,17 @@ def vote_correct(
         scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[1] != labels.semantic.shape[0]:
         raise ValueError("scores must hold one row per epoch, as long as the labels")
-    if not ((scores >= 0) & (scores <= 1)).all():
+    # Two reductions and no (E, N) temporaries; a NaN makes both NaN, and so
+    # fails; an empty frame has no score to check.
+    if scores.size and not (scores.min() >= 0 and scores.max() <= 1):
         raise ValueError("scores must lie in [0, 1]")
     out = labels.copy()
     box_assign = np.asarray(box_assign)
     # A float64 threshold makes every comparison a float64 one, float32 scores
-    # included: a Python float would be rounded to float32 first.
-    fg_votes = (scores > np.float64(cfg.tau_high)).sum(axis=0)
-    bg_votes = (scores < np.float64(cfg.tau_low)).sum(axis=0)
+    # included: a Python float would be rounded to float32 first. int32
+    # counts (at most one per epoch) take half the bytes of the default int64.
+    fg_votes = (scores > np.float64(cfg.tau_high)).sum(axis=0, dtype=np.int32)
+    bg_votes = (scores < np.float64(cfg.tau_low)).sum(axis=0, dtype=np.int32)
     class_of = box_classes(boxes)
     fg = (fg_votes >= cfg.t_reliable) & (box_assign > 0)
     bg = (bg_votes >= cfg.t_reliable) & ~fg

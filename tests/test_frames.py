@@ -242,6 +242,45 @@ class TestCropFrustum:
         ]
         assert crop_frustum(*proj, boxes).tolist() == [2]
 
+    def test_edges_nested_and_identical_boxes(self):
+        # Pixels on every edge and corner of the boxes, with repeated u; box 3
+        # is nested in box 1, and boxes 4 and 2 share their bounds (the
+        # smaller id wins the tie in area).
+        boxes = [
+            Box2D(box_id=1, class_id=1, bounds=(10, 10, 30, 30)),
+            Box2D(box_id=4, class_id=1, bounds=(20, 0, 40, 20)),
+            Box2D(box_id=3, class_id=2, bounds=(15, 15, 25, 25)),
+            Box2D(box_id=2, class_id=1, bounds=(20, 0, 40, 20)),
+        ]
+        edges = [10, 15, 20, 25, 30, 40, 0]
+        pix = [[u, v] for u in edges for v in edges] + [[np.nextafter(30, 0), 20], [20, 20]]
+        proj = self.make_proj(pix)
+        got = crop_frustum(*proj, boxes)
+        want = crop_frustum_trace(np.asarray(pix, dtype=float), np.ones(len(pix), dtype=bool), boxes)
+        assert np.array_equal(got, want)
+        by_pixel = dict(zip(map(tuple, pix), got.tolist()))
+        assert by_pixel[(10, 10)] == 1 and by_pixel[(30, 10)] == 2 and by_pixel[(10, 30)] == 0
+        assert by_pixel[(15, 15)] == 3 and by_pixel[(25, 15)] == 1 and by_pixel[(20, 15)] == 3
+        assert by_pixel[(20, 0)] == 2 and by_pixel[(40, 0)] == 0 and by_pixel[(20, 20)] == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=40),
+        st.lists(
+            st.tuples(st.integers(0, 10), st.integers(0, 10), st.integers(1, 6), st.integers(1, 6)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_matches_enumeration_on_box_edges(self, pix, raw_boxes):
+        # Integer pixels and bounds put many pixels on edges, tie many u and
+        # give nested, overlapping and identical boxes.
+        boxes = [Box2D(box_id=i + 1, class_id=1, bounds=(x0, y0, x0 + w, y0 + h))
+                 for i, (x0, y0, w, h) in enumerate(raw_boxes)]
+        got = crop_frustum(*self.make_proj(pix), boxes)
+        want = crop_frustum_trace(np.asarray(pix, dtype=float), np.ones(len(pix), dtype=bool), boxes)
+        assert np.array_equal(got, want)
+
     def test_empty_boxes(self):
         proj = self.make_proj([[50, 50]])
         assert crop_frustum(*proj, []).tolist() == [0]

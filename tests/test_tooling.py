@@ -101,6 +101,29 @@ def test_cli_import_leaves_synth_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_freezes_its_heap():
+    # Frozen, the import-time objects are skipped by the collections at
+    # interpreter exit, which every short `wlf` child would otherwise pay for.
+    code = "import gc, wlf.cli; print(gc.get_freeze_count())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
+
+
+def test_one_thread_run_imports_no_pool(tmp_path):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["synth", "--out", str(corpus), "--num-frames", "1"]) == 0
+    argv = ["pipeline", "--frames", f"{corpus}/*", "--out", str(out), "--threads", "1"]
+    code = (f"import sys, wlf.cli; assert wlf.cli.main({argv!r}) == 0; "
+            "print('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (out / "frame_0000" / "sem.i32").is_file()
+
+
 def cli_import_env(**extra: str) -> dict[str, str]:
     env = {k: v for k, v in src_env().items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     return {**env, **extra}

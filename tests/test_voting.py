@@ -70,6 +70,25 @@ class TestVoteCorrect:
                 scores = np.array([[bad]], dtype=np.float32)
                 vote_correct(scores, PvcConfig(), make_labels(1), np.zeros(1), BOXES)
 
+    def test_nan_among_valid_scores_rejected(self):
+        for dtype in (np.float32, np.float64):
+            scores = np.array([[0.2, 0.9], [np.nan, 0.5]], dtype=dtype)
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                vote_correct(scores, PvcConfig(), make_labels(2), np.zeros(2), BOXES)
+
+    def test_range_ends_accepted(self):
+        for dtype in (np.float32, np.float64):
+            scores = np.array([[-0.0, 1.0]] * 4, dtype=dtype)
+            out = vote_correct(scores, PvcConfig(), make_labels(2, 1, 1), np.array([0, 1]), BOXES)
+            assert out.semantic.tolist() == [0, 2]
+            assert out.instance.tolist() == [0, 1]
+
+    def test_empty_frame_accepted(self):
+        for shape in ((4, 0), (0, 0)):
+            out = vote_correct(np.zeros(shape, dtype=np.float32), PvcConfig(), make_labels(0),
+                               np.zeros(0, dtype=np.int32), BOXES)
+            assert out.semantic.shape == out.instance.shape == (0,)
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_float32_scores_vote_as_float64(self, data):
