@@ -11,7 +11,6 @@ checks validate either; every failure is a ``ConfigError``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -102,6 +101,9 @@ class PipelineConfig:
         return data
 
     def config_hash(self) -> str:
+        # hashlib loads OpenSSL (about 3.6 MiB of RSS); only a finished run needs it.
+        import hashlib  # noqa: PLC0415
+
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 

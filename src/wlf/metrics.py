@@ -1,11 +1,12 @@
 """Segmentation metrics: per-class IoU / mIoU and COCO-style instance AP.
 
-Semantic IoU is computed from pooled TP/FP/FN counts over foreground classes;
-points with ground-truth label -1 are excluded everywhere. Instance AP keeps,
-per frame, each instance's class and size and one pred x gt table of shared
-points; greedy max-IoU matching of score-sorted predictions per class runs on
-those tables, with 101-point interpolated precision averaged over the
-0.50:0.05:0.95 thresholds.
+Semantic IoU is computed from pooled TP/FP/FN counts over foreground classes,
+read off one joint histogram of (pred, gt) classes; points with ground-truth
+label -1 are excluded everywhere. Instance AP keeps, per frame, plain arrays:
+each instance's id, class and size (and a score for predictions) and one
+pred x gt table of shared points. Greedy max-IoU matching of score-sorted
+predictions per class runs on those arrays, with 101-point interpolated
+precision averaged over the 0.50:0.05:0.95 thresholds.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ import numpy as np
 
 __all__ = [
     "MetricReport",
-    "InstancePred",
-    "InstanceGT",
-    "FrameInstances",
+    "GT_INSTANCE",
+    "PRED_INSTANCE",
     "IOU_THRESHOLDS",
     "confusion_counts",
     "miou_from_counts",
@@ -31,37 +31,15 @@ __all__ = [
 IOU_THRESHOLDS = np.linspace(0.5, 0.95, 10)
 _RECALL_GRID = np.linspace(0.0, 1.0, 101)
 
-
-@dataclass(frozen=True)
-class InstancePred:
-    instance_id: int
-    class_id: int
-    size: int
-    score: float
+# One record per instance, in id order; a prediction adds its score.
+GT_INSTANCE = np.dtype([("id", np.int64), ("cls", np.int64), ("size", np.int64)])
+PRED_INSTANCE = np.dtype(GT_INSTANCE.descr + [("score", np.float64)])
 
 
-@dataclass(frozen=True)
-class InstanceGT:
-    instance_id: int
-    class_id: int
-    size: int
-
-
-@dataclass(frozen=True)
-class FrameInstances:
-    """One frame's instances and ``inter[p, g]``, the points that pred ``p``
-    and gt ``g`` share."""
-
-    frame_id: str
-    preds: list[InstancePred]
-    gts: list[InstanceGT]
-    inter: np.ndarray
-
-    def iou(self) -> np.ndarray:
-        """IoU of every pred (row) with every gt (column), in float64."""
-        size_p = np.array([p.size for p in self.preds], dtype=np.int64).reshape(-1, 1)
-        size_g = np.array([g.size for g in self.gts], dtype=np.int64)
-        return self.inter / (size_p + size_g - self.inter)
+def _label(cls: int, class_names: list[str] | None, unnamed: str) -> str:
+    """A class's name, or ``unnamed`` filled in with its id."""
+    named = class_names and 1 <= cls <= len(class_names)
+    return class_names[cls - 1] if named else unnamed.format(cls)
 
 
 @dataclass
@@ -76,35 +54,28 @@ class MetricReport:
     per_class_ap: dict[int, float]
 
     def to_dict(self, class_names: list[str] | None = None) -> dict:
-        def label(cls: int) -> str:
-            if class_names and 1 <= cls <= len(class_names):
-                return class_names[cls - 1]
-            return str(cls)
-
         return {
             "miou": self.miou,
             "ap": self.ap,
             "ap50": self.ap50,
             "ap75": self.ap75,
-            "per_class_iou": {label(c): v for c, v in sorted(self.per_class_iou.items())},
-            "per_class_ap": {label(c): v for c, v in sorted(self.per_class_ap.items())},
+            "per_class_iou": {_label(c, class_names, "{}"): v
+                              for c, v in sorted(self.per_class_iou.items())},
+            "per_class_ap": {_label(c, class_names, "{}"): v
+                             for c, v in sorted(self.per_class_ap.items())},
         }
 
     def format_table(self, class_names: list[str] | None = None) -> str:
-        def label(cls: int) -> str:
-            if class_names and 1 <= cls <= len(class_names):
-                return class_names[cls - 1]
-            return f"class {cls}"
-
         classes = sorted(set(self.per_class_iou) | set(self.per_class_ap))
-        width = max([len(label(c)) for c in classes] + [len("mean")]) + 2
+        labels = {c: _label(c, class_names, "class {}") for c in classes}
+        width = max([len(name) for name in labels.values()] + [len("mean")]) + 2
         lines = [f"{'':<{width}}{'IoU':>8}{'AP':>8}"]
         for c in classes:
             iou = self.per_class_iou.get(c)
             ap = self.per_class_ap.get(c)
             iou_s = f"{iou:.4f}" if iou is not None else "-"
             ap_s = f"{ap:.4f}" if ap is not None else "-"
-            lines.append(f"{label(c):<{width}}{iou_s:>8}{ap_s:>8}")
+            lines.append(f"{labels[c]:<{width}}{iou_s:>8}{ap_s:>8}")
         lines.append(f"{'mean':<{width}}{self.miou:>8.4f}{self.ap:>8.4f}")
         lines.append(f"{'AP50':<{width}}{'':>8}{self.ap50:>8.4f}")
         lines.append(f"{'AP75':<{width}}{'':>8}{self.ap75:>8.4f}")
@@ -114,17 +85,24 @@ class MetricReport:
 def confusion_counts(
     pred: np.ndarray, gt: np.ndarray, n_cls: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-class TP/FP/FN over foreground classes 1..n_cls, skipping gt == -1."""
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
+    """Per-class TP/FP/FN over foreground classes 1..n_cls, skipping gt == -1.
+
+    Row 0, the background, stays zero. One histogram of (pred, gt) bins holds
+    every count: labels below 1 land in bin 0 and labels above n_cls in bin
+    n_cls + 1, so both count as no class.
+    """
+    pred, gt = np.asarray(pred), np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError("pred/gt length mismatch")
-    keep = gt != -1
-    # One row per class; row 0, the background, stays zero.
-    classes = np.arange(n_cls + 1)[:, None]
-    p = (pred[keep] == classes) & (classes > 0)
-    g = (gt[keep] == classes) & (classes > 0)
-    return (p & g).sum(axis=1), (p & ~g).sum(axis=1), (~p & g).sum(axis=1)
+    k = n_cls + 2
+    key = np.clip(pred, 0, n_cls + 1).astype(np.int32, copy=False) * k
+    key += np.clip(gt, 0, n_cls + 1)
+    hist = np.bincount(key[gt != -1], minlength=k * k).reshape(k, k)
+    tp = np.diag(hist)[: n_cls + 1].copy()
+    fp = hist.sum(axis=1)[: n_cls + 1] - tp
+    fn = hist.sum(axis=0)[: n_cls + 1] - tp
+    tp[0] = fp[0] = fn[0] = 0
+    return tp, fp, fn
 
 
 def miou_from_counts(
@@ -152,27 +130,29 @@ def _ap_from_matches(tp_flags: np.ndarray, n_gt: int) -> float:
 
 
 def instance_ap(
-    frames: list[FrameInstances],
+    frames: list[tuple[str, np.ndarray, np.ndarray, np.ndarray]],
     iou_thresholds: np.ndarray | None = None,
 ) -> tuple[dict[int, float], float, float, float]:
     """Per-class AP (averaged over thresholds), mAP, AP50 and AP75.
 
-    Within a class, predictions are matched in order of score descending,
-    then frame id, then instance order, each to the unmatched gt of its
-    frame and class with the largest IoU (the first in gt order on a tie; an
-    IoU of 0 never matches). Classes with no ground-truth instances anywhere
-    are excluded.
+    ``frames`` holds one ``(frame_id, preds, gts, inter)`` per frame: the two
+    extractors' arrays and ``overlap_table``'s counts. Within a class,
+    predictions are matched in order of score descending, then frame id, then
+    instance order, each to the unmatched gt of its frame and class with the
+    largest IoU (the first in gt order on a tie; an IoU of 0 never matches).
+    Classes with no ground-truth instances anywhere are excluded.
     """
     thresholds = IOU_THRESHOLDS if iou_thresholds is None else np.asarray(iou_thresholds)
-    ious = [f.iou() for f in frames]
-    gt_classes = [np.array([g.class_id for g in f.gts], dtype=np.int64) for f in frames]
-    classes = sorted({g.class_id for f in frames for g in f.gts})
+    ious = [inter / (p["size"][:, None] + g["size"] - inter) for _, p, g, inter in frames]
+    gt_classes = [g["cls"] for _, _, g, _ in frames]
+    classes = sorted(set().union(*(c.tolist() for c in gt_classes)))
     steps = np.arange(thresholds.size)
     per_class: dict[int, float] = {}
     ap_matrix = np.zeros((len(classes), thresholds.size))
     for ci, cls in enumerate(classes):
-        order = sorted((-p.score, f.frame_id, fi, pi) for fi, f in enumerate(frames)
-                       for pi, p in enumerate(f.preds) if p.class_id == cls)
+        order = sorted((-s, frame_id, fi, pi) for fi, (frame_id, p, _, _) in enumerate(frames)
+                       for pi, (c, s) in enumerate(zip(p["cls"].tolist(), p["score"].tolist()))
+                       if c == cls)
         # This class's IoU columns; one matched-gt mask and one hit flag per threshold.
         cls_ious = [iou[:, c == cls] for iou, c in zip(ious, gt_classes)]
         matched = [np.zeros((thresholds.size, iou.shape[1]), dtype=bool) for iou in cls_ious]
@@ -200,52 +180,60 @@ def instances_from_labels(
     semantic: np.ndarray,
     instance: np.ndarray,
     ignore: np.ndarray | None = None,
-) -> list[InstanceGT]:
-    """Instances in id order from label arrays, ignored points dropped.
+) -> np.ndarray:
+    """``GT_INSTANCE`` records in id order from label arrays, ignored points
+    dropped.
 
     An instance takes the class of its lowest-index kept point and is left
     out when that class is not a foreground class.
     """
-    semantic = np.asarray(semantic)
-    instance = np.asarray(instance)
+    semantic, instance = np.asarray(semantic), np.asarray(instance)
     kept = instance > 0 if ignore is None else (instance > 0) & ~np.asarray(ignore)
     ids, first, sizes = np.unique(instance[kept], return_index=True, return_counts=True)
     classes = semantic[kept][first]
-    return [InstanceGT(int(i), int(c), int(n)) for i, c, n in zip(ids, classes, sizes) if c > 0]
+    fg = classes > 0
+    out = np.empty(np.count_nonzero(fg), dtype=GT_INSTANCE)
+    out["id"], out["cls"], out["size"] = ids[fg], classes[fg], sizes[fg]
+    return out
 
 
 def pred_instances_from_labels(
     semantic: np.ndarray,
     instance: np.ndarray,
     ignore: np.ndarray | None = None,
-) -> list[InstancePred]:
-    """Predicted instances from label arrays.
+) -> np.ndarray:
+    """``PRED_INSTANCE`` records from label arrays.
 
     Pipeline pseudo labels carry no confidence, so the score defaults to the
     instance size divided by the frame's largest instance size, which keeps
     the ordering deterministic.
     """
     groups = instances_from_labels(semantic, instance, ignore)
-    biggest = max((g.size for g in groups), default=1)
-    return [InstancePred(g.instance_id, g.class_id, g.size, g.size / biggest) for g in groups]
+    out = np.empty(len(groups), dtype=PRED_INSTANCE)
+    out[list(GT_INSTANCE.names)] = groups  # assigned field by field, by position
+    out["score"] = groups["size"] / groups["size"].max(initial=1)
+    return out
 
 
 def overlap_table(
-    preds: list[InstancePred],
-    gts: list[InstanceGT],
+    pred_ids: np.ndarray,
+    gt_ids: np.ndarray,
     pred_instance: np.ndarray,
     gt_instance: np.ndarray,
-    ignore: np.ndarray | None = None,
+    ignore: np.ndarray,
 ) -> np.ndarray:
     """Points that each pred (row) shares with each gt (column), ignored
-    points left out; ``preds`` and ``gts`` as the two extractors give them."""
-    pred_ids = [p.instance_id for p in preds]
-    gt_ids = [g.instance_id for g in gts]
-    both = np.isin(pred_instance, pred_ids) & np.isin(gt_instance, gt_ids)
-    if ignore is not None:
-        both &= ~np.asarray(ignore)
-    inter = np.zeros((len(preds), len(gts)), dtype=np.int64)
-    rows = np.searchsorted(pred_ids, np.asarray(pred_instance)[both])
-    cols = np.searchsorted(gt_ids, np.asarray(gt_instance)[both])
-    np.add.at(inter, (rows, cols), 1)
+    points left out; ``pred_ids`` and ``gt_ids`` are the sorted ``id``
+    columns of the two extractors' arrays, and ids not in them are dropped."""
+    pred_instance, gt_instance = np.asarray(pred_instance), np.asarray(gt_instance)
+    both = (pred_instance > 0) & (gt_instance > 0) & ~np.asarray(ignore)
+    p = pred_instance[both].astype(np.int64)
+    g = gt_instance[both]
+    # One key per (pred, gt) pair of ids.
+    span = int(g.max()) + 1 if g.size else 1
+    keys, counts = np.unique(p * span + g, return_counts=True)
+    p, g = np.divmod(keys, span)
+    listed = np.isin(p, pred_ids) & np.isin(g, gt_ids)
+    inter = np.zeros((len(pred_ids), len(gt_ids)), dtype=np.int64)
+    inter[np.searchsorted(pred_ids, p[listed]), np.searchsorted(gt_ids, g[listed])] = counts[listed]
     return inter

@@ -33,10 +33,9 @@ from .bundle import (
     write_json,
     write_labels,
 )
-from .config import PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .frames import Box2D, box_classes, crop_frustum, project_points
 from .metrics import (
-    FrameInstances,
     MetricReport,
     confusion_counts,
     instance_ap,
@@ -67,12 +66,13 @@ class MissingInputError(FileNotFoundError):
 @dataclass
 class FrameOutput:
     """What a run keeps of a frame once its labels are written: stage timings
-    and, with ground truth, the TP/FP/FN rows and the instance table."""
+    and, with ground truth, the TP/FP/FN rows and ``instance_ap``'s
+    ``(frame_id, preds, gts, inter)`` arrays."""
 
     frame_id: str
     timings: dict[str, float] = field(default_factory=dict)
     counts: np.ndarray | None = None
-    instances: FrameInstances | None = None
+    instances: tuple[str, np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -183,8 +183,8 @@ def process_frame(
         )
         preds = pred_instances_from_labels(labels.semantic, labels.instance, ignore)
         gts = instances_from_labels(frame.gt_semantic, frame.gt_instance, ignore)
-        inter = overlap_table(preds, gts, labels.instance, frame.gt_instance, ignore)
-        out.instances = FrameInstances(frame.frame_id, preds, gts, inter)
+        inter = overlap_table(preds["id"], gts["id"], labels.instance, frame.gt_instance, ignore)
+        out.instances = (frame.frame_id, preds, gts, inter)
     return labels, out
 
 
@@ -227,6 +227,11 @@ def run_pipeline(cfg: PipelineConfig, labels_dir: Path | None = None) -> RunResu
     frame-id order, one output directory per frame id."""
     bundles = discover_bundles(cfg.frames)
     out_dir = Path(cfg.out_dir)
+    # A rerun over fewer frames would leave the old run's frames behind.
+    existing = [out_dir / f for f in RUN_FILES if (out_dir / f).exists()]
+    existing += sorted(out_dir.glob("*/sem.i32"))
+    if existing:
+        raise ConfigError(f"{out_dir} already holds a run ({existing[0]}); use a new --out")
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     manifests = read_manifests(bundles)
@@ -239,7 +244,7 @@ def run_pipeline(cfg: PipelineConfig, labels_dir: Path | None = None) -> RunResu
         return out
 
     counts = None
-    scored: list[FrameInstances] = []
+    scored: list[tuple] = []
     frame_ids: list[str] = []
     stage_totals: dict[str, float] = {}
     # A pool yields the frames in order too; after a failed frame it starts no

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from wlf.metrics import FrameInstances, InstanceGT, InstancePred
+from wlf.metrics import GT_INSTANCE, PRED_INSTANCE
 
 
 def ri_from_depth(depth) -> tuple[np.ndarray, np.ndarray]:
@@ -22,14 +22,15 @@ def random_range_image(rng: np.random.Generator, beams=4, columns=24, fill=0.7):
     return ri_from_depth(depth)
 
 
-def instances_from_sets(frame_id: str, preds: list, gts: list) -> FrameInstances:
-    """A frame's instance table built from point sets: ``preds`` as
-    (class_id, indices, score), ``gts`` as (class_id, indices)."""
+def instances_from_sets(frame_id: str, preds: list, gts: list) -> tuple:
+    """A frame's ``(frame_id, preds, gts, inter)`` record built from point
+    sets: ``preds`` as (class_id, indices, score), ``gts`` as (class_id, indices)."""
     inter = [[len(set(p[1]) & set(g[1])) for g in gts] for p in preds]
-    return FrameInstances(
+    return (
         frame_id,
-        [InstancePred(k + 1, c, len(set(idx)), s) for k, (c, idx, s) in enumerate(preds)],
-        [InstanceGT(k + 1, c, len(set(idx))) for k, (c, idx) in enumerate(gts)],
+        np.array([(k + 1, c, len(set(idx)), s) for k, (c, idx, s) in enumerate(preds)],
+                 dtype=PRED_INSTANCE),
+        np.array([(k + 1, c, len(set(idx))) for k, (c, idx) in enumerate(gts)], dtype=GT_INSTANCE),
         np.array(inter, dtype=np.int64).reshape(len(preds), len(gts)),
     )
 

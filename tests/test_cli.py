@@ -183,6 +183,29 @@ class TestPipeline:
         assert run("pipeline", "--frames", f"{bundles}/*", "--out", out, "--threads", threads) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pipeline", "spg", "pvc", "rsc", "eval"])
+    def test_rerun_over_a_run_exit_3_writes_nothing(self, bundles, tmp_path, capsys, command):
+        # Fewer frames over an old run would leave its frames behind, beside a
+        # run.json that does not count them.
+        out = tmp_path / "out"
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", out) == 0
+        before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+        capsys.readouterr()
+        labels = [] if command in ("pipeline", "spg") else ["--labels", out]
+        assert run(command, "--frames", f"{bundles}/frame_0000", "--out", out, *labels) == 3
+        err = capsys.readouterr().err
+        assert str(out / "run.json") in err and "Traceback" not in err
+        assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
+
+    def test_frames_of_a_failed_run_exit_3(self, bundles, tmp_path, capsys):
+        # A failed run leaves frames but no run files; they would mix too.
+        out = tmp_path / "out"
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", out) == 0
+        for name in ("run.json", "metrics.json", "metrics.txt"):
+            (out / name).unlink()
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", out) == 3
+        assert str(out / "frame_0000" / "sem.i32") in capsys.readouterr().err
+
     def test_unknown_stage_exit_3(self, bundles, tmp_path):
         assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o",
                    "--stages", "spg,warp") == 3
@@ -366,7 +389,7 @@ class TestStageCommands:
         assert run("synth", "--out", frames, "--num-frames", "1", "--epochs", "0") == 0
         assert run("pipeline", "--frames", f"{frames}/*", "--out", tmp_path / "o") == 2
         assert str(frames / "frame_0000") in capsys.readouterr().err
-        assert run("pipeline", "--frames", f"{frames}/*", "--out", tmp_path / "o",
+        assert run("pipeline", "--frames", f"{frames}/*", "--out", tmp_path / "o2",
                    "--stages", "spg,rsc") == 0
 
     @pytest.mark.parametrize("keep_canonical", [True, False], ids=["beside-votes_3", "only-copy"])

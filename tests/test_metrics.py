@@ -7,10 +7,9 @@ from conftest import instances_from_sets
 from oracles import ap_trace, miou_trace
 
 from wlf.metrics import (
+    GT_INSTANCE,
     IOU_THRESHOLDS,
-    FrameInstances,
-    InstanceGT,
-    InstancePred,
+    PRED_INSTANCE,
     MetricReport,
     confusion_counts,
     instance_ap,
@@ -73,9 +72,10 @@ class TestMiou:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 40))
     def test_matches_loop_oracle(self, seed, n):
+        # Labels above n_cls count as no class, like 0.
         rng = np.random.default_rng(seed)
-        pred = rng.integers(-1, 4, n)
-        gt = rng.integers(-1, 4, n)
+        pred = rng.integers(-1, 6, n)
+        gt = rng.integers(-1, 6, n)
         per, mean = miou(pred, gt, 3)
         want_per, want_mean = miou_trace(pred, gt, 3)
         assert per == pytest.approx(want_per)
@@ -184,21 +184,21 @@ class TestInstanceExtraction:
         inst = np.array([1, 1, 1, 0])
         ignore = sem == -1
         gts = instances_from_labels(sem, inst, ignore)
-        assert gts == [InstanceGT(instance_id=1, class_id=1, size=2)]
+        assert gts.dtype == GT_INSTANCE
+        assert gts.tolist() == [(1, 1, 2)]
 
     def test_pred_scores_are_relative_sizes(self):
         sem = np.array([1, 1, 1, 2])
         inst = np.array([1, 1, 1, 2])
         preds = pred_instances_from_labels(sem, inst)
-        by_inst = {p.instance_id: p.score for p in preds}
-        assert by_inst[1] == 1.0
-        assert by_inst[2] == pytest.approx(1 / 3)
+        assert preds.dtype == PRED_INSTANCE
+        assert preds.tolist() == [(1, 1, 3, 1.0), (2, 2, 1, 1 / 3)]
 
     def test_class_from_lowest_index_kept_point(self):
         sem = np.array([-1, 2, 1, 0, 3])
         inst = np.array([4, 4, 4, 7, 7])
         gts = instances_from_labels(sem, inst, sem == -1)
-        assert gts == [InstanceGT(instance_id=4, class_id=2, size=2)]
+        assert gts.tolist() == [(4, 2, 2)]
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -215,25 +215,24 @@ class TestInstanceExtraction:
         ignore = gt_sem == -1
         preds = pred_instances_from_labels(sem, inst, ignore)
         gts = instances_from_labels(gt_sem, gt_inst, ignore)
-        inter = overlap_table(preds, gts, inst, gt_inst, ignore)
+        inter = overlap_table(preds["id"], gts["id"], inst, gt_inst, ignore)
 
         def points(labels, i):
             return set(np.flatnonzero((labels == i) & ~ignore).tolist())
 
-        for r, p in enumerate(preds):
-            assert p.size == len(points(inst, p.instance_id))
-            for c, g in enumerate(gts):
-                assert g.size == len(points(gt_inst, g.instance_id))
-                want = len(points(inst, p.instance_id) & points(gt_inst, g.instance_id))
-                assert inter[r, c] == want
+        assert inter.shape == (len(preds), len(gts))
+        for r, (p_id, _, p_size, _) in enumerate(preds.tolist()):
+            assert p_size == len(points(inst, p_id))
+            for c, (g_id, _, g_size) in enumerate(gts.tolist()):
+                assert g_size == len(points(gt_inst, g_id))
+                assert inter[r, c] == len(points(inst, p_id) & points(gt_inst, g_id))
 
         frames = {"f": (
-            [(p.class_id, sorted(points(inst, p.instance_id)), p.score) for p in preds],
-            [(g.class_id, sorted(points(gt_inst, g.instance_id))) for g in gts],
+            [(c, sorted(points(inst, i)), s) for i, c, _, s in preds.tolist()],
+            [(c, sorted(points(gt_inst, i))) for i, c, _ in gts.tolist()],
         )}
-        table = FrameInstances("f", preds, gts, inter)
-        classes = sorted({g.class_id for g in gts})
-        per, _, _, _ = instance_ap([table], iou_thresholds=np.array([0.5]))
+        classes = sorted(set(gts["cls"].tolist()))
+        per, _, _, _ = instance_ap([("f", preds, gts, inter)], iou_thresholds=np.array([0.5]))
         assert per == pytest.approx(oracle_ap(frames, classes, 0.5), abs=1e-12)
 
 
@@ -259,8 +258,3 @@ class TestReportFormatting:
         assert all(len(line) == len(lines[1]) for line in lines[1:3])
         assert "vehicle" in table and "mean" in table
 
-
-class TestInstanceTable:
-    def test_iou_from_table(self):
-        table = instances_from_sets("f", [(1, (1, 2, 3), 1.0)], [(1, (2, 3, 4)), (1, (5,))])
-        np.testing.assert_array_equal(table.iou(), [[0.5, 0.0]])
