@@ -29,7 +29,7 @@ from wlf.cli import main as wlf_main
 from wlf.config import PipelineConfig
 from wlf.frames import crop_frustum, project_points
 from wlf.metrics import confusion_counts, miou_from_counts
-from wlf.pipeline import discover_bundles, process_frame
+from wlf.pipeline import discover_bundles, process_frame, read_manifests
 from wlf.spatial import frustum_semantic
 from wlf.synth import CLASS_NAMES, SceneConfig
 
@@ -37,9 +37,9 @@ from wlf.synth import CLASS_NAMES, SceneConfig
 STAGES = {"ccl": (), "spg": ("spg",), "+pvc": ("spg", "pvc"), "+rsc": ("spg", "pvc", "rsc")}
 
 
-def raw_counts(bundle: Path) -> np.ndarray:
-    frame, calib, boxes, manifest = read_frame_bundle(bundle)
-    assign = crop_frustum(*project_points(calib, frame), frame.num_points, boxes)
+def raw_counts(bundle: Path, manifest: dict) -> np.ndarray:
+    frame, calib, boxes = read_frame_bundle(bundle, manifest)
+    assign = crop_frustum(*project_points(calib, frame.xyz), frame.num_points, boxes)
     sem = frustum_semantic(assign, boxes)
     return np.stack(confusion_counts(sem, frame.gt_semantic, manifest["num_classes"]))
 
@@ -72,10 +72,12 @@ def main(argv=None) -> int:
         if code:
             return code
         cfg = PipelineConfig()
-        for bundle in discover_bundles(f"{corpus}/*"):
-            counts["raw"] += raw_counts(bundle)
+        bundles = discover_bundles(f"{corpus}/*")
+        for bundle, manifest in zip(bundles, read_manifests(bundles)):
+            counts["raw"] += raw_counts(bundle, manifest)
             for stage, stages in STAGES.items():
-                counts[stage] += process_frame(bundle, replace(cfg, stages=stages))[1].counts
+                out = process_frame(bundle, manifest, replace(cfg, stages=stages))[1]
+                counts[stage] += out.counts
     elapsed = time.time() - t0
 
     header = f"{'stage':<8}{'mIoU':>8}" + "".join(f"{n:>12}" for n in CLASS_NAMES)

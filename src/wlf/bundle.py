@@ -3,7 +3,9 @@
 One directory per frame:
 
     manifest.json       frame id, counts, raster shape, dtypes, class names
-    points.f32          (N, 4) float32, little-endian, row-major
+    points.f32          (N, 4) float32, little-endian, row-major: x, y, z and
+                        intensity; the reader keeps x, y, z as a Frame's
+                        (3, N) float64 ``xyz`` and never reads intensity
     beam_row.u16        (N,) uint16
     gt_semantic.i32     (N,) int32, optional
     gt_instance.i32     (N,) int32, optional
@@ -14,7 +16,8 @@ One directory per frame:
 
 Pseudo labels (sem.i32, inst.i32) live outside the bundle, in
 ``<out>/<frame_id>/`` of a run. All binary arrays are flat little-endian;
-shapes live in the manifest or the sidecar JSON.
+shapes live in the manifest or the sidecar JSON. A run reads each manifest
+once (``read_manifest``) and hands it to ``read_frame_bundle``.
 """
 
 from __future__ import annotations
@@ -94,13 +97,15 @@ def write_json(path: Path, payload: dict | list) -> None:
 def write_frame_bundle(
     directory: str | Path,
     frame: Frame,
+    intensity: np.ndarray,
     calib: Calibration,
     boxes: list[Box2D],
     class_names: list[str],
     beams: int,
     columns: int,
 ) -> Path:
-    """Write a complete frame bundle; returns the bundle directory."""
+    """Write a complete frame bundle, with ``intensity`` as the fourth column
+    of points.f32; returns the bundle directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -115,7 +120,7 @@ def write_frame_bundle(
             "beam_row": {"dtype": "u16", "shape": [frame.num_points]},
         },
     }
-    _write_array(directory / "points.f32", frame.points, "f32")
+    _write_array(directory / "points.f32", np.vstack([frame.xyz, intensity]).T, "f32")
     _write_array(directory / "beam_row.u16", frame.beam_row, "u16")
     if frame.gt_semantic is not None:
         _write_array(directory / "gt_semantic.i32", frame.gt_semantic, "i32")
@@ -168,17 +173,17 @@ def read_manifest(directory: str | Path) -> dict:
 
 
 def read_frame_bundle(
-    directory: str | Path,
-) -> tuple[Frame, Calibration, list[Box2D], dict]:
-    """Load a frame bundle and its manifest (see ``read_manifest``).
+    directory: str | Path, manifest: dict
+) -> tuple[Frame, Calibration, list[Box2D]]:
+    """Load a frame bundle whose manifest ``read_manifest`` has read.
 
     Raises FileNotFoundError for a missing file, and BundleError, naming the
     bundle's file at fault, for any malformed or inconsistent content.
     """
     directory = Path(directory)
-    manifest = read_manifest(directory)
     n = manifest["num_points"]
-    points = _read_array(directory / "points.f32", "f32", 4 * n).reshape(n, 4)
+    # x, y and z are the first three of each point's four values.
+    xyz = _read_array(directory / "points.f32", "f32", 4 * n).reshape(n, 4).T[:3]
     with _naming(directory / "beam_row.u16"):
         beam_row = _read_array(directory / "beam_row.u16", "u16", n)
         if n and int(beam_row.max()) >= manifest["beams"]:
@@ -189,7 +194,7 @@ def read_frame_bundle(
         if (directory / f"{name}.i32").is_file()
     }
     with _naming(directory / "points.f32"):  # the one array Frame checks beyond its length
-        frame = Frame(manifest["frame_id"], points, beam_row, **gt)
+        frame = Frame(manifest["frame_id"], xyz, beam_row, **gt)
     with _naming(directory / "calibration.json"):
         calib_raw = json.loads((directory / "calibration.json").read_text())
         calib = Calibration(
@@ -213,7 +218,7 @@ def read_frame_bundle(
         above = [b.class_id for b in boxes if b.class_id > manifest["num_classes"]]
         if above:
             raise ValueError(f"class_id {above[0]} is above num_classes {manifest['num_classes']}")
-    return frame, calib, boxes, manifest
+    return frame, calib, boxes
 
 
 def write_labels(directory: str | Path, labels: PseudoLabels) -> None:

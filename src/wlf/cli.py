@@ -43,6 +43,7 @@ from .mask_fusion import binarize, pseudo_loss, weight_masks  # noqa: E402
 from .pipeline import (  # noqa: E402
     MissingInputError,
     RunResult,
+    check_new_out,
     discover_bundles,
     read_manifests,
     run_pipeline,
@@ -124,6 +125,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         bundle = write_frame_bundle(
             out / scene.frame.frame_id,
             scene.frame,
+            scene.intensity,
             scene.calibration,
             scene.boxes,
             CLASS_NAMES,
@@ -163,12 +165,12 @@ def cmd_ipg(args: argparse.Namespace) -> int:
     cfg = _load_pipeline_config(args)
     out_root = Path(cfg.out_dir)
     bundles = discover_bundles(cfg.frames)
-    read_manifests(bundles)
+    check_new_out(out_root)
     # Read, check and fuse every bundle before the first write, so a bad
     # bundle late in the glob leaves no outputs behind.
     fused_frames = []
-    for bundle in bundles:
-        frame, _, boxes, _ = read_frame_bundle(bundle)
+    for bundle, manifest in zip(bundles, read_manifests(bundles)):
+        frame, _, boxes = read_frame_bundle(bundle, manifest)
         grouped = read_mask_predictions(bundle)
         if not grouped:
             continue

@@ -5,8 +5,11 @@ origin at the sensor. The camera frame is x right, y down, z along the optical
 axis. Pixel coordinates are continuous with (0, 0) at the upper-left corner,
 and a pixel lies inside a box under half-open containment [min, max).
 
+A frame is its columns: the (3, N) coordinates, one contiguous row per axis,
+and each point's beam. No stage reads intensity, so a frame holds none.
+
 The crop is frustum first: ``project_points`` returns only the points whose
-pixel falls inside the image, from column sums ``x*r[i,0] + y*r[i,1] +
+pixel falls inside the image, from row sums ``x*r[i,0] + y*r[i,1] +
 z*r[i,2] + t[i]`` (no matrix product), and ``crop_frustum`` tests the boxes
 on those points alone.
 """
@@ -29,27 +32,30 @@ __all__ = [
 
 @dataclass
 class Frame:
-    """One LiDAR sweep: (x, y, z, intensity) points plus per-point beam index.
+    """One LiDAR sweep: ``xyz``, the (3, N) float64 point coordinates, and
+    ``beam_row``, each point's beam index at the integer dtype it was given.
 
     Ground-truth label arrays are optional; when present they must match the
     point count. Coordinates must be finite.
     """
 
     frame_id: str
-    points: np.ndarray
+    xyz: np.ndarray
     beam_row: np.ndarray
     gt_semantic: np.ndarray | None = None
     gt_instance: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.ndim != 2 or self.points.shape[1] != 4:
-            raise ValueError(f"frame {self.frame_id}: points must have shape (N, 4)")
-        if not np.isfinite(self.points[:, :3]).all():
+        self.xyz = np.ascontiguousarray(self.xyz, dtype=np.float64)
+        if self.xyz.ndim != 2 or self.xyz.shape[0] != 3:
+            raise ValueError(f"frame {self.frame_id}: xyz must have shape (3, N)")
+        if not np.isfinite(self.xyz).all():
             raise ValueError(f"frame {self.frame_id}: non-finite point coordinates")
-        self.beam_row = np.asarray(self.beam_row, dtype=np.int64)
+        self.beam_row = np.asarray(self.beam_row)
         if self.beam_row.shape != (self.num_points,):
             raise ValueError(f"frame {self.frame_id}: beam_row length mismatch")
+        if self.beam_row.dtype.kind not in "iu":
+            raise ValueError(f"frame {self.frame_id}: beam_row must hold integers")
         if self.num_points and int(self.beam_row.min()) < 0:
             raise ValueError(f"frame {self.frame_id}: negative beam index")
         for name in ("gt_semantic", "gt_instance"):
@@ -62,11 +68,7 @@ class Frame:
 
     @property
     def num_points(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def xyz(self) -> np.ndarray:
-        return self.points[:, :3]
+        return self.xyz.shape[1]
 
     @property
     def has_gt(self) -> bool:
@@ -102,10 +104,15 @@ class Calibration:
         r = self.rotation
         if np.linalg.norm(r.T @ r - np.eye(3)) >= 1e-9:
             raise ValueError("extrinsic rotation is not orthonormal")
-        w, h = self.image_size
-        if w <= 0 or h <= 0:
-            raise ValueError("image_size must be positive")
-        self.image_size = (int(w), int(h))
+        # Pixels are compared with the size as float64, which a larger
+        # integer overflows; a float or bool size would be truncated.
+        size = tuple(self.image_size)
+        if len(size) != 2 or not all(
+            isinstance(s, (int, np.integer)) and not isinstance(s, bool) and 0 < s < 2**31
+            for s in size
+        ):
+            raise ValueError(f"image_size {list(size)} is not two integers in [1, 2**31)")
+        self.image_size = (int(size[0]), int(size[1]))
 
     @property
     def rotation(self) -> np.ndarray:
@@ -159,25 +166,25 @@ class Box2D:
         return (u >= x0) & (u < x1) & (v >= y0) & (v < y1)
 
 
-def project_points(calib: Calibration, frame: Frame) -> tuple[np.ndarray, np.ndarray]:
-    """``(index, pixels)``: the ascending indices of the points in front of
-    the camera (positive camera z) whose pixel lies in [0, w) x [0, h), and
-    their (k, 2) pixels. Only points in front get a u and v computed."""
-    pts = frame.points
+def project_points(calib: Calibration, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, pixels)``: the ascending indices of the (3, N) ``xyz`` points
+    in front of the camera (positive camera z) whose pixel lies in [0, w) x
+    [0, h), and their (k, 2) pixels. Only points in front get a u and v
+    computed."""
     r, t = calib.rotation, calib.translation
 
-    def cam(i: int, p: np.ndarray) -> np.ndarray:
-        return p[:, 0] * r[i, 0] + p[:, 1] * r[i, 1] + p[:, 2] * r[i, 2] + t[i]
+    def cam(i: int, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return x * r[i, 0] + y * r[i, 1] + z * r[i, 2] + t[i]
 
     # A non-finite coordinate makes camera z non-finite (inf * 0 is NaN).
     with np.errstate(invalid="ignore"):
-        z = cam(2, pts)
-    if not np.isfinite(z).all():
-        raise ValueError(f"frame {frame.frame_id}: non-finite point coordinates")
-    front = np.flatnonzero(z > 0)
-    p, z = pts.take(front, axis=0), z[front]  # take gathers rows faster than pts[front]
-    u = calib.fx * cam(0, p) / z + calib.cx
-    v = calib.fy * cam(1, p) / z + calib.cy
+        depth = cam(2, *xyz)
+    if not np.isfinite(depth).all():
+        raise ValueError("non-finite point coordinates")
+    front = np.flatnonzero(depth > 0)
+    p, depth = xyz.take(front, axis=1), depth[front]
+    u = calib.fx * cam(0, *p) / depth + calib.cx
+    v = calib.fy * cam(1, *p) / depth + calib.cy
     w, h = calib.image_size
     inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
     return front[inside], np.stack([u[inside], v[inside]], axis=1)

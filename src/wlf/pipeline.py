@@ -92,10 +92,20 @@ def reconcile_instances(labels: PseudoLabels, boxes: list[Box2D]) -> PseudoLabel
     return out
 
 
-def read_start_labels(directory: Path, num_points: int, boxes: list[Box2D]) -> PseudoLabels:
-    """Labels from an earlier run; BundleError unless they fit the frame's boxes."""
+def read_start_labels(
+    directory: Path, num_points: int, boxes: list[Box2D], num_classes: int
+) -> PseudoLabels:
+    """Labels from an earlier run; BundleError unless every semantic label is
+    in -1..num_classes, every instance id is >= 0 and they fit the boxes."""
     try:
         labels = read_labels(directory, num_points)
+        if num_points:
+            lo, hi = int(labels.semantic.min()), int(labels.semantic.max())
+            if lo < -1 or hi > num_classes:
+                bad = lo if lo < -1 else hi
+                raise BundleError(f"semantic label {bad} outside -1..{num_classes}")
+            if labels.instance.min() < 0:
+                raise BundleError(f"instance id {int(labels.instance.min())} is negative")
         labels.check_consistency(boxes)
     except (BundleError, AssertionError) as exc:
         raise BundleError(f"{directory}: {exc}") from exc
@@ -103,30 +113,36 @@ def read_start_labels(directory: Path, num_points: int, boxes: list[Box2D]) -> P
 
 
 def process_frame(
-    bundle_dir: Path, cfg: PipelineConfig, labels_dir: Path | None = None
+    bundle_dir: Path, manifest: dict, cfg: PipelineConfig, labels_dir: Path | None = None
 ) -> tuple[PseudoLabels, FrameOutput]:
-    """Run the configured stages on one bundle; return its labels and scores.
+    """Run the configured stages on one bundle, whose manifest ``read_manifest``
+    has read; return its labels and scores.
 
     Starting labels come from spg (plain clustering when spg is off) or, when
     ``labels_dir`` is given, from ``labels_dir/<frame_id>``; pvc and rsc then
     apply as ``cfg.stages`` says.
     """
-    frame, calib, boxes, manifest = read_frame_bundle(bundle_dir)
+    frame, calib, boxes = read_frame_bundle(bundle_dir, manifest)
     beams, columns = manifest["beams"], manifest["columns"]
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    box_assign = crop_frustum(*project_points(calib, frame), frame.num_points, boxes)
+    box_assign = crop_frustum(*project_points(calib, frame.xyz), frame.num_points, boxes)
     timings["project"] = time.perf_counter() - t0
 
     # Only rsc and a running spg read the segments.
     if "rsc" in cfg.stages or ("spg" in cfg.stages and labels_dir is None):
         t0 = time.perf_counter()
-        segments = dcs_dynamic(*build_range_image(frame, beams, columns), cfg.dcs)
+        # One expression, so the raster is freed as soon as dcs has read it.
+        segments = dcs_dynamic(
+            *build_range_image(frame.xyz, frame.beam_row, beams, columns), cfg.dcs
+        )
         timings["segments"] = time.perf_counter() - t0
 
     if labels_dir is not None:
-        labels = read_start_labels(Path(labels_dir) / frame.frame_id, frame.num_points, boxes)
+        labels = read_start_labels(
+            Path(labels_dir) / frame.frame_id, frame.num_points, boxes, manifest["num_classes"]
+        )
     else:
         missing = sorted({b.class_id for b in boxes} - cfg.radii.radii.keys())
         if missing:
@@ -138,7 +154,7 @@ def process_frame(
             trinary = refine_by_segments(box_assign, segments)
         else:
             trinary = np.where(box_assign > 0, TRINARY_FG, 0).astype(np.int8)
-        labels = generate_labels(frame, trinary, box_assign, boxes, cfg.radii)
+        labels = generate_labels(frame.xyz, trinary, box_assign, boxes, cfg.radii)
         timings["spg"] = time.perf_counter() - t0
 
     if "pvc" in cfg.stages:
@@ -222,24 +238,32 @@ def read_manifests(bundles: list[Path]) -> list[dict]:
     return manifests
 
 
+def check_new_out(out_dir: Path) -> None:
+    """ConfigError, naming the file, if ``out_dir`` already holds a pipeline
+    or ipg run: a rerun over fewer frames would leave the old run's frames
+    behind."""
+    existing = [out_dir / f for f in RUN_FILES if (out_dir / f).exists()]
+    existing += sorted(out_dir.glob("*/sem.i32")) + sorted(out_dir.glob("*/ipg.json"))
+    if existing:
+        raise ConfigError(f"{out_dir} already holds a run ({existing[0]}); use a new --out")
+
+
 def run_pipeline(cfg: PipelineConfig, labels_dir: Path | None = None) -> RunResult:
     """Process every bundle matched by the config (see ``process_frame``) in
     frame-id order, one output directory per frame id."""
     bundles = discover_bundles(cfg.frames)
     out_dir = Path(cfg.out_dir)
-    # A rerun over fewer frames would leave the old run's frames behind.
-    existing = [out_dir / f for f in RUN_FILES if (out_dir / f).exists()]
-    existing += sorted(out_dir.glob("*/sem.i32"))
-    if existing:
-        raise ConfigError(f"{out_dir} already holds a run ({existing[0]}); use a new --out")
+    check_new_out(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     manifests = read_manifests(bundles)
     class_names = manifests[0]["class_names"]  # the first bundle's
-    bundles = [b for _, b in sorted(zip((m["frame_id"] for m in manifests), bundles))]
+    # Frame ids are unique, so the sort never compares two manifests.
+    inputs = sorted((m["frame_id"], b, m) for b, m in zip(bundles, manifests))
 
-    def run_frame(bundle: Path) -> FrameOutput:
-        labels, out = process_frame(bundle, cfg, labels_dir)
+    def run_frame(item: tuple[str, Path, dict]) -> FrameOutput:
+        _, bundle, manifest = item
+        labels, out = process_frame(bundle, manifest, cfg, labels_dir)
         write_labels(out_dir / out.frame_id, labels)
         return out
 
@@ -255,7 +279,7 @@ def run_pipeline(cfg: PipelineConfig, labels_dir: Path | None = None) -> RunResu
 
         pool = ThreadPoolExecutor(max_workers=cfg.threads)
     try:
-        for out in map(run_frame, bundles) if pool is None else pool.map(run_frame, bundles):
+        for out in map(run_frame, inputs) if pool is None else pool.map(run_frame, inputs):
             frame_ids.append(out.frame_id)
             for stage, dt in out.timings.items():
                 stage_totals[stage] = stage_totals.get(stage, 0.0) + dt

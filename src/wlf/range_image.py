@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import connected_components
-from .frames import Frame
 
 __all__ = [
     "RingSegments",
@@ -71,20 +70,23 @@ class DcsConfig:
             raise ValueError("reference_range must be positive")
 
 
-def build_range_image(frame: Frame, beams: int, columns: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rasterise a frame into ``(depth, cell)``.
+def build_range_image(
+    xyz: np.ndarray, beam_row: np.ndarray, beams: int, columns: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rasterise the (3, N) points ``xyz`` on their beams ``beam_row`` into
+    ``(depth, cell)``.
 
     ``depth`` is the beams x columns matrix of each cell's nearest range,
     ``sqrt((x*x + y*y) + z*z)``, and NaN where no point landed. ``cell`` is
-    each point's flat cell index ``row * columns + col``, with column =
+    each point's flat int64 cell index ``row * columns + col``, with column =
     floor((azimuth + pi) / 2pi * columns), wrapped at the seam.
     """
-    if frame.num_points and int(frame.beam_row.max()) >= beams:
-        raise ValueError(f"frame {frame.frame_id}: beam_row >= {beams}")
-    pts = frame.points
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    x, y, z = xyz
+    if beam_row.size and (beam_row.min() < 0 or beam_row.max() >= beams):
+        raise ValueError(f"beam_row outside [0, {beams})")
     col = np.floor((np.arctan2(y, x) + np.pi) / (2.0 * np.pi) * columns).astype(np.int64) % columns
-    cell = frame.beam_row * columns + col
+    # Widened first: a uint16 row times columns stays uint16 and wraps.
+    cell = beam_row.astype(np.int64) * columns + col
     # A minimum is exact, so the order of the scatter does not matter.
     depth = np.full(beams * columns, np.inf)
     np.minimum.at(depth, cell, np.sqrt((x * x + y * y) + z * z))

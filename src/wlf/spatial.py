@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClassRadii, ccl_cluster, max_component
-from .frames import Box2D, Frame, box_classes
+from .frames import Box2D, box_classes
 from .range_image import RingSegments
 
 __all__ = [
@@ -105,13 +105,13 @@ def refine_by_segments(box_assign: np.ndarray, segments: RingSegments) -> np.nda
 
 
 def generate_labels(
-    frame: Frame,
+    xyz: np.ndarray,
     trinary: np.ndarray,
     box_assign: np.ndarray,
     boxes: list[Box2D],
     radii: ClassRadii,
 ) -> PseudoLabels:
-    """Final semantic/instance pseudo labels.
+    """Final semantic/instance pseudo labels of the (3, N) points ``xyz``.
 
     Per box, the trinary-foreground points are clustered at the box class
     radius and only the largest component becomes the instance; the remaining
@@ -119,7 +119,7 @@ def generate_labels(
     else. A box with no foreground points emits no instance. All boxes are
     clustered in one call, the points sorted by box and each box its own group.
     """
-    n = frame.num_points
+    n = xyz.shape[1]
     trinary = np.asarray(trinary)
     box_assign = np.asarray(box_assign)
     if trinary.shape != (n,) or box_assign.shape != (n,):
@@ -141,7 +141,7 @@ def generate_labels(
     idx = idx[order]
     slots, starts, group = np.unique(slot[order], return_index=True, return_inverse=True)
     owners = [boxes[k] for k in slots]
-    sub = frame.xyz[idx]
+    sub = xyz.take(idx, axis=1).T  # (k, 3) over three contiguous rows
     comps = ccl_cluster(sub, [radii.for_class(b.class_id) for b in owners], group)
     bounds = np.append(starts, idx.size)
     semantic[idx] = -1

@@ -109,7 +109,11 @@ class SceneConfig:
 
 @dataclass
 class Scene:
+    """A generated frame and what its bundle holds besides: the intensity of
+    each point (points.f32's fourth column), the calibration and the boxes."""
+
     frame: Frame
+    intensity: np.ndarray
     calibration: Calibration
     boxes: list[Box2D]
     config: SceneConfig
@@ -371,9 +375,7 @@ def generate_scene(cfg: SceneConfig, frame_id: str | None = None) -> Scene:
 
     idx = np.flatnonzero(hit)
     points_world = origin + t_hit[idx, None] * dirs[idx]
-    points = np.zeros((idx.shape[0], 4))
-    points[:, :3] = points_world - origin
-    points[:, 3] = rng.uniform(0.0, 1.0, idx.shape[0])
+    intensity = rng.uniform(0.0, 1.0, idx.shape[0])
 
     raw_obj = winner[idx]  # index into objects, len(objects) = ground
     class_of = np.array([obj.class_id for obj in objects] + [0], dtype=np.int32)
@@ -382,13 +384,13 @@ def generate_scene(cfg: SceneConfig, frame_id: str | None = None) -> Scene:
     frame_id = frame_id or f"synth-{cfg.seed:08d}"
     frame = Frame(
         frame_id=frame_id,
-        points=points,
+        xyz=(points_world - origin).T,
         beam_row=idx // cfg.columns,
         gt_semantic=gt_semantic,
         gt_instance=np.zeros(idx.shape[0], dtype=np.int32),
     )
     calib = _default_calibration(cfg)
-    index, pixels = project_points(calib, frame)
+    index, pixels = project_points(calib, frame.xyz)
 
     # Boxed objects first, so instance ids equal box ids.
     boxes: list[Box2D] = []
@@ -421,7 +423,7 @@ def generate_scene(cfg: SceneConfig, frame_id: str | None = None) -> Scene:
             unboxed.append(mask)
     for inst_id, mask in enumerate(boxed + unboxed, start=1):
         frame.gt_instance[mask] = inst_id
-    return Scene(frame=frame, calibration=calib, boxes=boxes, config=cfg)
+    return Scene(frame=frame, intensity=intensity, calibration=calib, boxes=boxes, config=cfg)
 
 
 def fabricate_votes(

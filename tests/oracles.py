@@ -18,21 +18,22 @@ import numpy as np
 
 
 def range_image_trace(
-    points: np.ndarray, beam_row: np.ndarray, beams: int, columns: int
+    xyz: np.ndarray, beam_row: np.ndarray, beams: int, columns: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Literal per-point raster: the depth matrix and each point's flat cell.
+    """Literal per-point raster of the (3, N) points ``xyz``: the depth matrix
+    and each point's flat cell.
 
     A cell keeps the nearest range it is given. The azimuth is numpy's
     ``arctan2``, one point at a time: numpy's vector loops may round
     differently from ``math.atan2`` in the last place, which moves a point on
     a column edge.
     """
-    points = np.asarray(points, dtype=float)
-    n = points.shape[0]
+    xyz = np.asarray(xyz, dtype=float)
+    n = xyz.shape[1]
     depth = np.full((beams, columns), np.nan)
     cell = np.zeros(n, dtype=int)
     for i in range(n):
-        x, y, z = (float(v) for v in points[i, :3])
+        x, y, z = (float(v) for v in xyz[:, i])
         azimuth = float(np.arctan2(y, x))
         col = math.floor((azimuth + math.pi) / (2.0 * math.pi) * columns) % columns
         row = int(beam_row[i])
@@ -124,11 +125,12 @@ def bfs_components(points: np.ndarray, radius: float) -> np.ndarray:
     return labels
 
 
-def generate_labels_per_box(frame, trinary, box_assign, boxes, radii):
-    """Semantic and instance labels, one ``ccl_cluster`` call per box in list order."""
+def generate_labels_per_box(xyz, trinary, box_assign, boxes, radii):
+    """Semantic and instance labels of the (3, N) points ``xyz``, one
+    ``ccl_cluster`` call per box in list order."""
     from wlf.clustering import ccl_cluster, max_component
 
-    n = frame.num_points
+    n = xyz.shape[1]
     semantic = np.zeros(n, dtype=np.int32)
     semantic[np.asarray(trinary) == -1] = -1
     instance = np.zeros(n, dtype=np.int32)
@@ -136,7 +138,7 @@ def generate_labels_per_box(frame, trinary, box_assign, boxes, radii):
         idx = np.flatnonzero((np.asarray(box_assign) == box.box_id) & (np.asarray(trinary) == 1))
         if idx.size == 0:
             continue
-        sub = frame.xyz[idx]
+        sub = xyz.T[idx]
         comps = ccl_cluster(sub, radii.for_class(box.class_id))
         keep = idx[max_component(comps.labels, sub)]
         semantic[idx] = -1
@@ -303,13 +305,13 @@ def back_project(calib, pixels: np.ndarray, depth: np.ndarray) -> np.ndarray:
     return (cam - ext[:3, 3]) @ ext[:3, :3]
 
 
-def project_points_full(calib, frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full-array pinhole projection, one point at a time: every point's pixel
-    (NaN behind the camera), its camera depth, and whether it is valid (in
-    front of the camera, pixel inside the image).
+def project_points_full(calib, xyz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full-array pinhole projection of the (3, N) points ``xyz``, one point
+    at a time: every point's pixel (NaN behind the camera), its camera depth,
+    and whether it is valid (in front of the camera, pixel inside the image).
 
     Camera coordinates are summed as ``((x*r[i,0] + y*r[i,1]) + z*r[i,2]) +
-    t[i]``, the package's column order, in plain floats, so these pixels
+    t[i]``, the package's order, in plain floats, so these pixels
     equal the package's bit for bit and a point on a box edge stays on it.
     """
     r = calib.extrinsic[:3, :3].tolist()
@@ -317,11 +319,11 @@ def project_points_full(calib, frame) -> tuple[np.ndarray, np.ndarray, np.ndarra
     k = calib.intrinsic
     fx, fy, cx, cy = float(k[0, 0]), float(k[1, 1]), float(k[0, 2]), float(k[1, 2])
     w, h = calib.image_size
-    n = frame.points.shape[0]
+    n = xyz.shape[1]
     pixels = np.full((n, 2), np.nan)
     depth = np.zeros(n)
     valid = np.zeros(n, dtype=bool)
-    for i, (x, y, z) in enumerate(frame.points[:, :3].tolist()):
+    for i, (x, y, z) in enumerate(xyz.T.tolist()):
         cam = [x * r[a][0] + y * r[a][1] + z * r[a][2] + t[a] for a in range(3)]
         depth[i] = cam[2]
         if cam[2] > 0:

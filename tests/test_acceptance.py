@@ -20,6 +20,7 @@ from oracles import (
 )
 
 from wlf import spatial
+from wlf.bundle import read_manifest
 from wlf.cli import main as cli_main
 from wlf.clustering import ClassRadii, ccl_cluster
 from wlf.config import PipelineConfig
@@ -82,12 +83,13 @@ def chain100():
     t0 = time.perf_counter()
     for scene in scenes:
         frame = scene.frame
-        index, pixels = project_points(scene.calibration, frame)
+        index, pixels = project_points(scene.calibration, frame.xyz)
         assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
-        ri = build_range_image(frame, scene.config.beams, scene.config.columns)
+        cfg = scene.config
+        ri = build_range_image(frame.xyz, frame.beam_row, cfg.beams, cfg.columns)
         segments = dcs_dynamic(*ri, dcs_cfg)
         trinary = refine_by_segments(assign, segments)
-        labels = generate_labels(frame, trinary, assign, scene.boxes, radii)
+        labels = generate_labels(frame.xyz, trinary, assign, scene.boxes, radii)
         spg_seconds_mark = time.perf_counter()
 
         scores = np.stack([
@@ -350,7 +352,8 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
                    "--num-frames", "1", "--epochs", "4", "--score-sigma", "0.2"])
     assert rc == 0
     bundle, cfg = tmp_path / "c" / "frame_0000", PipelineConfig()
-    process_frame(bundle, cfg)  # one-time set-up is not the frame's
+    manifest = read_manifest(bundle)
+    process_frame(bundle, manifest, cfg)  # one-time set-up is not the frame's
 
     peaks, transients = [], []
 
@@ -365,7 +368,7 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
     monkeypatch.setattr(spatial, "ccl_cluster", traced_ccl)
     tracemalloc.start()
     try:
-        process_frame(bundle, cfg)
+        process_frame(bundle, manifest, cfg)
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()

@@ -8,6 +8,7 @@ from wlf.bundle import (
     list_vote_epochs,
     read_frame_bundle,
     read_labels,
+    read_manifest,
     read_mask_predictions,
     read_votes,
     write_frame_bundle,
@@ -25,18 +26,32 @@ def scene():
     return generate_scene(SceneConfig(seed=17))
 
 
-def test_frame_round_trip(tmp_path, scene):
-    bundle = write_frame_bundle(
-        tmp_path / "f0", scene.frame, scene.calibration, scene.boxes, CLASS_NAMES,
+def write_bundle(directory, scene):
+    return write_frame_bundle(
+        directory, scene.frame, scene.intensity, scene.calibration, scene.boxes, CLASS_NAMES,
         beams=scene.config.beams, columns=scene.config.columns,
     )
-    frame, calib, boxes, manifest = read_frame_bundle(bundle)
+
+
+def read_bundle(directory):
+    return read_frame_bundle(directory, read_manifest(directory))
+
+
+def test_frame_round_trip(tmp_path, scene):
+    bundle = write_bundle(tmp_path / "f0", scene)
+    manifest = read_manifest(bundle)
+    frame, calib, boxes = read_frame_bundle(bundle, manifest)
     assert frame.frame_id == scene.frame.frame_id
-    # Disk format is float32; compare at that precision.
-    np.testing.assert_array_equal(
-        frame.points.astype(np.float32), scene.frame.points.astype(np.float32)
-    )
+    # Disk format is float32; compare at that precision. The reader keeps
+    # x, y and z as three contiguous float64 rows and the rows as stored.
+    assert frame.xyz.dtype == np.float64 and frame.xyz.flags.c_contiguous
+    assert frame.xyz.shape == (3, scene.frame.num_points)
+    np.testing.assert_array_equal(frame.xyz, scene.frame.xyz.astype(np.float32))
+    assert frame.beam_row.dtype == np.uint16
     np.testing.assert_array_equal(frame.beam_row, scene.frame.beam_row)
+    # Intensity, which no stage reads, is the fourth column on disk alone.
+    stored = np.frombuffer((bundle / "points.f32").read_bytes(), "<f4").reshape(-1, 4)
+    np.testing.assert_array_equal(stored[:, 3], scene.intensity.astype(np.float32))
     np.testing.assert_array_equal(frame.gt_semantic, scene.frame.gt_semantic)
     np.testing.assert_array_equal(frame.gt_instance, scene.frame.gt_instance)
     np.testing.assert_allclose(calib.intrinsic, scene.calibration.intrinsic)
@@ -69,24 +84,21 @@ def test_votes_round_trip(tmp_path):
 
 def test_missing_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
-        read_frame_bundle(tmp_path)
+        read_manifest(tmp_path)
 
 
 def test_corrupt_manifest(tmp_path):
     (tmp_path / "manifest.json").write_text("{nope")
     with pytest.raises(BundleError, match="invalid JSON"):
-        read_frame_bundle(tmp_path)
+        read_manifest(tmp_path)
 
 
 def test_truncated_array_rejected(tmp_path, scene):
-    bundle = write_frame_bundle(
-        tmp_path / "f0", scene.frame, scene.calibration, scene.boxes, CLASS_NAMES,
-        beams=scene.config.beams, columns=scene.config.columns,
-    )
+    bundle = write_bundle(tmp_path / "f0", scene)
     data = (bundle / "points.f32").read_bytes()
     (bundle / "points.f32").write_bytes(data[:-8])
     with pytest.raises(BundleError, match="expected"):
-        read_frame_bundle(bundle)
+        read_bundle(bundle)
 
 
 @pytest.mark.parametrize(
@@ -101,15 +113,12 @@ def test_truncated_array_rejected(tmp_path, scene):
     ],
 )
 def test_bad_ids_and_class_count_name_the_file(tmp_path, scene, name, edit, message):
-    bundle = write_frame_bundle(
-        tmp_path / "f0", scene.frame, scene.calibration, scene.boxes, CLASS_NAMES,
-        beams=scene.config.beams, columns=scene.config.columns,
-    )
+    bundle = write_bundle(tmp_path / "f0", scene)
     payload = json.loads((bundle / name).read_text())
     edit(payload)
     (bundle / name).write_text(json.dumps(payload))
     with pytest.raises(BundleError, match=f"{bundle / name}: {message}"):
-        read_frame_bundle(bundle)
+        read_bundle(bundle)
 
 
 def test_mask_predictions_round_trip(tmp_path, rng):
@@ -129,13 +138,7 @@ def test_mask_predictions_round_trip(tmp_path, rng):
 
 
 def test_manifest_json_is_stable(tmp_path, scene):
-    b1 = write_frame_bundle(
-        tmp_path / "a", scene.frame, scene.calibration, scene.boxes, CLASS_NAMES,
-        beams=scene.config.beams, columns=scene.config.columns,
-    )
-    b2 = write_frame_bundle(
-        tmp_path / "b", scene.frame, scene.calibration, scene.boxes, CLASS_NAMES,
-        beams=scene.config.beams, columns=scene.config.columns,
-    )
+    b1 = write_bundle(tmp_path / "a", scene)
+    b2 = write_bundle(tmp_path / "b", scene)
     assert (b1 / "manifest.json").read_bytes() == (b2 / "manifest.json").read_bytes()
     assert (b1 / "points.f32").read_bytes() == (b2 / "points.f32").read_bytes()

@@ -20,9 +20,17 @@ def run(*args) -> int:
 
 
 def edit_json(path, edit) -> None:
+    """Change a JSON file's payload in place; an edit that returns a string
+    gives the file's new text instead, for what json.dumps cannot write."""
     payload = json.loads(path.read_text())
-    edit(payload)
-    path.write_text(json.dumps(payload))
+    text = edit(payload)
+    path.write_text(text if isinstance(text, str) else json.dumps(payload))
+
+
+def image_size_text(text: str):
+    """An edit of calibration.json that writes ``text`` as its image_size."""
+    return lambda calib: json.dumps({**calib, "image_size": None}).replace(
+        '"image_size": null', f'"image_size": {text}')
 
 
 # Pipeline configs that every command but synth rejects with exit 3.
@@ -321,17 +329,26 @@ class TestStageCommands:
             ("manifest.json", lambda manifest: manifest.update(num_points=-1)),
             ("manifest.json", lambda manifest: manifest.update(num_points=float(manifest["num_points"]))),
             ("manifest.json", lambda manifest: manifest.update(num_classes=4)),
+            ("calibration.json", image_size_text("[Infinity, 480]")),
+            ("calibration.json", image_size_text("[1e400, 480]")),
+            ("calibration.json", image_size_text("[640.7, 480]")),
+            ("calibration.json", image_size_text("[true, 480]")),
+            ("calibration.json", image_size_text(f"[{10**400}, 480]")),
         ],
         ids=["degenerate-box", "no-extrinsic", "no-columns", "beam-row-past-beams",
              "class-without-radius", "duplicate-box-id", "float-box-id", "string-num-classes",
              "float-columns", "string-beams", "negative-num-points", "float-num-points",
-             "num-classes-differs"],
+             "num-classes-differs", "image-size-infinity", "image-size-1e400",
+             "image-size-float", "image-size-bool", "image-size-past-float-range"],
     )
     def test_malformed_bundle_exit_3(self, bundles, tmp_path, capsys, name, edit):
         edit_json(bundles / "frame_0002" / name, edit)
         # An exception escaping main would be a traceback and exit 1.
         assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 3
-        assert str(bundles / "frame_0002") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(bundles / "frame_0002") in err
+        if name == "calibration.json":
+            assert f"{bundles / 'frame_0002' / name}: " in err
 
     @pytest.mark.parametrize(
         "key, row, col, value",
@@ -436,6 +453,32 @@ class TestStageCommands:
                    "--out", tmp_path / "o") == 3
         assert str(labels / "frame_0001") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pvc", "rsc", "eval"])
+    @pytest.mark.parametrize(
+        "array, value, message",
+        [("sem.i32", 99, "semantic label 99 outside -1..3"),
+         ("sem.i32", -7, "semantic label -7 outside -1..3"),
+         ("inst.i32", -2, "instance id -2 is negative")],
+        ids=["semantic-above-classes", "semantic-below-ignore", "negative-instance"],
+    )
+    def test_out_of_range_labels_exit_3(self, bundles, tmp_path, capsys, command, array,
+                                        value, message):
+        # No run writes such labels; on points of no instance they would
+        # otherwise pass every check and be scored as a class.
+        labels = tmp_path / "labels"
+        assert run("spg", "--frames", f"{bundles}/*", "--out", labels) == 0
+        sem = np.fromfile(labels / "frame_0001" / "sem.i32", dtype="<i4")
+        inst = np.fromfile(labels / "frame_0001" / "inst.i32", dtype="<i4")
+        path = labels / "frame_0001" / array
+        edited = (sem if array == "sem.i32" else inst).copy()
+        edited[np.flatnonzero(inst == 0)[:19]] = value
+        edited.tofile(path)
+        out = tmp_path / "o"
+        assert run(command, "--frames", f"{bundles}/*", "--labels", labels, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert f"{labels / 'frame_0001'}: {message}" in err and "Traceback" not in err
+        assert not (out / "frame_0001").exists() and not (out / "run.json").exists()
+
 
 class TestIpg:
     def test_fuses_masks(self, bundles, tmp_path, rng):
@@ -477,6 +520,24 @@ class TestIpg:
 
     def test_no_masks_exit_2(self, bundles, tmp_path):
         assert run("ipg", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("first", ["ipg", "pipeline"])
+    def test_rerun_over_a_run_exit_3_writes_nothing(self, bundles, tmp_path, capsys, rng, first):
+        # ipg over fewer frames would leave the old run's ipg.json, fused_*
+        # and trinary_* files beside the new ones.
+        for name in ("frame_0000", "frame_0001"):
+            box = json.loads((bundles / name / "boxes.json").read_text())[0]
+            write_mask_predictions(bundles / name, [(box["box_id"], MaskPrediction(
+                prob_map=rng.uniform(0, 1, (4, 4)), score=0.5, pred_box=tuple(box["bounds"])))])
+        out = tmp_path / "out"
+        assert run(first, "--frames", f"{bundles}/*", "--out", out) == 0
+        before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+        capsys.readouterr()
+        assert run("ipg", "--frames", f"{bundles}/frame_0000", "--out", out) == 3
+        err = capsys.readouterr().err
+        held = out / "frame_0000" / "ipg.json" if first == "ipg" else out / "run.json"
+        assert f"({held})" in err and "Traceback" not in err
+        assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
 
     @pytest.mark.parametrize("config", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
     def test_malformed_config_exit_3(self, bundles, tmp_path, capsys, config):

@@ -21,11 +21,10 @@ def simple_calib(f=100.0, cx=320.0, cy=240.0, size=(640, 480)) -> Calibration:
     return Calibration(intrinsic=k, extrinsic=np.eye(4), image_size=size)
 
 
-def make_frame(xyz, frame_id="t") -> Frame:
-    xyz = np.asarray(xyz, dtype=float)
-    pts = np.zeros((xyz.shape[0], 4))
-    pts[:, :3] = xyz
-    return Frame(frame_id=frame_id, points=pts, beam_row=np.zeros(xyz.shape[0], dtype=int))
+def as_columns(points) -> np.ndarray:
+    """A frame's (3, N) ``xyz`` from (N, 3) points."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    return Frame(frame_id="t", xyz=points.T, beam_row=np.zeros(points.shape[0], dtype=int)).xyz
 
 
 def rotation_from_angles(rx, ry, rz) -> np.ndarray:
@@ -40,32 +39,32 @@ def rotation_from_angles(rx, ry, rz) -> np.ndarray:
 
 class TestProjectPoints:
     def test_optical_axis_point(self):
-        index, pixels = project_points(simple_calib(), make_frame([[0, 0, 5]]))
+        index, pixels = project_points(simple_calib(), as_columns([[0, 0, 5]]))
         assert index.tolist() == [0]
         np.testing.assert_allclose(pixels[0], [320.0, 240.0])
-        assert project_points_full(simple_calib(), make_frame([[0, 0, 5]]))[1][0] == 5.0
+        assert project_points_full(simple_calib(), as_columns([[0, 0, 5]]))[1][0] == 5.0
 
     def test_off_axis_point(self):
         # u = 100 * 1/5 + 320 = 340
-        index, pixels = project_points(simple_calib(), make_frame([[1, 0, 5]]))
+        index, pixels = project_points(simple_calib(), as_columns([[1, 0, 5]]))
         np.testing.assert_allclose(pixels[0], [340.0, 240.0])
 
     def test_behind_camera_invalid(self):
-        index, pixels = project_points(simple_calib(), make_frame([[0, 0, -1], [0, 0, 0]]))
+        index, pixels = project_points(simple_calib(), as_columns([[0, 0, -1], [0, 0, 0]]))
         assert index.size == 0 and pixels.shape == (0, 2)
 
     def test_out_of_image_invalid(self):
-        index, _ = project_points(simple_calib(), make_frame([[100, 0, 5]]))
+        index, _ = project_points(simple_calib(), as_columns([[100, 0, 5]]))
         assert index.size == 0
 
     def test_non_finite_rejected(self):
         # The identity extrinsic gives x and y a zero weight in camera z.
         for axis in range(3):
             for bad in (np.nan, np.inf, -np.inf):
-                frame = make_frame([[0, 0, 5], [1, 1, -5]])
-                frame.points[1, axis] = bad
+                xyz = as_columns([[0, 0, 5], [1, 1, -5]])
+                xyz[axis, 1] = bad
                 with pytest.raises(ValueError, match="non-finite"):
-                    project_points(simple_calib(), frame)
+                    project_points(simple_calib(), xyz)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -92,9 +91,8 @@ class TestProjectPoints:
         # Build points in the camera frame (guaranteed in front) then map back.
         cam = np.asarray(raw_pts)
         xyz = (cam - extrinsic[:3, 3]) @ rot
-        frame = make_frame(xyz)
-        index, pixels = project_points(calib, frame)
-        want_pixels, depth, valid = project_points_full(calib, frame)
+        index, pixels = project_points(calib, as_columns(xyz))
+        want_pixels, depth, valid = project_points_full(calib, as_columns(xyz))
         assert np.array_equal(index, np.flatnonzero(valid))
         assert np.array_equal(pixels, want_pixels[valid])
         rec = back_project(calib, pixels, depth[index])
@@ -105,20 +103,20 @@ class TestProjectPoints:
         # and equal the matrix product bit for bit.
         scene = generate_scene(SceneConfig(seed=4))
         calib, frame = scene.calibration, scene.frame
-        cam = frame.xyz @ calib.rotation.T + calib.translation
+        cam = frame.xyz.T @ calib.rotation.T + calib.translation
         front = cam[:, 2] > 0
         u = calib.fx * cam[front, 0] / cam[front, 2] + calib.cx
         v = calib.fy * cam[front, 1] / cam[front, 2] + calib.cy
         w, h = calib.image_size
         inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
-        index, pixels = project_points(calib, frame)
+        index, pixels = project_points(calib, frame.xyz)
         assert np.array_equal(index, np.flatnonzero(front)[inside])
         assert np.array_equal(pixels, np.stack([u[inside], v[inside]], axis=1))
 
 
 @st.composite
 def frustum_cases(draw):
-    """A calibration, a frame and boxes. Half the cases are dyadic: a signed
+    """A calibration, a frame's xyz and boxes. Half the cases are dyadic: a signed
     axis permutation, power-of-two focal lengths and integer offsets keep
     every sum exact, so points land exactly on the image border, on chosen
     pixels and at camera z == 0. Box edges come from the same pixels, from
@@ -152,8 +150,8 @@ def frustum_cases(draw):
     extrinsic = np.eye(4)
     extrinsic[:3, :3], extrinsic[:3, 3] = rot, t
     calib = Calibration(np.array([[fx, 0, cx], [0, fy, cy], [0, 0, 1.0]]), extrinsic, (w, h))
-    frame = make_frame((cam - t) @ rot)
-    pixels = project_points_full(calib, frame)[0]
+    xyz = as_columns((cam - t) @ rot)
+    pixels = project_points_full(calib, xyz)[0]
     seen_u = [float(u) for u in pixels[:, 0] if np.isfinite(u)] + [0.0, float(w)]
     seen_v = [float(v) for v in pixels[:, 1] if np.isfinite(v)] + [0.0, float(h)]
     boxes = []
@@ -162,7 +160,7 @@ def frustum_cases(draw):
         y0, y1 = sorted(draw(st.one_of(vs, st.sampled_from(seen_v))) for _ in range(2))
         if x0 < x1 and y0 < y1:
             boxes.append(Box2D(box_id=box_id, class_id=1, bounds=(x0, y0, x1, y1)))
-    return calib, frame, boxes
+    return calib, xyz, boxes
 
 
 class TestFrustumMatchesOracle:
@@ -171,12 +169,12 @@ class TestFrustumMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(frustum_cases())
     def test_crop_of_projection_matches_full_arrays(self, case):
-        calib, frame, boxes = case
-        pixels, _, valid = project_points_full(calib, frame)
-        index, got_pixels = project_points(calib, frame)
+        calib, xyz, boxes = case
+        pixels, _, valid = project_points_full(calib, xyz)
+        index, got_pixels = project_points(calib, xyz)
         assert np.array_equal(index, np.flatnonzero(valid))
         assert np.array_equal(got_pixels, pixels[valid])
-        got = crop_frustum(index, got_pixels, frame.num_points, boxes)
+        got = crop_frustum(index, got_pixels, xyz.shape[1], boxes)
         assert got.dtype == np.int32
         assert np.array_equal(got, crop_frustum_trace(pixels, valid, boxes))
 

@@ -24,11 +24,10 @@ def segs(ids) -> RingSegments:
     return RingSegments(segment_id=ids, num_segments=int(ids.max()) + 1 if ids.size else 0)
 
 
-def make_frame(xyz) -> Frame:
-    xyz = np.asarray(xyz, dtype=float)
-    pts = np.zeros((xyz.shape[0], 4))
-    pts[:, :3] = xyz
-    return Frame(frame_id="t", points=pts, beam_row=np.zeros(xyz.shape[0], dtype=int))
+def as_columns(points) -> np.ndarray:
+    """A frame's (3, N) ``xyz`` from (N, 3) points."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    return Frame(frame_id="t", xyz=points.T, beam_row=np.zeros(points.shape[0], dtype=int)).xyz
 
 
 class TestTrinaryFromProp:
@@ -101,68 +100,69 @@ class TestGenerateLabels:
     def test_max_cluster_claims_instance(self):
         big = self.cluster_points(np.array([10.0, 0, 0]), 20, seed=1)
         small = self.cluster_points(np.array([14.0, 3.0, 0]), 4, seed=2)
-        frame = make_frame(np.vstack([big, small]))
+        xyz = as_columns(np.vstack([big, small]))
         trinary = np.ones(24, dtype=np.int8)
         assign = np.ones(24, dtype=np.int32)
         boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 10, 10))]
-        labels = generate_labels(frame, trinary, assign, boxes, ClassRadii())
+        labels = generate_labels(xyz, trinary, assign, boxes, ClassRadii())
         assert (labels.semantic[:20] == 1).all()
         assert (labels.instance[:20] == 1).all()
         assert (labels.semantic[20:] == -1).all()
         assert (labels.instance[20:] == 0).all()
 
     def test_box_without_foreground_emits_nothing(self):
-        frame = make_frame(self.cluster_points(np.array([5.0, 0, 0]), 6))
+        xyz = as_columns(self.cluster_points(np.array([5.0, 0, 0]), 6))
         trinary = np.zeros(6, dtype=np.int8)
         assign = np.ones(6, dtype=np.int32)
         boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 10, 10))]
-        labels = generate_labels(frame, trinary, assign, boxes, ClassRadii())
+        labels = generate_labels(xyz, trinary, assign, boxes, ClassRadii())
         assert (labels.semantic == 0).all()
         assert (labels.instance == 0).all()
 
     def test_two_disjoint_boxes(self):
         a = self.cluster_points(np.array([8.0, 2.0, 0]), 10, seed=3)
         b = self.cluster_points(np.array([8.0, -2.0, 0]), 8, seed=4)
-        frame = make_frame(np.vstack([a, b]))
+        xyz = as_columns(np.vstack([a, b]))
         trinary = np.ones(18, dtype=np.int8)
         assign = np.array([1] * 10 + [2] * 8, dtype=np.int32)
         boxes = [
             Box2D(box_id=1, class_id=1, bounds=(0, 0, 10, 10)),
             Box2D(box_id=2, class_id=2, bounds=(20, 0, 30, 10)),
         ]
-        labels = generate_labels(frame, trinary, assign, boxes, ClassRadii(radii={1: 0.6, 2: 0.6}))
+        labels = generate_labels(xyz, trinary, assign, boxes, ClassRadii(radii={1: 0.6, 2: 0.6}))
         assert set(np.unique(labels.instance[labels.instance > 0]).tolist()) == {1, 2}
         assert (labels.semantic[:10] == 1).all()
         assert (labels.semantic[10:] == 2).all()
         labels.check_consistency(boxes)
 
     def test_ignored_points_stay_ignored(self):
-        frame = make_frame(self.cluster_points(np.array([5.0, 0, 0]), 4))
+        xyz = as_columns(self.cluster_points(np.array([5.0, 0, 0]), 4))
         trinary = np.array([-1, -1, 0, 0], dtype=np.int8)
         assign = np.array([1, 0, 1, 0], dtype=np.int32)
         boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 10, 10))]
-        labels = generate_labels(frame, trinary, assign, boxes, ClassRadii())
+        labels = generate_labels(xyz, trinary, assign, boxes, ClassRadii())
         assert labels.semantic.tolist() == [-1, -1, 0, 0]
 
     def test_labels_partition(self, rng):
         # Every point lands in exactly one of ignore / background / one instance.
         scene = generate_scene(SceneConfig(seed=11, box_pad_px=6.0))
         frame = scene.frame
-        index, pixels = project_points(scene.calibration, frame)
+        index, pixels = project_points(scene.calibration, frame.xyz)
         assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
-        ri = build_range_image(frame, scene.config.beams, scene.config.columns)
+        cfg = scene.config
+        ri = build_range_image(frame.xyz, frame.beam_row, cfg.beams, cfg.columns)
         segments = dcs_dynamic(*ri, DcsConfig())
         trinary = refine_by_segments(assign, segments)
-        labels = generate_labels(frame, trinary, assign, scene.boxes, ClassRadii())
+        labels = generate_labels(frame.xyz, trinary, assign, scene.boxes, ClassRadii())
         labels.check_consistency(scene.boxes)
         sem, inst = labels.semantic, labels.instance
         assert np.all((inst > 0) == (sem > 0))
         assert np.all((sem == -1) | (sem == 0) | (inst > 0))
 
 
-def assert_matches_per_box(frame, trinary, assign, boxes, radii):
-    labels = generate_labels(frame, trinary, assign, boxes, radii)
-    semantic, instance = generate_labels_per_box(frame, trinary, assign, boxes, radii)
+def assert_matches_per_box(xyz, trinary, assign, boxes, radii):
+    labels = generate_labels(xyz, trinary, assign, boxes, radii)
+    semantic, instance = generate_labels_per_box(xyz, trinary, assign, boxes, radii)
     assert np.array_equal(labels.semantic, semantic)
     assert np.array_equal(labels.instance, instance)
 
@@ -187,7 +187,7 @@ def label_cases(draw):
     no_radius = np.isin(assign, [b.box_id for b in boxes if b.class_id == 4])
     trinary[no_radius & (trinary == 1)] = 0
     radii = ClassRadii({c: draw(st.floats(0.05, 1.0)) for c in (1, 2, 3)})
-    return make_frame(xyz.reshape(n, 3)), trinary, assign, boxes, radii
+    return as_columns(xyz.reshape(n, 3)), trinary, assign, boxes, radii
 
 
 class TestGenerateLabelsMatchesPerBox:
@@ -197,17 +197,17 @@ class TestGenerateLabelsMatchesPerBox:
         assert_matches_per_box(*case)
 
     def test_highest_box_without_points(self):
-        frame = make_frame(TestGenerateLabels().cluster_points(np.array([5.0, 0, 0]), 12))
+        xyz = as_columns(TestGenerateLabels().cluster_points(np.array([5.0, 0, 0]), 12))
         boxes = [Box2D(box_id=k, class_id=1, bounds=(0, 0, 1, 1)) for k in (2, 7, 3)]
         assign = np.array([2] * 6 + [3] * 6, dtype=np.int32)
-        assert_matches_per_box(frame, np.ones(12, dtype=np.int8), assign, boxes, ClassRadii())
+        assert_matches_per_box(xyz, np.ones(12, dtype=np.int8), assign, boxes, ClassRadii())
 
     def test_no_box_with_foreground(self):
-        frame = make_frame(TestGenerateLabels().cluster_points(np.array([5.0, 0, 0]), 6))
+        xyz = as_columns(TestGenerateLabels().cluster_points(np.array([5.0, 0, 0]), 6))
         boxes = [Box2D(box_id=1, class_id=9, bounds=(0, 0, 1, 1))]
         trinary = np.array([-1, 0, -1, 0, 0, 1], dtype=np.int8)
         assign = np.array([1, 1, 1, 1, 0, 0], dtype=np.int32)
-        assert_matches_per_box(frame, trinary, assign, boxes, ClassRadii())
+        assert_matches_per_box(xyz, trinary, assign, boxes, ClassRadii())
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("stage", ["spg", "plain"])
@@ -218,15 +218,16 @@ class TestGenerateLabelsMatchesPerBox:
                           vehicle_distance=(12.0, 20.0))
         scene = generate_scene(cfg)
         frame = scene.frame
-        index, pixels = project_points(scene.calibration, frame)
+        index, pixels = project_points(scene.calibration, frame.xyz)
         assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
         if stage == "spg":
-            segments = dcs_dynamic(*build_range_image(frame, cfg.beams, cfg.columns), DcsConfig())
+            ri = build_range_image(frame.xyz, frame.beam_row, cfg.beams, cfg.columns)
+            segments = dcs_dynamic(*ri, DcsConfig())
             trinary = refine_by_segments(assign, segments)
         else:
             trinary = (assign > 0).astype(np.int8)
         assert np.count_nonzero((assign > 0) & (trinary == 1)) > 4000
-        assert_matches_per_box(frame, trinary, assign, scene.boxes, ClassRadii())
+        assert_matches_per_box(frame.xyz, trinary, assign, scene.boxes, ClassRadii())
 
 
 class TestDirectionalQuality:
@@ -242,12 +243,13 @@ class TestDirectionalQuality:
                 SceneConfig(seed=seed, box_pad_px=10.0, vehicle_distance=(8.0, 16.0))
             )
             frame = scene.frame
-            index, pixels = project_points(scene.calibration, frame)
+            index, pixels = project_points(scene.calibration, frame.xyz)
             assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
-            ri = build_range_image(frame, scene.config.beams, scene.config.columns)
+            cfg = scene.config
+            ri = build_range_image(frame.xyz, frame.beam_row, cfg.beams, cfg.columns)
             segments = dcs_dynamic(*ri, DcsConfig())
             trinary = refine_by_segments(assign, segments)
-            labels = generate_labels(frame, trinary, assign, scene.boxes, ClassRadii())
+            labels = generate_labels(frame.xyz, trinary, assign, scene.boxes, ClassRadii())
             for acc, sem in (((tp, fp, fn), labels.semantic),
                              ((tp_r, fp_r, fn_r), frustum_semantic(assign, scene.boxes))):
                 a, b, c = confusion_counts(sem, frame.gt_semantic, 3)

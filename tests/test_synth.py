@@ -22,7 +22,8 @@ class TestDeterminism:
     def test_same_seed_bit_identical(self):
         a = generate_scene(SceneConfig(seed=42))
         b = generate_scene(SceneConfig(seed=42))
-        assert np.array_equal(a.frame.points, b.frame.points)
+        assert np.array_equal(a.frame.xyz, b.frame.xyz)
+        assert np.array_equal(a.intensity, b.intensity)
         assert np.array_equal(a.frame.beam_row, b.frame.beam_row)
         assert np.array_equal(a.frame.gt_semantic, b.frame.gt_semantic)
         assert np.array_equal(a.frame.gt_instance, b.frame.gt_instance)
@@ -32,7 +33,7 @@ class TestDeterminism:
         a = generate_scene(SceneConfig(seed=1))
         b = generate_scene(SceneConfig(seed=2))
         assert a.frame.num_points != b.frame.num_points or not np.array_equal(
-            a.frame.points, b.frame.points
+            a.frame.xyz, b.frame.xyz
         )
 
 
@@ -56,7 +57,7 @@ class TestSceneContents:
         assert len(scene.boxes) == 1
         box = scene.boxes[0]
         assert box.box_id == 1 and box.class_id == 1
-        index, pixels = project_points(scene.calibration, frame)
+        index, pixels = project_points(scene.calibration, frame.xyz)
         vis = hits[index]
         u, v = pixels[vis, 0], pixels[vis, 1]
         assert box.contains(u, v).all()
@@ -76,7 +77,7 @@ class TestSceneContents:
         # everything else on an object surface above it.
         cfg = self.single_vehicle_cfg()
         scene = generate_scene(cfg)
-        z_world = scene.frame.points[:, 2] + cfg.sensor_height
+        z_world = scene.frame.xyz[2] + cfg.sensor_height
         ground = scene.frame.gt_semantic == 0
         np.testing.assert_allclose(z_world[ground], 0.0, atol=1e-9)
         assert (z_world[~ground] > -1e-9).all()
@@ -86,24 +87,26 @@ class TestSceneContents:
         noisy = generate_scene(
             SceneConfig(**{**self.single_vehicle_cfg().to_dict(), "depth_jitter": 0.05})
         )
-        r0 = np.linalg.norm(base.frame.xyz, axis=1)
-        r1 = np.linalg.norm(noisy.frame.xyz, axis=1)
+        r0 = np.linalg.norm(base.frame.xyz, axis=0)
+        r1 = np.linalg.norm(noisy.frame.xyz, axis=0)
         assert r0.shape == r1.shape
         assert np.abs(r1 - r0).max() < 6 * 0.05
 
     def test_range_image_depth_matches_ray_length(self):
         cfg = self.single_vehicle_cfg()
         scene = generate_scene(cfg)
-        depth, cell = build_range_image(scene.frame, cfg.beams, cfg.columns)
+        frame = scene.frame
+        depth, cell = build_range_image(frame.xyz, frame.beam_row, cfg.beams, cfg.columns)
         # One point per cell (see below), so each cell holds its point's range.
-        ranges = np.linalg.norm(scene.frame.xyz, axis=1)
+        ranges = np.linalg.norm(scene.frame.xyz, axis=0)
         np.testing.assert_allclose(depth.ravel()[cell], ranges, atol=1e-5)
 
     def test_each_cell_hosts_one_point(self):
         # Ray-per-cell construction: no collisions without jitter.
         cfg = self.single_vehicle_cfg()
         scene = generate_scene(cfg)
-        depth, cell = build_range_image(scene.frame, cfg.beams, cfg.columns)
+        frame = scene.frame
+        depth, cell = build_range_image(frame.xyz, frame.beam_row, cfg.beams, cfg.columns)
         assert np.unique(cell).size == np.isfinite(depth).sum() == scene.frame.num_points
 
     def test_unoccluded_objects_are_radius_connected(self):
@@ -142,7 +145,7 @@ class TestSceneContents:
             frame = scene.frame
             assert scene.boxes, f"seed {seed}: no visible object"
             for box in scene.boxes:
-                pts = frame.xyz[frame.gt_instance == box.box_id]
+                pts = frame.xyz[:, frame.gt_instance == box.box_id].T
                 comps = ccl_cluster(pts, radii.for_class(box.class_id))
                 assert comps.num == 1, f"seed {seed} class {box.class_id} split"
 
@@ -241,9 +244,10 @@ class TestCastMatchesOracle:
             got = generate_scene(cfg)
             with mock.patch.object(synth, "_cast", full_cast):
                 want = generate_scene(cfg)
-        for name in ("points", "beam_row", "gt_semantic", "gt_instance"):
+        for name in ("xyz", "beam_row", "gt_semantic", "gt_instance"):
             a, b = getattr(got.frame, name), getattr(want.frame, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(got.intensity, want.intensity)
         assert [(x.box_id, x.class_id, x.bounds) for x in got.boxes] == [
             (x.box_id, x.class_id, x.bounds) for x in want.boxes
         ]
@@ -301,7 +305,7 @@ class TestFabricateScores:
         # ground-truth semantic label.
         scene = generate_scene(SceneConfig(seed=21, box_pad_px=8.0))
         frame = scene.frame
-        index, pixels = project_points(scene.calibration, frame)
+        index, pixels = project_points(scene.calibration, frame.xyz)
         assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
         scores = np.stack([
             fabricate_votes(frame.gt_semantic, 3, 0.0, seed=21, epoch=epoch)

@@ -43,6 +43,7 @@ class TestTracedNames:
     def test_counter_argument_positions(self):
         # The span counters read these positional arguments.
         assert params("wlf.pipeline", "process_frame")[0] == "bundle_dir"
+        assert params("wlf.pipeline", "read_frame_bundle")[0] == "directory"
         assert params("wlf.pipeline", "vote_correct")[2] == "labels"
         assert params("wlf.pipeline", "rsc_correct")[0] == "pred"
         assert params("wlf.pipeline", "read_votes")[:2] == ["directory", "epoch"]

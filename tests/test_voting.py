@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from oracles import vote_enumerate
 
-from wlf.bundle import BundleError, list_vote_epochs, read_frame_bundle, write_votes
+from wlf.bundle import (
+    BundleError,
+    list_vote_epochs,
+    read_frame_bundle,
+    read_manifest,
+    write_votes,
+)
 from wlf.cli import main
 from wlf.config import PipelineConfig
 from wlf.frames import Box2D, crop_frustum, project_points
@@ -32,7 +38,7 @@ def bundle(tmp_path):
 
 def engine_labels(bundle, stages, **pvc):
     cfg = PipelineConfig(stages=tuple(stages), pvc=PvcConfig(**pvc))
-    labels, _ = process_frame(bundle, cfg)
+    labels, _ = process_frame(bundle, read_manifest(bundle), cfg)
     return labels
 
 
@@ -141,13 +147,13 @@ class TestVoteCorrect:
         # Oldest epoch says background everywhere, latest says foreground:
         # with n_his = 1 only the latest counts, so every in-box point is
         # claimed by its box.
-        frame, calib, boxes, _ = read_frame_bundle(bundle)
+        frame, calib, boxes = read_frame_bundle(bundle, read_manifest(bundle))
         for epoch in list_vote_epochs(bundle):
             (bundle / f"votes_{epoch}.f32").unlink()
         write_votes(bundle, 0, np.zeros(frame.num_points))
         write_votes(bundle, 1, np.ones(frame.num_points))
         labels = engine_labels(bundle, ["pvc"], n_his=1, t_reliable=1)
-        assign = crop_frustum(*project_points(calib, frame), frame.num_points, boxes)
+        assign = crop_frustum(*project_points(calib, frame.xyz), frame.num_points, boxes)
         in_box = assign > 0
         assert in_box.any()
         assert np.array_equal(labels.instance[in_box], assign[in_box])
@@ -159,7 +165,7 @@ class TestVoteCorrect:
         assert out.semantic.tolist() == [-1]
 
     def test_bad_votes_name_the_bundle(self, bundle):
-        frame, *_ = read_frame_bundle(bundle)
+        frame, *_ = read_frame_bundle(bundle, read_manifest(bundle))
         write_votes(bundle, 3, np.full(frame.num_points, 2.0))
         with pytest.raises(BundleError, match="frame_0000.*\\[0, 1\\]"):
             engine_labels(bundle, ["pvc"])
