@@ -17,7 +17,8 @@ One directory per frame:
 Pseudo labels (sem.i32, inst.i32) live outside the bundle, in
 ``<out>/<frame_id>/`` of a run. All binary arrays are flat little-endian;
 shapes live in the manifest or the sidecar JSON. A run reads each manifest
-once (``read_manifest``) and hands it to ``read_frame_bundle``.
+once (``read_manifest``) and hands it to ``read_frame_bundle``; ``wlf ipg``
+reads only the manifest, ``boxes.json`` (``read_boxes``) and ``masks/``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "write_frame_bundle",
     "read_manifest",
     "read_frame_bundle",
+    "read_boxes",
     "write_labels",
     "read_labels",
     "write_votes",
@@ -202,14 +204,24 @@ def read_frame_bundle(
             extrinsic=np.asarray(calib_raw["extrinsic"]),
             image_size=tuple(calib_raw["image_size"]),
         )
-    with _naming(directory / "boxes.json"):
+    return frame, calib, read_boxes(directory, manifest)
+
+
+def read_boxes(directory: str | Path, manifest: dict) -> list[Box2D]:
+    """The bundle's annotated boxes, checked against its manifest.
+
+    Raises FileNotFoundError without boxes.json, and BundleError naming it
+    for malformed content, a repeated box id or a class above num_classes.
+    """
+    path = Path(directory) / "boxes.json"
+    with _naming(path):
         boxes = [
             Box2D(
                 box_id=_int_at_least(b["box_id"], 1, "box_id"),
                 class_id=_int_at_least(b["class_id"], 1, "class_id"),
                 bounds=tuple(b["bounds"]),
             )
-            for b in json.loads((directory / "boxes.json").read_text())
+            for b in json.loads(path.read_text())
         ]
         ids = sorted(b.box_id for b in boxes)
         repeated = [i for i, k in zip(ids, ids[1:]) if i == k]
@@ -218,7 +230,7 @@ def read_frame_bundle(
         above = [b.class_id for b in boxes if b.class_id > manifest["num_classes"]]
         if above:
             raise ValueError(f"class_id {above[0]} is above num_classes {manifest['num_classes']}")
-    return frame, calib, boxes
+    return boxes
 
 
 def write_labels(directory: str | Path, labels: PseudoLabels) -> None:

@@ -32,7 +32,7 @@ import numpy as np  # noqa: E402
 
 from .bundle import (  # noqa: E402
     BundleError,
-    read_frame_bundle,
+    read_boxes,
     read_mask_predictions,
     write_frame_bundle,
     write_json,
@@ -167,10 +167,11 @@ def cmd_ipg(args: argparse.Namespace) -> int:
     bundles = discover_bundles(cfg.frames)
     check_new_out(out_root)
     # Read, check and fuse every bundle before the first write, so a bad
-    # bundle late in the glob leaves no outputs behind.
+    # bundle late in the glob leaves no outputs behind. ipg reads no point,
+    # only each bundle's manifest, boxes and masks.
     fused_frames = []
     for bundle, manifest in zip(bundles, read_manifests(bundles)):
-        frame, _, boxes = read_frame_bundle(bundle, manifest)
+        boxes = read_boxes(bundle, manifest)
         grouped = read_mask_predictions(bundle)
         if not grouped:
             continue
@@ -190,7 +191,7 @@ def cmd_ipg(args: argparse.Namespace) -> int:
                 "num_predictions": len(preds),
                 "mean_pseudo_loss": float(np.mean(losses)),
             }
-        fused_frames.append((frame.frame_id, maps, report))
+        fused_frames.append((manifest["frame_id"], maps, report))
     if not fused_frames:
         raise MissingInputError("no bundles with masks/ found")
     for frame_id, maps, report in fused_frames:

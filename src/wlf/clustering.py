@@ -11,7 +11,9 @@ clique, which at edge r/2 is every cell. A pair of neighbouring cells is
 decided from the two boxes when it can be: skipped when the gap between them
 fails the test, linked when their union box passes. Float subtraction,
 squaring and addition are monotone, so these box decisions agree with the
-point test bit for bit. Only the remaining pairs whose cells the sure links
+point test bit for bit. Both box tests build one sum of squares each, axis
+by axis and in place, in the point test's order, so their scratch is a few
+cell-pair arrays rather than two per axis. Only the remaining pairs whose cells the sure links
 leave apart are tested point by point, in blocks of whole cell pairs of about
 ``_BLOCK`` member pairs each, so the test's scratch arrays stay small however
 many candidate pairs a frame has. Every member of a clique cell is one graph
@@ -166,12 +168,43 @@ def _neighbour_cells(cells: np.ndarray, dims: list[int]) -> tuple[np.ndarray, np
     cells apart per axis.
 
     A neighbour column's cells within two in z, or the next two in v's own
-    column, are one run of codes, found with two searches per column.
+    column, are one run of codes, found with two searches per column. The
+    queries are laid out one row per column, so each row searched is sorted.
     """
-    base = cells[:, None] + _COLUMNS @ np.array([dims[1] * dims[2], dims[2]])
-    begin = np.searchsorted(cells, base + np.where(_COLUMNS.any(axis=1), -2, 1))
+    base = (_COLUMNS @ np.array([dims[1] * dims[2], dims[2]]))[:, None] + cells
+    begin = np.searchsorted(cells, base + np.where(_COLUMNS.any(axis=1), -2, 1)[:, None])
     run, k = _expand((np.searchsorted(cells, base + 2, "right") - begin).ravel())
-    return run // _COLUMNS.shape[0], begin.ravel()[run] + k
+    return run % cells.shape[0], begin.ravel()[run] + k
+
+
+def _box_tests(
+    lo: np.ndarray, hi: np.ndarray, v: np.ndarray, w: np.ndarray, rr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the gap between the boxes of cells v[k] and w[k] passes the
+    point test, and whether their union box does.
+
+    Each sum of squares is built axis by axis in place, in the test's order
+    ``(dx*dx + dy*dy) + dz*dz``: an axis's gathers turn into its gap and
+    union extents where they lie, and none outlives its axis.
+    """
+    gap_ss = union_ss = None
+    for a, b in zip(lo, hi):
+        av, aw, bv, bw = a[v], a[w], b[v], b[w]
+        union = np.minimum(av, aw)
+        aw -= bv
+        av -= bw
+        gap = np.maximum(aw, av, out=aw)  # max(aw - bv, av - bw)
+        np.maximum(gap, 0.0, out=gap)
+        np.subtract(np.maximum(bv, bw, out=bv), union, out=union)  # max(bv, bw) - min(av, aw)
+        gap *= gap
+        union *= union
+        if gap_ss is None:
+            gap_ss, union_ss = gap, union
+        else:
+            gap_ss += gap
+            union_ss += union
+        del av, aw, bv, bw, gap, union  # before the next axis's gathers
+    return gap_ss <= rr, union_ss <= rr
 
 
 def ccl_cluster(
@@ -218,12 +251,7 @@ def ccl_cluster(
 
     v, w = _neighbour_cells(cells, dims)
     # Skip a pair whose box gap fails the test, link it when its union box passes.
-    gap, union = [], []
-    for a, b in zip(lo, hi):
-        av, aw, bv, bw = a[v], a[w], b[v], b[w]
-        gap.append(np.maximum(np.maximum(aw - bv, av - bw), 0.0))
-        union.append(np.maximum(bv, bw) - np.minimum(av, aw))
-    near, sure = _within(gap, cell_rr[v]), _within(union, cell_rr[v])
+    near, sure = _box_tests(lo, hi, v, w, cell_rr[v])
     sure_a, sure_b = head[v[sure]], head[w[sure]]
     # Point-test the other near pairs whose cells the sure links left apart,
     # and the member pairs of every cell that is not a clique.

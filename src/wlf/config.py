@@ -22,6 +22,16 @@ from .range_image import DcsConfig
 from .ring_correct import RscConfig
 from .voting import PvcConfig
 
+# The interpreter's own sha256, the module hashlib itself falls back to:
+# hashlib would map OpenSSL's libcrypto (about 3.6 MiB of RSS) into every run.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 __all__ = ["ConfigError", "STAGES", "PipelineConfig", "check_fields"]
 
 # The optional label-correction stages in run order; frustum crop and
@@ -101,11 +111,10 @@ class PipelineConfig:
         return data
 
     def config_hash(self) -> str:
-        # hashlib loads OpenSSL (about 3.6 MiB of RSS); only a finished run needs it.
-        import hashlib  # noqa: PLC0415
-
+        """The first 16 hex digits of the sha256 of the sorted-key JSON of
+        ``to_dict``."""
         canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return sha256(canonical.encode()).hexdigest()[:16]
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":

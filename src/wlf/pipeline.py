@@ -10,6 +10,13 @@ done and keeps only its counts; a metrics report (when ground truth is
 available) and a run.json with the config hash and stage timings come last,
 so run.json marks a finished run. Frames are independent, so the worker pool
 never changes the output bytes.
+
+A frame's arrays are plain locals, each dropped after its last reader: the
+points and beams once the range image and spg have read them, the trinary
+labels after clustering, the (E, N) vote stack as pvc returns, the box
+assignment after pvc and the segments after rsc. The metrics see only the
+labels and the ground truth, so a run's peak memory is that of its largest
+frame's largest stage.
 """
 
 from __future__ import annotations
@@ -123,25 +130,30 @@ def process_frame(
     apply as ``cfg.stages`` says.
     """
     frame, calib, boxes = read_frame_bundle(bundle_dir, manifest)
+    frame_id, num_points = frame.frame_id, frame.num_points
+    xyz, beam_row = frame.xyz, frame.beam_row
+    gt_semantic, gt_instance = frame.gt_semantic, frame.gt_instance
+    del frame
     beams, columns = manifest["beams"], manifest["columns"]
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    box_assign = crop_frustum(*project_points(calib, frame.xyz), frame.num_points, boxes)
+    box_assign = crop_frustum(*project_points(calib, xyz), num_points, boxes)
     timings["project"] = time.perf_counter() - t0
 
     # Only rsc and a running spg read the segments.
+    segments = None
     if "rsc" in cfg.stages or ("spg" in cfg.stages and labels_dir is None):
         t0 = time.perf_counter()
         # One expression, so the raster is freed as soon as dcs has read it.
-        segments = dcs_dynamic(
-            *build_range_image(frame.xyz, frame.beam_row, beams, columns), cfg.dcs
-        )
+        segments = dcs_dynamic(*build_range_image(xyz, beam_row, beams, columns), cfg.dcs)
         timings["segments"] = time.perf_counter() - t0
+    del beam_row
 
     if labels_dir is not None:
+        del xyz
         labels = read_start_labels(
-            Path(labels_dir) / frame.frame_id, frame.num_points, boxes, manifest["num_classes"]
+            Path(labels_dir) / frame_id, num_points, boxes, manifest["num_classes"]
         )
     else:
         missing = sorted({b.class_id for b in boxes} - cfg.radii.radii.keys())
@@ -154,7 +166,8 @@ def process_frame(
             trinary = refine_by_segments(box_assign, segments)
         else:
             trinary = np.where(box_assign > 0, TRINARY_FG, 0).astype(np.int8)
-        labels = generate_labels(frame.xyz, trinary, box_assign, boxes, cfg.radii)
+        labels = generate_labels(xyz, trinary, box_assign, boxes, cfg.radii)
+        del xyz, trinary
         timings["spg"] = time.perf_counter() - t0
 
     if "pvc" in cfg.stages:
@@ -171,12 +184,16 @@ def process_frame(
                 bundle_dir, len(recent), cfg.pvc.n_his, epoch, cfg.pvc.start_epoch,
             )
         else:
-            scores = np.stack([read_votes(bundle_dir, e, frame.num_points) for e in recent])
+            # The (E, N) stack is an argument only, freed as vote_correct returns.
             try:
-                labels = vote_correct(scores, cfg.pvc, labels, box_assign, boxes)
+                labels = vote_correct(
+                    np.stack([read_votes(bundle_dir, e, num_points) for e in recent]),
+                    cfg.pvc, labels, box_assign, boxes,
+                )
             except ValueError as exc:
                 raise BundleError(f"{bundle_dir}: {exc}") from exc
         timings["pvc"] = time.perf_counter() - t0
+    del box_assign
 
     if "rsc" in cfg.stages:
         t0 = time.perf_counter()
@@ -184,23 +201,25 @@ def process_frame(
         labels = reconcile_instances(
             PseudoLabels(semantic=corrected, instance=labels.instance), boxes
         )
+        del corrected
         timings["rsc"] = time.perf_counter() - t0
+    del segments
 
     try:
         labels.check_consistency(boxes)
     except AssertionError as exc:
-        raise AssertionError(f"frame {frame.frame_id}: {exc}") from exc
+        raise AssertionError(f"frame {frame_id}: {exc}") from exc
 
-    out = FrameOutput(frame_id=frame.frame_id, timings=timings)
-    if frame.has_gt:
-        ignore = frame.gt_semantic == -1
+    out = FrameOutput(frame_id=frame_id, timings=timings)
+    if gt_semantic is not None and gt_instance is not None:
+        ignore = gt_semantic == -1
         out.counts = np.stack(
-            confusion_counts(labels.semantic, frame.gt_semantic, manifest["num_classes"])
+            confusion_counts(labels.semantic, gt_semantic, manifest["num_classes"])
         )
         preds = pred_instances_from_labels(labels.semantic, labels.instance, ignore)
-        gts = instances_from_labels(frame.gt_semantic, frame.gt_instance, ignore)
-        inter = overlap_table(preds["id"], gts["id"], labels.instance, frame.gt_instance, ignore)
-        out.instances = (frame.frame_id, preds, gts, inter)
+        gts = instances_from_labels(gt_semantic, gt_instance, ignore)
+        inter = overlap_table(preds["id"], gts["id"], labels.instance, gt_instance, ignore)
+        out.instances = (frame_id, preds, gts, inter)
     return labels, out
 
 

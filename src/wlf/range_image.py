@@ -12,10 +12,10 @@ point takes its cell's segment, including points behind a nearer return.
 
 Runs first, as in run-based two-scan labelling (He, Chao & Suzuki, IEEE TIP
 2008): one vectorised test links each cell to its left neighbour, and only
-the heads of the resulting runs look farther left, each linking once to the
-run of its nearest match. ``clustering.connected_components`` resolves the
-links over run ids, the same hooking and pointer jumping that merges ccl's
-edges.
+the heads of the resulting runs look farther left, a block of offsets per
+pass, each linking once to the run of its nearest match.
+``clustering.connected_components`` resolves the links over run ids, the
+same hooking and pointer jumping that merges ccl's edges.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ __all__ = [
 # Guards for degenerate near/far rows in the adaptive variant.
 MIN_WINDOW = 2
 MIN_DEPTH_THRESHOLD = 0.05
+
+# Run heads test this many offsets leftwards per pass.
+_OFFSET_BLOCK = 16
 
 
 @dataclass
@@ -129,11 +132,18 @@ def dcs_rows(
     j = 2
     pending = np.flatnonzero(reach >= j)
     while pending.size:
-        at = heads[pending]
-        hit = np.abs(depth[at] - depth[at - j]) < t[pending]
-        link[pending[hit]] = run[at[hit] - j]
-        pending = pending[~hit]
-        j += 1
+        # Offsets j .. j + _OFFSET_BLOCK - 1 at once, each capped at the
+        # head's reach so that it stays in the head's row; a head links to
+        # the run of its first hit.
+        at, lim = heads[pending], reach[pending, None]
+        span = np.arange(j, j + _OFFSET_BLOCK)
+        offset = np.minimum(span, lim)
+        hit = np.abs(depth[at, None] - depth[at[:, None] - offset]) < t[pending, None]
+        hit &= span <= lim
+        first, found = hit.argmax(axis=1), hit.any(axis=1)
+        link[pending[found]] = run[at[found] - offset[found, first[found]]]
+        pending = pending[~found]
+        j += _OFFSET_BLOCK
         pending = pending[reach[pending] >= j]
     # A segment is a component of the run links. Links point left, so each
     # component's smallest run is its leftmost, and ids follow scan order.

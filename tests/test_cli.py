@@ -508,6 +508,23 @@ class TestIpg:
         report = json.loads((out / "frame_0000" / "ipg.json").read_text())
         assert report[str(box["box_id"])]["num_predictions"] == 2
 
+    def test_reads_no_point(self, bundles, tmp_path, rng):
+        # ipg needs only the manifest, the boxes and the masks: a bundle
+        # without its point, beam, ground-truth and calibration files fuses
+        # to the same bytes as the whole bundle.
+        box = json.loads((bundles / "frame_0000" / "boxes.json").read_text())[0]
+        write_mask_predictions(bundles / "frame_0000", [(box["box_id"], MaskPrediction(
+            prob_map=rng.uniform(0, 1, (4, 4)), score=0.5, pred_box=tuple(box["bounds"])))])
+        assert run("ipg", "--frames", f"{bundles}/frame_0000", "--out", tmp_path / "whole") == 0
+        for name in ("points.f32", "beam_row.u16", "gt_semantic.i32", "gt_instance.i32",
+                     "calibration.json"):
+            (bundles / "frame_0000" / name).unlink()
+        assert run("ipg", "--frames", f"{bundles}/frame_0000", "--out", tmp_path / "bare") == 0
+        whole = sorted((tmp_path / "whole" / "frame_0000").iterdir())
+        assert len(whole) == 3
+        for path in whole:
+            assert (tmp_path / "bare" / "frame_0000" / path.name).read_bytes() == path.read_bytes()
+
     def test_outputs_keyed_by_frame_id(self, scans, tmp_path, rng):
         box = json.loads((scans / "scanB" / "boxes.json").read_text())[0]
         pred = MaskPrediction(prob_map=rng.uniform(0, 1, (4, 4)), score=0.5,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,8 @@ from wlf.clustering import ClassRadii
 from wlf.config import ConfigError, PipelineConfig
 from wlf.range_image import DcsConfig
 from wlf.voting import PvcConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def non_default() -> PipelineConfig:
@@ -27,6 +33,24 @@ class TestRoundTrip:
         again = PipelineConfig.from_dict(data)
         assert again == cfg
         assert again.config_hash() == cfg.config_hash()
+
+    def test_hash_is_sha256_without_openssl(self):
+        # The first 16 hex digits of hashlib's sha256, computed by the
+        # interpreter's built-in sha256: loading hashlib would map OpenSSL.
+        code = (
+            "import json, sys; from wlf.config import PipelineConfig; "
+            f"cfgs = [PipelineConfig(), PipelineConfig.from_dict({non_default().to_dict()!r})]; "
+            "got = [cfg.config_hash() for cfg in cfgs]; "
+            "print([m for m in ('hashlib', '_hashlib') if m in sys.modules]); "
+            "import hashlib; "
+            "print(got == [hashlib.sha256(json.dumps(cfg.to_dict(), sort_keys=True).encode())"
+            ".hexdigest()[:16] for cfg in cfgs])"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "True"]
 
     def test_radius_keys_are_sorted_strings(self):
         assert list(non_default().to_dict()["radii"]) == ["1", "3", "12"]

@@ -93,9 +93,9 @@ def test_runtime_needs_only_numpy():
 
 
 def test_cli_import_leaves_synth_out():
-    # Only `wlf synth` needs the scene generator, and only a finished run's
-    # config hash needs hashlib (OpenSSL, about 3.6 MiB of RSS); every other
-    # command would pay for them at start-up.
+    # Only `wlf synth` needs the scene generator, and no command needs hashlib
+    # (OpenSSL, about 3.6 MiB of RSS); every other command would pay for
+    # them at start-up.
     lazy = ["wlf.synth", "hashlib"]
     code = f"import sys, wlf.cli; print([m for m in {lazy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -112,6 +112,22 @@ def test_cli_import_freezes_its_heap():
                           env=src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 0
+
+
+def test_run_ends_without_openssl(tmp_path):
+    # run.json's config hash comes from the interpreter's own sha256; hashlib
+    # would map OpenSSL (about 3.6 MiB of RSS) after the last frame, on top
+    # of whatever heap the frames left.
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["synth", "--out", str(corpus), "--num-frames", "1"]) == 0
+    argv = ["pipeline", "--frames", f"{corpus}/*", "--out", str(out)]
+    code = (f"import sys, wlf.cli; assert wlf.cli.main({argv!r}) == 0; "
+            "print([m for m in ('hashlib', '_hashlib') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert json.loads((out / "run.json").read_text())["config_hash"]
 
 
 def test_one_thread_run_imports_no_pool(tmp_path):
