@@ -38,10 +38,10 @@ STAGES = {"ccl": (), "spg": ("spg",), "+pvc": ("spg", "pvc"), "+rsc": ("spg", "p
 
 
 def raw_counts(bundle: Path, manifest: dict) -> np.ndarray:
-    frame, calib, boxes = read_frame_bundle(bundle, manifest)
-    assign = crop_frustum(*project_points(calib, frame.xyz), frame.num_points, boxes)
+    xyz, _, (gt_semantic, _), calib, boxes = read_frame_bundle(bundle, manifest)
+    assign = crop_frustum(*project_points(calib, xyz), manifest["num_points"], boxes)
     sem = frustum_semantic(assign, boxes)
-    return np.stack(confusion_counts(sem, frame.gt_semantic, manifest["num_classes"]))
+    return np.stack(confusion_counts(sem, gt_semantic, manifest["num_classes"]))
 
 
 def main(argv=None) -> int:

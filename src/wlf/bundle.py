@@ -4,8 +4,8 @@ One directory per frame:
 
     manifest.json       frame id, counts, raster shape, dtypes, class names
     points.f32          (N, 4) float32, little-endian, row-major: x, y, z and
-                        intensity; the reader keeps x, y, z as a Frame's
-                        (3, N) float64 ``xyz`` and never reads intensity
+                        intensity; the reader returns x, y, z as the (3, N)
+                        float64 ``xyz`` and never reads intensity
     beam_row.u16        (N,) uint16
     gt_semantic.i32     (N,) int32, optional
     gt_instance.i32     (N,) int32, optional
@@ -17,8 +17,9 @@ One directory per frame:
 Pseudo labels (sem.i32, inst.i32) live outside the bundle, in
 ``<out>/<frame_id>/`` of a run. All binary arrays are flat little-endian;
 shapes live in the manifest or the sidecar JSON. A run reads each manifest
-once (``read_manifest``) and hands it to ``read_frame_bundle``; ``wlf ipg``
-reads only the manifest, ``boxes.json`` (``read_boxes``) and ``masks/``.
+once (``read_manifest``) and hands it to ``read_frame_bundle``, which returns
+plain arrays; ``wlf ipg`` reads only the manifest, ``boxes.json``
+(``read_boxes``) and ``masks/``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .frames import Box2D, Calibration, Frame
+from .frames import Box2D, Calibration
 from .mask_fusion import MaskPrediction
 from .spatial import PseudoLabels
 
@@ -98,38 +99,47 @@ def write_json(path: Path, payload: dict | list) -> None:
 
 def write_frame_bundle(
     directory: str | Path,
-    frame: Frame,
+    frame_id: str,
+    xyz: np.ndarray,
+    beam_row: np.ndarray,
     intensity: np.ndarray,
+    gt_semantic: np.ndarray,
+    gt_instance: np.ndarray,
     calib: Calibration,
     boxes: list[Box2D],
     class_names: list[str],
     beams: int,
     columns: int,
 ) -> Path:
-    """Write a complete frame bundle, with ``intensity`` as the fourth column
-    of points.f32; returns the bundle directory."""
+    """Write a complete frame bundle: the (3, N) ``xyz`` with ``intensity`` as
+    the fourth column of points.f32, ``beam_row`` and the ground truth;
+    returns the bundle directory.
+
+    Raises ValueError for a beam row that uint16 cannot hold.
+    """
+    n = xyz.shape[1]
+    if n and not (int(beam_row.min()) >= 0 and int(beam_row.max()) <= 65535):
+        raise ValueError(f"frame {frame_id}: beam_row outside 0..65535")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "frame_id": frame.frame_id,
-        "num_points": frame.num_points,
+        "frame_id": frame_id,
+        "num_points": n,
         "num_classes": len(class_names),
         "class_names": list(class_names),
         "beams": beams,
         "columns": columns,
         "arrays": {
-            "points": {"dtype": "f32", "shape": [frame.num_points, 4]},
-            "beam_row": {"dtype": "u16", "shape": [frame.num_points]},
+            "points": {"dtype": "f32", "shape": [n, 4]},
+            "beam_row": {"dtype": "u16", "shape": [n]},
+            "gt_semantic": {"dtype": "i32", "shape": [n]},
+            "gt_instance": {"dtype": "i32", "shape": [n]},
         },
     }
-    _write_array(directory / "points.f32", np.vstack([frame.xyz, intensity]).T, "f32")
-    _write_array(directory / "beam_row.u16", frame.beam_row, "u16")
-    if frame.gt_semantic is not None:
-        _write_array(directory / "gt_semantic.i32", frame.gt_semantic, "i32")
-        manifest["arrays"]["gt_semantic"] = {"dtype": "i32", "shape": [frame.num_points]}
-    if frame.gt_instance is not None:
-        _write_array(directory / "gt_instance.i32", frame.gt_instance, "i32")
-        manifest["arrays"]["gt_instance"] = {"dtype": "i32", "shape": [frame.num_points]}
+    _write_array(directory / "points.f32", np.vstack([xyz, intensity]).T, "f32")
+    _write_array(directory / "beam_row.u16", beam_row, "u16")
+    _write_array(directory / "gt_semantic.i32", gt_semantic, "i32")
+    _write_array(directory / "gt_instance.i32", gt_instance, "i32")
     write_json(directory / "manifest.json", manifest)
     write_json(
         directory / "calibration.json",
@@ -176,27 +186,35 @@ def read_manifest(directory: str | Path) -> dict:
 
 def read_frame_bundle(
     directory: str | Path, manifest: dict
-) -> tuple[Frame, Calibration, list[Box2D]]:
-    """Load a frame bundle whose manifest ``read_manifest`` has read.
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None, Calibration, list[Box2D]]:
+    """Load a frame bundle whose manifest ``read_manifest`` has read, as
+    ``(xyz, beam_row, gt, calib, boxes)``: the finite (3, N) C-contiguous
+    float64 coordinates, the uint16 beam rows as stored, and the int32
+    ``(semantic, instance)`` ground truth, None unless both files exist.
 
     Raises FileNotFoundError for a missing file, and BundleError, naming the
     bundle's file at fault, for any malformed or inconsistent content.
     """
     directory = Path(directory)
     n = manifest["num_points"]
-    # x, y and z are the first three of each point's four values.
-    xyz = _read_array(directory / "points.f32", "f32", 4 * n).reshape(n, 4).T[:3]
+    with _naming(directory / "points.f32"):
+        # x, y and z are the first three of each point's four values.
+        xyz = np.ascontiguousarray(
+            _read_array(directory / "points.f32", "f32", 4 * n).reshape(n, 4).T[:3],
+            dtype=np.float64,
+        )
+        if not np.isfinite(xyz).all():
+            raise ValueError("non-finite point coordinates")
     with _naming(directory / "beam_row.u16"):
         beam_row = _read_array(directory / "beam_row.u16", "u16", n)
         if n and int(beam_row.max()) >= manifest["beams"]:
             raise ValueError(f"beam_row {int(beam_row.max())} >= beams {manifest['beams']}")
-    gt = {
-        name: _read_array(directory / f"{name}.i32", "i32", n)
-        for name in ("gt_semantic", "gt_instance")
-        if (directory / f"{name}.i32").is_file()
-    }
-    with _naming(directory / "points.f32"):  # the one array Frame checks beyond its length
-        frame = Frame(manifest["frame_id"], xyz, beam_row, **gt)
+    # Each ground-truth file present is length-checked, but scoring needs both.
+    gt = tuple(
+        _read_array(path, "i32", n)
+        for path in (directory / "gt_semantic.i32", directory / "gt_instance.i32")
+        if path.is_file()
+    )
     with _naming(directory / "calibration.json"):
         calib_raw = json.loads((directory / "calibration.json").read_text())
         calib = Calibration(
@@ -204,7 +222,7 @@ def read_frame_bundle(
             extrinsic=np.asarray(calib_raw["extrinsic"]),
             image_size=tuple(calib_raw["image_size"]),
         )
-    return frame, calib, read_boxes(directory, manifest)
+    return xyz, beam_row, gt if len(gt) == 2 else None, calib, read_boxes(directory, manifest)
 
 
 def read_boxes(directory: str | Path, manifest: dict) -> list[Box2D]:

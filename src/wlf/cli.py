@@ -123,9 +123,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         cfg_i = replace(scene_cfg, seed=scene_cfg.seed + i)
         scene = generate_scene(cfg_i, frame_id=f"frame_{i:04d}")
         bundle = write_frame_bundle(
-            out / scene.frame.frame_id,
-            scene.frame,
+            out / scene.frame_id,
+            scene.frame_id,
+            scene.xyz,
+            scene.beam_row,
             scene.intensity,
+            scene.gt_semantic,
+            scene.gt_instance,
             scene.calibration,
             scene.boxes,
             CLASS_NAMES,
@@ -134,7 +138,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
         for epoch in range(args.epochs):
             votes = fabricate_votes(
-                scene.frame.gt_semantic, len(CLASS_NAMES), cfg_i.score_sigma, cfg_i.seed, epoch
+                scene.gt_semantic, len(CLASS_NAMES), cfg_i.score_sigma, cfg_i.seed, epoch
             )
             write_votes(bundle, epoch, votes)
         write_json(bundle / "scene.json", cfg_i.to_dict())

@@ -1,12 +1,13 @@
-"""Core frame model: LiDAR sweeps, camera calibration, projection, frustum crop.
+"""Camera calibration, 2D boxes, projection and frustum crop of LiDAR points.
 
 Coordinate conventions: the LiDAR frame is x forward, y left, z up, with the
 origin at the sensor. The camera frame is x right, y down, z along the optical
 axis. Pixel coordinates are continuous with (0, 0) at the upper-left corner,
 and a pixel lies inside a box under half-open containment [min, max).
 
-A frame is its columns: the (3, N) coordinates, one contiguous row per axis,
-and each point's beam. No stage reads intensity, so a frame holds none.
+A frame is its columns, plain arrays with no wrapper: ``xyz``, the (3, N)
+float64 coordinates with one contiguous row per axis, and ``beam_row``, each
+point's beam. No stage reads intensity.
 
 The crop is frustum first: ``project_points`` returns only the points whose
 pixel falls inside the image, from row sums ``x*r[i,0] + y*r[i,1] +
@@ -21,58 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Frame",
     "Calibration",
     "Box2D",
     "project_points",
     "box_classes",
     "crop_frustum",
 ]
-
-
-@dataclass
-class Frame:
-    """One LiDAR sweep: ``xyz``, the (3, N) float64 point coordinates, and
-    ``beam_row``, each point's beam index at the integer dtype it was given.
-
-    Ground-truth label arrays are optional; when present they must match the
-    point count. Coordinates must be finite.
-    """
-
-    frame_id: str
-    xyz: np.ndarray
-    beam_row: np.ndarray
-    gt_semantic: np.ndarray | None = None
-    gt_instance: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.xyz = np.ascontiguousarray(self.xyz, dtype=np.float64)
-        if self.xyz.ndim != 2 or self.xyz.shape[0] != 3:
-            raise ValueError(f"frame {self.frame_id}: xyz must have shape (3, N)")
-        if not np.isfinite(self.xyz).all():
-            raise ValueError(f"frame {self.frame_id}: non-finite point coordinates")
-        self.beam_row = np.asarray(self.beam_row)
-        if self.beam_row.shape != (self.num_points,):
-            raise ValueError(f"frame {self.frame_id}: beam_row length mismatch")
-        if self.beam_row.dtype.kind not in "iu":
-            raise ValueError(f"frame {self.frame_id}: beam_row must hold integers")
-        if self.num_points and int(self.beam_row.min()) < 0:
-            raise ValueError(f"frame {self.frame_id}: negative beam index")
-        for name in ("gt_semantic", "gt_instance"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=np.int32)
-                if arr.shape != (self.num_points,):
-                    raise ValueError(f"frame {self.frame_id}: {name} length mismatch")
-                setattr(self, name, arr)
-
-    @property
-    def num_points(self) -> int:
-        return self.xyz.shape[1]
-
-    @property
-    def has_gt(self) -> bool:
-        return self.gt_semantic is not None and self.gt_instance is not None
 
 
 @dataclass
@@ -160,10 +115,6 @@ class Box2D:
     def area(self) -> float:
         x0, y0, x1, y1 = self.bounds
         return (x1 - x0) * (y1 - y0)
-
-    def contains(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        x0, y0, x1, y1 = self.bounds
-        return (u >= x0) & (u < x1) & (v >= y0) & (v < y1)
 
 
 def project_points(calib: Calibration, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

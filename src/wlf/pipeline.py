@@ -129,11 +129,8 @@ def process_frame(
     ``labels_dir`` is given, from ``labels_dir/<frame_id>``; pvc and rsc then
     apply as ``cfg.stages`` says.
     """
-    frame, calib, boxes = read_frame_bundle(bundle_dir, manifest)
-    frame_id, num_points = frame.frame_id, frame.num_points
-    xyz, beam_row = frame.xyz, frame.beam_row
-    gt_semantic, gt_instance = frame.gt_semantic, frame.gt_instance
-    del frame
+    xyz, beam_row, gt, calib, boxes = read_frame_bundle(bundle_dir, manifest)
+    frame_id, num_points = manifest["frame_id"], manifest["num_points"]
     beams, columns = manifest["beams"], manifest["columns"]
     timings: dict[str, float] = {}
 
@@ -211,7 +208,8 @@ def process_frame(
         raise AssertionError(f"frame {frame_id}: {exc}") from exc
 
     out = FrameOutput(frame_id=frame_id, timings=timings)
-    if gt_semantic is not None and gt_instance is not None:
+    if gt is not None:
+        gt_semantic, gt_instance = gt
         ignore = gt_semantic == -1
         out.counts = np.stack(
             confusion_counts(labels.semantic, gt_semantic, manifest["num_classes"])

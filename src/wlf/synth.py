@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import check_fields
-from .frames import Box2D, Calibration, Frame, project_points
+from .frames import Box2D, Calibration, project_points
 
 __all__ = [
     "SceneConfig",
@@ -82,6 +82,8 @@ class SceneConfig:
         check_fields(self)
         if self.beams < 1 or self.columns < 1:
             raise ValueError("beams and columns must be >= 1")
+        if self.beams > 65536:
+            raise ValueError("beams must be <= 65536, as beam_row.u16 holds rows 0..65535")
         if not -90.0 <= self.fov_down_deg < self.fov_up_deg <= 90.0:
             raise ValueError("need -90 <= fov_down_deg < fov_up_deg <= 90")
         if self.depth_jitter < 0 or self.score_sigma < 0:
@@ -109,11 +111,16 @@ class SceneConfig:
 
 @dataclass
 class Scene:
-    """A generated frame and what its bundle holds besides: the intensity of
-    each point (points.f32's fourth column), the calibration and the boxes."""
+    """A generated frame as the arrays its bundle holds: ``xyz``, the (3, N)
+    float64 coordinates, each point's ``beam_row`` and ``intensity`` (points.f32's
+    fourth column), the int32 ground truth, the calibration and the boxes."""
 
-    frame: Frame
+    frame_id: str
+    xyz: np.ndarray
+    beam_row: np.ndarray
     intensity: np.ndarray
+    gt_semantic: np.ndarray
+    gt_instance: np.ndarray
     calibration: Calibration
     boxes: list[Box2D]
     config: SceneConfig
@@ -381,16 +388,9 @@ def generate_scene(cfg: SceneConfig, frame_id: str | None = None) -> Scene:
     class_of = np.array([obj.class_id for obj in objects] + [0], dtype=np.int32)
     gt_semantic = class_of[raw_obj]
 
-    frame_id = frame_id or f"synth-{cfg.seed:08d}"
-    frame = Frame(
-        frame_id=frame_id,
-        xyz=(points_world - origin).T,
-        beam_row=idx // cfg.columns,
-        gt_semantic=gt_semantic,
-        gt_instance=np.zeros(idx.shape[0], dtype=np.int32),
-    )
+    xyz = np.ascontiguousarray((points_world - origin).T)
     calib = _default_calibration(cfg)
-    index, pixels = project_points(calib, frame.xyz)
+    index, pixels = project_points(calib, xyz)
 
     # Boxed objects first, so instance ids equal box ids.
     boxes: list[Box2D] = []
@@ -421,9 +421,13 @@ def generate_scene(cfg: SceneConfig, frame_id: str | None = None) -> Scene:
             )
         else:
             unboxed.append(mask)
+    gt_instance = np.zeros(idx.shape[0], dtype=np.int32)
     for inst_id, mask in enumerate(boxed + unboxed, start=1):
-        frame.gt_instance[mask] = inst_id
-    return Scene(frame=frame, intensity=intensity, calibration=calib, boxes=boxes, config=cfg)
+        gt_instance[mask] = inst_id
+    return Scene(
+        frame_id or f"synth-{cfg.seed:08d}", xyz, idx // cfg.columns, intensity,
+        gt_semantic, gt_instance, calib, boxes, cfg,
+    )
 
 
 def fabricate_votes(

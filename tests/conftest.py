@@ -9,6 +9,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 from wlf.metrics import GT_INSTANCE, PRED_INSTANCE
 
 
+def as_columns(points) -> np.ndarray:
+    """The (3, N) ``xyz`` of (N, 3) points: float64, one contiguous row per
+    axis, as the bundle reader returns it."""
+    return np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1, 3).T)
+
+
 def ri_from_depth(depth) -> tuple[np.ndarray, np.ndarray]:
     """``(depth, cell)`` with one synthetic point per occupied cell, the points
     in scan order."""

@@ -82,18 +82,17 @@ def chain100():
     counts = {m: np.zeros((3, 4), dtype=np.int64) for m in ("raw", "spg", "pvc", "rsc")}
     t0 = time.perf_counter()
     for scene in scenes:
-        frame = scene.frame
-        index, pixels = project_points(scene.calibration, frame.xyz)
-        assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
+        index, pixels = project_points(scene.calibration, scene.xyz)
+        assign = crop_frustum(index, pixels, scene.xyz.shape[1], scene.boxes)
         cfg = scene.config
-        ri = build_range_image(frame.xyz, frame.beam_row, cfg.beams, cfg.columns)
+        ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
         segments = dcs_dynamic(*ri, dcs_cfg)
         trinary = refine_by_segments(assign, segments)
-        labels = generate_labels(frame.xyz, trinary, assign, scene.boxes, radii)
+        labels = generate_labels(scene.xyz, trinary, assign, scene.boxes, radii)
         spg_seconds_mark = time.perf_counter()
 
         scores = np.stack([
-            fabricate_votes(frame.gt_semantic, 3, sigma=0.2, seed=scene.config.seed, epoch=epoch)
+            fabricate_votes(scene.gt_semantic, 3, sigma=0.2, seed=scene.config.seed, epoch=epoch)
             for epoch in range(pvc_cfg.n_his)
         ])
         voted = vote_correct(scores, pvc_cfg, labels, assign, scene.boxes)
@@ -106,7 +105,7 @@ def chain100():
             "rsc": corrected,
         }
         for name, sem in variants.items():
-            tp, fp, fn = confusion_counts(sem, frame.gt_semantic, 3)
+            tp, fp, fn = confusion_counts(sem, scene.gt_semantic, 3)
             counts[name][0] += tp
             counts[name][1] += fp
             counts[name][2] += fn

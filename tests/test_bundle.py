@@ -28,7 +28,8 @@ def scene():
 
 def write_bundle(directory, scene):
     return write_frame_bundle(
-        directory, scene.frame, scene.intensity, scene.calibration, scene.boxes, CLASS_NAMES,
+        directory, scene.frame_id, scene.xyz, scene.beam_row, scene.intensity,
+        scene.gt_semantic, scene.gt_instance, scene.calibration, scene.boxes, CLASS_NAMES,
         beams=scene.config.beams, columns=scene.config.columns,
     )
 
@@ -40,25 +41,45 @@ def read_bundle(directory):
 def test_frame_round_trip(tmp_path, scene):
     bundle = write_bundle(tmp_path / "f0", scene)
     manifest = read_manifest(bundle)
-    frame, calib, boxes = read_frame_bundle(bundle, manifest)
-    assert frame.frame_id == scene.frame.frame_id
+    xyz, beam_row, (gt_semantic, gt_instance), calib, boxes = read_frame_bundle(bundle, manifest)
+    assert manifest["frame_id"] == scene.frame_id
     # Disk format is float32; compare at that precision. The reader keeps
     # x, y and z as three contiguous float64 rows and the rows as stored.
-    assert frame.xyz.dtype == np.float64 and frame.xyz.flags.c_contiguous
-    assert frame.xyz.shape == (3, scene.frame.num_points)
-    np.testing.assert_array_equal(frame.xyz, scene.frame.xyz.astype(np.float32))
-    assert frame.beam_row.dtype == np.uint16
-    np.testing.assert_array_equal(frame.beam_row, scene.frame.beam_row)
+    assert xyz.dtype == np.float64 and xyz.flags.c_contiguous
+    assert xyz.shape == (3, scene.xyz.shape[1])
+    np.testing.assert_array_equal(xyz, scene.xyz.astype(np.float32))
+    assert beam_row.dtype == np.uint16
+    np.testing.assert_array_equal(beam_row, scene.beam_row)
     # Intensity, which no stage reads, is the fourth column on disk alone.
     stored = np.frombuffer((bundle / "points.f32").read_bytes(), "<f4").reshape(-1, 4)
     np.testing.assert_array_equal(stored[:, 3], scene.intensity.astype(np.float32))
-    np.testing.assert_array_equal(frame.gt_semantic, scene.frame.gt_semantic)
-    np.testing.assert_array_equal(frame.gt_instance, scene.frame.gt_instance)
+    assert gt_semantic.dtype == gt_instance.dtype == np.int32
+    np.testing.assert_array_equal(gt_semantic, scene.gt_semantic)
+    np.testing.assert_array_equal(gt_instance, scene.gt_instance)
     np.testing.assert_allclose(calib.intrinsic, scene.calibration.intrinsic)
     np.testing.assert_allclose(calib.extrinsic, scene.calibration.extrinsic)
     assert [b.bounds for b in boxes] == [b.bounds for b in scene.boxes]
     assert manifest["class_names"] == CLASS_NAMES
     assert manifest["beams"] == scene.config.beams
+
+
+def test_ground_truth_needs_both_files(tmp_path, scene):
+    bundle = write_bundle(tmp_path / "f0", scene)
+    (bundle / "gt_instance.i32").unlink()
+    assert read_bundle(bundle)[2] is None
+    # The file that is left is still read and length-checked.
+    (bundle / "gt_semantic.i32").write_bytes(b"\0" * 4)
+    with pytest.raises(BundleError, match="gt_semantic.i32: expected"):
+        read_bundle(bundle)
+
+
+@pytest.mark.parametrize("row", [-1, 65536])
+def test_beam_row_past_uint16_rejected(tmp_path, scene, row):
+    # Written with a plain cast, the row would wrap to 65535 or 0.
+    scene.beam_row[0] = row
+    with pytest.raises(ValueError, match="beam_row outside 0..65535"):
+        write_bundle(tmp_path / "f0", scene)
+    assert not (tmp_path / "f0").exists()
 
 
 def test_labels_round_trip(tmp_path):

@@ -124,6 +124,17 @@ class TestSynth:
         assert "must be finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_beams_past_uint16_rows_exit_3_writes_nothing(self, tmp_path, capsys):
+        # beam_row.u16 holds rows 0..65535; more beams would wrap the rows.
+        config = tmp_path / "scene.json"
+        counts = ("vehicles", "pedestrians", "cyclists", "background_walls")
+        config.write_text(json.dumps({"beams": 65540, "columns": 1, **{k: [0, 0] for k in counts}}))
+        out = tmp_path / "frames"
+        assert run("synth", "--out", out, "--config", config, "--num-frames", "1") == 3
+        err = capsys.readouterr().err
+        assert "beams" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "first, second",
         [
@@ -364,6 +375,29 @@ class TestStageCommands:
         err = capsys.readouterr().err
         assert f"{bundles / 'frame_0002' / 'calibration.json'}: " in err
         assert "must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("axis", [0, 1, 2], ids=["x", "y", "z"])
+    def test_non_finite_point_exit_3(self, bundles, tmp_path, capsys, axis, value):
+        path = bundles / "frame_0000" / "points.f32"
+        points = np.fromfile(path, dtype="<f4").reshape(-1, 4)
+        points[len(points) // 2, axis] = value
+        points.tofile(path)
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and "Traceback" not in err
+
+    def test_non_finite_intensity_is_never_read(self, bundles, tmp_path):
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "clean") == 0
+        path = bundles / "frame_0001" / "points.f32"
+        points = np.fromfile(path, dtype="<f4").reshape(-1, 4)
+        points[0::3, 3], points[1::3, 3], points[2::3, 3] = np.nan, np.inf, -np.inf
+        points.tofile(path)
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "dirty") == 0
+        for name in ("metrics.json", *(f"frame_000{i}/{a}.i32" for i in range(3)
+                                       for a in ("sem", "inst"))):
+            assert (tmp_path / "dirty" / name).read_bytes() == \
+                (tmp_path / "clean" / name).read_bytes(), name
 
     def test_box_class_above_num_classes_exit_3(self, bundles, tmp_path, capsys):
         for manifest in sorted(bundles.glob("*/manifest.json")):

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import as_columns
 from oracles import back_project, crop_frustum_trace, project_points_full
 
 from wlf.frames import (
     Box2D,
     Calibration,
-    Frame,
     box_classes,
     crop_frustum,
     project_points,
@@ -19,12 +19,6 @@ from wlf.synth import SceneConfig, generate_scene
 def simple_calib(f=100.0, cx=320.0, cy=240.0, size=(640, 480)) -> Calibration:
     k = np.array([[f, 0, cx], [0, f, cy], [0, 0, 1.0]])
     return Calibration(intrinsic=k, extrinsic=np.eye(4), image_size=size)
-
-
-def as_columns(points) -> np.ndarray:
-    """A frame's (3, N) ``xyz`` from (N, 3) points."""
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    return Frame(frame_id="t", xyz=points.T, beam_row=np.zeros(points.shape[0], dtype=int)).xyz
 
 
 def rotation_from_angles(rx, ry, rz) -> np.ndarray:
@@ -102,14 +96,14 @@ class TestProjectPoints:
         # Synth's extrinsic permutes the axes, so the column sums are exact
         # and equal the matrix product bit for bit.
         scene = generate_scene(SceneConfig(seed=4))
-        calib, frame = scene.calibration, scene.frame
-        cam = frame.xyz.T @ calib.rotation.T + calib.translation
+        calib = scene.calibration
+        cam = scene.xyz.T @ calib.rotation.T + calib.translation
         front = cam[:, 2] > 0
         u = calib.fx * cam[front, 0] / cam[front, 2] + calib.cx
         v = calib.fy * cam[front, 1] / cam[front, 2] + calib.cy
         w, h = calib.image_size
         inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
-        index, pixels = project_points(calib, frame.xyz)
+        index, pixels = project_points(calib, scene.xyz)
         assert np.array_equal(index, np.flatnonzero(front)[inside])
         assert np.array_equal(pixels, np.stack([u[inside], v[inside]], axis=1))
 
@@ -201,12 +195,6 @@ class TestBox2D:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             Box2D(box_id=1, class_id=1, bounds=(10, 10, 10, 20))
-
-    def test_half_open_containment(self):
-        box = Box2D(box_id=1, class_id=1, bounds=(0.0, 0.0, 10.0, 10.0))
-        u = np.array([0.0, 9.999, 10.0])
-        v = np.array([0.0, 0.0, 0.0])
-        assert box.contains(u, v).tolist() == [True, True, False]
 
 
 class TestCropFrustum:

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_range_image, ri_from_depth
+from conftest import as_columns, random_range_image, ri_from_depth
 from oracles import dcs_dynamic_trace, dcs_simplified_trace, range_image_trace
 
-from wlf.frames import Frame
 from wlf.range_image import (
     MIN_DEPTH_THRESHOLD,
     MIN_WINDOW,
@@ -18,50 +17,40 @@ from wlf.range_image import (
 from wlf.synth import SceneConfig, generate_scene
 
 
-def frame_from_xyz(xyz, beam_row) -> Frame:
-    xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
-    return Frame(frame_id="t", xyz=xyz.T, beam_row=np.asarray(beam_row, dtype=int))
-
-
-def build(frame, beams, columns):
-    return build_range_image(frame.xyz, frame.beam_row, beams, columns)
+def build(points, beam_row, beams, columns):
+    """The range image of (N, 3) ``points`` on their beam rows."""
+    return build_range_image(as_columns(points), np.asarray(beam_row, dtype=int), beams, columns)
 
 
 class TestBuildRangeImage:
     def test_azimuth_zero_maps_to_middle_column(self):
-        frame = frame_from_xyz([[10.0, 0.0, 0.0]], [3])
-        depth, cell = build(frame, beams=8, columns=512)
+        depth, cell = build([[10.0, 0.0, 0.0]], [3], beams=8, columns=512)
         assert cell.tolist() == [3 * 512 + 256]
         assert depth[3, 256] == pytest.approx(10.0)
 
     def test_collision_keeps_nearer(self):
         # Same beam and azimuth, depths 5 and 7: both points map to the one
         # cell, which holds the nearer depth.
-        frame = frame_from_xyz([[7.0, 0.0, 0.0], [5.0, 0.0, 0.0]], [0, 0])
-        depth, cell = build(frame, beams=1, columns=8)
+        depth, cell = build([[7.0, 0.0, 0.0], [5.0, 0.0, 0.0]], [0, 0], beams=1, columns=8)
         assert cell[0] == cell[1]
         assert depth.flat[cell[0]] == pytest.approx(5.0)
 
     def test_empty_frame_all_nan(self):
-        frame = frame_from_xyz(np.zeros((0, 3)), np.zeros(0, dtype=int))
-        depth, cell = build(frame, beams=4, columns=16)
+        depth, cell = build(np.zeros((0, 3)), np.zeros(0, dtype=int), beams=4, columns=16)
         assert depth.shape == (4, 16) and np.isnan(depth).all()
         assert cell.size == 0
 
     def test_seam_wraps(self):
         # Azimuth exactly pi maps onto column 0, not out of range.
-        frame = frame_from_xyz([[-10.0, 0.0, 0.0]], [0])
-        _, cell = build(frame, beams=1, columns=16)
+        _, cell = build([[-10.0, 0.0, 0.0]], [0], beams=1, columns=16)
         assert cell[0] in (0, 8)
 
     def test_beam_out_of_range_rejected(self):
-        frame = frame_from_xyz([[1.0, 0.0, 0.0]], [5])
         with pytest.raises(ValueError, match="beam_row"):
-            build(frame, beams=4, columns=8)
+            build([[1.0, 0.0, 0.0]], [5], beams=4, columns=8)
 
     def test_depth_is_euclidean_range(self):
-        frame = frame_from_xyz([[3.0, 0.0, 4.0]], [0])
-        depth, cell = build(frame, beams=1, columns=8)
+        depth, cell = build([[3.0, 0.0, 4.0]], [0], beams=1, columns=8)
         assert depth.flat[cell[0]] == pytest.approx(5.0)
 
 
@@ -93,9 +82,9 @@ def sweeps(draw):
     return xyz, np.array([p[3] for p in pts], dtype=int), beams, columns
 
 
-def assert_build_matches_trace(frame, beams, columns):
-    depth, cell = build(frame, beams, columns)
-    want_depth, want_cell = range_image_trace(frame.xyz, frame.beam_row, beams, columns)
+def assert_build_matches_trace(xyz, beam_row, beams, columns):
+    depth, cell = build_range_image(xyz, beam_row, beams, columns)
+    want_depth, want_cell = range_image_trace(xyz, beam_row, beams, columns)
     assert np.array_equal(depth, want_depth, equal_nan=True)
     assert np.array_equal(cell, want_cell)
     assert cell.dtype == np.int64
@@ -106,10 +95,10 @@ class TestBuildMatchesTrace:
     @given(sweeps())
     def test_random_sweeps(self, sweep):
         xyz, rows, beams, columns = sweep
-        assert_build_matches_trace(frame_from_xyz(xyz, rows), beams, columns)
+        assert_build_matches_trace(as_columns(xyz), rows, beams, columns)
 
     def test_empty_frame(self):
-        assert_build_matches_trace(frame_from_xyz([], []), 3, 5)
+        assert_build_matches_trace(as_columns([]), np.zeros(0, dtype=int), 3, 5)
 
     def test_uint16_rows_on_a_raster_past_65535_cells(self):
         # Bundles give uint16 rows, and a uint16 row times 2048 columns
@@ -118,24 +107,23 @@ class TestBuildMatchesTrace:
         azimuth = np.linspace(-np.pi, np.pi, 500, endpoint=False)
         rows = (np.arange(500) % beams).astype(np.uint16)
         xyz = np.stack([10.0 * np.cos(azimuth), 10.0 * np.sin(azimuth), 0.01 * rows])
-        frame = Frame(frame_id="u", xyz=xyz, beam_row=rows)
-        assert frame.beam_row.dtype == np.uint16
-        assert_build_matches_trace(frame, beams, columns)
-        assert build(frame, beams, columns)[1].max() > 65535
+        assert xyz.flags.c_contiguous and rows.dtype == np.uint16
+        assert_build_matches_trace(xyz, rows, beams, columns)
+        assert build_range_image(xyz, rows, beams, columns)[1].max() > 65535
 
     def test_shuffled_crowded_scene(self, rng):
         # A ray-cast sweep, shuffled, with every third point repeated and
         # every fifth moved nearer along its ray, at half the scene's columns.
         cfg = SceneConfig(seed=3, beams=16, columns=256)
-        frame = generate_scene(cfg).frame
-        thirds, fifths = np.arange(0, frame.num_points, 3), np.arange(0, frame.num_points, 5)
+        scene = generate_scene(cfg)
+        n = scene.xyz.shape[1]
+        thirds, fifths = np.arange(0, n, 3), np.arange(0, n, 5)
         extra = np.r_[thirds, fifths]
-        xyz = np.concatenate([frame.xyz, frame.xyz[:, extra]], axis=1)
-        xyz[:, frame.num_points + thirds.size :] *= 0.5
-        rows = np.concatenate([frame.beam_row, frame.beam_row[extra]])
+        xyz = np.concatenate([scene.xyz, scene.xyz[:, extra]], axis=1)
+        xyz[:, n + thirds.size :] *= 0.5
+        rows = np.concatenate([scene.beam_row, scene.beam_row[extra]])
         perm = rng.permutation(xyz.shape[1])
-        shuffled = Frame(frame_id="s", xyz=xyz[:, perm], beam_row=rows[perm])
-        assert_build_matches_trace(shuffled, cfg.beams, cfg.columns // 2)
+        assert_build_matches_trace(xyz[:, perm], rows[perm], cfg.beams, cfg.columns // 2)
 
 
 def assert_matches_trace(segs, ri, windows, thresholds):

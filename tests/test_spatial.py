@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import as_columns
 from oracles import generate_labels_per_box
 
 from wlf.clustering import ClassRadii
-from wlf.frames import Box2D, Frame, crop_frustum, project_points
+from wlf.frames import Box2D, crop_frustum, project_points
 from wlf.metrics import confusion_counts, miou_from_counts
 from wlf.range_image import DcsConfig, RingSegments, build_range_image, dcs_dynamic
 from wlf.spatial import (
@@ -22,12 +23,6 @@ from wlf.synth import SceneConfig, generate_scene
 def segs(ids) -> RingSegments:
     ids = np.asarray(ids, dtype=np.int32)
     return RingSegments(segment_id=ids, num_segments=int(ids.max()) + 1 if ids.size else 0)
-
-
-def as_columns(points) -> np.ndarray:
-    """A frame's (3, N) ``xyz`` from (N, 3) points."""
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    return Frame(frame_id="t", xyz=points.T, beam_row=np.zeros(points.shape[0], dtype=int)).xyz
 
 
 class TestTrinaryFromProp:
@@ -146,14 +141,13 @@ class TestGenerateLabels:
     def test_labels_partition(self, rng):
         # Every point lands in exactly one of ignore / background / one instance.
         scene = generate_scene(SceneConfig(seed=11, box_pad_px=6.0))
-        frame = scene.frame
-        index, pixels = project_points(scene.calibration, frame.xyz)
-        assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
+        index, pixels = project_points(scene.calibration, scene.xyz)
+        assign = crop_frustum(index, pixels, scene.xyz.shape[1], scene.boxes)
         cfg = scene.config
-        ri = build_range_image(frame.xyz, frame.beam_row, cfg.beams, cfg.columns)
+        ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
         segments = dcs_dynamic(*ri, DcsConfig())
         trinary = refine_by_segments(assign, segments)
-        labels = generate_labels(frame.xyz, trinary, assign, scene.boxes, ClassRadii())
+        labels = generate_labels(scene.xyz, trinary, assign, scene.boxes, ClassRadii())
         labels.check_consistency(scene.boxes)
         sem, inst = labels.semantic, labels.instance
         assert np.all((inst > 0) == (sem > 0))
@@ -217,17 +211,16 @@ class TestGenerateLabelsMatchesPerBox:
         cfg = SceneConfig(seed=seed, beams=64, columns=2048, vehicles=(4, 4),
                           vehicle_distance=(12.0, 20.0))
         scene = generate_scene(cfg)
-        frame = scene.frame
-        index, pixels = project_points(scene.calibration, frame.xyz)
-        assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
+        index, pixels = project_points(scene.calibration, scene.xyz)
+        assign = crop_frustum(index, pixels, scene.xyz.shape[1], scene.boxes)
         if stage == "spg":
-            ri = build_range_image(frame.xyz, frame.beam_row, cfg.beams, cfg.columns)
+            ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
             segments = dcs_dynamic(*ri, DcsConfig())
             trinary = refine_by_segments(assign, segments)
         else:
             trinary = (assign > 0).astype(np.int8)
         assert np.count_nonzero((assign > 0) & (trinary == 1)) > 4000
-        assert_matches_per_box(frame.xyz, trinary, assign, scene.boxes, ClassRadii())
+        assert_matches_per_box(scene.xyz, trinary, assign, scene.boxes, ClassRadii())
 
 
 class TestDirectionalQuality:
@@ -242,17 +235,16 @@ class TestDirectionalQuality:
             scene = generate_scene(
                 SceneConfig(seed=seed, box_pad_px=10.0, vehicle_distance=(8.0, 16.0))
             )
-            frame = scene.frame
-            index, pixels = project_points(scene.calibration, frame.xyz)
-            assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
+            index, pixels = project_points(scene.calibration, scene.xyz)
+            assign = crop_frustum(index, pixels, scene.xyz.shape[1], scene.boxes)
             cfg = scene.config
-            ri = build_range_image(frame.xyz, frame.beam_row, cfg.beams, cfg.columns)
+            ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
             segments = dcs_dynamic(*ri, DcsConfig())
             trinary = refine_by_segments(assign, segments)
-            labels = generate_labels(frame.xyz, trinary, assign, scene.boxes, ClassRadii())
+            labels = generate_labels(scene.xyz, trinary, assign, scene.boxes, ClassRadii())
             for acc, sem in (((tp, fp, fn), labels.semantic),
                              ((tp_r, fp_r, fn_r), frustum_semantic(assign, scene.boxes))):
-                a, b, c = confusion_counts(sem, frame.gt_semantic, 3)
+                a, b, c = confusion_counts(sem, scene.gt_semantic, 3)
                 acc[0][:] += a
                 acc[1][:] += b
                 acc[2][:] += c

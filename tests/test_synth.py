@@ -22,19 +22,17 @@ class TestDeterminism:
     def test_same_seed_bit_identical(self):
         a = generate_scene(SceneConfig(seed=42))
         b = generate_scene(SceneConfig(seed=42))
-        assert np.array_equal(a.frame.xyz, b.frame.xyz)
+        assert np.array_equal(a.xyz, b.xyz)
         assert np.array_equal(a.intensity, b.intensity)
-        assert np.array_equal(a.frame.beam_row, b.frame.beam_row)
-        assert np.array_equal(a.frame.gt_semantic, b.frame.gt_semantic)
-        assert np.array_equal(a.frame.gt_instance, b.frame.gt_instance)
+        assert np.array_equal(a.beam_row, b.beam_row)
+        assert np.array_equal(a.gt_semantic, b.gt_semantic)
+        assert np.array_equal(a.gt_instance, b.gt_instance)
         assert [x.bounds for x in a.boxes] == [x.bounds for x in b.boxes]
 
     def test_different_seeds_differ(self):
         a = generate_scene(SceneConfig(seed=1))
         b = generate_scene(SceneConfig(seed=2))
-        assert a.frame.num_points != b.frame.num_points or not np.array_equal(
-            a.frame.xyz, b.frame.xyz
-        )
+        assert a.xyz.shape != b.xyz.shape or not np.array_equal(a.xyz, b.xyz)
 
 
 class TestSceneContents:
@@ -50,17 +48,17 @@ class TestSceneContents:
 
     def test_single_cuboid_instance_and_box(self):
         scene = generate_scene(self.single_vehicle_cfg())
-        frame = scene.frame
-        hits = frame.gt_semantic == 1
+        hits = scene.gt_semantic == 1
         assert hits.any()
-        assert (frame.gt_instance[hits] == 1).all()
+        assert (scene.gt_instance[hits] == 1).all()
         assert len(scene.boxes) == 1
         box = scene.boxes[0]
         assert box.box_id == 1 and box.class_id == 1
-        index, pixels = project_points(scene.calibration, frame.xyz)
+        index, pixels = project_points(scene.calibration, scene.xyz)
         vis = hits[index]
         u, v = pixels[vis, 0], pixels[vis, 1]
-        assert box.contains(u, v).all()
+        x0, y0, x1, y1 = box.bounds
+        assert ((u >= x0) & (u < x1) & (v >= y0) & (v < y1)).all()
 
     def test_empty_scene_is_all_background(self):
         cfg = SceneConfig(
@@ -68,8 +66,8 @@ class TestSceneContents:
             background_walls=(0, 0),
         )
         scene = generate_scene(cfg)
-        assert (scene.frame.gt_semantic == 0).all()
-        assert (scene.frame.gt_instance == 0).all()
+        assert (scene.gt_semantic == 0).all()
+        assert (scene.gt_instance == 0).all()
         assert scene.boxes == []
 
     def test_points_on_ground_or_primitive(self):
@@ -77,8 +75,8 @@ class TestSceneContents:
         # everything else on an object surface above it.
         cfg = self.single_vehicle_cfg()
         scene = generate_scene(cfg)
-        z_world = scene.frame.xyz[2] + cfg.sensor_height
-        ground = scene.frame.gt_semantic == 0
+        z_world = scene.xyz[2] + cfg.sensor_height
+        ground = scene.gt_semantic == 0
         np.testing.assert_allclose(z_world[ground], 0.0, atol=1e-9)
         assert (z_world[~ground] > -1e-9).all()
 
@@ -87,27 +85,25 @@ class TestSceneContents:
         noisy = generate_scene(
             SceneConfig(**{**self.single_vehicle_cfg().to_dict(), "depth_jitter": 0.05})
         )
-        r0 = np.linalg.norm(base.frame.xyz, axis=0)
-        r1 = np.linalg.norm(noisy.frame.xyz, axis=0)
+        r0 = np.linalg.norm(base.xyz, axis=0)
+        r1 = np.linalg.norm(noisy.xyz, axis=0)
         assert r0.shape == r1.shape
         assert np.abs(r1 - r0).max() < 6 * 0.05
 
     def test_range_image_depth_matches_ray_length(self):
         cfg = self.single_vehicle_cfg()
         scene = generate_scene(cfg)
-        frame = scene.frame
-        depth, cell = build_range_image(frame.xyz, frame.beam_row, cfg.beams, cfg.columns)
+        depth, cell = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
         # One point per cell (see below), so each cell holds its point's range.
-        ranges = np.linalg.norm(scene.frame.xyz, axis=0)
+        ranges = np.linalg.norm(scene.xyz, axis=0)
         np.testing.assert_allclose(depth.ravel()[cell], ranges, atol=1e-5)
 
     def test_each_cell_hosts_one_point(self):
         # Ray-per-cell construction: no collisions without jitter.
         cfg = self.single_vehicle_cfg()
         scene = generate_scene(cfg)
-        frame = scene.frame
-        depth, cell = build_range_image(frame.xyz, frame.beam_row, cfg.beams, cfg.columns)
-        assert np.unique(cell).size == np.isfinite(depth).sum() == scene.frame.num_points
+        depth, cell = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
+        assert np.unique(cell).size == np.isfinite(depth).sum() == scene.xyz.shape[1]
 
     def test_unoccluded_objects_are_radius_connected(self):
         # Side-view geometry at full azimuth resolution: a sensor above the
@@ -142,10 +138,9 @@ class TestSceneContents:
             ),
         ):
             scene = generate_scene(cfg)
-            frame = scene.frame
             assert scene.boxes, f"seed {seed}: no visible object"
             for box in scene.boxes:
-                pts = frame.xyz[:, frame.gt_instance == box.box_id].T
+                pts = scene.xyz[:, scene.gt_instance == box.box_id].T
                 comps = ccl_cluster(pts, radii.for_class(box.class_id))
                 assert comps.num == 1, f"seed {seed} class {box.class_id} split"
 
@@ -154,7 +149,7 @@ class TestSceneContents:
         ids = {b.box_id for b in scene.boxes}
         assert ids == set(range(1, len(scene.boxes) + 1))
         for box in scene.boxes:
-            assert (scene.frame.gt_instance == box.box_id).any()
+            assert (scene.gt_instance == box.box_id).any()
 
 
 def full_cast(objects, origin, dirs, columns):
@@ -245,7 +240,7 @@ class TestCastMatchesOracle:
             with mock.patch.object(synth, "_cast", full_cast):
                 want = generate_scene(cfg)
         for name in ("xyz", "beam_row", "gt_semantic", "gt_instance"):
-            a, b = getattr(got.frame, name), getattr(want.frame, name)
+            a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert np.array_equal(got.intensity, want.intensity)
         assert [(x.box_id, x.class_id, x.bounds) for x in got.boxes] == [
@@ -304,27 +299,27 @@ class TestFabricateScores:
         # End-to-end: perfect teacher scores drive every in-box point to its
         # ground-truth semantic label.
         scene = generate_scene(SceneConfig(seed=21, box_pad_px=8.0))
-        frame = scene.frame
-        index, pixels = project_points(scene.calibration, frame.xyz)
-        assign = crop_frustum(index, pixels, frame.num_points, scene.boxes)
+        n = scene.xyz.shape[1]
+        index, pixels = project_points(scene.calibration, scene.xyz)
+        assign = crop_frustum(index, pixels, n, scene.boxes)
         scores = np.stack([
-            fabricate_votes(frame.gt_semantic, 3, 0.0, seed=21, epoch=epoch)
+            fabricate_votes(scene.gt_semantic, 3, 0.0, seed=21, epoch=epoch)
             for epoch in range(4)
         ])
         start = PseudoLabels(
-            semantic=np.full(frame.num_points, -1, dtype=np.int32),
-            instance=np.zeros(frame.num_points, dtype=np.int32),
+            semantic=np.full(n, -1, dtype=np.int32),
+            instance=np.zeros(n, dtype=np.int32),
         )
         out = vote_correct(scores, PvcConfig(), start, assign, scene.boxes)
         in_box = assign > 0
         box_class = {b.box_id: b.class_id for b in scene.boxes}
         frustum_cls = np.array([box_class.get(int(b), 0) for b in assign])
-        fg = in_box & (frame.gt_semantic > 0)
+        fg = in_box & (scene.gt_semantic > 0)
         # Foreground votes land the box class, which matches GT for points
         # assigned to their own object's box.
-        own = fg & (frame.gt_instance == assign)
-        assert np.array_equal(out.semantic[own], frame.gt_semantic[own])
-        bg = in_box & (frame.gt_semantic == 0)
+        own = fg & (scene.gt_instance == assign)
+        assert np.array_equal(out.semantic[own], scene.gt_semantic[own])
+        bg = in_box & (scene.gt_semantic == 0)
         assert (out.semantic[bg] == 0).all()
 
 

@@ -147,13 +147,14 @@ class TestVoteCorrect:
         # Oldest epoch says background everywhere, latest says foreground:
         # with n_his = 1 only the latest counts, so every in-box point is
         # claimed by its box.
-        frame, calib, boxes = read_frame_bundle(bundle, read_manifest(bundle))
+        xyz, _, _, calib, boxes = read_frame_bundle(bundle, read_manifest(bundle))
+        n = xyz.shape[1]
         for epoch in list_vote_epochs(bundle):
             (bundle / f"votes_{epoch}.f32").unlink()
-        write_votes(bundle, 0, np.zeros(frame.num_points))
-        write_votes(bundle, 1, np.ones(frame.num_points))
+        write_votes(bundle, 0, np.zeros(n))
+        write_votes(bundle, 1, np.ones(n))
         labels = engine_labels(bundle, ["pvc"], n_his=1, t_reliable=1)
-        assign = crop_frustum(*project_points(calib, frame.xyz), frame.num_points, boxes)
+        assign = crop_frustum(*project_points(calib, xyz), n, boxes)
         in_box = assign > 0
         assert in_box.any()
         assert np.array_equal(labels.instance[in_box], assign[in_box])
@@ -165,8 +166,7 @@ class TestVoteCorrect:
         assert out.semantic.tolist() == [-1]
 
     def test_bad_votes_name_the_bundle(self, bundle):
-        frame, *_ = read_frame_bundle(bundle, read_manifest(bundle))
-        write_votes(bundle, 3, np.full(frame.num_points, 2.0))
+        write_votes(bundle, 3, np.full(read_manifest(bundle)["num_points"], 2.0))
         with pytest.raises(BundleError, match="frame_0000.*\\[0, 1\\]"):
             engine_labels(bundle, ["pvc"])
 
