@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wlf.bundle import read_frame_bundle
+from wlf.bundle import read_frame_bundle, read_ground_truth
 from wlf.cli import main as wlf_main
 from wlf.config import PipelineConfig
 from wlf.frames import crop_frustum, project_points
@@ -38,9 +38,10 @@ STAGES = {"ccl": (), "spg": ("spg",), "+pvc": ("spg", "pvc"), "+rsc": ("spg", "p
 
 
 def raw_counts(bundle: Path, manifest: dict) -> np.ndarray:
-    xyz, _, (gt_semantic, _), calib, boxes = read_frame_bundle(bundle, manifest)
+    xyz, _, calib, boxes = read_frame_bundle(bundle, manifest)
     assign = crop_frustum(*project_points(calib, xyz), manifest["num_points"], boxes)
     sem = frustum_semantic(assign, boxes)
+    gt_semantic, _ = read_ground_truth(bundle, manifest)
     return np.stack(confusion_counts(sem, gt_semantic, manifest["num_classes"]))
 
 

@@ -18,8 +18,10 @@ Pseudo labels (sem.i32, inst.i32) live outside the bundle, in
 ``<out>/<frame_id>/`` of a run. All binary arrays are flat little-endian;
 shapes live in the manifest or the sidecar JSON. A run reads each manifest
 once (``read_manifest``) and hands it to ``read_frame_bundle``, which returns
-plain arrays; ``wlf ipg`` reads only the manifest, ``boxes.json``
-(``read_boxes``) and ``masks/``.
+the points, beams, calibration and boxes as plain values, and, once the
+frame's labels are made, to ``read_ground_truth``, so that the ground truth
+is never alive while the stages run; ``wlf ipg`` reads only the manifest,
+``boxes.json`` (``read_boxes``) and ``masks/``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "write_frame_bundle",
     "read_manifest",
     "read_frame_bundle",
+    "read_ground_truth",
     "read_boxes",
     "write_labels",
     "read_labels",
@@ -61,7 +64,9 @@ class BundleError(ValueError):
 
 
 def _write_array(path: Path, arr: np.ndarray, kind: str) -> None:
-    path.write_bytes(np.ascontiguousarray(arr).astype(_DTYPES[kind]).tobytes())
+    # One conversion at most: an array already of the kind, in C order, is
+    # written as it is.
+    np.asarray(arr).astype(_DTYPES[kind], order="C", copy=False).tofile(path)
 
 
 def _read_array(path: Path, kind: str, count: int | None = None) -> np.ndarray:
@@ -186,18 +191,21 @@ def read_manifest(directory: str | Path) -> dict:
 
 def read_frame_bundle(
     directory: str | Path, manifest: dict
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None, Calibration, list[Box2D]]:
+) -> tuple[np.ndarray, np.ndarray, Calibration, list[Box2D]]:
     """Load a frame bundle whose manifest ``read_manifest`` has read, as
-    ``(xyz, beam_row, gt, calib, boxes)``: the finite (3, N) C-contiguous
-    float64 coordinates, the uint16 beam rows as stored, and the int32
-    ``(semantic, instance)`` ground truth, None unless both files exist.
+    ``(xyz, beam_row, calib, boxes)``: the finite (3, N) C-contiguous float64
+    coordinates, the uint16 beam rows as stored, the calibration and the
+    boxes. The ground truth is ``read_ground_truth``'s, read when the frame
+    is scored.
 
     Raises FileNotFoundError for a missing file, and BundleError, naming the
     bundle's file at fault, for any malformed or inconsistent content.
     """
     directory = Path(directory)
     n = manifest["num_points"]
-    with _naming(directory / "points.f32"):
+    # A signalling NaN raises the invalid flag as it is widened; the
+    # finiteness check below names it.
+    with _naming(directory / "points.f32"), np.errstate(invalid="ignore"):
         # x, y and z are the first three of each point's four values.
         xyz = np.ascontiguousarray(
             _read_array(directory / "points.f32", "f32", 4 * n).reshape(n, 4).T[:3],
@@ -209,12 +217,6 @@ def read_frame_bundle(
         beam_row = _read_array(directory / "beam_row.u16", "u16", n)
         if n and int(beam_row.max()) >= manifest["beams"]:
             raise ValueError(f"beam_row {int(beam_row.max())} >= beams {manifest['beams']}")
-    # Each ground-truth file present is length-checked, but scoring needs both.
-    gt = tuple(
-        _read_array(path, "i32", n)
-        for path in (directory / "gt_semantic.i32", directory / "gt_instance.i32")
-        if path.is_file()
-    )
     with _naming(directory / "calibration.json"):
         calib_raw = json.loads((directory / "calibration.json").read_text())
         calib = Calibration(
@@ -222,7 +224,25 @@ def read_frame_bundle(
             extrinsic=np.asarray(calib_raw["extrinsic"]),
             image_size=tuple(calib_raw["image_size"]),
         )
-    return xyz, beam_row, gt if len(gt) == 2 else None, calib, read_boxes(directory, manifest)
+    return xyz, beam_row, calib, read_boxes(directory, manifest)
+
+
+def read_ground_truth(
+    directory: str | Path, manifest: dict
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The bundle's int32 ``(semantic, instance)`` ground truth, None unless
+    both files exist.
+
+    Each file present is length-checked, and a BundleError names the one
+    whose length differs from the manifest's ``num_points``.
+    """
+    directory = Path(directory)
+    gt = tuple(
+        _read_array(path, "i32", manifest["num_points"])
+        for path in (directory / "gt_semantic.i32", directory / "gt_instance.i32")
+        if path.is_file()
+    )
+    return gt if len(gt) == 2 else None
 
 
 def read_boxes(directory: str | Path, manifest: dict) -> list[Box2D]:
@@ -327,8 +347,11 @@ def read_mask_predictions(directory: str | Path) -> dict[int, list[MaskPredictio
             meta = json.loads(sidecar.read_text())
             h, w = (_int_at_least(v, 0, "shape entry") for v in meta["shape"])
             prob = _read_array(sidecar.with_suffix(".f32"), "f32", h * w).reshape(h, w)
+            # As for points: MaskPrediction names a widened signalling NaN.
+            with np.errstate(invalid="ignore"):
+                prob = prob.astype(np.float64)
             pred = MaskPrediction(
-                prob_map=prob.astype(np.float64),
+                prob_map=prob,
                 score=float(meta["score"]),
                 pred_box=tuple(float(v) for v in meta["pred_box"]),
             )

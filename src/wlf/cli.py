@@ -44,6 +44,7 @@ from .pipeline import (  # noqa: E402
     MissingInputError,
     RunResult,
     check_new_out,
+    check_out_dir,
     discover_bundles,
     read_manifests,
     run_pipeline,
@@ -114,6 +115,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scene config: {exc}") from exc
     out = Path(args.out)
+    check_out_dir(out)
     # A rerun with fewer frames or epochs would leave the old ones behind.
     existing = sorted(out.glob("*/manifest.json"))
     if existing:

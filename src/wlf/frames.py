@@ -123,19 +123,32 @@ def project_points(calib: Calibration, xyz: np.ndarray) -> tuple[np.ndarray, np.
     [0, h), and their (k, 2) pixels. Only points in front get a u and v
     computed."""
     r, t = calib.rotation, calib.translation
-
-    def cam(i: int, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return x * r[i, 0] + y * r[i, 1] + z * r[i, 2] + t[i]
-
-    # A non-finite coordinate makes camera z non-finite (inf * 0 is NaN).
+    # Each camera axis is summed in place, one point axis at a time, in the
+    # order of x*r[i,0] + y*r[i,1] + z*r[i,2] + t[i]. A non-finite coordinate
+    # makes camera z non-finite (inf * 0 is NaN).
     with np.errstate(invalid="ignore"):
-        depth = cam(2, *xyz)
+        depth = xyz[0] * r[2, 0]
+        depth += xyz[1] * r[2, 1]
+        depth += xyz[2] * r[2, 2]
+        depth += t[2]
     if not np.isfinite(depth).all():
         raise ValueError("non-finite point coordinates")
     front = np.flatnonzero(depth > 0)
-    p, depth = xyz.take(front, axis=1), depth[front]
-    u = calib.fx * cam(0, *p) / depth + calib.cx
-    v = calib.fy * cam(1, *p) / depth + calib.cy
+    depth = depth[front]
+    p = xyz[0].take(front)
+    u, v = p * r[0, 0], p * r[1, 0]
+    for j in (1, 2):
+        p = xyz[j].take(front)
+        u += p * r[0, j]
+        v += p * r[1, j]
+    del p
+    # fx * cam / depth + cx, the same operations in place.
+    for c, i, f, centre in ((u, 0, calib.fx, calib.cx), (v, 1, calib.fy, calib.cy)):
+        c += t[i]
+        c *= f
+        c /= depth
+        c += centre
+    del depth
     w, h = calib.image_size
     inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
     return front[inside], np.stack([u[inside], v[inside]], axis=1)

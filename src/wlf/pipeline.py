@@ -11,12 +11,13 @@ available) and a run.json with the config hash and stage timings come last,
 so run.json marks a finished run. Frames are independent, so the worker pool
 never changes the output bytes.
 
-A frame's arrays are plain locals, each dropped after its last reader: the
-points and beams once the range image and spg have read them, the trinary
-labels after clustering, the (E, N) vote stack as pvc returns, the box
-assignment after pvc and the segments after rsc. The metrics see only the
-labels and the ground truth, so a run's peak memory is that of its largest
-frame's largest stage.
+A frame's arrays are plain locals, each alive from its first reader to its
+last: the full points and the beams until the range image is built (spg
+keeps only the in-box points' columns), the raster until dcs returns, the
+trinary labels until clustering, the (E, N) vote stack as pvc runs, the box
+assignment until pvc and the segments until rsc. The ground truth is read
+only when the frame is scored, where the metrics see it and the labels
+alone, so a run's peak memory is that of its largest frame's largest stage.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .bundle import (
     BundleError,
     list_vote_epochs,
     read_frame_bundle,
+    read_ground_truth,
     read_labels,
     read_manifest,
     read_votes,
@@ -127,9 +129,12 @@ def process_frame(
 
     Starting labels come from spg (plain clustering when spg is off) or, when
     ``labels_dir`` is given, from ``labels_dir/<frame_id>``; pvc and rsc then
-    apply as ``cfg.stages`` says.
+    apply as ``cfg.stages`` says. ``build_range_image`` is the last reader of
+    the full ``xyz``: spg gets the (3, K) columns of the K in-box points.
+    The ground truth (``read_ground_truth``) is read after the stages, where
+    the frame is scored.
     """
-    xyz, beam_row, gt, calib, boxes = read_frame_bundle(bundle_dir, manifest)
+    xyz, beam_row, calib, boxes = read_frame_bundle(bundle_dir, manifest)
     frame_id, num_points = manifest["frame_id"], manifest["num_points"]
     beams, columns = manifest["beams"], manifest["columns"]
     timings: dict[str, float] = {}
@@ -138,17 +143,24 @@ def process_frame(
     box_assign = crop_frustum(*project_points(calib, xyz), num_points, boxes)
     timings["project"] = time.perf_counter() - t0
 
+    # A running spg clusters only the in-box points, so it keeps their
+    # columns alone and the range image is the last reader of the full xyz.
+    spg_runs = labels_dir is None
+    in_box_xyz = xyz[:, box_assign > 0] if spg_runs else None
+
     # Only rsc and a running spg read the segments.
     segments = None
-    if "rsc" in cfg.stages or ("spg" in cfg.stages and labels_dir is None):
+    if "rsc" in cfg.stages or ("spg" in cfg.stages and spg_runs):
         t0 = time.perf_counter()
-        # One expression, so the raster is freed as soon as dcs has read it.
-        segments = dcs_dynamic(*build_range_image(xyz, beam_row, beams, columns), cfg.dcs)
+        depth, cell = build_range_image(xyz, beam_row, beams, columns)
+        del xyz, beam_row
+        segments = dcs_dynamic(depth, cell, cfg.dcs)
+        del depth, cell
         timings["segments"] = time.perf_counter() - t0
-    del beam_row
+    else:
+        del xyz, beam_row
 
-    if labels_dir is not None:
-        del xyz
+    if not spg_runs:
         labels = read_start_labels(
             Path(labels_dir) / frame_id, num_points, boxes, manifest["num_classes"]
         )
@@ -163,8 +175,8 @@ def process_frame(
             trinary = refine_by_segments(box_assign, segments)
         else:
             trinary = np.where(box_assign > 0, TRINARY_FG, 0).astype(np.int8)
-        labels = generate_labels(xyz, trinary, box_assign, boxes, cfg.radii)
-        del xyz, trinary
+        labels = generate_labels(in_box_xyz, trinary, box_assign, boxes, cfg.radii)
+        del in_box_xyz, trinary
         timings["spg"] = time.perf_counter() - t0
 
     if "pvc" in cfg.stages:
@@ -208,6 +220,7 @@ def process_frame(
         raise AssertionError(f"frame {frame_id}: {exc}") from exc
 
     out = FrameOutput(frame_id=frame_id, timings=timings)
+    gt = read_ground_truth(bundle_dir, manifest)
     if gt is not None:
         gt_semantic, gt_instance = gt
         ignore = gt_semantic == -1
@@ -255,10 +268,27 @@ def read_manifests(bundles: list[Path]) -> list[dict]:
     return manifests
 
 
+def file_in_the_way(path: Path) -> Path | None:
+    """The nearest of ``path`` and its ancestors that exists, if it is not a
+    directory: no directory can be read or made at ``path`` then."""
+    for p in (path, *path.parents):
+        if p.exists():
+            return None if p.is_dir() else p
+    return None
+
+
+def check_out_dir(out_dir: Path) -> None:
+    """ConfigError, naming the file, if ``out_dir`` is a file or lies beneath one."""
+    blocker = file_in_the_way(out_dir)
+    if blocker is not None:
+        raise ConfigError(f"--out {out_dir}: {blocker} is not a directory")
+
+
 def check_new_out(out_dir: Path) -> None:
-    """ConfigError, naming the file, if ``out_dir`` already holds a pipeline
-    or ipg run: a rerun over fewer frames would leave the old run's frames
-    behind."""
+    """ConfigError, naming the file, if ``out_dir`` cannot be a directory
+    (``check_out_dir``) or already holds a pipeline or ipg run: a rerun over
+    fewer frames would leave the old run's frames behind."""
+    check_out_dir(out_dir)
     existing = [out_dir / f for f in RUN_FILES if (out_dir / f).exists()]
     existing += sorted(out_dir.glob("*/sem.i32")) + sorted(out_dir.glob("*/ipg.json"))
     if existing:
@@ -271,6 +301,8 @@ def run_pipeline(cfg: PipelineConfig, labels_dir: Path | None = None) -> RunResu
     bundles = discover_bundles(cfg.frames)
     out_dir = Path(cfg.out_dir)
     check_new_out(out_dir)
+    if labels_dir is not None and (blocker := file_in_the_way(Path(labels_dir))) is not None:
+        raise MissingInputError(f"--labels {labels_dir}: {blocker} is not a directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     manifests = read_manifests(bundles)

@@ -87,12 +87,26 @@ def build_range_image(
     x, y, z = xyz
     if beam_row.size and (beam_row.min() < 0 or beam_row.max() >= beams):
         raise ValueError(f"beam_row outside [0, {beams})")
-    col = np.floor((np.arctan2(y, x) + np.pi) / (2.0 * np.pi) * columns).astype(np.int64) % columns
+    # Column, cell and range are each formed in place, in the operation order
+    # of floor((atan2(y, x) + pi) / 2pi * columns) and (x*x + y*y) + z*z.
+    col = np.arctan2(y, x)
+    col += np.pi
+    col /= 2.0 * np.pi
+    col *= columns
+    np.floor(col, out=col)
+    cell = col.astype(np.int64)
+    del col
+    cell %= columns
     # Widened first: a uint16 row times columns stays uint16 and wraps.
-    cell = beam_row.astype(np.int64) * columns + col
+    cell += np.multiply(beam_row, columns, dtype=np.int64)
+    rng = x * x
+    rng += y * y
+    rng += z * z
+    np.sqrt(rng, out=rng)
     # A minimum is exact, so the order of the scatter does not matter.
     depth = np.full(beams * columns, np.inf)
-    np.minimum.at(depth, cell, np.sqrt((x * x + y * y) + z * z))
+    np.minimum.at(depth, cell, rng)
+    del rng
     depth[depth == np.inf] = np.nan
     return depth.reshape(beams, columns), cell
 

@@ -111,7 +111,10 @@ def generate_labels(
     boxes: list[Box2D],
     radii: ClassRadii,
 ) -> PseudoLabels:
-    """Final semantic/instance pseudo labels of the (3, N) points ``xyz``.
+    """Final semantic/instance pseudo labels of a frame's N points, from the
+    (3, K) columns ``xyz`` of its K in-box points (``box_assign > 0``), in
+    point order; only they are clustered. ``trinary`` and ``box_assign`` and
+    the labels returned cover all N points.
 
     Per box, the trinary-foreground points are clustered at the box class
     radius and only the largest component becomes the instance; the remaining
@@ -119,29 +122,34 @@ def generate_labels(
     else. A box with no foreground points emits no instance. All boxes are
     clustered in one call, the points sorted by box and each box its own group.
     """
-    n = xyz.shape[1]
     trinary = np.asarray(trinary)
     box_assign = np.asarray(box_assign)
+    n = box_assign.shape[0]
     if trinary.shape != (n,) or box_assign.shape != (n,):
         raise ValueError("label arrays must match the frame point count")
+    in_box = np.flatnonzero(box_assign > 0)
+    if xyz.shape != (3, in_box.size):
+        raise ValueError(f"xyz must be the (3, {in_box.size}) columns of the in-box points")
     semantic = np.zeros(n, dtype=np.int32)
     semantic[trinary == TRINARY_IGNORE] = -1
     instance = np.zeros(n, dtype=np.int32)
-    # Each foreground point's slot in ``boxes`` (a repeated box id takes its
-    # last slot), sorted by slot; points of no listed box are left alone.
+    # Each in-box foreground point's column in ``xyz`` and its slot in
+    # ``boxes`` (a repeated box id takes its last slot), sorted by slot;
+    # points of no listed box are left alone.
     box_ids = [b.box_id for b in boxes]
     slot_of = np.full(max([int(box_assign.max(initial=0)), *box_ids]) + 1, -1)
     slot_of[box_ids] = np.arange(len(boxes))
-    idx = np.flatnonzero((box_assign > 0) & (trinary == TRINARY_FG))
+    column = np.flatnonzero(trinary[in_box] == TRINARY_FG)
+    idx = in_box[column]
     slot = slot_of[box_assign[idx]]
     order = np.argsort(slot, kind="stable")
     order = order[slot[order] >= 0]
     if order.size == 0:
         return PseudoLabels(semantic=semantic, instance=instance)
-    idx = idx[order]
+    idx, column = idx[order], column[order]
     slots, starts, group = np.unique(slot[order], return_index=True, return_inverse=True)
     owners = [boxes[k] for k in slots]
-    sub = xyz.take(idx, axis=1).T  # (k, 3) over three contiguous rows
+    sub = xyz.take(column, axis=1).T  # (k, 3) over three contiguous rows
     comps = ccl_cluster(sub, [radii.for_class(b.class_id) for b in owners], group)
     bounds = np.append(starts, idx.size)
     semantic[idx] = -1

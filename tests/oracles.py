@@ -127,7 +127,8 @@ def bfs_components(points: np.ndarray, radius: float) -> np.ndarray:
 
 def generate_labels_per_box(xyz, trinary, box_assign, boxes, radii):
     """Semantic and instance labels of the (3, N) points ``xyz``, one
-    ``ccl_cluster`` call per box in list order."""
+    ``ccl_cluster`` call per box in list order; a repeated box id relabels
+    its points, so its last listing decides them."""
     from wlf.clustering import ccl_cluster, max_component
 
     n = xyz.shape[1]
@@ -142,6 +143,7 @@ def generate_labels_per_box(xyz, trinary, box_assign, boxes, radii):
         comps = ccl_cluster(sub, radii.for_class(box.class_id))
         keep = idx[max_component(comps.labels, sub)]
         semantic[idx] = -1
+        instance[idx] = 0
         semantic[keep] = box.class_id
         instance[keep] = box.box_id
     return semantic, instance

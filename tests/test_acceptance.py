@@ -88,7 +88,7 @@ def chain100():
         ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
         segments = dcs_dynamic(*ri, dcs_cfg)
         trinary = refine_by_segments(assign, segments)
-        labels = generate_labels(scene.xyz, trinary, assign, scene.boxes, radii)
+        labels = generate_labels(scene.xyz[:, assign > 0], trinary, assign, scene.boxes, radii)
         spg_seconds_mark = time.perf_counter()
 
         scores = np.stack([
@@ -343,12 +343,15 @@ SENSOR_SCENE = {"beams": 64, "columns": 2048, "vehicles": [4, 4], "vehicle_dista
 def test_9_sensor_frame_memory(tmp_path, monkeypatch):
     # Scene seed 2 has the most candidate member pairs of the first four
     # sensor frames. Tested all at once, with float64 votes in pvc, they made
-    # a 13.7 MiB ccl transient and a 21.3 MiB frame peak; the frame's own
-    # arrays are about 7.5 MiB. Measured now: a frame peak of 8.9 MiB, a ccl
-    # transient of 1.9 MiB and 1.9 MiB live when the metrics start (labels
-    # and ground truth); each budget is that plus about 1.1 MiB. The live
-    # budget is below what xyz (2.7 MiB) or the vote stack (1.8 MiB) would
-    # add if either were kept through the metrics.
+    # a 13.7 MiB ccl transient and a 21.3 MiB frame peak. With the ground
+    # truth read at load and the full xyz kept through spg the peak was 8.9
+    # MiB. Measured now: a frame peak of 6.3 MiB (while the range image is
+    # built), a ccl transient of 1.9 MiB, 2.5 MiB live when dcs starts (the
+    # raster, the box assignment and the in-box columns) and 1.9 MiB when
+    # the metrics start (labels and ground truth). The peak and ccl budgets
+    # are those plus about 1.1 MiB. The live budgets are below what xyz (2.7
+    # MiB), the ground truth (0.9 MiB) or the vote stack (1.8 MiB) would add
+    # if kept there.
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(SENSOR_SCENE))
     rc = cli_main(["synth", "--out", str(tmp_path / "c"), "--config", str(scene), "--seed", "2",
@@ -358,7 +361,7 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
     manifest = read_manifest(bundle)
     process_frame(bundle, manifest, cfg)  # one-time set-up is not the frame's
 
-    peaks, transients, live = [], [], []
+    peaks, transients, live, live_at_dcs = [], [], [], []
 
     def traced_ccl(*args, **kwargs):
         current, peak = tracemalloc.get_traced_memory()
@@ -372,7 +375,12 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
         live.append(tracemalloc.get_traced_memory()[0])
         return confusion_counts(*args, **kwargs)
 
+    def traced_dcs(*args, **kwargs):
+        live_at_dcs.append(tracemalloc.get_traced_memory()[0])
+        return dcs_dynamic(*args, **kwargs)
+
     monkeypatch.setattr(spatial, "ccl_cluster", traced_ccl)
+    monkeypatch.setattr(pipeline, "dcs_dynamic", traced_dcs)
     monkeypatch.setattr(pipeline, "confusion_counts", traced_counts)
     tracemalloc.start()
     try:
@@ -383,9 +391,11 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
     mib = 2**20
     check(
         9,
-        f"sensor frame traced peak {max(peaks) / mib:.1f} MiB <= 10, "
+        f"sensor frame traced peak {max(peaks) / mib:.1f} MiB <= 7.4, "
         f"ccl transient {max(transients) / mib:.1f} MiB <= 3, "
+        f"live at dcs {max(live_at_dcs) / mib:.1f} MiB <= 3, "
         f"live at the metrics {max(live) / mib:.1f} MiB <= 3",
-        len(transients) == 1 and len(live) == 1 and max(transients) <= 3 * mib
-        and max(peaks) <= 10 * mib and max(live) <= 3 * mib,
+        len(transients) == 1 and len(live) == 1 and len(live_at_dcs) == 1
+        and max(transients) <= 3 * mib and max(peaks) <= 7.4 * mib
+        and max(live_at_dcs) <= 3 * mib and max(live) <= 3 * mib,
     )

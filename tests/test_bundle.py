@@ -7,6 +7,7 @@ from wlf.bundle import (
     BundleError,
     list_vote_epochs,
     read_frame_bundle,
+    read_ground_truth,
     read_labels,
     read_manifest,
     read_mask_predictions,
@@ -41,7 +42,8 @@ def read_bundle(directory):
 def test_frame_round_trip(tmp_path, scene):
     bundle = write_bundle(tmp_path / "f0", scene)
     manifest = read_manifest(bundle)
-    xyz, beam_row, (gt_semantic, gt_instance), calib, boxes = read_frame_bundle(bundle, manifest)
+    xyz, beam_row, calib, boxes = read_frame_bundle(bundle, manifest)
+    gt_semantic, gt_instance = read_ground_truth(bundle, manifest)
     assert manifest["frame_id"] == scene.frame_id
     # Disk format is float32; compare at that precision. The reader keeps
     # x, y and z as three contiguous float64 rows and the rows as stored.
@@ -65,12 +67,15 @@ def test_frame_round_trip(tmp_path, scene):
 
 def test_ground_truth_needs_both_files(tmp_path, scene):
     bundle = write_bundle(tmp_path / "f0", scene)
+    manifest = read_manifest(bundle)
     (bundle / "gt_instance.i32").unlink()
-    assert read_bundle(bundle)[2] is None
+    assert read_ground_truth(bundle, manifest) is None
     # The file that is left is still read and length-checked.
     (bundle / "gt_semantic.i32").write_bytes(b"\0" * 4)
     with pytest.raises(BundleError, match="gt_semantic.i32: expected"):
-        read_bundle(bundle)
+        read_ground_truth(bundle, manifest)
+    # The points never need the ground truth.
+    assert read_bundle(bundle)[0].shape == (3, scene.xyz.shape[1])
 
 
 @pytest.mark.parametrize("row", [-1, 65536])

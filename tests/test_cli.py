@@ -27,6 +27,15 @@ def edit_json(path, edit) -> None:
     path.write_text(text if isinstance(text, str) else json.dumps(payload))
 
 
+def tree(root) -> dict:
+    """Every path under ``root`` with its bytes (None for a directory)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in Path(root).rglob("*")}
+
+
+# An --out or --labels that is a file, or a path beneath one.
+FILE_PATHS = {"file": "taken", "beneath-file": "taken/run"}
+
+
 def image_size_text(text: str):
     """An edit of calibration.json that writes ``text`` as its image_size."""
     return lambda calib: json.dumps({**calib, "image_size": None}).replace(
@@ -155,6 +164,16 @@ class TestSynth:
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+    @pytest.mark.parametrize("out", FILE_PATHS.values(), ids=FILE_PATHS.keys())
+    def test_out_names_a_file_exit_3_writes_nothing(self, tmp_path, capsys, out):
+        (tmp_path / "taken").write_bytes(b"x")
+        before = tree(tmp_path)
+        assert run("synth", "--out", tmp_path / out, "--num-frames", "1") == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'taken'} is not a directory" in err and "Traceback" not in err
+        assert tree(tmp_path) == before
+
+
 class TestPipeline:
     def test_end_to_end_with_report(self, bundles, tmp_path):
         out = tmp_path / "run1"
@@ -215,6 +234,18 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert str(out / "run.json") in err and "Traceback" not in err
         assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
+
+    @pytest.mark.parametrize("command", ["pipeline", "spg", "pvc", "rsc", "eval", "ipg"])
+    @pytest.mark.parametrize("out", FILE_PATHS.values(), ids=FILE_PATHS.keys())
+    def test_out_names_a_file_exit_3_writes_nothing(self, bundles, tmp_path, capsys, command,
+                                                     out):
+        (tmp_path / "taken").write_bytes(b"x")
+        labels = ["--labels", tmp_path / "none"] if command in ("pvc", "rsc", "eval") else []
+        before = tree(tmp_path)
+        assert run(command, "--frames", f"{bundles}/*", "--out", tmp_path / out, *labels) == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'taken'} is not a directory" in err and "Traceback" not in err
+        assert tree(tmp_path) == before
 
     def test_frames_of_a_failed_run_exit_3(self, bundles, tmp_path, capsys):
         # A failed run leaves frames but no run files; they would mix too.
@@ -376,12 +407,14 @@ class TestStageCommands:
         assert f"{bundles / 'frame_0002' / 'calibration.json'}: " in err
         assert "must be finite" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    # float32 bit patterns; a signalling NaN raises the invalid flag as it is widened.
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7FA00000, 0x7F800000, 0xFF800000],
+                             ids=["nan", "signalling-nan", "inf", "-inf"])
     @pytest.mark.parametrize("axis", [0, 1, 2], ids=["x", "y", "z"])
-    def test_non_finite_point_exit_3(self, bundles, tmp_path, capsys, axis, value):
+    def test_non_finite_point_exit_3(self, bundles, tmp_path, capsys, axis, bits):
         path = bundles / "frame_0000" / "points.f32"
-        points = np.fromfile(path, dtype="<f4").reshape(-1, 4)
-        points[len(points) // 2, axis] = value
+        points = np.fromfile(path, dtype="<u4").reshape(-1, 4)
+        points[len(points) // 2, axis] = bits
         points.tofile(path)
         assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 3
         err = capsys.readouterr().err
@@ -466,6 +499,18 @@ class TestStageCommands:
         assert run("eval", "--frames", f"{bundles}/*", "--labels", tmp_path / "none",
                    "--out", tmp_path / "o") == 2
         assert str(tmp_path / "none" / "frame_0000") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pvc", "rsc", "eval"])
+    @pytest.mark.parametrize("labels", FILE_PATHS.values(), ids=FILE_PATHS.keys())
+    def test_labels_names_a_file_exit_2_writes_nothing(self, bundles, tmp_path, capsys, command,
+                                                        labels):
+        (tmp_path / "taken").write_bytes(b"x")
+        before = tree(tmp_path)
+        assert run(command, "--frames", f"{bundles}/*", "--labels", tmp_path / labels,
+                   "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'taken'} is not a directory" in err and "Traceback" not in err
+        assert tree(tmp_path) == before
 
     def test_eval_without_ground_truth_exit_2(self, bundles, tmp_path):
         labels = tmp_path / "labels"
@@ -614,11 +659,13 @@ class TestIpg:
             ("mask_1.json", lambda path: edit_json(path, lambda m: m.update(pred_box=[5, 5, 5, 9]))),
             ("mask_1.json", lambda path: edit_json(path, lambda m: m.update(score=-0.5))),
             ("mask_1.f32", lambda path: path.write_bytes(np.full(16, np.nan, "<f4").tobytes())),
+            # float32 signalling NaNs, which raise the invalid flag as they are widened.
+            ("mask_1.f32", lambda path: path.write_bytes(np.full(16, 0x7FA00000, "<u4").tobytes())),
             # Still 16 values, so the map reads, but not in the 4x4 of mask_0.
             ("mask_1.json", lambda path: edit_json(path, lambda m: m.update(shape=[2, 8]))),
         ],
         ids=["bad-json", "missing-key", "degenerate-box", "negative-score", "non-finite-map",
-             "shape-mismatch"],
+             "signalling-nan-map", "shape-mismatch"],
     )
     def test_malformed_masks_exit_3(self, bundles, tmp_path, capsys, rng, name, damage):
         bundle = bundles / "frame_0001"

@@ -99,7 +99,7 @@ class TestGenerateLabels:
         trinary = np.ones(24, dtype=np.int8)
         assign = np.ones(24, dtype=np.int32)
         boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 10, 10))]
-        labels = generate_labels(xyz, trinary, assign, boxes, ClassRadii())
+        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, ClassRadii())
         assert (labels.semantic[:20] == 1).all()
         assert (labels.instance[:20] == 1).all()
         assert (labels.semantic[20:] == -1).all()
@@ -110,7 +110,7 @@ class TestGenerateLabels:
         trinary = np.zeros(6, dtype=np.int8)
         assign = np.ones(6, dtype=np.int32)
         boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 10, 10))]
-        labels = generate_labels(xyz, trinary, assign, boxes, ClassRadii())
+        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, ClassRadii())
         assert (labels.semantic == 0).all()
         assert (labels.instance == 0).all()
 
@@ -124,7 +124,8 @@ class TestGenerateLabels:
             Box2D(box_id=1, class_id=1, bounds=(0, 0, 10, 10)),
             Box2D(box_id=2, class_id=2, bounds=(20, 0, 30, 10)),
         ]
-        labels = generate_labels(xyz, trinary, assign, boxes, ClassRadii(radii={1: 0.6, 2: 0.6}))
+        radii = ClassRadii(radii={1: 0.6, 2: 0.6})
+        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, radii)
         assert set(np.unique(labels.instance[labels.instance > 0]).tolist()) == {1, 2}
         assert (labels.semantic[:10] == 1).all()
         assert (labels.semantic[10:] == 2).all()
@@ -135,7 +136,7 @@ class TestGenerateLabels:
         trinary = np.array([-1, -1, 0, 0], dtype=np.int8)
         assign = np.array([1, 0, 1, 0], dtype=np.int32)
         boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 10, 10))]
-        labels = generate_labels(xyz, trinary, assign, boxes, ClassRadii())
+        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, ClassRadii())
         assert labels.semantic.tolist() == [-1, -1, 0, 0]
 
     def test_labels_partition(self, rng):
@@ -147,7 +148,8 @@ class TestGenerateLabels:
         ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
         segments = dcs_dynamic(*ri, DcsConfig())
         trinary = refine_by_segments(assign, segments)
-        labels = generate_labels(scene.xyz, trinary, assign, scene.boxes, ClassRadii())
+        labels = generate_labels(scene.xyz[:, assign > 0], trinary, assign, scene.boxes,
+                                 ClassRadii())
         labels.check_consistency(scene.boxes)
         sem, inst = labels.semantic, labels.instance
         assert np.all((inst > 0) == (sem > 0))
@@ -155,7 +157,7 @@ class TestGenerateLabels:
 
 
 def assert_matches_per_box(xyz, trinary, assign, boxes, radii):
-    labels = generate_labels(xyz, trinary, assign, boxes, radii)
+    labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, radii)
     semantic, instance = generate_labels_per_box(xyz, trinary, assign, boxes, radii)
     assert np.array_equal(labels.semantic, semantic)
     assert np.array_equal(labels.instance, instance)
@@ -203,6 +205,35 @@ class TestGenerateLabelsMatchesPerBox:
         assign = np.array([1, 1, 1, 1, 0, 0], dtype=np.int32)
         assert_matches_per_box(xyz, trinary, assign, boxes, ClassRadii())
 
+    def test_in_box_columns_with_ignore_outside_points_and_repeated_id(self):
+        # Ignore trinary in and out of the boxes, points of no box and of an
+        # unlisted id, and box id 1 listed twice: the in-box columns give the
+        # labels the oracle gives from the full frame.
+        rng = np.random.default_rng(5)
+        centers = np.array([[8.0, 0, 0], [8.0, 3.0, 0], [20.0, -4.0, 1.0]])
+        xyz = as_columns(centers[rng.integers(0, 3, 90)] + rng.normal(0, 0.2, (90, 3)))
+        assign = rng.choice([0, 1, 2, 6], 90).astype(np.int32)
+        trinary = rng.choice([-1, 0, 1], 90, p=[0.2, 0.2, 0.6]).astype(np.int8)
+        boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 1, 1)),
+                 Box2D(box_id=2, class_id=2, bounds=(0, 0, 1, 1)),
+                 Box2D(box_id=1, class_id=3, bounds=(0, 0, 2, 2))]
+        assert_matches_per_box(xyz, trinary, assign, boxes, ClassRadii())
+        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, ClassRadii())
+        # The case reaches what it names: the last listing of id 1 wins,
+        # ignore stays on points of no box, and those never join a box.
+        assert (labels.semantic[labels.instance == 1] == 3).any()
+        outside = assign == 0
+        assert (labels.semantic[outside & (trinary == -1)] == -1).all()
+        assert (labels.instance[outside] == 0).all()
+        assert (labels.semantic[outside & (trinary != -1)] == 0).all()
+
+    def test_full_frame_columns_rejected(self):
+        xyz = as_columns(TestGenerateLabels().cluster_points(np.array([5.0, 0, 0]), 6))
+        assign = np.array([1, 0, 1, 0, 1, 0], dtype=np.int32)
+        boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 1, 1))]
+        with pytest.raises(ValueError, match=r"\(3, 3\) columns of the in-box points"):
+            generate_labels(xyz, np.ones(6, dtype=np.int8), assign, boxes, ClassRadii())
+
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("stage", ["spg", "plain"])
     def test_sensor_frames(self, seed, stage):
@@ -241,7 +272,8 @@ class TestDirectionalQuality:
             ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
             segments = dcs_dynamic(*ri, DcsConfig())
             trinary = refine_by_segments(assign, segments)
-            labels = generate_labels(scene.xyz, trinary, assign, scene.boxes, ClassRadii())
+            labels = generate_labels(scene.xyz[:, assign > 0], trinary, assign, scene.boxes,
+                                     ClassRadii())
             for acc, sem in (((tp, fp, fn), labels.semantic),
                              ((tp_r, fp_r, fn_r), frustum_semantic(assign, scene.boxes))):
                 a, b, c = confusion_counts(sem, scene.gt_semantic, 3)

@@ -68,6 +68,10 @@ def test_traced_run_counts_every_layer(tmp_path):
     manifests = corpus.glob("*/manifest.json")
     corpus_points = sum(json.loads(m.read_text())["num_points"] for m in manifests)
     assert sum(s.counts["points"] for s in tracer.spans if s.name == "frames.crop") == corpus_points
+    # spg clusters only the in-box points but labels all of them, so
+    # spatial.ignore_share keeps every point of the corpus as its denominator.
+    labelled = sum(s.counts["points"] for s in tracer.spans if s.name == "spatial.labels")
+    assert labelled == corpus_points
     assert 0 < layers["frames.in_frustum_share"] < 1
 
 

@@ -147,7 +147,7 @@ class TestVoteCorrect:
         # Oldest epoch says background everywhere, latest says foreground:
         # with n_his = 1 only the latest counts, so every in-box point is
         # claimed by its box.
-        xyz, _, _, calib, boxes = read_frame_bundle(bundle, read_manifest(bundle))
+        xyz, _, calib, boxes = read_frame_bundle(bundle, read_manifest(bundle))
         n = xyz.shape[1]
         for epoch in list_vote_epochs(bundle):
             (bundle / f"votes_{epoch}.f32").unlink()
