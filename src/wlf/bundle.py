@@ -5,7 +5,7 @@ One directory per frame:
     manifest.json       frame id, counts, raster shape, dtypes, class names
     points.f32          (N, 4) float32, little-endian, row-major: x, y, z and
                         intensity; the reader returns x, y, z as the (3, N)
-                        float64 ``xyz`` and never reads intensity
+                        float32 ``xyz``, as stored, and never reads intensity
     beam_row.u16        (N,) uint16
     gt_semantic.i32     (N,) int32, optional
     gt_instance.i32     (N,) int32, optional
@@ -21,12 +21,15 @@ once (``read_manifest``) and hands it to ``read_frame_bundle``, which returns
 the points, beams, calibration and boxes as plain values, and, once the
 frame's labels are made, to ``read_ground_truth``, so that the ground truth
 is never alive while the stages run; ``wlf ipg`` reads only the manifest,
-``boxes.json`` (``read_boxes``) and ``masks/``.
+``boxes.json`` (``read_boxes``) and ``masks/``. The points stay float32 as
+stored, and each stage widens them to float64 where it computes, which is
+exact.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import re
 from contextlib import contextmanager
 from pathlib import Path
@@ -53,6 +56,8 @@ __all__ = [
     "read_mask_predictions",
     "write_json",
 ]
+
+logger = logging.getLogger(__name__)
 
 _DTYPES = {"f32": "<f4", "u16": "<u2", "i32": "<i4"}
 # A manifest without num_classes has the synth classes: vehicle, pedestrian, cyclist.
@@ -193,24 +198,21 @@ def read_frame_bundle(
     directory: str | Path, manifest: dict
 ) -> tuple[np.ndarray, np.ndarray, Calibration, list[Box2D]]:
     """Load a frame bundle whose manifest ``read_manifest`` has read, as
-    ``(xyz, beam_row, calib, boxes)``: the finite (3, N) C-contiguous float64
-    coordinates, the uint16 beam rows as stored, the calibration and the
-    boxes. The ground truth is ``read_ground_truth``'s, read when the frame
-    is scored.
+    ``(xyz, beam_row, calib, boxes)``: the finite (3, N) C-contiguous
+    float32 coordinates and the uint16 beam rows, both as stored, the
+    calibration and the boxes. A stage that computes with the coordinates
+    widens them to float64 itself. The ground truth is
+    ``read_ground_truth``'s, read when the frame is scored.
 
     Raises FileNotFoundError for a missing file, and BundleError, naming the
     bundle's file at fault, for any malformed or inconsistent content.
     """
     directory = Path(directory)
     n = manifest["num_points"]
-    # A signalling NaN raises the invalid flag as it is widened; the
-    # finiteness check below names it.
-    with _naming(directory / "points.f32"), np.errstate(invalid="ignore"):
-        # x, y and z are the first three of each point's four values.
-        xyz = np.ascontiguousarray(
-            _read_array(directory / "points.f32", "f32", 4 * n).reshape(n, 4).T[:3],
-            dtype=np.float64,
-        )
+    with _naming(directory / "points.f32"):
+        # x, y and z are the first three of each point's four values, copied
+        # into one (3, N) array; the file's bytes go as the copy is made.
+        xyz = _read_array(directory / "points.f32", "f32", 4 * n).reshape(n, 4).T[:3].copy()
         if not np.isfinite(xyz).all():
             raise ValueError("non-finite point coordinates")
     with _naming(directory / "beam_row.u16"):
@@ -231,17 +233,17 @@ def read_ground_truth(
     directory: str | Path, manifest: dict
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The bundle's int32 ``(semantic, instance)`` ground truth, None unless
-    both files exist.
+    both files exist; a warning names the missing one when only one does.
 
     Each file present is length-checked, and a BundleError names the one
     whose length differs from the manifest's ``num_points``.
     """
     directory = Path(directory)
-    gt = tuple(
-        _read_array(path, "i32", manifest["num_points"])
-        for path in (directory / "gt_semantic.i32", directory / "gt_instance.i32")
-        if path.is_file()
-    )
+    paths = (directory / "gt_semantic.i32", directory / "gt_instance.i32")
+    gt = tuple(_read_array(p, "i32", manifest["num_points"]) for p in paths if p.is_file())
+    if len(gt) == 1:
+        missing = next(p for p in paths if not p.is_file())
+        logger.warning("%s is missing: the frame is not scored", missing)
     return gt if len(gt) == 2 else None
 
 

@@ -210,7 +210,8 @@ def _box_tests(
 def ccl_cluster(
     points: np.ndarray, radius: float | np.ndarray, groups: np.ndarray | None = None
 ) -> Components:
-    """Cluster points into radius-connected components.
+    """Cluster (N, 3) points of any float dtype, widened to float64, into
+    radius-connected components.
 
     With ``groups``, point i belongs to group ``groups[i]`` and is clustered at
     ``radius[groups[i]]``; points of different groups never connect. Ids are
@@ -291,8 +292,10 @@ def ccl_cluster(
 def max_component(labels: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Indices of the largest component, given each point's component id.
 
-    Size ties go to the component with the smaller mean range to the sensor,
-    then the smaller component id.
+    Size ties go to the component with the smaller summed range to the
+    sensor (tied components have equal counts, so that is the smaller mean),
+    then the smaller component id. The sum is ``math.fsum``'s correctly
+    rounded one, so the choice does not depend on the order of the points.
     """
     labels = np.asarray(labels)
     if labels.size == 0:
@@ -302,6 +305,6 @@ def max_component(labels: np.ndarray, points: np.ndarray) -> np.ndarray:
     tied = np.flatnonzero(sizes == sizes.max())
     if tied.shape[0] > 1:
         ranges = np.linalg.norm(pts, axis=1)
-        means = [float(ranges[labels == c].mean()) for c in tied]
-        tied = tied[np.lexsort((tied, np.asarray(means)))]
+        sums = [math.fsum(ranges[labels == c]) for c in tied]
+        tied = tied[np.lexsort((tied, np.asarray(sums)))]
     return np.flatnonzero(labels == tied[0])

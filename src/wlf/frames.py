@@ -6,8 +6,11 @@ axis. Pixel coordinates are continuous with (0, 0) at the upper-left corner,
 and a pixel lies inside a box under half-open containment [min, max).
 
 A frame is its columns, plain arrays with no wrapper: ``xyz``, the (3, N)
-float64 coordinates with one contiguous row per axis, and ``beam_row``, each
-point's beam. No stage reads intensity.
+coordinates with one contiguous row per axis, float32 as bundles store them,
+and ``beam_row``, each point's beam. No stage reads intensity. A stage widens
+the coordinates to float64 where it computes (``project_points`` against its
+float64 calibration), and widening float32 is exact, so float32 and float64
+copies of the same points give the same bits.
 
 The crop is frustum first: ``project_points`` returns only the points whose
 pixel falls inside the image, from row sums ``x*r[i,0] + y*r[i,1] +
@@ -120,12 +123,13 @@ class Box2D:
 def project_points(calib: Calibration, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(index, pixels)``: the ascending indices of the (3, N) ``xyz`` points
     in front of the camera (positive camera z) whose pixel lies in [0, w) x
-    [0, h), and their (k, 2) pixels. Only points in front get a u and v
-    computed."""
+    [0, h), and their (k, 2) float64 pixels. Only points in front get a u and
+    v computed."""
     r, t = calib.rotation, calib.translation
     # Each camera axis is summed in place, one point axis at a time, in the
-    # order of x*r[i,0] + y*r[i,1] + z*r[i,2] + t[i]. A non-finite coordinate
-    # makes camera z non-finite (inf * 0 is NaN).
+    # order of x*r[i,0] + y*r[i,1] + z*r[i,2] + t[i]; the float64 entries of
+    # r and t make every product float64, float32 coordinates included. A
+    # non-finite coordinate makes camera z non-finite (inf * 0 is NaN).
     with np.errstate(invalid="ignore"):
         depth = xyz[0] * r[2, 0]
         depth += xyz[1] * r[2, 1]

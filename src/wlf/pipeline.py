@@ -12,11 +12,12 @@ so run.json marks a finished run. Frames are independent, so the worker pool
 never changes the output bytes.
 
 A frame's arrays are plain locals, each alive from its first reader to its
-last: the full points and the beams until the range image is built (spg
-keeps only the in-box points' columns), the raster until dcs returns, the
-trinary labels until clustering, the (E, N) vote stack as pvc runs, the box
-assignment until pvc and the segments until rsc. The ground truth is read
-only when the frame is scored, where the metrics see it and the labels
+last: the full float32 points, as stored, and the beams until the range
+image is built (spg keeps only the in-box points' columns), the raster until
+dcs returns, the trinary labels until clustering, one epoch's vote row at a
+time as pvc counts, the box assignment until pvc and the segments until rsc.
+The instances are reconciled in the labels rsc leaves. The ground truth is
+read only when the frame is scored, where the metrics see it and the labels
 alone, so a run's peak memory is that of its largest frame's largest stage.
 """
 
@@ -93,12 +94,15 @@ class RunResult:
 
 
 def reconcile_instances(labels: PseudoLabels, boxes: list[Box2D]) -> PseudoLabels:
-    """Drop instance ids wherever the semantic label left the box class."""
-    out = labels.copy()
-    owned = out.instance > 0
-    mismatch = owned & (out.semantic != box_classes(boxes)[out.instance])
-    out.instance[mismatch] = 0
-    return out
+    """Drop instance ids wherever the semantic label left the box class, in
+    place: ``labels.instance`` is written, unless it is read-only (as
+    ``read_labels`` returns it), in which case a copy is. Returns the labels."""
+    mismatch = labels.instance > 0
+    mismatch &= labels.semantic != box_classes(boxes)[labels.instance]
+    if not labels.instance.flags.writeable:
+        labels.instance = labels.instance.copy()
+    labels.instance[mismatch] = 0
+    return labels
 
 
 def read_start_labels(
@@ -193,12 +197,14 @@ def process_frame(
                 bundle_dir, len(recent), cfg.pvc.n_his, epoch, cfg.pvc.start_epoch,
             )
         else:
-            # The (E, N) stack is an argument only, freed as vote_correct returns.
+            # One epoch's scores are read at a time, as vote_correct counts them.
             try:
                 labels = vote_correct(
-                    np.stack([read_votes(bundle_dir, e, num_points) for e in recent]),
+                    (read_votes(bundle_dir, e, num_points) for e in recent),
                     cfg.pvc, labels, box_assign, boxes,
                 )
+            except BundleError:  # a vote file's read error names the file
+                raise
             except ValueError as exc:
                 raise BundleError(f"{bundle_dir}: {exc}") from exc
         timings["pvc"] = time.perf_counter() - t0
@@ -206,11 +212,9 @@ def process_frame(
 
     if "rsc" in cfg.stages:
         t0 = time.perf_counter()
-        corrected = rsc_correct(labels.semantic, segments, cfg.rsc)
         labels = reconcile_instances(
-            PseudoLabels(semantic=corrected, instance=labels.instance), boxes
+            PseudoLabels(rsc_correct(labels.semantic, segments, cfg.rsc), labels.instance), boxes
         )
-        del corrected
         timings["rsc"] = time.perf_counter() - t0
     del segments
 

@@ -80,16 +80,18 @@ def build_range_image(
     ``(depth, cell)``.
 
     ``depth`` is the beams x columns matrix of each cell's nearest range,
-    ``sqrt((x*x + y*y) + z*z)``, and NaN where no point landed. ``cell`` is
+    ``sqrt((x*x + y*y) + z*z)`` in float64 whatever the dtype of ``xyz``
+    (float32 as bundles store it), and NaN where no point landed. ``cell`` is
     each point's flat int64 cell index ``row * columns + col``, with column =
     floor((azimuth + pi) / 2pi * columns), wrapped at the seam.
     """
     x, y, z = xyz
     if beam_row.size and (beam_row.min() < 0 or beam_row.max() >= beams):
         raise ValueError(f"beam_row outside [0, {beams})")
-    # Column, cell and range are each formed in place, in the operation order
-    # of floor((atan2(y, x) + pi) / 2pi * columns) and (x*x + y*y) + z*z.
-    col = np.arctan2(y, x)
+    # Column, cell and range are each formed in place, in float64 and in the
+    # operation order of floor((atan2(y, x) + pi) / 2pi * columns) and
+    # (x*x + y*y) + z*z; a float32 coordinate widens exactly as it is read.
+    col = np.arctan2(y, x, dtype=np.float64)
     col += np.pi
     col /= 2.0 * np.pi
     col *= columns
@@ -99,9 +101,9 @@ def build_range_image(
     cell %= columns
     # Widened first: a uint16 row times columns stays uint16 and wraps.
     cell += np.multiply(beam_row, columns, dtype=np.int64)
-    rng = x * x
-    rng += y * y
-    rng += z * z
+    rng = np.multiply(x, x, dtype=np.float64)
+    rng += np.multiply(y, y, dtype=np.float64)
+    rng += np.multiply(z, z, dtype=np.float64)
     np.sqrt(rng, out=rng)
     # A minimum is exact, so the order of the scatter does not matter.
     depth = np.full(beams * columns, np.inf)

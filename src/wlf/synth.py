@@ -112,8 +112,9 @@ class SceneConfig:
 @dataclass
 class Scene:
     """A generated frame as the arrays its bundle holds: ``xyz``, the (3, N)
-    float64 coordinates, each point's ``beam_row`` and ``intensity`` (points.f32's
-    fourth column), the int32 ground truth, the calibration and the boxes."""
+    float64 coordinates (float32 once stored), each point's ``beam_row`` and
+    ``intensity`` (points.f32's fourth column), the int32 ground truth, the
+    calibration and the boxes."""
 
     frame_id: str
     xyz: np.ndarray

@@ -8,6 +8,7 @@ is enabled yet, is decided by the caller (``pipeline.process_frame``).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,41 +43,51 @@ class PvcConfig:
 
 
 def vote_correct(
-    scores: np.ndarray,
+    scores: Iterable[np.ndarray],
     cfg: PvcConfig,
     labels: PseudoLabels,
     box_assign: np.ndarray,
     boxes: list[Box2D],
 ) -> PseudoLabels:
-    """Override pseudo labels by majority vote over stacked epoch scores.
+    """New pseudo labels, overridden by majority vote over epoch scores;
+    ``labels`` is left as it is.
 
-    ``scores`` is (E, N): one row of per-point foreground scores in [0, 1] per
-    epoch, float32 as the bundle stores them or any dtype that converts to
-    float64; the thresholds are compared in float64 either way. Foreground
-    overrides require the point to lie in some box frustum, which supplies the
-    class and the instance id; a reliable-background vote clears both labels.
-    A point that is reliable in both directions follows the foreground rule
+    ``scores`` is any iterable of epoch rows, such as an (E, N) array or a
+    generator that reads one epoch at a time: each row holds the N per-point
+    foreground scores in [0, 1] of one epoch, float32 as the bundle stores
+    them or any dtype that converts to float64; the thresholds are compared
+    in float64 either way. A row is checked and counted before the next is
+    taken, so only one row need be alive at a time. Foreground overrides
+    require the point to lie in some box frustum, which supplies the class
+    and the instance id; a reliable-background vote clears both labels. A
+    point that is reliable in both directions follows the foreground rule
     first.
     """
-    scores = np.asarray(scores)
-    if scores.dtype != np.float32:  # float32 scores stay uncopied
-        scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[1] != labels.semantic.shape[0]:
-        raise ValueError("scores must hold one row per epoch, as long as the labels")
-    # Two reductions and no (E, N) temporaries; a NaN makes both NaN, and so
-    # fails; an empty frame has no score to check.
-    if scores.size and not (scores.min() >= 0 and scores.max() <= 1):
-        raise ValueError("scores must lie in [0, 1]")
-    out = labels.copy()
-    box_assign = np.asarray(box_assign)
+    n = labels.semantic.shape[0]
     # A float64 threshold makes every comparison a float64 one, float32 scores
     # included: a Python float would be rounded to float32 first. int32
     # counts (at most one per epoch) take half the bytes of the default int64.
-    fg_votes = (scores > np.float64(cfg.tau_high)).sum(axis=0, dtype=np.int32)
-    bg_votes = (scores < np.float64(cfg.tau_low)).sum(axis=0, dtype=np.int32)
-    class_of = box_classes(boxes)
+    tau_high, tau_low = np.float64(cfg.tau_high), np.float64(cfg.tau_low)
+    fg_votes = np.zeros(n, dtype=np.int32)
+    bg_votes = np.zeros(n, dtype=np.int32)
+    for row in scores:
+        row = np.asarray(row)
+        if row.dtype != np.float32:  # float32 scores stay uncopied
+            row = np.asarray(row, dtype=np.float64)
+        if row.shape != (n,):
+            raise ValueError("scores must hold one row per epoch, as long as the labels")
+        # Two reductions; a NaN makes both NaN, and so fails; an empty frame
+        # has no score to check.
+        if n and not (row.min() >= 0 and row.max() <= 1):
+            raise ValueError("scores must lie in [0, 1]")
+        fg_votes += row > tau_high
+        bg_votes += row < tau_low
+    box_assign = np.asarray(box_assign)
     fg = (fg_votes >= cfg.t_reliable) & (box_assign > 0)
     bg = (bg_votes >= cfg.t_reliable) & ~fg
+    del fg_votes, bg_votes
+    class_of = box_classes(boxes)
+    out = labels.copy()
     out.semantic[fg] = class_of[box_assign[fg]]
     out.instance[fg] = box_assign[fg]
     out.semantic[bg] = 0

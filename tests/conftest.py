@@ -10,8 +10,8 @@ from wlf.metrics import GT_INSTANCE, PRED_INSTANCE
 
 
 def as_columns(points) -> np.ndarray:
-    """The (3, N) ``xyz`` of (N, 3) points: float64, one contiguous row per
-    axis, as the bundle reader returns it."""
+    """The (3, N) ``xyz`` of (N, 3) points, one contiguous row per axis as
+    the bundle reader returns it, but float64 (the reader's is float32)."""
     return np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1, 3).T)
 
 

@@ -20,7 +20,7 @@ from oracles import (
 )
 
 from wlf import pipeline, spatial
-from wlf.bundle import read_manifest
+from wlf.bundle import list_vote_epochs, read_manifest
 from wlf.cli import main as cli_main
 from wlf.clustering import ClassRadii, ccl_cluster
 from wlf.config import PipelineConfig
@@ -345,13 +345,18 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
     # sensor frames. Tested all at once, with float64 votes in pvc, they made
     # a 13.7 MiB ccl transient and a 21.3 MiB frame peak. With the ground
     # truth read at load and the full xyz kept through spg the peak was 8.9
-    # MiB. Measured now: a frame peak of 6.3 MiB (while the range image is
-    # built), a ccl transient of 1.9 MiB, 2.5 MiB live when dcs starts (the
-    # raster, the box assignment and the in-box columns) and 1.9 MiB when
-    # the metrics start (labels and ground truth). The peak and ccl budgets
-    # are those plus about 1.1 MiB. The live budgets are below what xyz (2.7
-    # MiB), the ground truth (0.9 MiB) or the vote stack (1.8 MiB) would add
-    # if kept there.
+    # MiB, and with float64 points 6.3 MiB. Measured now, with the points
+    # kept as float32 and one vote epoch read at a time: a frame peak of 4.9
+    # MiB (while the range image is built), a ccl transient of 2.0 MiB (it
+    # widens the float32 in-box columns), a pvc transient of 1.8 MiB from the
+    # vote listing to vote_correct's return, 2.4 MiB live when dcs starts
+    # (the raster, the box assignment and the in-box columns) and 1.9 MiB
+    # when the metrics start (labels and ground truth). The peak and pvc
+    # budgets are those plus about 1.1 MiB; the ccl budget stays at 3 MiB.
+    # An (E, N) float32 vote stack (1.8 MiB) built by the caller made a pvc
+    # transient of 3.6 MiB. The live budgets are below what the float32 xyz
+    # (1.3 MiB), the ground truth (0.9 MiB) or the vote stack would add if
+    # kept there.
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(SENSOR_SCENE))
     rc = cli_main(["synth", "--out", str(tmp_path / "c"), "--config", str(scene), "--seed", "2",
@@ -361,7 +366,7 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
     manifest = read_manifest(bundle)
     process_frame(bundle, manifest, cfg)  # one-time set-up is not the frame's
 
-    peaks, transients, live, live_at_dcs = [], [], [], []
+    peaks, transients, live, live_at_dcs, pvc_start, pvc_transients = [], [], [], [], [], []
 
     def traced_ccl(*args, **kwargs):
         current, peak = tracemalloc.get_traced_memory()
@@ -370,6 +375,19 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
         comps = ccl_cluster(*args, **kwargs)
         transients.append(tracemalloc.get_traced_memory()[1] - current)
         return comps
+
+    def traced_epochs(*args, **kwargs):
+        # pvc starts here, before any vote is read.
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        tracemalloc.reset_peak()
+        pvc_start.append(current)
+        return list_vote_epochs(*args, **kwargs)
+
+    def traced_vote(*args, **kwargs):
+        labels = vote_correct(*args, **kwargs)
+        pvc_transients.append(tracemalloc.get_traced_memory()[1] - pvc_start[-1])
+        return labels
 
     def traced_counts(*args, **kwargs):
         live.append(tracemalloc.get_traced_memory()[0])
@@ -380,6 +398,8 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
         return dcs_dynamic(*args, **kwargs)
 
     monkeypatch.setattr(spatial, "ccl_cluster", traced_ccl)
+    monkeypatch.setattr(pipeline, "list_vote_epochs", traced_epochs)
+    monkeypatch.setattr(pipeline, "vote_correct", traced_vote)
     monkeypatch.setattr(pipeline, "dcs_dynamic", traced_dcs)
     monkeypatch.setattr(pipeline, "confusion_counts", traced_counts)
     tracemalloc.start()
@@ -391,11 +411,14 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
     mib = 2**20
     check(
         9,
-        f"sensor frame traced peak {max(peaks) / mib:.1f} MiB <= 7.4, "
+        f"sensor frame traced peak {max(peaks) / mib:.1f} MiB <= 6, "
         f"ccl transient {max(transients) / mib:.1f} MiB <= 3, "
+        f"pvc transient {max(pvc_transients) / mib:.1f} MiB <= 2.9, "
         f"live at dcs {max(live_at_dcs) / mib:.1f} MiB <= 3, "
-        f"live at the metrics {max(live) / mib:.1f} MiB <= 3",
+        f"live at the metrics {max(live) / mib:.1f} MiB <= 2.7",
         len(transients) == 1 and len(live) == 1 and len(live_at_dcs) == 1
-        and max(transients) <= 3 * mib and max(peaks) <= 7.4 * mib
-        and max(live_at_dcs) <= 3 * mib and max(live) <= 3 * mib,
+        and len(pvc_transients) == 1
+        and max(transients) <= 3 * mib and max(peaks) <= 6 * mib
+        and max(pvc_transients) <= 2.9 * mib
+        and max(live_at_dcs) <= 3 * mib and max(live) <= 2.7 * mib,
     )

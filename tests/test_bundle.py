@@ -45,9 +45,9 @@ def test_frame_round_trip(tmp_path, scene):
     xyz, beam_row, calib, boxes = read_frame_bundle(bundle, manifest)
     gt_semantic, gt_instance = read_ground_truth(bundle, manifest)
     assert manifest["frame_id"] == scene.frame_id
-    # Disk format is float32; compare at that precision. The reader keeps
-    # x, y and z as three contiguous float64 rows and the rows as stored.
-    assert xyz.dtype == np.float64 and xyz.flags.c_contiguous
+    # Disk format is float32, and the reader hands x, y and z over as stored,
+    # in three contiguous float32 rows, with the beam rows as stored.
+    assert xyz.dtype == np.float32 and xyz.flags.c_contiguous
     assert xyz.shape == (3, scene.xyz.shape[1])
     np.testing.assert_array_equal(xyz, scene.xyz.astype(np.float32))
     assert beam_row.dtype == np.uint16
@@ -76,6 +76,27 @@ def test_ground_truth_needs_both_files(tmp_path, scene):
         read_ground_truth(bundle, manifest)
     # The points never need the ground truth.
     assert read_bundle(bundle)[0].shape == (3, scene.xyz.shape[1])
+
+
+@pytest.mark.parametrize("missing", ["gt_semantic.i32", "gt_instance.i32"])
+def test_half_ground_truth_warns(tmp_path, scene, caplog, missing):
+    bundle = write_bundle(tmp_path / "f0", scene)
+    manifest = read_manifest(bundle)
+    with caplog.at_level("WARNING", logger="wlf"):
+        assert read_ground_truth(bundle, manifest) is not None
+    assert not caplog.records
+    (bundle / missing).unlink()
+    with caplog.at_level("WARNING", logger="wlf"):
+        assert read_ground_truth(bundle, manifest) is None
+    [record] = caplog.records
+    assert record.levelname == "WARNING" and str(bundle / missing) in record.getMessage()
+    # Without either file the frame is plainly unlabelled: no warning.
+    caplog.clear()
+    for name in ("gt_semantic.i32", "gt_instance.i32"):
+        (bundle / name).unlink(missing_ok=True)
+    with caplog.at_level("WARNING", logger="wlf"):
+        assert read_ground_truth(bundle, manifest) is None
+    assert not caplog.records
 
 
 @pytest.mark.parametrize("row", [-1, 65536])

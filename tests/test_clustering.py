@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,6 +300,21 @@ class TestMaxComponent:
         comps = ccl_cluster(pts, 0.5)
         idx = max_component(comps.labels, pts)
         assert sorted(idx.tolist()) == [3, 4, 5]
+
+    def test_exact_tie_ignores_point_order(self):
+        # Both components' ranges sum to 1 + 2**-52 exactly, so the smaller
+        # id (0) wins. Summed in point order, 1 + 2**-53 + 2**-53 rounds to 1
+        # and would hand the tie to component 1 in some orders.
+        tiny = 2.0**-53
+        pts = np.array([[1 + 2**-52, 0, 0], [0, 0, 0], [0, 0, 0],
+                        [1, 0, 0], [tiny, 0, 0], [tiny, 0, 0]])
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        ranges = np.linalg.norm(pts, axis=1)
+        assert math.fsum(ranges[:3]) == math.fsum(ranges[3:])
+        for order in itertools.permutations(range(6)):
+            order = np.array(order)
+            picked = order[max_component(labels[order], pts[order])]
+            assert sorted(picked.tolist()) == [0, 1, 2], order
 
     def test_single_component_is_identity(self):
         pts = np.array([[0, 0, 0], [0.1, 0, 0]])

@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 from oracles import rsc_trace
 
+from wlf.frames import Box2D
+from wlf.pipeline import reconcile_instances
 from wlf.range_image import RingSegments
 from wlf.ring_correct import RscConfig, rsc_correct
+from wlf.spatial import PseudoLabels
 
 
 def segs(ids) -> RingSegments:
@@ -100,3 +103,23 @@ class TestConfig:
             RscConfig(t1=1.5)
         with pytest.raises(ValueError):
             RscConfig(t2=-0.1)
+
+
+class TestReconcile:
+    BOXES = [Box2D(box_id=1, class_id=2, bounds=(0, 0, 1, 1))]
+
+    def test_instances_that_left_their_class_dropped_in_place(self):
+        labels = PseudoLabels(semantic=np.array([2, 0, 1, 2]), instance=np.array([1, 1, 1, 0]))
+        instance = labels.instance
+        out = reconcile_instances(labels, self.BOXES)
+        assert out is labels and out.instance is instance
+        assert out.instance.tolist() == [1, 0, 0, 0]
+        assert out.semantic.tolist() == [2, 0, 1, 2]
+
+    def test_read_only_instances_copied(self):
+        # Labels read from an earlier run are read-only views of the file.
+        instance = np.frombuffer(np.array([1, 1], dtype=np.int32).tobytes(), dtype=np.int32)
+        labels = PseudoLabels(semantic=np.array([2, 0]), instance=instance)
+        out = reconcile_instances(labels, self.BOXES)
+        assert out.instance.tolist() == [1, 0]
+        assert instance.tolist() == [1, 1]

@@ -14,8 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from wlf.bundle import read_labels
 from wlf.cli import main
 from wlf.config import PipelineConfig
 from wlf.pipeline import run_pipeline
@@ -73,6 +75,29 @@ def test_traced_run_counts_every_layer(tmp_path):
     labelled = sum(s.counts["points"] for s in tracer.spans if s.name == "spatial.labels")
     assert labelled == corpus_points
     assert 0 < layers["frames.in_frustum_share"] < 1
+
+
+def test_traced_stage_changes_match_the_labels(tmp_path):
+    # The pvc and rsc counters compare a stage's input labels with its result
+    # after the call, so a stage that wrote into its input would count 0
+    # without any error. The counts must be those of the stage commands'
+    # labels, each stage starting from the last one's.
+    spans = load_spans()
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--num-frames", "2", "--score-sigma", "0.2"]) == 0
+    tracer = spans.Tracer()
+    tracer.run(run_pipeline, PipelineConfig(frames=f"{corpus}/*", out_dir=str(tmp_path / "all")))
+    layers = spans.layer_metrics(tracer.spans)
+    for stage, start in (("spg", None), ("pvc", "spg"), ("rsc", "pvc")):
+        argv = [stage, "--frames", f"{corpus}/*", "--out", str(tmp_path / stage)]
+        assert main(argv + (["--labels", str(tmp_path / start)] if start else [])) == 0
+    pvc_changed = rsc_changed = 0
+    for frame in sorted(p.name for p in corpus.iterdir()):
+        spg, pvc, rsc = (read_labels(tmp_path / stage / frame) for stage in ("spg", "pvc", "rsc"))
+        pvc_changed += np.count_nonzero((spg.semantic != pvc.semantic) | (spg.instance != pvc.instance))
+        rsc_changed += np.count_nonzero(pvc.semantic != rsc.semantic)
+    assert layers["voting.changed_points"] == pvc_changed > 0
+    assert layers["ring_correct.changed_points"] == rsc_changed > 0
 
 
 def src_env() -> dict[str, str]:

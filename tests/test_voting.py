@@ -119,6 +119,33 @@ class TestVoteCorrect:
         assert np.array_equal(got.semantic, want.semantic)
         assert np.array_equal(got.instance, want.instance)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_rows_one_at_a_time_vote_as_a_stack(self, seed):
+        # A generator hands vote_correct each epoch's row as it is read; the
+        # rows may differ in dtype.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 20))
+        scores = rng.uniform(0, 1, (4, n))
+        cfg = PvcConfig(t_reliable=int(rng.integers(1, 5)))
+        labels = make_labels(n, sem=-1)
+        box_assign = rng.integers(0, 2, n)
+        rows = [row.astype(np.float32) if k % 2 else row for k, row in enumerate(scores)]
+        got = vote_correct((row for row in rows), cfg, labels, box_assign, BOXES)
+        want = vote_correct(np.array(rows, dtype=np.float64), cfg, labels, box_assign, BOXES)
+        assert np.array_equal(got.semantic, want.semantic)
+        assert np.array_equal(got.instance, want.instance)
+        assert (labels.semantic == -1).all()  # input untouched
+
+    def test_bad_row_rejected_before_the_next_is_read(self):
+        def rows():
+            yield np.array([0.5, 0.5])
+            yield np.array([0.5, 1.5])
+            raise AssertionError("read past the bad row")
+
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            vote_correct(rows(), PvcConfig(), make_labels(2), np.zeros(2), BOXES)
+
     def test_foreground_override(self):
         # Four confident epochs, threshold 3: the in-box point becomes its box class.
         scores = np.array([[0.9], [0.8], [0.7], [0.9]])
@@ -169,6 +196,13 @@ class TestVoteCorrect:
         write_votes(bundle, 3, np.full(read_manifest(bundle)["num_points"], 2.0))
         with pytest.raises(BundleError, match="frame_0000.*\\[0, 1\\]"):
             engine_labels(bundle, ["pvc"])
+
+    def test_short_vote_file_named_once(self, bundle):
+        # The read error of an epoch's file passes through as it is.
+        (bundle / "votes_2.f32").write_bytes(b"\0" * 8)
+        with pytest.raises(BundleError) as info:
+            engine_labels(bundle, ["pvc"])
+        assert str(info.value).startswith(f"{bundle / 'votes_2.f32'}: expected ")
 
     def test_unknown_frame_id(self, bundle):
         # A frame with no recorded votes cannot be vote-corrected.
