@@ -2,24 +2,26 @@
 
 Two points are connected iff ``(dx**2 + dy**2) + dz**2 <= r*r`` in float64;
 clusters are the transitive closure. ``ccl_cluster`` can cluster several
-groups of points at once, each at its own radius, and never joins two groups.
+groups of points in one call, each at its radius, and never joins two groups.
 
 Neighbour search uses cells of edge r/2 (the grid argument of Gan & Tao,
 "DBSCAN Revisited", SIGMOD 2015), so any pair within r lies in cells at most
-two apart per axis. A cell whose own bounding box passes the test is a
-clique, which at edge r/2 is every cell. A pair of neighbouring cells is
-decided from the two boxes when it can be: skipped when the gap between them
-fails the test, linked when their union box passes. Float subtraction,
-squaring and addition are monotone, so these box decisions agree with the
-point test bit for bit. Both box tests build one sum of squares each, axis
-by axis and in place, in the point test's order, so their scratch is a few
-cell-pair arrays rather than two per axis. Only the remaining pairs whose cells the sure links
-leave apart are tested point by point, in blocks of whole cell pairs of about
-``_BLOCK`` member pairs each, so the test's scratch arrays stay small however
-many candidate pairs a frame has. Every member of a clique cell is one graph
-node, so a pair of two clique cells adds one edge when any member pair hits;
-a pair involving another cell adds every hit. The result equals the
-all-pairs definition while coordinates stay within 2**33 radii of the origin.
+two apart per axis, and any two points of one cell are within r: its box's
+diagonal is about 0.87 r. Each cell is therefore one graph node. A pair of
+neighbouring cells is decided from the two boxes when it can be: skipped
+when the gap between them fails the test, linked when their union box
+passes. Float subtraction, squaring and addition are monotone, so these box
+decisions agree with the point test bit for bit. Both box tests build one
+sum of squares each, axis by axis and in place, in the point test's order,
+so their scratch is a few cell-pair arrays rather than two per axis. Only
+the remaining pairs whose cells the sure links leave apart are tested point
+by point, in blocks of whole cell pairs of about ``_BLOCK`` member pairs
+each, so the test's scratch arrays stay small however many candidate pairs
+a frame has; a cell pair adds one edge at its first member pair that hits.
+The result equals the all-pairs definition while coordinates stay within
+2**33 radii of the origin: there, rounding in the cell keys moves a point by
+at most 2**-19 cells, so a cell's points stay within r of each other.
+``ccl_cluster`` refuses points farther out with a ValueError.
 
 ``connected_components`` merges the edges by hooking and pointer jumping.
 """
@@ -78,7 +80,7 @@ class Components:
         return self.sizes.shape[0]
 
 
-# About this many member pairs are point-tested at once, in blocks of whole
+# About this many member pairs are point-tested together, in blocks of whole
 # cell pairs, so the test's scratch arrays stay small however many candidate
 # pairs a call has.
 _BLOCK = 2**14
@@ -167,7 +169,7 @@ def _neighbour_cells(cells: np.ndarray, dims: list[int]) -> tuple[np.ndarray, np
     """Every pair (v, w), v < w, of the sorted cell codes ``cells`` at most two
     cells apart per axis.
 
-    A neighbour column's cells within two in z, or the next two in v's own
+    A neighbour column's cells within two in z, or the next two in v's
     column, are one run of codes, found with two searches per column. The
     queries are laid out one row per column, so each row searched is sorted.
     """
@@ -211,11 +213,14 @@ def ccl_cluster(
     points: np.ndarray, radius: float | np.ndarray, groups: np.ndarray | None = None
 ) -> Components:
     """Cluster (N, 3) points of any float dtype, widened to float64, into
-    radius-connected components.
+    radius-connected components, one graph node per occupied cell.
 
     With ``groups``, point i belongs to group ``groups[i]`` and is clustered at
     ``radius[groups[i]]``; points of different groups never connect. Ids are
-    dense in first-occurrence order over all points.
+    dense in first-occurrence order over all points. ValueError if a
+    coordinate's magnitude exceeds 2**33 times its group's radius, or is NaN:
+    past that bound, rounding can put points more than a radius apart in one
+    cell.
     """
     r = np.asarray(radius, dtype=np.float64).reshape(-1)
     if r.size == 0 or not np.all((r > 0) & np.isfinite(r)):
@@ -227,6 +232,11 @@ def ccl_cluster(
         raise ValueError("groups must give each point an index into radius")
     if n == 0:
         return Components(labels=np.zeros(0, dtype=np.int32), sizes=np.zeros(0, dtype=np.int64))
+    limit = (2.0**33 * r)[g]
+    for c in pts.T:  # an axis at a time, so the test's scratch is (N,) arrays
+        if not np.all(np.abs(c) <= limit):  # also refuses NaN
+            raise ValueError("points must lie within 2**33 radii of the origin to be clustered")
+    del limit
     codes, dims = _cell_codes(pts, r, g)
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
@@ -237,34 +247,20 @@ def ccl_cluster(
     lo = np.minimum.reduceat(xyz, starts, axis=1)
     hi = np.maximum.reduceat(xyz, starts, axis=1)
     cell_rr = (r * r)[g[order[starts]]]
-    # A clique cell: its own box passes the point test, so every member pair
-    # does (float subtraction, squaring and addition are monotone). At edge
-    # r/2 that is every cell but for rounding.
-    clique = _within(hi - lo, cell_rr)
-
-    # Nodes: one per clique cell, one per point of any other cell, numbered by
-    # their first point so that node ids keep first-occurrence order.
-    cell_of = np.repeat(np.arange(cells.shape[0]), counts)  # per sorted point
-    first = np.where(clique[cell_of], order[starts][cell_of], order)
-    _, node = np.unique(first, return_inverse=True)
-    num_nodes = int(node.max()) + 1
-    head = node[starts]  # a clique cell's node
+    # A cell's points are all within r of each other, so it is one node,
+    # numbered by its first point so that node ids keep first-occurrence order.
+    node = np.empty(cells.shape[0], dtype=np.intp)
+    node[np.argsort(order[starts])] = np.arange(cells.shape[0])
 
     v, w = _neighbour_cells(cells, dims)
     # Skip a pair whose box gap fails the test, link it when its union box passes.
     near, sure = _box_tests(lo, hi, v, w, cell_rr[v])
-    sure_a, sure_b = head[v[sure]], head[w[sure]]
-    # Point-test the other near pairs whose cells the sure links left apart,
-    # and the member pairs of every cell that is not a clique.
+    sure_a, sure_b = node[v[sure]], node[w[sure]]
+    # Point-test the other near pairs whose cells the sure links left apart.
     v, w = v[near & ~sure], w[near & ~sure]
-    comp = connected_components(num_nodes, sure_a, sure_b)
-    apart = ~(clique[v] & clique[w]) | (comp[head[v]] != comp[head[w]])
-    own = np.flatnonzero(~clique)
-    v = np.concatenate([own, v[apart]])
-    w = np.concatenate([own, w[apart]])
-    # Every member of a clique cell is that cell's node, so a pair of clique
-    # cells needs one edge however many member pairs hit.
-    one_edge = clique[v] & clique[w]
+    comp = connected_components(cells.shape[0], sure_a, sure_b)
+    apart = comp[node[v]] != comp[node[w]]
+    v, w = v[apart], w[apart]
     ends = np.cumsum(counts[v] * counts[w])
     edges_a, edges_b = [sure_a], [sure_b]
     lo_k = 0
@@ -273,18 +269,14 @@ def ccl_cluster(
         hi_k = max(int(np.searchsorted(ends, done + _BLOCK, "right")), lo_k + 1)
         bv, bw = v[lo_k:hi_k], w[lo_k:hi_k]
         ia, ib, pair = _member_pairs(starts, counts, bv, bw)
-        if lo_k < own.shape[0]:  # a cell's own pairs once each
-            once = (bv[pair] != bw[pair]) | (ia < ib)
-            ia, ib, pair = ia[once], ib[once], pair[once]
-        hits = _within([c[ia] - c[ib] for c in xyz], cell_rr[bv[pair]])
-        ia, ib, pair = ia[hits], ib[hits], pair[hits]
-        keep = ~one_edge[lo_k:hi_k][pair] | (np.diff(pair, prepend=-1) != 0)
-        edges_a.append(node[ia[keep]])
-        edges_b.append(node[ib[keep]])
+        pair = pair[_within([c[ia] - c[ib] for c in xyz], cell_rr[bv[pair]])]
+        pair = pair[np.diff(pair, prepend=-1) != 0]  # one edge per linked cell pair
+        edges_a.append(node[bv[pair]])
+        edges_b.append(node[bw[pair]])
         lo_k = hi_k
-    ids = connected_components(num_nodes, np.concatenate(edges_a), np.concatenate(edges_b))
+    ids = connected_components(cells.shape[0], np.concatenate(edges_a), np.concatenate(edges_b))
     labels = np.empty(n, dtype=np.int32)
-    labels[order] = ids[node]
+    labels[order] = np.repeat(ids[node], counts)
     sizes = np.bincount(labels).astype(np.int64)
     return Components(labels=labels, sizes=sizes)
 
@@ -300,11 +292,12 @@ def max_component(labels: np.ndarray, points: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.size == 0:
         raise EmptySelectionError("no points to select a component from")
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     sizes = np.bincount(labels)
     tied = np.flatnonzero(sizes == sizes.max())
-    if tied.shape[0] > 1:
-        ranges = np.linalg.norm(pts, axis=1)
-        sums = [math.fsum(ranges[labels == c]) for c in tied]
+    if tied.shape[0] > 1:  # only the tied components' points are widened
+        in_tie = np.isin(labels, tied)
+        pts = np.asarray(points).reshape(-1, 3)[in_tie]
+        ranges = np.linalg.norm(pts.astype(np.float64), axis=1)
+        sums = [math.fsum(ranges[labels[in_tie] == c]) for c in tied]
         tied = tied[np.lexsort((tied, np.asarray(sums)))]
     return np.flatnonzero(labels == tied[0])

@@ -179,7 +179,10 @@ def process_frame(
             trinary = refine_by_segments(box_assign, segments)
         else:
             trinary = np.where(box_assign > 0, TRINARY_FG, 0).astype(np.int8)
-        labels = generate_labels(in_box_xyz, trinary, box_assign, boxes, cfg.radii)
+        try:  # such as an in-box point past ccl_cluster's bound
+            labels = generate_labels(in_box_xyz, trinary, box_assign, boxes, cfg.radii)
+        except ValueError as exc:
+            raise BundleError(f"{bundle_dir}: {exc}") from exc
         del in_box_xyz, trinary
         timings["spg"] = time.perf_counter() - t0
 

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from pathlib import Path
 
@@ -13,6 +14,16 @@ def as_columns(points) -> np.ndarray:
     """The (3, N) ``xyz`` of (N, 3) points, one contiguous row per axis as
     the bundle reader returns it, but float64 (the reader's is float32)."""
     return np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1, 3).T)
+
+
+def tree_hashes(root: Path) -> dict[str, str]:
+    """The sha256 of every file under ``root`` but run.json, which holds wall
+    times, keyed by its path relative to ``root``."""
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and p.name != "run.json"
+    }
 
 
 def ri_from_depth(depth) -> tuple[np.ndarray, np.ndarray]:

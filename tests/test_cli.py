@@ -447,6 +447,26 @@ class TestStageCommands:
                    "--out", tmp_path / "o") == 3
         assert "boxes.json: no clustering radius for class 2" in capsys.readouterr().err
 
+    def test_in_box_point_past_the_clustering_bound_exit_3(self, bundles, tmp_path, capsys):
+        # An instance point moved 10**12 m out along its camera ray keeps its
+        # pixel, so its box still clusters it, past 2**33 radii of any class.
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "clean") == 0
+        instance = np.fromfile(tmp_path / "clean" / "frame_0001" / "inst.i32", dtype="<i4")
+        owned = np.flatnonzero(instance > 0)
+        k = owned[len(owned) // 2]
+        calib = json.loads((bundles / "frame_0001" / "calibration.json").read_text())
+        rotation = np.array(calib["extrinsic"])[:3, :3]
+        centre = -rotation.T @ np.array(calib["extrinsic"])[:3, 3]  # the camera, in the LiDAR frame
+        path = bundles / "frame_0001" / "points.f32"
+        points = np.fromfile(path, dtype="<f4").reshape(-1, 4)
+        ray = points[k, :3] - centre
+        points[k, :3] = centre + ray * (1e12 / np.linalg.norm(ray))
+        points.tofile(path)
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert f"{bundles / 'frame_0001'}: " in err and "2**33 radii" in err
+        assert "Traceback" not in err
+
     def test_frames_pool_in_frame_id_order(self, bundles, tmp_path):
         aligned = tmp_path / "aligned"
         assert run("pipeline", "--frames", f"{bundles}/*", "--out", aligned) == 0

@@ -175,25 +175,21 @@ class TestGroupedCcl:
             ccl_cluster([[0, 0, 0], [1, 0, 0]], [0.5, 0.6], groups)
 
 
-# So far from the origin that adjacent float64 x values are 2048 apart.
-FAR_X = 1.350598106458436e19
-
-
 @st.composite
 def blocked_clouds(draw):
-    """(points, radii, groups): near the origin in up to three groups, or at
-    FAR_X, where x keys round together, so that cells hold x values more than
-    a radius apart and are not cliques."""
+    """(points, radii, groups): a cloud a few radii across in up to three
+    groups, near the origin or centred up to 2**33 of its smallest radii out,
+    the bound within which cells are cliques, where cell keys round most."""
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     n = draw(st.integers(1, 120))
+    radii = draw(st.lists(st.floats(0.1, 1.5), min_size=1, max_size=3))
+    extent = draw(st.floats(0.3, 2.0))
+    pts = rng.uniform(-extent, extent, (n, 3))
     if draw(st.booleans()):
-        radii = draw(st.lists(st.floats(0.1, 1.5), min_size=1, max_size=3))
-        extent = draw(st.floats(0.3, 2.0))
-        return rng.uniform(-extent, extent, (n, 3)), radii, rng.integers(0, len(radii), n)
-    radius = draw(st.floats(600.0, 3000.0))
-    x = FAR_X + rng.integers(0, 8, n) * np.spacing(FAR_X)
-    yz = rng.integers(0, 3, (n, 2)) * (radius / 2)
-    return np.column_stack([x, yz]), [radius], np.zeros(n, dtype=np.intp)
+        reach = 2.0**33 - 32  # the cloud spans at most 20 radii of 0.1
+        centre = draw(st.tuples(*[st.floats(-reach, reach)] * 3))
+        pts += np.array(centre) * min(radii)
+    return pts, radii, rng.integers(0, len(radii), n)
 
 
 class TestBlockedCcl:
@@ -272,17 +268,35 @@ class TestCclAdversarial:
         pts = rng.uniform(0.0, 1.0, (n, 3)) + np.array([12.0, -3.0, 0.5])
         assert np.array_equal(ccl_cluster(pts, radius).labels, bfs_components(pts, radius))
 
-    def test_cells_that_are_not_cliques(self):
-        # So far from the origin that adjacent x values are 2048 apart: x keys
-        # round together, so cells hold points more than r apart and their
-        # own pairs are tested point by point.
-        radius = 1068.6682179493275
-        x0 = 1.350598106458436e19
-        xs = x0 + np.arange(6) * np.spacing(x0)
-        pts = np.array([[x, y, 0.0] for x in xs for y in (0.0, radius / 2)])
+
+class TestCclBound:
+    """Coordinates up to 2**33 radii from the origin are clustered; any
+    farther, or NaN, are refused."""
+
+    @pytest.mark.parametrize("radius", [0.1, 0.6, 1.0 / 3.0])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_just_inside_clusters_just_past_raises(self, radius, axis, sign):
+        bound = sign * 2.0**33 * radius
+        pts = np.zeros((4, 3))
+        pts[:, axis] = [bound, bound - sign * radius / 2, bound - sign * 2.5 * radius, 0.0]
         labels = ccl_cluster(pts, radius).labels
         assert np.array_equal(labels, bfs_components(pts, radius))
-        assert np.array_equal(labels, np.repeat(np.arange(6), 2))
+        assert np.array_equal(labels, [0, 0, 1, 2])
+        pts[0, axis] = np.nextafter(bound, sign * np.inf)
+        with pytest.raises(ValueError, match=r"2\*\*33 radii"):
+            ccl_cluster(pts, radius)
+
+    def test_bound_is_each_groups_own(self):
+        # Inside the bound of group 1's radius but past that of group 0's.
+        x = 2.0**33 * 0.2
+        assert ccl_cluster([[0, 0, 0], [x, 0, 0]], [0.1, 0.2], [0, 1]).num == 2
+        with pytest.raises(ValueError, match=r"2\*\*33 radii"):
+            ccl_cluster([[0, 0, 0], [x, 0, 0]], [0.1, 0.2], [1, 0])
+
+    def test_nan_refused(self):
+        with pytest.raises(ValueError, match=r"2\*\*33 radii"):
+            ccl_cluster([[0, 0, 0], [0, np.nan, 0]], 0.5)
 
 
 class TestMaxComponent:
