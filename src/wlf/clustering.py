@@ -11,13 +11,15 @@ diagonal is about 0.87 r. Each cell is therefore one graph node. A pair of
 neighbouring cells is decided from the two boxes when it can be: skipped
 when the gap between them fails the test, linked when their union box
 passes. Float subtraction, squaring and addition are monotone, so these box
-decisions agree with the point test bit for bit. Both box tests build one
-sum of squares each, axis by axis and in place, in the point test's order,
-so their scratch is a few cell-pair arrays rather than two per axis. Only
-the remaining pairs whose cells the sure links leave apart are tested point
-by point, in blocks of whole cell pairs of about ``_BLOCK`` member pairs
-each, so the test's scratch arrays stay small however many candidate pairs
-a frame has; a cell pair adds one edge at its first member pair that hits.
+decisions agree with the point test bit for bit. The cell pairs are
+searched and box-tested in blocks of ``_CELL_BLOCK`` query cells, and a
+block keeps only its sure links and its other near pairs, so the search's
+scratch stays small however many neighbouring cells a call has. Both box
+tests build one sum of squares each, axis by axis and in place, in the
+point test's order. Only the remaining pairs whose cells the sure links
+leave apart are tested point by point, in blocks of whole cell pairs of
+about ``_BLOCK`` member pairs each; a cell pair adds one edge at its first
+member pair that hits.
 The result equals the all-pairs definition while coordinates stay within
 2**33 radii of the origin: there, rounding in the cell keys moves a point by
 at most 2**-19 cells, so a cell's points stay within r of each other.
@@ -90,11 +92,21 @@ _COLUMNS = np.array(
     [(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3) if (dx, dy) >= (0, 0)]
 )
 
+# Cell pairs are searched and box-tested for this many query cells at a time,
+# one search per neighbour column each, so their scratch stays about as small
+# as the point test's.
+_CELL_BLOCK = _BLOCK // _COLUMNS.shape[0]
+
 
 def _expand(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(k, i) for every i < sizes[k], in order."""
     owner = np.repeat(np.arange(sizes.shape[0]), sizes)
     return owner, np.arange(owner.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The arrays end to end, and a lone array itself rather than a copy."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _member_pairs(
@@ -165,18 +177,21 @@ def _cell_codes(pts: np.ndarray, r: np.ndarray, g: np.ndarray) -> tuple[np.ndarr
     return (kx * dims[1] + ky) * dims[2] + kz, dims
 
 
-def _neighbour_cells(cells: np.ndarray, dims: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair (v, w), v < w, of the sorted cell codes ``cells`` at most two
-    cells apart per axis.
+def _neighbour_cells(
+    cells: np.ndarray, dims: list[int], first: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (v, w), v < w and first <= v < stop, of the sorted cell codes
+    ``cells`` at most two cells apart per axis.
 
     A neighbour column's cells within two in z, or the next two in v's
     column, are one run of codes, found with two searches per column. The
     queries are laid out one row per column, so each row searched is sorted.
     """
-    base = (_COLUMNS @ np.array([dims[1] * dims[2], dims[2]]))[:, None] + cells
+    query = cells[first:stop]
+    base = (_COLUMNS @ np.array([dims[1] * dims[2], dims[2]]))[:, None] + query
     begin = np.searchsorted(cells, base + np.where(_COLUMNS.any(axis=1), -2, 1)[:, None])
     run, k = _expand((np.searchsorted(cells, base + 2, "right") - begin).ravel())
-    return run % cells.shape[0], begin.ravel()[run] + k
+    return first + run % query.shape[0], begin.ravel()[run] + k
 
 
 def _box_tests(
@@ -252,12 +267,23 @@ def ccl_cluster(
     node = np.empty(cells.shape[0], dtype=np.intp)
     node[np.argsort(order[starts])] = np.arange(cells.shape[0])
 
-    v, w = _neighbour_cells(cells, dims)
-    # Skip a pair whose box gap fails the test, link it when its union box passes.
-    near, sure = _box_tests(lo, hi, v, w, cell_rr[v])
-    sure_a, sure_b = node[v[sure]], node[w[sure]]
+    # Skip a pair whose box gap fails the test, link it when its union box
+    # passes. A block of query cells at a time keeps only its sure links and
+    # its other near pairs.
+    sure_a, sure_b, near_v, near_w = [], [], [], []
+    for first in range(0, cells.shape[0], _CELL_BLOCK):
+        v, w = _neighbour_cells(cells, dims, first, first + _CELL_BLOCK)
+        near, sure = _box_tests(lo, hi, v, w, cell_rr[v])
+        sure_a.append(node[v[sure]])
+        sure_b.append(node[w[sure]])
+        near &= ~sure
+        near_v.append(v[near])
+        near_w.append(w[near])
+        del v, w, near, sure  # before the next block's search
+    sure_a, sure_b = _joined(sure_a), _joined(sure_b)
     # Point-test the other near pairs whose cells the sure links left apart.
-    v, w = v[near & ~sure], w[near & ~sure]
+    v, w = _joined(near_v), _joined(near_w)
+    del near_v, near_w
     comp = connected_components(cells.shape[0], sure_a, sure_b)
     apart = comp[node[v]] != comp[node[w]]
     v, w = v[apart], w[apart]

@@ -90,7 +90,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.frames, str) or not isinstance(self.out_dir, str):
             raise ConfigError("frames and out_dir must be strings")
-        if not isinstance(self.threads, int) or self.threads < 1:
+        if not _same_kind(self.threads, 1) or self.threads < 1:
             raise ConfigError("threads must be an integer >= 1")
         if not isinstance(self.stages, (list, tuple)):
             raise ConfigError(f"stages must be a list drawn from {list(STAGES)}")
@@ -124,7 +124,10 @@ class PipelineConfig:
         try:
             kwargs = {k: _SECTIONS[k](**v) if k in _SECTIONS else v for k, v in data.items()}
             if "radii" in data:
-                kwargs["radii"] = ClassRadii({int(k): float(v) for k, v in data["radii"].items()})
+                radii = data["radii"]
+                if not all(_same_kind(r, 0.0) for r in radii.values()):
+                    raise ConfigError(f"radii must be numbers, not {radii!r}")
+                kwargs["radii"] = ClassRadii({int(k): float(r) for k, r in radii.items()})
             return cls(**kwargs)
         except ConfigError:
             raise

@@ -123,6 +123,10 @@ def dcs_rows(
     A segment is a connected component of those links, and segment ids rank
     each segment's leftmost cell in row-major scan order. ``depth`` and
     ``cell`` are as ``build_range_image`` returns them.
+
+    Beyond the links, the scan's raster-sized scratch is one float64 buffer
+    of the row differences, a few boolean images and the int32 run ids, each
+    formed in place.
     """
     beams, columns = depth.shape
     windows = np.asarray(windows, dtype=np.float64)
@@ -134,9 +138,17 @@ def dcs_rows(
     # A cell continues the run on its left when that cell is near in depth
     # (NaN never is); a row's first cell always starts a run. Run ids count
     # the heads in scan order, and the run-id image holds -1 where empty.
+    # Each is formed in one buffer, in place.
+    step = np.subtract(depth[:, 1:], depth[:, :-1])
+    np.abs(step, out=step)
+    near = np.less(step, thresholds[:, None])
+    del step
     head = np.isfinite(depth)
-    head[:, 1:] &= ~(np.abs(depth[:, 1:] - depth[:, :-1]) < thresholds[:, None])
-    run = np.where(np.isfinite(depth).ravel(), np.cumsum(head, dtype=np.int32) - 1, -1)
+    head[:, 1:] &= ~near
+    del near
+    run = np.cumsum(head, dtype=np.int32)
+    run -= 1
+    run[~np.isfinite(depth).ravel()] = -1
     heads = np.flatnonzero(head)
     rows, cols = np.divmod(heads, columns)
     # Heads look farther left from offset 2, nearest first, until they link

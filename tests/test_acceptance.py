@@ -347,12 +347,16 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
     # truth read at load and the full xyz kept through spg the peak was 8.9
     # MiB, and with float64 points 6.3 MiB. Measured now, with the points
     # kept as float32 and one vote epoch read at a time: a frame peak of 4.9
-    # MiB (while the range image is built), a ccl transient of 2.0 MiB (it
+    # MiB (while the range image is built), a ccl transient of 1.8 MiB (it
     # widens the float32 in-box columns), a pvc transient of 1.8 MiB from the
     # vote listing to vote_correct's return, 2.4 MiB live when dcs starts
     # (the raster, the box assignment and the in-box columns) and 1.9 MiB
     # when the metrics start (labels and ground truth). The peak and pvc
     # budgets are those plus about 1.1 MiB; the ccl budget stays at 3 MiB.
+    # dcs made a 2.13 MiB transient while its row differences took two
+    # raster-sized float64 arrays and its run ids came from np.where; with
+    # one difference buffer and the run ids formed in place it is 1.64 MiB,
+    # most of it that buffer (the raster is 1 MiB of float64).
     # An (E, N) float32 vote stack (1.8 MiB) built by the caller made a pvc
     # transient of 3.6 MiB. The live budgets are below what the float32 xyz
     # (1.3 MiB), the ground truth (0.9 MiB) or the vote stack would add if
@@ -367,6 +371,7 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
     process_frame(bundle, manifest, cfg)  # one-time set-up is not the frame's
 
     peaks, transients, live, live_at_dcs, pvc_start, pvc_transients = [], [], [], [], [], []
+    dcs_transients = []
 
     def traced_ccl(*args, **kwargs):
         current, peak = tracemalloc.get_traced_memory()
@@ -394,8 +399,13 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
         return confusion_counts(*args, **kwargs)
 
     def traced_dcs(*args, **kwargs):
-        live_at_dcs.append(tracemalloc.get_traced_memory()[0])
-        return dcs_dynamic(*args, **kwargs)
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        tracemalloc.reset_peak()
+        live_at_dcs.append(current)
+        segments = dcs_dynamic(*args, **kwargs)
+        dcs_transients.append(tracemalloc.get_traced_memory()[1] - current)
+        return segments
 
     monkeypatch.setattr(spatial, "ccl_cluster", traced_ccl)
     monkeypatch.setattr(pipeline, "list_vote_epochs", traced_epochs)
@@ -415,10 +425,60 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
         f"ccl transient {max(transients) / mib:.1f} MiB <= 3, "
         f"pvc transient {max(pvc_transients) / mib:.1f} MiB <= 2.9, "
         f"live at dcs {max(live_at_dcs) / mib:.1f} MiB <= 3, "
+        f"dcs transient {max(dcs_transients) / mib:.2f} MiB <= 1.9, "
         f"live at the metrics {max(live) / mib:.1f} MiB <= 2.7",
         len(transients) == 1 and len(live) == 1 and len(live_at_dcs) == 1
-        and len(pvc_transients) == 1
+        and len(pvc_transients) == 1 and len(dcs_transients) == 1
         and max(transients) <= 3 * mib and max(peaks) <= 6 * mib
         and max(pvc_transients) <= 2.9 * mib
-        and max(live_at_dcs) <= 3 * mib and max(live) <= 2.7 * mib,
+        and max(live_at_dcs) <= 3 * mib and max(dcs_transients) <= 1.9 * mib
+        and max(live) <= 2.7 * mib,
+    )
+
+
+# The scene of the crowd-64x1024 benchmark workload: pedestrian and cyclist
+# crowds in an 80-degree wedge on a 64 x 1024 raster.
+CROWD_SCENE = {
+    "beams": 64, "columns": 1024, "vehicles": [0, 0], "pedestrians": [8, 12],
+    "cyclists": [4, 8], "pedestrian_distance": [3.5, 14.0], "cyclist_distance": [4.0, 16.0],
+    "min_separation": 1.2, "azimuth_deg": [-40.0, 40.0],
+}
+
+
+def test_9_crowd_ccl_memory(tmp_path, monkeypatch):
+    # Scene seed 0 clusters 4,573 in-box points at radii 0.1 and 0.15 m in
+    # one ccl call. With every cell pair searched and box-tested at once,
+    # the call's traced transient was 2.7 MiB (2.3-2.9 on the six frames of
+    # the benchmark's first crowd shard), about 25 times its input. With
+    # the pairs searched and tested a block of query cells at a time it is
+    # 1.7 MiB (1.5-1.9), most of it the union over the sure links.
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(CROWD_SCENE))
+    rc = cli_main(["synth", "--out", str(tmp_path / "c"), "--config", str(scene), "--seed", "0",
+                   "--num-frames", "1", "--epochs", "4", "--score-sigma", "0.2"])
+    assert rc == 0
+    bundle, cfg = tmp_path / "c" / "frame_0000", PipelineConfig()
+    manifest = read_manifest(bundle)
+    process_frame(bundle, manifest, cfg)  # one-time set-up is not the frame's
+
+    transients = []
+
+    def traced_ccl(*args, **kwargs):
+        current = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        comps = ccl_cluster(*args, **kwargs)
+        transients.append(tracemalloc.get_traced_memory()[1] - current)
+        return comps
+
+    monkeypatch.setattr(spatial, "ccl_cluster", traced_ccl)
+    tracemalloc.start()
+    try:
+        process_frame(bundle, manifest, cfg)
+    finally:
+        tracemalloc.stop()
+    mib = 2**20
+    check(
+        9,
+        f"crowd ccl transient {max(transients) / mib:.2f} MiB <= 2.2",
+        len(transients) == 1 and max(transients) <= 2.2 * mib,
     )

@@ -50,6 +50,9 @@ MALFORMED_CONFIGS = {
     "stages-dict": {"stages": {"spg": True}},
     "radius-nan": {"radii": {"1": float("nan"), "2": 0.1, "3": 0.15}},
     "radius-inf": {"radii": {"1": 0.6, "2": float("inf"), "3": 0.15}},
+    "radius-string": {"radii": {"1": "0.6", "2": 0.1, "3": 0.15}},
+    "radius-bool": {"radii": {"1": True, "2": 0.1, "3": 0.15}},
+    "threads-bool": {"threads": True},
     # Section fields of the wrong kind or not finite.
     "pvc-n_his-float": {"pvc": {"n_his": 2.5}},
     "ipg-k-string": {"ipg": {"k": "x"}},

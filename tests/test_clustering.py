@@ -176,13 +176,14 @@ class TestGroupedCcl:
 
 
 @st.composite
-def blocked_clouds(draw):
-    """(points, radii, groups): a cloud a few radii across in up to three
-    groups, near the origin or centred up to 2**33 of its smallest radii out,
-    the bound within which cells are cliques, where cell keys round most."""
+def blocked_clouds(draw, min_groups=1):
+    """(points, radii, groups): a cloud a few radii across in ``min_groups``
+    to three groups, near the origin or centred up to 2**33 of its smallest
+    radii out, the bound within which cells are cliques, where cell keys
+    round most."""
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     n = draw(st.integers(1, 120))
-    radii = draw(st.lists(st.floats(0.1, 1.5), min_size=1, max_size=3))
+    radii = draw(st.lists(st.floats(0.1, 1.5), min_size=min_groups, max_size=3))
     extent = draw(st.floats(0.3, 2.0))
     pts = rng.uniform(-extent, extent, (n, 3))
     if draw(st.booleans()):
@@ -193,7 +194,8 @@ def blocked_clouds(draw):
 
 
 class TestBlockedCcl:
-    """Cell pairs point-tested a few member pairs at a time, against BFS."""
+    """Cell pairs searched and box-tested a few query cells at a time, and
+    point-tested a few member pairs at a time, against BFS."""
 
     @pytest.mark.parametrize("block", [1, 5])
     @settings(max_examples=150, deadline=None)
@@ -202,6 +204,17 @@ class TestBlockedCcl:
         pts, radii, groups = cloud
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clustering, "_BLOCK", block)
+            got = ccl_cluster(pts, radii, groups).labels
+        assert np.array_equal(got, per_group_labels(pts, radii, groups, bfs_components))
+
+    @pytest.mark.parametrize("cell_block", [1, 7])
+    @settings(max_examples=150, deadline=None)
+    @given(blocked_clouds(min_groups=2))
+    def test_cell_blocks_match_bfs_oracle(self, cell_block, cloud):
+        # Most neighbouring cells fall in different blocks of query cells.
+        pts, radii, groups = cloud
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "_CELL_BLOCK", cell_block)
             got = ccl_cluster(pts, radii, groups).labels
         assert np.array_equal(got, per_group_labels(pts, radii, groups, bfs_components))
 

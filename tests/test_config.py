@@ -68,14 +68,18 @@ class TestValidation:
             {"stages": "spg"},
             {"stages": ["spg", "warp"]},
             {"threads": 1.5},
+            {"threads": True},
             {"frames": 3},
             {"radii": [0.6]},
             {"radii": {"1": -0.6}},
+            {"radii": {"1": "0.5"}},
+            {"radii": {"1": True}},
             {"dcs": {"window": 0}},
             {"pvc": {"n_hist": 4}},
         ],
-        ids=["stages-string", "unknown-stage", "threads-float", "frames-number", "radii-list",
-             "negative-radius", "dcs-window-0", "pvc-unknown-key"],
+        ids=["stages-string", "unknown-stage", "threads-float", "threads-bool", "frames-number",
+             "radii-list", "negative-radius", "radius-string", "radius-bool", "dcs-window-0",
+             "pvc-unknown-key"],
     )
     def test_bad_config_is_config_error(self, data):
         with pytest.raises(ConfigError):

@@ -1,13 +1,15 @@
-"""Symmetries of the whole chain: the order of a bundle's points and the
-order of its boxes carry no meaning.
+"""Symmetries of the whole chain: the order of a bundle's points, the
+order of its boxes and the split of a corpus into runs carry no meaning.
 
 A `wlf pipeline` run over bundles whose per-point files are permuted, each
 the same way, writes labels permuted that way and the same metrics.json. A
 run over bundles whose boxes.json lists the boxes in another order writes
-the same bytes. The corpus is two small crowd scenes (16 x 256 raster),
-where pedestrians and cyclists overlap in the image and many boxes have
-largest components of equal size. Each run is made with every stage and
-without pvc, which overwrites most of the instances that spg picks.
+the same bytes. Two runs over disjoint halves of the bundles write the same
+per-frame labels as one run over all of them. The corpus is four small
+crowd scenes (16 x 256 raster), where pedestrians and cyclists overlap in
+the image and many boxes have largest components of equal size. Each run
+is made with every stage and without pvc, which overwrites most of the
+instances that spg picks.
 """
 
 import json
@@ -36,8 +38,9 @@ PER_POINT = {".f32": "<f4", ".u16": "<u2", ".i32": "<i4"}
 STAGES = ["spg,pvc,rsc", "spg,rsc"]
 
 
-def pipeline(frames: Path, out: Path, stages: str) -> None:
-    assert main(["pipeline", "--frames", f"{frames}/*", "--out", str(out), "--stages", stages]) == 0
+def pipeline(frames: Path, out: Path, stages: str, pattern: str = "*") -> None:
+    assert main(["pipeline", "--frames", f"{frames}/{pattern}", "--out", str(out),
+                 "--stages", stages]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +51,7 @@ def corpus(tmp_path_factory) -> Path:
     scene = root / "scene.json"
     scene.write_text(json.dumps(CROWD_SCENE))
     assert main(["synth", "--out", str(root / "frames"), "--config", str(scene), "--seed", "5",
-                 "--num-frames", "2", "--epochs", "4", "--score-sigma", "0.2"]) == 0
+                 "--num-frames", "4", "--epochs", "4", "--score-sigma", "0.2"]) == 0
     for stages in STAGES:
         pipeline(root / "frames", root / stages, stages)
     return root
@@ -98,3 +101,20 @@ def test_box_order(corpus, stages, seed):
             path.write_text(json.dumps([boxes[k] for k in rng.permutation(len(boxes))]))
         pipeline(frames, Path(tmp) / "out", stages)
         assert tree_hashes(Path(tmp) / "out") == tree_hashes(corpus / stages)
+
+
+@pytest.mark.parametrize("stages", STAGES)
+def test_frame_split(corpus, stages, tmp_path):
+    # Interleaved halves, so that neither run holds a contiguous range.
+    halves = ["frame_000[02]", "frame_000[13]"]
+    split = {}
+    for k, pattern in enumerate(halves):
+        pipeline(corpus / "frames", tmp_path / str(k), stages, pattern)
+        for frame in (tmp_path / str(k)).glob("*/sem.i32"):
+            split[frame.parent.name] = frame.parent
+    whole = sorted(frame.parent.name for frame in (corpus / stages).glob("*/sem.i32"))
+    assert sorted(split) == whole and len(whole) == 4
+    for frame_id in whole:
+        for name in ("sem.i32", "inst.i32"):
+            assert (split[frame_id] / name).read_bytes() == \
+                (corpus / stages / frame_id / name).read_bytes(), (frame_id, name)
