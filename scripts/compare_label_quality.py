@@ -27,10 +27,9 @@ import numpy as np
 from wlf.bundle import read_frame_bundle, read_ground_truth
 from wlf.cli import main as wlf_main
 from wlf.config import PipelineConfig
-from wlf.frames import crop_frustum, project_points
+from wlf.frames import box_classes, crop_frustum, project_points
 from wlf.metrics import confusion_counts, miou_from_counts
 from wlf.pipeline import discover_bundles, process_frame, read_manifests
-from wlf.spatial import frustum_semantic
 from wlf.synth import CLASS_NAMES, SceneConfig
 
 # The engine's stages behind each row but raw.
@@ -40,7 +39,7 @@ STAGES = {"ccl": (), "spg": ("spg",), "+pvc": ("spg", "pvc"), "+rsc": ("spg", "p
 def raw_counts(bundle: Path, manifest: dict) -> np.ndarray:
     xyz, _, calib, boxes = read_frame_bundle(bundle, manifest)
     assign = crop_frustum(*project_points(calib, xyz), manifest["num_points"], boxes)
-    sem = frustum_semantic(assign, boxes)
+    sem = box_classes(boxes)[assign]
     gt_semantic, _ = read_ground_truth(bundle, manifest)
     return np.stack(confusion_counts(sem, gt_semantic, manifest["num_classes"]))
 

@@ -38,7 +38,6 @@ import numpy as np
 
 from .frames import Box2D, Calibration
 from .mask_fusion import MaskPrediction
-from .spatial import PseudoLabels
 
 __all__ = [
     "BundleError",
@@ -273,18 +272,21 @@ def read_boxes(directory: str | Path, manifest: dict) -> list[Box2D]:
     return boxes
 
 
-def write_labels(directory: str | Path, labels: PseudoLabels) -> None:
+def write_labels(directory: str | Path, semantic: np.ndarray, instance: np.ndarray) -> None:
+    """Write a frame's labels as ``sem.i32`` and ``inst.i32``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    _write_array(directory / "sem.i32", labels.semantic, "i32")
-    _write_array(directory / "inst.i32", labels.instance, "i32")
+    _write_array(directory / "sem.i32", semantic, "i32")
+    _write_array(directory / "inst.i32", instance, "i32")
 
 
-def read_labels(directory: str | Path, num_points: int | None = None) -> PseudoLabels:
+def read_labels(
+    directory: str | Path, num_points: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """A frame's read-only int32 ``(semantic, instance)`` labels as stored."""
     directory = Path(directory)
     sem = _read_array(directory / "sem.i32", "i32", num_points)
-    inst = _read_array(directory / "inst.i32", "i32", num_points)
-    return PseudoLabels(semantic=sem, instance=inst)
+    return sem, _read_array(directory / "inst.i32", "i32", num_points)
 
 
 def write_votes(directory: str | Path, epoch: int, scores: np.ndarray) -> None:

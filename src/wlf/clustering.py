@@ -3,6 +3,9 @@
 Two points are connected iff ``(dx**2 + dy**2) + dz**2 <= r*r`` in float64;
 clusters are the transitive closure. ``ccl_cluster`` can cluster several
 groups of points in one call, each at its radius, and never joins two groups.
+The radii are plain numbers (spg looks each box's up in the class id to
+metres dict ``PipelineConfig.radii``); the result is each point's component
+id and the number of components.
 
 Neighbour search uses cells of edge r/2 (the grid argument of Gan & Tao,
 "DBSCAN Revisited", SIGMOD 2015), so any pair within r lies in cells at most
@@ -32,12 +35,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ClassRadii",
     "Components",
     "EmptySelectionError",
     "ccl_cluster",
@@ -51,35 +53,11 @@ class EmptySelectionError(ValueError):
 
 
 @dataclass
-class ClassRadii:
-    """Per-class clustering radius in metres."""
-
-    radii: dict[int, float] = field(
-        default_factory=lambda: {1: 0.6, 2: 0.1, 3: 0.15}
-    )
-
-    def __post_init__(self) -> None:
-        for cls, r in self.radii.items():
-            if not 0 < r < math.inf:  # also rejects NaN
-                raise ValueError(f"radius for class {cls} must be finite and positive")
-
-    def for_class(self, class_id: int) -> float:
-        try:
-            return self.radii[class_id]
-        except KeyError:
-            raise KeyError(f"no clustering radius for class {class_id}") from None
-
-
-@dataclass
 class Components:
-    """Dense per-point component ids (first-occurrence order) and sizes."""
+    """Dense per-point component ids, in first-occurrence order, and their count."""
 
     labels: np.ndarray
-    sizes: np.ndarray
-
-    @property
-    def num(self) -> int:
-        return self.sizes.shape[0]
+    num: int
 
 
 # About this many member pairs are point-tested together, in blocks of whole
@@ -246,7 +224,7 @@ def ccl_cluster(
     if g.shape != (n,) or (n and (g.min() < 0 or g.max() >= r.size)):
         raise ValueError("groups must give each point an index into radius")
     if n == 0:
-        return Components(labels=np.zeros(0, dtype=np.int32), sizes=np.zeros(0, dtype=np.int64))
+        return Components(labels=np.zeros(0, dtype=np.int32), num=0)
     limit = (2.0**33 * r)[g]
     for c in pts.T:  # an axis at a time, so the test's scratch is (N,) arrays
         if not np.all(np.abs(c) <= limit):  # also refuses NaN
@@ -303,8 +281,7 @@ def ccl_cluster(
     ids = connected_components(cells.shape[0], np.concatenate(edges_a), np.concatenate(edges_b))
     labels = np.empty(n, dtype=np.int32)
     labels[order] = np.repeat(ids[node], counts)
-    sizes = np.bincount(labels).astype(np.int64)
-    return Components(labels=labels, sizes=sizes)
+    return Components(labels=labels, num=int(ids.max()) + 1)
 
 
 def max_component(labels: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .clustering import ClassRadii
 from .mask_fusion import IpgConfig
 from .range_image import DcsConfig
 from .ring_correct import RscConfig
@@ -81,7 +81,8 @@ class PipelineConfig:
     out_dir: str = ""
     threads: int = 1
     dcs: DcsConfig = field(default_factory=DcsConfig)
-    radii: ClassRadii = field(default_factory=ClassRadii)
+    # Clustering radius in metres per class id.
+    radii: dict[int, float] = field(default_factory=lambda: {1: 0.6, 2: 0.1, 3: 0.15})
     pvc: PvcConfig = field(default_factory=PvcConfig)
     rsc: RscConfig = field(default_factory=RscConfig)
     ipg: IpgConfig = field(default_factory=IpgConfig)
@@ -98,6 +99,14 @@ class PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown stages: {unknown}")
         self.stages = tuple(name for name in STAGES if name in self.stages)
+        if not isinstance(self.radii, dict):
+            raise ConfigError(f"radii must map class ids to radii, not {self.radii!r}")
+        for cls, r in self.radii.items():
+            if not _same_kind(cls, 1) or cls < 1:
+                raise ConfigError(f"radii: class id {cls!r} is not an integer >= 1")
+            if not _same_kind(r, 0.0) or not (_finite(r) and r > 0):
+                raise ConfigError(f"radii: radius {r!r} for class {cls} is not finite and positive")
+        self.radii = {cls: float(r) for cls, r in self.radii.items()}
         for name in _SECTIONS:
             try:
                 check_fields(getattr(self, name))
@@ -106,7 +115,7 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         data = asdict(self)
-        data["radii"] = {str(k): v for k, v in sorted(self.radii.radii.items())}
+        data["radii"] = {str(k): v for k, v in sorted(self.radii.items())}
         data["stages"] = list(self.stages)
         return data
 
@@ -123,11 +132,14 @@ class PipelineConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
             kwargs = {k: _SECTIONS[k](**v) if k in _SECTIONS else v for k, v in data.items()}
-            if "radii" in data:
-                radii = data["radii"]
-                if not all(_same_kind(r, 0.0) for r in radii.values()):
-                    raise ConfigError(f"radii must be numbers, not {radii!r}")
-                kwargs["radii"] = ClassRadii({int(k): float(r) for k, r in radii.items()})
+            if isinstance(kwargs.get("radii"), dict):
+                # A class id is written as str(int) writes it, so that no two
+                # keys ("1" and "01") name one class.
+                radii = kwargs["radii"]
+                bad = [k for k in radii if not re.fullmatch(r"[1-9][0-9]*", k)]
+                if bad:
+                    raise ConfigError(f"radii: key {bad[0]!r} is not a class id >= 1")
+                kwargs["radii"] = {int(k): r for k, r in radii.items()}
             return cls(**kwargs)
         except ConfigError:
             raise

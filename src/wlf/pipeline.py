@@ -15,10 +15,11 @@ A frame's arrays are plain locals, each alive from its first reader to its
 last: the full float32 points, as stored, and the beams until the range
 image is built (spg keeps only the in-box points' columns), the raster until
 dcs returns, the trinary labels until clustering, one epoch's vote row at a
-time as pvc counts, the box assignment until pvc and the segments until rsc.
-The instances are reconciled in the labels rsc leaves. The ground truth is
-read only when the frame is scored, where the metrics see it and the labels
-alone, so a run's peak memory is that of its largest frame's largest stage.
+time as pvc counts, the box assignment until pvc and the segment ids until
+rsc. The instances are reconciled in the labels rsc leaves. The ground truth
+is read only when the frame is scored, where the metrics see it and the
+labels alone, so a run's peak memory is that of its largest frame's largest
+stage.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def read_start_labels(
     """Labels from an earlier run; BundleError unless every semantic label is
     in -1..num_classes, every instance id is >= 0 and they fit the boxes."""
     try:
-        labels = read_labels(directory, num_points)
+        labels = PseudoLabels(*read_labels(directory, num_points))
         if num_points:
             lo, hi = int(labels.semantic.min()), int(labels.semantic.max())
             if lo < -1 or hi > num_classes:
@@ -152,13 +153,13 @@ def process_frame(
     spg_runs = labels_dir is None
     in_box_xyz = xyz[:, box_assign > 0] if spg_runs else None
 
-    # Only rsc and a running spg read the segments.
-    segments = None
+    # Only rsc and a running spg read the segment ids.
+    segment_id = None
     if "rsc" in cfg.stages or ("spg" in cfg.stages and spg_runs):
         t0 = time.perf_counter()
         depth, cell = build_range_image(xyz, beam_row, beams, columns)
         del xyz, beam_row
-        segments = dcs_dynamic(depth, cell, cfg.dcs)
+        segment_id = dcs_dynamic(depth, cell, cfg.dcs).segment_id
         del depth, cell
         timings["segments"] = time.perf_counter() - t0
     else:
@@ -169,14 +170,14 @@ def process_frame(
             Path(labels_dir) / frame_id, num_points, boxes, manifest["num_classes"]
         )
     else:
-        missing = sorted({b.class_id for b in boxes} - cfg.radii.radii.keys())
+        missing = sorted({b.class_id for b in boxes} - cfg.radii.keys())
         if missing:
             raise BundleError(
                 f"{bundle_dir / 'boxes.json'}: no clustering radius for class {missing[0]}"
             )
         t0 = time.perf_counter()
         if "spg" in cfg.stages:
-            trinary = refine_by_segments(box_assign, segments)
+            trinary = refine_by_segments(box_assign, segment_id)
         else:
             trinary = np.where(box_assign > 0, TRINARY_FG, 0).astype(np.int8)
         try:  # such as an in-box point past ccl_cluster's bound
@@ -216,10 +217,10 @@ def process_frame(
     if "rsc" in cfg.stages:
         t0 = time.perf_counter()
         labels = reconcile_instances(
-            PseudoLabels(rsc_correct(labels.semantic, segments, cfg.rsc), labels.instance), boxes
+            PseudoLabels(rsc_correct(labels.semantic, segment_id, cfg.rsc), labels.instance), boxes
         )
         timings["rsc"] = time.perf_counter() - t0
-    del segments
+    del segment_id
 
     try:
         labels.check_consistency(boxes)
@@ -304,7 +305,10 @@ def check_new_out(out_dir: Path) -> None:
 
 def run_pipeline(cfg: PipelineConfig, labels_dir: Path | None = None) -> RunResult:
     """Process every bundle matched by the config (see ``process_frame``) in
-    frame-id order, one output directory per frame id."""
+    frame-id order, one output directory per frame id. spg makes starting
+    labels, so with ``labels_dir`` it is a ConfigError, before any write."""
+    if labels_dir is not None and "spg" in cfg.stages:
+        raise ConfigError(f"spg cannot run on the labels of {labels_dir}: it makes starting labels")
     bundles = discover_bundles(cfg.frames)
     out_dir = Path(cfg.out_dir)
     check_new_out(out_dir)
@@ -320,7 +324,7 @@ def run_pipeline(cfg: PipelineConfig, labels_dir: Path | None = None) -> RunResu
     def run_frame(item: tuple[str, Path, dict]) -> FrameOutput:
         _, bundle, manifest = item
         labels, out = process_frame(bundle, manifest, cfg, labels_dir)
-        write_labels(out_dir / out.frame_id, labels)
+        write_labels(out_dir / out.frame_id, labels.semantic, labels.instance)
         return out
 
     counts = None

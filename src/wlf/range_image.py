@@ -9,6 +9,9 @@ depth threshold, and a segment is a connected component of those links;
 gaps. A window of ``MIN_WINDOW`` and a constant threshold give the
 fixed-threshold scan that only links immediately adjacent columns. Every
 point takes its cell's segment, including points behind a nearer return.
+Both scans return a ``RingSegments``; the stages that vote in segments (spg's
+``refine_by_segments`` and ``rsc_correct``) take its ``segment_id`` array
+alone, since ids are dense from 0 and so the count is the largest id + 1.
 
 Runs first, as in run-based two-scan labelling (He, Chao & Suzuki, IEEE TIP
 2008): one vectorised test links each cell to its left neighbour, and only

@@ -5,7 +5,9 @@ a segment dominated by background (relative to the class in question) is
 flattened to background, and a segment dominated by one class is flattened to
 that class. Counts are always taken on the original input labels; classes are
 processed in ascending id order, so a later class pass may overwrite an
-earlier one.
+earlier one. The segments are each point's plain segment id, dense from 0, as
+``dcs_dynamic(...).segment_id`` holds them, and the corrected labels are a new
+array.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .range_image import RingSegments
 
 __all__ = ["RscConfig", "rsc_correct"]
 
@@ -32,24 +32,25 @@ class RscConfig:
             raise ValueError("thresholds must lie in [0, 1]")
 
 
-def rsc_correct(pred: np.ndarray, segments: RingSegments, cfg: RscConfig) -> np.ndarray:
-    """Correct predicted labels (0 = background) by segment-level voting.
+def rsc_correct(pred: np.ndarray, segment_id: np.ndarray, cfg: RscConfig) -> np.ndarray:
+    """Correct predicted labels (0 = background) by segment-level voting,
+    given each point's ring segment id, dense from 0; ``pred`` is left as it is.
 
     For each class c and each segment containing a c-predicted point:
     if bg_count / c_count > t1 the whole segment becomes background, else if
     c_count / segment_size > t2 the whole segment becomes c.
     """
     pred = np.asarray(pred)
-    seg = segments.segment_id
+    seg = np.asarray(segment_id)
     if pred.shape != seg.shape:
-        raise ValueError("pred/segments length mismatch")
+        raise ValueError("pred/segment_id length mismatch")
     out = pred.copy()
-    if pred.size == 0 or segments.num_segments == 0:
+    if pred.size == 0:
         return out
     fg = pred > 0
     fg_seg, fg_pred = seg[fg], pred[fg]
-    k = segments.num_segments
-    seg_total = np.bincount(seg, minlength=k)
+    seg_total = np.bincount(seg)
+    k = seg_total.shape[0]
     bg_count = np.bincount(seg[pred == 0], minlength=k)
     # Each segment's new label, -1 for none; later classes overwrite earlier.
     table = np.full(k, -1, dtype=np.int64)

@@ -4,7 +4,9 @@ Stage one turns per-point box assignments into trinary labels by voting inside
 each ring segment: segments that straddle a box boundary are relabelled
 according to the share of their points falling outside all boxes. Stage two
 clusters the surviving foreground of every box and keeps only the largest
-component as that box's instance.
+component as that box's instance. Both stages take plain values: each point's
+segment id (dense from 0), box assignment and trinary label, and the radii as
+a dict from class id to metres.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClassRadii, ccl_cluster, max_component
+from .clustering import ccl_cluster, max_component
 from .frames import Box2D, box_classes
-from .range_image import RingSegments
 
 __all__ = [
     "TRINARY_IGNORE",
@@ -27,7 +28,6 @@ __all__ = [
     "trinary_from_prop",
     "refine_by_segments",
     "generate_labels",
-    "frustum_semantic",
 ]
 
 TRINARY_IGNORE = -1
@@ -51,9 +51,6 @@ class PseudoLabels:
         self.instance = np.asarray(self.instance, dtype=np.int32)
         if self.semantic.shape != self.instance.shape:
             raise ValueError("semantic/instance length mismatch")
-
-    def copy(self) -> "PseudoLabels":
-        return PseudoLabels(self.semantic.copy(), self.instance.copy())
 
     def check_consistency(self, boxes: list[Box2D]) -> None:
         """Assert that every instance id names a box and carries its class."""
@@ -79,8 +76,9 @@ def trinary_from_prop(prop: np.ndarray | float) -> np.ndarray:
     return codes
 
 
-def refine_by_segments(box_assign: np.ndarray, segments: RingSegments) -> np.ndarray:
-    """Trinary labels from segment-level voting.
+def refine_by_segments(box_assign: np.ndarray, segment_id: np.ndarray) -> np.ndarray:
+    """Trinary labels from segment-level voting, given each point's ring
+    segment id, dense from 0.
 
     For every ring segment, prop = |outside| / (|inside| + |outside|) where
     inside means assigned to any box. All in-box points of the segment get the
@@ -88,14 +86,14 @@ def refine_by_segments(box_assign: np.ndarray, segments: RingSegments) -> np.nda
     background.
     """
     box_assign = np.asarray(box_assign)
-    seg = segments.segment_id
+    seg = np.asarray(segment_id)
     if box_assign.shape != seg.shape:
-        raise ValueError("box_assign/segments length mismatch")
+        raise ValueError("box_assign/segment_id length mismatch")
     labels = np.zeros(box_assign.shape[0], dtype=np.int8)
-    if box_assign.shape[0] == 0 or segments.num_segments == 0:
+    if seg.size == 0:
         return labels
     in_box = box_assign > 0
-    k = segments.num_segments
+    k = int(seg.max()) + 1
     n_in = np.bincount(seg[in_box], minlength=k).astype(np.float64)
     n_out = np.bincount(seg[~in_box], minlength=k).astype(np.float64)
     totals = n_in + n_out
@@ -109,18 +107,19 @@ def generate_labels(
     trinary: np.ndarray,
     box_assign: np.ndarray,
     boxes: list[Box2D],
-    radii: ClassRadii,
+    radii: dict[int, float],
 ) -> PseudoLabels:
     """Final semantic/instance pseudo labels of a frame's N points, from the
     (3, K) columns ``xyz`` of its K in-box points (``box_assign > 0``), in
     point order; only they are clustered. ``trinary`` and ``box_assign`` and
     the labels returned cover all N points.
 
-    Per box, the trinary-foreground points are clustered at the box class
-    radius and only the largest component becomes the instance; the remaining
-    clusters are set to ignore since they may be occluded parts of something
-    else. A box with no foreground points emits no instance. All boxes are
-    clustered in one call, the points sorted by box and each box its own group.
+    Per box, the trinary-foreground points are clustered at its class's
+    radius, ``radii[class_id]``, and only the largest component becomes the
+    instance; the remaining clusters are set to ignore since they may be
+    occluded parts of something else. A box with no foreground points emits
+    no instance. All boxes are clustered in one call, the points sorted by box
+    and each box its own group.
     """
     trinary = np.asarray(trinary)
     box_assign = np.asarray(box_assign)
@@ -150,7 +149,7 @@ def generate_labels(
     slots, starts, group = np.unique(slot[order], return_index=True, return_inverse=True)
     owners = [boxes[k] for k in slots]
     sub = xyz.take(column, axis=1).T  # (k, 3) over three contiguous rows
-    comps = ccl_cluster(sub, [radii.for_class(b.class_id) for b in owners], group)
+    comps = ccl_cluster(sub, [radii[b.class_id] for b in owners], group)
     bounds = np.append(starts, idx.size)
     semantic[idx] = -1
     for k, box in enumerate(owners):
@@ -159,8 +158,3 @@ def generate_labels(
         semantic[keep] = box.class_id
         instance[keep] = box.box_id
     return PseudoLabels(semantic=semantic, instance=instance)
-
-
-def frustum_semantic(box_assign: np.ndarray, boxes: list[Box2D]) -> np.ndarray:
-    """Raw frustum-crop labels: every in-box point gets its box class."""
-    return box_classes(boxes)[np.asarray(box_assign)]

@@ -80,6 +80,8 @@ class SceneConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.beams < 1 or self.columns < 1:
             raise ValueError("beams and columns must be >= 1")
         if self.beams > 65536:

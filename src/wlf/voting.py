@@ -87,7 +87,7 @@ def vote_correct(
     bg = (bg_votes >= cfg.t_reliable) & ~fg
     del fg_votes, bg_votes
     class_of = box_classes(boxes)
-    out = labels.copy()
+    out = PseudoLabels(labels.semantic.copy(), labels.instance.copy())
     out.semantic[fg] = class_of[box_assign[fg]]
     out.instance[fg] = box_assign[fg]
     out.semantic[bg] = 0

@@ -140,7 +140,7 @@ def generate_labels_per_box(xyz, trinary, box_assign, boxes, radii):
         if idx.size == 0:
             continue
         sub = xyz.T[idx]
-        comps = ccl_cluster(sub, radii.for_class(box.class_id))
+        comps = ccl_cluster(sub, radii[box.class_id])
         keep = idx[max_component(comps.labels, sub)]
         semantic[idx] = -1
         instance[idx] = 0

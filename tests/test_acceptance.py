@@ -22,15 +22,14 @@ from oracles import (
 from wlf import pipeline, spatial
 from wlf.bundle import list_vote_epochs, read_manifest
 from wlf.cli import main as cli_main
-from wlf.clustering import ClassRadii, ccl_cluster
+from wlf.clustering import ccl_cluster
 from wlf.config import PipelineConfig
-from wlf.frames import Box2D, crop_frustum, project_points
+from wlf.frames import Box2D, box_classes, crop_frustum, project_points
 from wlf.mask_fusion import fusion_weights
 from wlf.metrics import confusion_counts, instance_ap, miou_from_counts
 from wlf.pipeline import process_frame
 from wlf.range_image import (
     DcsConfig,
-    RingSegments,
     build_range_image,
     dcs_dynamic,
     dcs_rows,
@@ -38,7 +37,6 @@ from wlf.range_image import (
 from wlf.ring_correct import RscConfig, rsc_correct
 from wlf.spatial import (
     PseudoLabels,
-    frustum_semantic,
     generate_labels,
     refine_by_segments,
     trinary_from_prop,
@@ -67,7 +65,7 @@ N_FRAMES = 100
 @pytest.fixture(scope="module")
 def chain100():
     """100 seeded frames with the per-stage label chain and elapsed times."""
-    radii = ClassRadii()
+    radii = PipelineConfig().radii
     dcs_cfg = DcsConfig()
     pvc_cfg = PvcConfig()
     rsc_cfg = RscConfig()
@@ -86,8 +84,8 @@ def chain100():
         assign = crop_frustum(index, pixels, scene.xyz.shape[1], scene.boxes)
         cfg = scene.config
         ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
-        segments = dcs_dynamic(*ri, dcs_cfg)
-        trinary = refine_by_segments(assign, segments)
+        segment_id = dcs_dynamic(*ri, dcs_cfg).segment_id
+        trinary = refine_by_segments(assign, segment_id)
         labels = generate_labels(scene.xyz[:, assign > 0], trinary, assign, scene.boxes, radii)
         spg_seconds_mark = time.perf_counter()
 
@@ -96,10 +94,10 @@ def chain100():
             for epoch in range(pvc_cfg.n_his)
         ])
         voted = vote_correct(scores, pvc_cfg, labels, assign, scene.boxes)
-        corrected = rsc_correct(voted.semantic, segments, rsc_cfg)
+        corrected = rsc_correct(voted.semantic, segment_id, rsc_cfg)
 
         variants = {
-            "raw": frustum_semantic(assign, scene.boxes),
+            "raw": box_classes(scene.boxes)[assign],
             "spg": labels.semantic,
             "pvc": voted.semantic,
             "rsc": corrected,
@@ -180,8 +178,7 @@ def test_3_algorithm_oracle_equivalence():
         seg = np.unique(rng.integers(0, max(1, n // 3), n), return_inverse=True)[1]
         seg = seg.astype(np.int32)
         t1, t2 = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
-        segments = RingSegments(segment_id=seg, num_segments=int(seg.max()) + 1)
-        got = rsc_correct(pred, segments, RscConfig(t1=t1, t2=t2))
+        got = rsc_correct(pred, seg, RscConfig(t1=t1, t2=t2))
         classes = sorted(int(c) for c in np.unique(pred) if c > 0)
         if not np.array_equal(got, rsc_trace(pred, seg, t1, t2, classes)):
             rsc_fail += 1

@@ -18,7 +18,6 @@ from wlf.bundle import (
     write_votes,
 )
 from wlf.mask_fusion import MaskPrediction
-from wlf.spatial import PseudoLabels
 from wlf.synth import CLASS_NAMES, SceneConfig, generate_scene
 
 
@@ -109,14 +108,13 @@ def test_beam_row_past_uint16_rejected(tmp_path, scene, row):
 
 
 def test_labels_round_trip(tmp_path):
-    labels = PseudoLabels(
-        semantic=np.array([-1, 0, 2], dtype=np.int32),
-        instance=np.array([0, 0, 1], dtype=np.int32),
-    )
-    write_labels(tmp_path, labels)
-    again = read_labels(tmp_path, 3)
-    np.testing.assert_array_equal(again.semantic, labels.semantic)
-    np.testing.assert_array_equal(again.instance, labels.instance)
+    semantic = np.array([-1, 0, 2], dtype=np.int32)
+    instance = np.array([0, 0, 1], dtype=np.int32)
+    write_labels(tmp_path, semantic, instance)
+    sem, inst = read_labels(tmp_path, 3)
+    np.testing.assert_array_equal(sem, semantic)
+    np.testing.assert_array_equal(inst, instance)
+    assert sem.dtype == inst.dtype == np.dtype("<i4")
 
 
 def test_votes_round_trip(tmp_path):

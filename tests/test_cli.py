@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from wlf.bundle import write_mask_predictions
 from wlf.cli import main
+from wlf.config import ConfigError, PipelineConfig
 from wlf.mask_fusion import MaskPrediction
+from wlf.pipeline import run_pipeline
 
 
 def run(*args) -> int:
@@ -52,6 +54,10 @@ MALFORMED_CONFIGS = {
     "radius-inf": {"radii": {"1": 0.6, "2": float("inf"), "3": 0.15}},
     "radius-string": {"radii": {"1": "0.6", "2": 0.1, "3": 0.15}},
     "radius-bool": {"radii": {"1": True, "2": 0.1, "3": 0.15}},
+    "radius-zero": {"radii": {"1": 0.0, "2": 0.1, "3": 0.15}},
+    # Two keys for class 1, and a class id below 1.
+    "radii-key-leading-zero": {"radii": {"1": 0.6, "01": 0.7, "2": 0.1, "3": 0.15}},
+    "radii-key-negative": {"radii": {"-1": 0.5, "1": 0.6, "2": 0.1, "3": 0.15}},
     "threads-bool": {"threads": True},
     # Section fields of the wrong kind or not finite.
     "pvc-n_his-float": {"pvc": {"n_his": 2.5}},
@@ -103,6 +109,17 @@ class TestSynth:
         out = tmp_path / "frames"
         assert run("synth", "--out", out, "--num-frames", "1", "--score-sigma", "-1") == 3
         assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scene, flags", [({}, ["--seed", "-1"]), ({"seed": -3}, [])],
+                             ids=["flag", "config"])
+    def test_negative_seed_exit_3_writes_nothing(self, tmp_path, capsys, scene, flags):
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(scene))
+        out = tmp_path / "frames"
+        assert run("synth", "--out", out, "--config", config, "--num-frames", "2", *flags) == 3
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--num-frames", "--epochs"])
@@ -517,6 +534,18 @@ class TestStageCommands:
             with pytest.raises(SystemExit) as exc:
                 run(command, "--frames", f"{bundles}/*", "--out", tmp_path / "o")
             assert exc.value.code == 3
+
+    @pytest.mark.parametrize("stages", [("spg",), ("spg", "pvc", "rsc")], ids=["spg", "all"])
+    def test_spg_on_start_labels_is_config_error(self, bundles, tmp_path, stages):
+        # spg makes the starting labels, so on given labels it could only be
+        # skipped. No command asks for that; a library call must not either.
+        labels = tmp_path / "labels"
+        assert run("spg", "--frames", f"{bundles}/*", "--out", labels) == 0
+        out = tmp_path / "o"
+        cfg = PipelineConfig(frames=f"{bundles}/*", out_dir=str(out), stages=stages)
+        with pytest.raises(ConfigError, match="spg cannot run"):
+            run_pipeline(cfg, labels)
+        assert not out.exists()
 
     def test_missing_labels_exit_2(self, bundles, tmp_path, capsys):
         assert run("eval", "--frames", f"{bundles}/*", "--labels", tmp_path / "none",

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from wlf.clustering import ClassRadii
 from wlf.config import ConfigError, PipelineConfig
 from wlf.range_image import DcsConfig
 from wlf.voting import PvcConfig
@@ -20,7 +19,7 @@ def non_default() -> PipelineConfig:
         out_dir="runs/x",
         threads=3,
         dcs=DcsConfig(window=6, depth_base=0.3),
-        radii=ClassRadii({3: 0.2, 1: 0.5, 12: 1.25}),
+        radii={3: 0.2, 1: 0.5, 12: 1.25},
         pvc=PvcConfig(tau_high=0.8, tau_low=0.2, n_his=2),
         stages=("rsc", "spg"),
     )
@@ -72,15 +71,48 @@ class TestValidation:
             {"frames": 3},
             {"radii": [0.6]},
             {"radii": {"1": -0.6}},
+            {"radii": {"1": 0.0}},
+            {"radii": {"1": float("nan")}},
+            {"radii": {"1": float("inf")}},
+            {"radii": {"1": 10**400}},
             {"radii": {"1": "0.5"}},
             {"radii": {"1": True}},
+            {"radii": {"1": 0.5, "01": 0.7}},
+            {"radii": {"-1": 0.5}},
+            {"radii": {"0": 0.5}},
+            {"radii": {"+2": 0.5}},
+            {"radii": {" 2": 0.5}},
+            {"radii": {"2.0": 0.5}},
+            {"radii": {"vehicle": 0.5}},
             {"dcs": {"window": 0}},
             {"pvc": {"n_hist": 4}},
         ],
         ids=["stages-string", "unknown-stage", "threads-float", "threads-bool", "frames-number",
-             "radii-list", "negative-radius", "radius-string", "radius-bool", "dcs-window-0",
-             "pvc-unknown-key"],
+             "radii-list", "negative-radius", "radius-zero", "radius-nan", "radius-inf",
+             "radius-past-float-range", "radius-string", "radius-bool", "radii-key-leading-zero",
+             "radii-key-negative", "radii-key-zero", "radii-key-plus", "radii-key-space",
+             "radii-key-float", "radii-key-name", "dcs-window-0", "pvc-unknown-key"],
     )
     def test_bad_config_is_config_error(self, data):
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "radii",
+        [{1: 0.0}, {1: -0.6}, {1: float("nan")}, {1: float("inf")}, {1: True}, {1: "0.5"},
+         {0: 0.5}, {-1: 0.5}, {True: 0.5}, {"1": 0.5}, {1.0: 0.5}, [0.6]],
+        ids=["zero", "negative", "nan", "inf", "bool", "string", "class-0", "class-negative",
+             "class-bool", "class-string", "class-float", "list"],
+    )
+    def test_bad_radii_constructed_directly(self, radii):
+        with pytest.raises(ConfigError, match="radii"):
+            PipelineConfig(radii=radii)
+
+    def test_default_radii(self):
+        # Vehicle, pedestrian and cyclist; a radius is stored as a float, so
+        # an integer radius hashes as its float does.
+        assert PipelineConfig().radii == {1: 0.6, 2: 0.1, 3: 0.15}
+        cfg = PipelineConfig.from_dict({"radii": {"2": 1}})
+        assert cfg.to_dict()["radii"] == {"2": 1.0}
+        assert isinstance(cfg.radii[2], float)
+        assert cfg.config_hash() == PipelineConfig(radii={2: 1.0}).config_hash()

@@ -7,14 +7,8 @@ from oracles import rsc_trace
 
 from wlf.frames import Box2D
 from wlf.pipeline import reconcile_instances
-from wlf.range_image import RingSegments
 from wlf.ring_correct import RscConfig, rsc_correct
 from wlf.spatial import PseudoLabels
-
-
-def segs(ids) -> RingSegments:
-    ids = np.asarray(ids, dtype=np.int32)
-    return RingSegments(segment_id=ids, num_segments=int(ids.max()) + 1 if ids.size else 0)
 
 
 CFG = RscConfig(t1=0.5, t2=0.7)
@@ -26,13 +20,13 @@ class TestAlgorithmTraces:
         # so the vehicle pass clears the whole segment (and the pedestrian
         # pass, bg/ped = 1 > 0.5, clears it too).
         pred = np.array([1, 1, 1, 1, 0, 0, 0, 2, 2, 2])
-        out = rsc_correct(pred, segs([0] * 10), CFG)
+        out = rsc_correct(pred, [0] * 10, CFG)
         assert out.tolist() == [0] * 10
 
     def test_class_claims_segment(self):
         # 8 vehicle, 2 background: 0.25 <= 0.5 and 0.8 > 0.7 claims everything.
         pred = np.array([1] * 8 + [0] * 2)
-        out = rsc_correct(pred, segs([0] * 10), CFG)
+        out = rsc_correct(pred, [0] * 10, CFG)
         assert out.tolist() == [1] * 10
 
     def test_full_pass_on_mixed_segment(self):
@@ -40,7 +34,7 @@ class TestAlgorithmTraces:
         # (0.4 <= 0.5, 0.5 <= 0.7), then the pedestrian pass (bg/ped = 2/3 > 0.5)
         # clears the segment.
         pred = np.array([1, 1, 1, 1, 1, 0, 0, 2, 2, 2])
-        out = rsc_correct(pred, segs([0] * 10), CFG)
+        out = rsc_correct(pred, [0] * 10, CFG)
         assert out.tolist() == [0] * 10
 
     def test_counts_use_original_predictions(self):
@@ -48,24 +42,24 @@ class TestAlgorithmTraces:
         # 0 still see the original labels, not the cleared copy.
         pred = np.array([1, 0, 0, 2, 2, 2, 2, 2, 2, 2])
         ids = [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
-        out = rsc_correct(pred, segs(ids), CFG)
+        out = rsc_correct(pred, ids, CFG)
         want = rsc_trace(pred, np.asarray(ids), 0.5, 0.7, [1, 2])
         assert out.tolist() == want.tolist()
 
     def test_uniform_segment_unchanged(self):
         pred = np.array([2, 2, 2])
-        out = rsc_correct(pred, segs([0, 0, 0]), CFG)
+        out = rsc_correct(pred, [0, 0, 0], CFG)
         assert out.tolist() == [2, 2, 2]
 
     def test_ignored_points_count_only_toward_size(self):
         # 3 vehicle, 1 ignore in a 4-point segment: veh share 0.75 > 0.7 claims
         # the segment, overwriting the ignore.
         pred = np.array([1, 1, 1, -1])
-        out = rsc_correct(pred, segs([0, 0, 0, 0]), CFG)
+        out = rsc_correct(pred, [0, 0, 0, 0], CFG)
         assert out.tolist() == [1, 1, 1, 1]
 
     def test_empty_input(self):
-        out = rsc_correct(np.zeros(0, dtype=int), segs(np.zeros(0)), CFG)
+        out = rsc_correct(np.zeros(0, dtype=int), np.zeros(0, dtype=np.int32), CFG)
         assert out.size == 0
 
 
@@ -80,7 +74,7 @@ class TestProperties:
         ids = np.unique(ids, return_inverse=True)[1].astype(np.int32)
         t1 = float(rng.uniform(0, 1))
         t2 = float(rng.uniform(0, 1))
-        got = rsc_correct(pred, segs(ids), RscConfig(t1=t1, t2=t2))
+        got = rsc_correct(pred, ids, RscConfig(t1=t1, t2=t2))
         classes = sorted(int(c) for c in np.unique(pred) if c > 0)
         want = rsc_trace(pred, ids, t1, t2, classes)
         assert np.array_equal(got, want)
@@ -92,7 +86,7 @@ class TestProperties:
         n = int(rng.integers(1, 40))
         pred = rng.integers(0, 4, n).astype(np.int32)
         ids = np.unique(rng.integers(0, 5, n), return_inverse=True)[1].astype(np.int32)
-        out = rsc_correct(pred, segs(ids), CFG)
+        out = rsc_correct(pred, ids, CFG)
         allowed = {0} | {int(c) for c in np.unique(pred)}
         assert set(np.unique(out).tolist()) <= allowed
 

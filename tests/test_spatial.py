@@ -6,23 +6,19 @@ from hypothesis import strategies as st
 from conftest import as_columns
 from oracles import generate_labels_per_box
 
-from wlf.clustering import ClassRadii
-from wlf.frames import Box2D, crop_frustum, project_points
+from wlf.config import PipelineConfig
+from wlf.frames import Box2D, box_classes, crop_frustum, project_points
 from wlf.metrics import confusion_counts, miou_from_counts
-from wlf.range_image import DcsConfig, RingSegments, build_range_image, dcs_dynamic
+from wlf.range_image import DcsConfig, build_range_image, dcs_dynamic
 from wlf.spatial import (
     PseudoLabels,
-    frustum_semantic,
     generate_labels,
     refine_by_segments,
     trinary_from_prop,
 )
 from wlf.synth import SceneConfig, generate_scene
 
-
-def segs(ids) -> RingSegments:
-    ids = np.asarray(ids, dtype=np.int32)
-    return RingSegments(segment_id=ids, num_segments=int(ids.max()) + 1 if ids.size else 0)
+RADII = PipelineConfig().radii
 
 
 class TestTrinaryFromProp:
@@ -49,40 +45,40 @@ class TestRefineBySegments:
     def test_mostly_outside_becomes_background(self):
         # One segment: 3 in-box, 7 out-of-box -> prop 0.7 -> background.
         assign = np.array([1, 1, 1] + [0] * 7)
-        labels = refine_by_segments(assign, segs([0] * 10))
+        labels = refine_by_segments(assign, [0] * 10)
         assert labels[:3].tolist() == [0, 0, 0]
         assert labels[3:].tolist() == [0] * 7
 
     def test_fully_inside_is_foreground(self):
         assign = np.array([2, 2, 2, 2])
-        labels = refine_by_segments(assign, segs([0, 0, 0, 0]))
+        labels = refine_by_segments(assign, [0, 0, 0, 0])
         assert labels.tolist() == [1, 1, 1, 1]
 
     def test_ambiguous_band_is_ignore(self):
         # 8 in, 2 out -> prop 0.2 -> ignore.
         assign = np.array([1] * 8 + [0] * 2)
-        labels = refine_by_segments(assign, segs([0] * 10))
+        labels = refine_by_segments(assign, [0] * 10)
         assert labels[:8].tolist() == [-1] * 8
 
     def test_exact_half_is_ignore(self):
         assign = np.array([1] * 5 + [0] * 5)
-        labels = refine_by_segments(assign, segs([0] * 10))
+        labels = refine_by_segments(assign, [0] * 10)
         assert labels[:5].tolist() == [-1] * 5
 
     def test_exact_tenth_is_ignore(self):
         assign = np.array([1] * 9 + [0])
-        labels = refine_by_segments(assign, segs([0] * 10))
+        labels = refine_by_segments(assign, [0] * 10)
         assert labels[:9].tolist() == [-1] * 9
 
     def test_out_of_box_points_stay_background(self):
         assign = np.array([0, 0, 1, 1])
-        labels = refine_by_segments(assign, segs([0, 0, 1, 1]))
+        labels = refine_by_segments(assign, [0, 0, 1, 1])
         assert labels[0] == 0 and labels[1] == 0
 
     def test_segments_independent(self):
         assign = np.array([1, 1, 2, 0, 0, 0])
         ids = [0, 0, 1, 1, 1, 1]
-        labels = refine_by_segments(assign, segs(ids))
+        labels = refine_by_segments(assign, ids)
         assert labels[0] == 1 and labels[1] == 1  # segment 0 fully inside
         assert labels[2] == 0  # segment 1: 1 in / 3 out -> prop 0.75
 
@@ -99,7 +95,7 @@ class TestGenerateLabels:
         trinary = np.ones(24, dtype=np.int8)
         assign = np.ones(24, dtype=np.int32)
         boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 10, 10))]
-        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, ClassRadii())
+        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, RADII)
         assert (labels.semantic[:20] == 1).all()
         assert (labels.instance[:20] == 1).all()
         assert (labels.semantic[20:] == -1).all()
@@ -110,7 +106,7 @@ class TestGenerateLabels:
         trinary = np.zeros(6, dtype=np.int8)
         assign = np.ones(6, dtype=np.int32)
         boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 10, 10))]
-        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, ClassRadii())
+        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, RADII)
         assert (labels.semantic == 0).all()
         assert (labels.instance == 0).all()
 
@@ -124,7 +120,7 @@ class TestGenerateLabels:
             Box2D(box_id=1, class_id=1, bounds=(0, 0, 10, 10)),
             Box2D(box_id=2, class_id=2, bounds=(20, 0, 30, 10)),
         ]
-        radii = ClassRadii(radii={1: 0.6, 2: 0.6})
+        radii = {1: 0.6, 2: 0.6}
         labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, radii)
         assert set(np.unique(labels.instance[labels.instance > 0]).tolist()) == {1, 2}
         assert (labels.semantic[:10] == 1).all()
@@ -136,7 +132,7 @@ class TestGenerateLabels:
         trinary = np.array([-1, -1, 0, 0], dtype=np.int8)
         assign = np.array([1, 0, 1, 0], dtype=np.int32)
         boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 10, 10))]
-        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, ClassRadii())
+        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, RADII)
         assert labels.semantic.tolist() == [-1, -1, 0, 0]
 
     def test_labels_partition(self, rng):
@@ -146,10 +142,10 @@ class TestGenerateLabels:
         assign = crop_frustum(index, pixels, scene.xyz.shape[1], scene.boxes)
         cfg = scene.config
         ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
-        segments = dcs_dynamic(*ri, DcsConfig())
-        trinary = refine_by_segments(assign, segments)
+        segment_id = dcs_dynamic(*ri, DcsConfig()).segment_id
+        trinary = refine_by_segments(assign, segment_id)
         labels = generate_labels(scene.xyz[:, assign > 0], trinary, assign, scene.boxes,
-                                 ClassRadii())
+                                 RADII)
         labels.check_consistency(scene.boxes)
         sem, inst = labels.semantic, labels.instance
         assert np.all((inst > 0) == (sem > 0))
@@ -182,7 +178,7 @@ def label_cases(draw):
     trinary = rng.integers(-1, 2, n).astype(np.int8)
     no_radius = np.isin(assign, [b.box_id for b in boxes if b.class_id == 4])
     trinary[no_radius & (trinary == 1)] = 0
-    radii = ClassRadii({c: draw(st.floats(0.05, 1.0)) for c in (1, 2, 3)})
+    radii = {c: draw(st.floats(0.05, 1.0)) for c in (1, 2, 3)}
     return as_columns(xyz.reshape(n, 3)), trinary, assign, boxes, radii
 
 
@@ -196,14 +192,14 @@ class TestGenerateLabelsMatchesPerBox:
         xyz = as_columns(TestGenerateLabels().cluster_points(np.array([5.0, 0, 0]), 12))
         boxes = [Box2D(box_id=k, class_id=1, bounds=(0, 0, 1, 1)) for k in (2, 7, 3)]
         assign = np.array([2] * 6 + [3] * 6, dtype=np.int32)
-        assert_matches_per_box(xyz, np.ones(12, dtype=np.int8), assign, boxes, ClassRadii())
+        assert_matches_per_box(xyz, np.ones(12, dtype=np.int8), assign, boxes, RADII)
 
     def test_no_box_with_foreground(self):
         xyz = as_columns(TestGenerateLabels().cluster_points(np.array([5.0, 0, 0]), 6))
         boxes = [Box2D(box_id=1, class_id=9, bounds=(0, 0, 1, 1))]
         trinary = np.array([-1, 0, -1, 0, 0, 1], dtype=np.int8)
         assign = np.array([1, 1, 1, 1, 0, 0], dtype=np.int32)
-        assert_matches_per_box(xyz, trinary, assign, boxes, ClassRadii())
+        assert_matches_per_box(xyz, trinary, assign, boxes, RADII)
 
     def test_in_box_columns_with_ignore_outside_points_and_repeated_id(self):
         # Ignore trinary in and out of the boxes, points of no box and of an
@@ -217,8 +213,8 @@ class TestGenerateLabelsMatchesPerBox:
         boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 1, 1)),
                  Box2D(box_id=2, class_id=2, bounds=(0, 0, 1, 1)),
                  Box2D(box_id=1, class_id=3, bounds=(0, 0, 2, 2))]
-        assert_matches_per_box(xyz, trinary, assign, boxes, ClassRadii())
-        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, ClassRadii())
+        assert_matches_per_box(xyz, trinary, assign, boxes, RADII)
+        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, RADII)
         # The case reaches what it names: the last listing of id 1 wins,
         # ignore stays on points of no box, and those never join a box.
         assert (labels.semantic[labels.instance == 1] == 3).any()
@@ -232,7 +228,7 @@ class TestGenerateLabelsMatchesPerBox:
         assign = np.array([1, 0, 1, 0, 1, 0], dtype=np.int32)
         boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 1, 1))]
         with pytest.raises(ValueError, match=r"\(3, 3\) columns of the in-box points"):
-            generate_labels(xyz, np.ones(6, dtype=np.int8), assign, boxes, ClassRadii())
+            generate_labels(xyz, np.ones(6, dtype=np.int8), assign, boxes, RADII)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("stage", ["spg", "plain"])
@@ -246,12 +242,12 @@ class TestGenerateLabelsMatchesPerBox:
         assign = crop_frustum(index, pixels, scene.xyz.shape[1], scene.boxes)
         if stage == "spg":
             ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
-            segments = dcs_dynamic(*ri, DcsConfig())
-            trinary = refine_by_segments(assign, segments)
+            segment_id = dcs_dynamic(*ri, DcsConfig()).segment_id
+            trinary = refine_by_segments(assign, segment_id)
         else:
             trinary = (assign > 0).astype(np.int8)
         assert np.count_nonzero((assign > 0) & (trinary == 1)) > 4000
-        assert_matches_per_box(scene.xyz, trinary, assign, scene.boxes, ClassRadii())
+        assert_matches_per_box(scene.xyz, trinary, assign, scene.boxes, RADII)
 
 
 class TestDirectionalQuality:
@@ -270,12 +266,12 @@ class TestDirectionalQuality:
             assign = crop_frustum(index, pixels, scene.xyz.shape[1], scene.boxes)
             cfg = scene.config
             ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
-            segments = dcs_dynamic(*ri, DcsConfig())
-            trinary = refine_by_segments(assign, segments)
+            segment_id = dcs_dynamic(*ri, DcsConfig()).segment_id
+            trinary = refine_by_segments(assign, segment_id)
             labels = generate_labels(scene.xyz[:, assign > 0], trinary, assign, scene.boxes,
-                                     ClassRadii())
+                                     RADII)
             for acc, sem in (((tp, fp, fn), labels.semantic),
-                             ((tp_r, fp_r, fn_r), frustum_semantic(assign, scene.boxes))):
+                             ((tp_r, fp_r, fn_r), box_classes(scene.boxes)[assign])):
                 a, b, c = confusion_counts(sem, scene.gt_semantic, 3)
                 acc[0][:] += a
                 acc[1][:] += b
@@ -283,16 +279,6 @@ class TestDirectionalQuality:
         _, refined = miou_from_counts(tp, fp, fn)
         _, raw = miou_from_counts(tp_r, fp_r, fn_r)
         assert refined >= raw
-
-
-class TestFrustumSemantic:
-    def test_maps_box_class(self):
-        boxes = [
-            Box2D(box_id=1, class_id=3, bounds=(0, 0, 1, 1)),
-            Box2D(box_id=2, class_id=1, bounds=(0, 0, 2, 2)),
-        ]
-        sem = frustum_semantic(np.array([0, 1, 2, 1]), boxes)
-        assert sem.tolist() == [0, 3, 1, 3]
 
 
 class TestPseudoLabels:

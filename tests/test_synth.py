@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from oracles import cast_full, fabricate_votes_full, ray_directions_grid
 
 from wlf import synth
-from wlf.clustering import ClassRadii, ccl_cluster
+from wlf.clustering import ccl_cluster
+from wlf.config import PipelineConfig
 from wlf.frames import crop_frustum, project_points
 from wlf.range_image import build_range_image
 from wlf.spatial import PseudoLabels
@@ -110,7 +111,7 @@ class TestSceneContents:
         # roof sees sparse grazing roof returns, and coarse columns detach the
         # silhouette limbs of thin cylinders; both are legitimate splits, so
         # the connectivity assumption is validated away from those regimes.
-        radii = ClassRadii()
+        radii = PipelineConfig().radii
         for seed, cfg in (
             (
                 3,
@@ -141,7 +142,7 @@ class TestSceneContents:
             assert scene.boxes, f"seed {seed}: no visible object"
             for box in scene.boxes:
                 pts = scene.xyz[:, scene.gt_instance == box.box_id].T
-                comps = ccl_cluster(pts, radii.for_class(box.class_id))
+                comps = ccl_cluster(pts, radii[box.class_id])
                 assert comps.num == 1, f"seed {seed} class {box.class_id} split"
 
     def test_instance_ids_match_box_ids(self):

@@ -94,8 +94,8 @@ def test_traced_stage_changes_match_the_labels(tmp_path):
     pvc_changed = rsc_changed = 0
     for frame in sorted(p.name for p in corpus.iterdir()):
         spg, pvc, rsc = (read_labels(tmp_path / stage / frame) for stage in ("spg", "pvc", "rsc"))
-        pvc_changed += np.count_nonzero((spg.semantic != pvc.semantic) | (spg.instance != pvc.instance))
-        rsc_changed += np.count_nonzero(pvc.semantic != rsc.semantic)
+        pvc_changed += np.count_nonzero((spg[0] != pvc[0]) | (spg[1] != pvc[1]))
+        rsc_changed += np.count_nonzero(pvc[0] != rsc[0])
     assert layers["voting.changed_points"] == pvc_changed > 0
     assert layers["ring_correct.changed_points"] == rsc_changed > 0
 
@@ -127,6 +127,17 @@ def test_cli_import_leaves_synth_out():
     # them at start-up.
     lazy = ["wlf.synth", "hashlib"]
     code = f"import sys, wlf.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_label_io_and_rsc_load_no_clustering():
+    # Label files and ring-segment correction are plain arrays, so neither
+    # loads spg, the clustering or the range image.
+    heavy = ["wlf.spatial", "wlf.clustering", "wlf.range_image"]
+    code = f"import sys, wlf.bundle, wlf.ring_correct; print([m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
