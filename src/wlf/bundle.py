@@ -169,8 +169,8 @@ def write_frame_bundle(
 
 
 def read_manifest(directory: str | Path) -> dict:
-    """A bundle's manifest with its counts checked and ``num_classes`` and
-    ``class_names`` filled in when absent.
+    """A bundle's manifest with its counts checked, its class names distinct,
+    and ``num_classes`` and ``class_names`` filled in when absent.
 
     Raises FileNotFoundError without manifest.json, and BundleError naming it
     for any malformed content.
@@ -188,8 +188,9 @@ def read_manifest(directory: str | Path) -> dict:
         _int_at_least(manifest["columns"], 1, "columns")
         _int_at_least(manifest.setdefault("num_classes", DEFAULT_NUM_CLASSES), 1, "num_classes")
         names = manifest.setdefault("class_names", [])
-        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-            raise ValueError(f"class_names {names!r} is not a list of strings")
+        if (not isinstance(names, list) or not all(isinstance(name, str) for name in names)
+                or len(set(names)) != len(names)):
+            raise ValueError(f"class_names {names!r} is not a list of distinct strings")
     return manifest
 
 

@@ -121,9 +121,11 @@ class PipelineConfig:
 
     def config_hash(self) -> str:
         """The first 16 hex digits of the sha256 of the sorted-key JSON of
-        ``to_dict``."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return sha256(canonical.encode()).hexdigest()[:16]
+        ``to_dict`` but frames, out_dir and threads, which never change a run's
+        output: the same settings hash alike wherever the files lie."""
+        unhashed = ("frames", "out_dir", "threads")
+        data = {k: v for k, v in self.to_dict().items() if k not in unhashed}
+        return sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":

@@ -111,6 +111,9 @@ class Box2D:
         if self.class_id < 1:
             raise ValueError("class_id must be >= 1")
         x0, y0, x1, y1 = self.bounds
+        # Strings would compare, and a bool is an int.
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.bounds):
+            raise ValueError(f"box bounds {self.bounds} are not four numbers")
         if not (x0 < x1 and y0 < y1):
             raise ValueError(f"degenerate box bounds {self.bounds}")
 
@@ -159,7 +162,8 @@ def project_points(calib: Calibration, xyz: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def box_classes(boxes: list[Box2D]) -> np.ndarray:
-    """Lookup table from box id to class id; ids that name no box map to 0."""
+    """Lookup table from box id to class id, 0 for an id that names no box;
+    a box id listed twice takes the class of its last listing."""
     class_of = np.zeros(max([b.box_id for b in boxes], default=0) + 1, dtype=np.int32)
     for b in boxes:
         class_of[b.box_id] = b.class_id
@@ -172,8 +176,7 @@ def crop_frustum(
     """Each of ``num_points`` points' box id (0 = none), from the in-image
     ``index`` and ``pixels`` of ``project_points``. Overlaps are resolved in
     favour of the smallest box area, then the smallest box id."""
-    ids = [b.box_id for b in boxes]
-    if len(set(ids)) != len(ids):
+    if len({b.box_id for b in boxes}) != len(boxes):
         raise ValueError("duplicate box ids")
     assign = np.zeros(num_points, dtype=np.int32)
     if not boxes:

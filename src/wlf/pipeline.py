@@ -12,14 +12,15 @@ so run.json marks a finished run. Frames are independent, so the worker pool
 never changes the output bytes.
 
 A frame's arrays are plain locals, each alive from its first reader to its
-last: the full float32 points, as stored, and the beams until the range
-image is built (spg keeps only the in-box points' columns), the raster until
-dcs returns, the trinary labels until clustering, one epoch's vote row at a
-time as pvc counts, the box assignment until pvc and the segment ids until
-rsc. The instances are reconciled in the labels rsc leaves. The ground truth
-is read only when the frame is scored, where the metrics see it and the
-labels alone, so a run's peak memory is that of its largest frame's largest
-stage.
+last: the boxes until the frustum crop, after which every stage reads the
+box-class table (``frames.box_classes``), the full float32 points, as
+stored, and the beams until the range image is built (spg keeps only the
+in-box points' columns), the raster until dcs returns, the trinary labels
+until clustering, one epoch's vote row at a time as pvc counts, the box
+assignment until pvc and the segment ids until rsc. The instances are
+reconciled in the labels rsc leaves. The ground truth is read only when the
+frame is scored, where the metrics see it and the labels alone, so a run's
+peak memory is that of its largest frame's largest stage.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .bundle import (
     write_labels,
 )
 from .config import ConfigError, PipelineConfig
-from .frames import Box2D, box_classes, crop_frustum, project_points
+from .frames import box_classes, crop_frustum, project_points
 from .metrics import (
     MetricReport,
     confusion_counts,
@@ -94,12 +95,12 @@ class RunResult:
     class_names: list[str]
 
 
-def reconcile_instances(labels: PseudoLabels, boxes: list[Box2D]) -> PseudoLabels:
-    """Drop instance ids wherever the semantic label left the box class, in
-    place: ``labels.instance`` is written, unless it is read-only (as
-    ``read_labels`` returns it), in which case a copy is. Returns the labels."""
+def reconcile_instances(labels: PseudoLabels, class_of: np.ndarray) -> PseudoLabels:
+    """Drop instance ids wherever the semantic label left the box class in
+    ``class_of``, in place, and return ``labels``; a read-only
+    ``labels.instance`` (as ``read_labels`` returns it) is copied first."""
     mismatch = labels.instance > 0
-    mismatch &= labels.semantic != box_classes(boxes)[labels.instance]
+    mismatch &= labels.semantic != class_of[labels.instance]
     if not labels.instance.flags.writeable:
         labels.instance = labels.instance.copy()
     labels.instance[mismatch] = 0
@@ -107,10 +108,10 @@ def reconcile_instances(labels: PseudoLabels, boxes: list[Box2D]) -> PseudoLabel
 
 
 def read_start_labels(
-    directory: Path, num_points: int, boxes: list[Box2D], num_classes: int
+    directory: Path, num_points: int, class_of: np.ndarray, num_classes: int
 ) -> PseudoLabels:
     """Labels from an earlier run; BundleError unless every semantic label is
-    in -1..num_classes, every instance id is >= 0 and they fit the boxes."""
+    in -1..num_classes, every instance id is >= 0 and they fit ``class_of``."""
     try:
         labels = PseudoLabels(*read_labels(directory, num_points))
         if num_points:
@@ -120,7 +121,7 @@ def read_start_labels(
                 raise BundleError(f"semantic label {bad} outside -1..{num_classes}")
             if labels.instance.min() < 0:
                 raise BundleError(f"instance id {int(labels.instance.min())} is negative")
-        labels.check_consistency(boxes)
+        labels.check_consistency(class_of)
     except (BundleError, AssertionError) as exc:
         raise BundleError(f"{directory}: {exc}") from exc
     return labels
@@ -147,6 +148,7 @@ def process_frame(
     t0 = time.perf_counter()
     box_assign = crop_frustum(*project_points(calib, xyz), num_points, boxes)
     timings["project"] = time.perf_counter() - t0
+    class_of = box_classes(boxes)
 
     # A running spg clusters only the in-box points, so it keeps their
     # columns alone and the range image is the last reader of the full xyz.
@@ -166,22 +168,20 @@ def process_frame(
         del xyz, beam_row
 
     if not spg_runs:
-        labels = read_start_labels(
-            Path(labels_dir) / frame_id, num_points, boxes, manifest["num_classes"]
-        )
+        labels = read_start_labels(Path(labels_dir) / frame_id, num_points, class_of,
+                                   manifest["num_classes"])
     else:
-        missing = sorted({b.class_id for b in boxes} - cfg.radii.keys())
+        missing = sorted(set(class_of[class_of > 0].tolist()) - cfg.radii.keys())
         if missing:
-            raise BundleError(
-                f"{bundle_dir / 'boxes.json'}: no clustering radius for class {missing[0]}"
-            )
+            raise BundleError(f"{bundle_dir / 'boxes.json'}: "
+                              f"no clustering radius for class {missing[0]}")
         t0 = time.perf_counter()
         if "spg" in cfg.stages:
             trinary = refine_by_segments(box_assign, segment_id)
         else:
             trinary = np.where(box_assign > 0, TRINARY_FG, 0).astype(np.int8)
         try:  # such as an in-box point past ccl_cluster's bound
-            labels = generate_labels(in_box_xyz, trinary, box_assign, boxes, cfg.radii)
+            labels = generate_labels(in_box_xyz, trinary, box_assign, class_of, cfg.radii)
         except ValueError as exc:
             raise BundleError(f"{bundle_dir}: {exc}") from exc
         del in_box_xyz, trinary
@@ -205,7 +205,7 @@ def process_frame(
             try:
                 labels = vote_correct(
                     (read_votes(bundle_dir, e, num_points) for e in recent),
-                    cfg.pvc, labels, box_assign, boxes,
+                    cfg.pvc, labels, box_assign, class_of,
                 )
             except BundleError:  # a vote file's read error names the file
                 raise
@@ -216,14 +216,13 @@ def process_frame(
 
     if "rsc" in cfg.stages:
         t0 = time.perf_counter()
-        labels = reconcile_instances(
-            PseudoLabels(rsc_correct(labels.semantic, segment_id, cfg.rsc), labels.instance), boxes
-        )
+        semantic = rsc_correct(labels.semantic, segment_id, cfg.rsc)
+        labels = reconcile_instances(PseudoLabels(semantic, labels.instance), class_of)
         timings["rsc"] = time.perf_counter() - t0
     del segment_id
 
     try:
-        labels.check_consistency(boxes)
+        labels.check_consistency(class_of)
     except AssertionError as exc:
         raise AssertionError(f"frame {frame_id}: {exc}") from exc
 
@@ -259,15 +258,16 @@ def discover_bundles(pattern: str) -> list[Path]:
 
 def read_manifests(bundles: list[Path]) -> list[dict]:
     """Every bundle's manifest, read before anything is written. BundleError
-    for a malformed one, a ``num_classes`` other than the first bundle's, and
+    for a malformed one, class counts or names unlike the first bundle's, and
     a frame id that names a run file or another bundle's output directory."""
     manifests = [read_manifest(b) for b in bundles]
     owner: dict[str, Path] = {}
     for bundle, manifest in zip(bundles, manifests):
-        frame_id, n_cls = manifest["frame_id"], manifest["num_classes"]
-        if n_cls != manifests[0]["num_classes"]:
-            raise BundleError(f"{bundle / 'manifest.json'}: num_classes {n_cls} differs "
-                              f"from {manifests[0]['num_classes']} in {bundles[0]}")
+        frame_id = manifest["frame_id"]
+        for key in ("num_classes", "class_names"):
+            if manifest[key] != manifests[0][key]:
+                raise BundleError(f"{bundle / 'manifest.json'}: {key} {manifest[key]!r} differs "
+                                  f"from {manifests[0][key]!r} in {bundles[0]}")
         if frame_id in RUN_FILES:
             raise BundleError(f"{bundle}: frame_id {frame_id!r} is reserved for a run file")
         if frame_id in owner:

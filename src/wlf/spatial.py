@@ -5,8 +5,8 @@ each ring segment: segments that straddle a box boundary are relabelled
 according to the share of their points falling outside all boxes. Stage two
 clusters the surviving foreground of every box and keeps only the largest
 component as that box's instance. Both stages take plain values: each point's
-segment id (dense from 0), box assignment and trinary label, and the radii as
-a dict from class id to metres.
+segment id (dense from 0), box assignment and trinary label, the table from
+box id to class id (``frames.box_classes``) and the radii in metres by class.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ccl_cluster, max_component
-from .frames import Box2D, box_classes
 
 __all__ = [
     "TRINARY_IGNORE",
@@ -52,9 +51,8 @@ class PseudoLabels:
         if self.semantic.shape != self.instance.shape:
             raise ValueError("semantic/instance length mismatch")
 
-    def check_consistency(self, boxes: list[Box2D]) -> None:
-        """Assert that every instance id names a box and carries its class."""
-        class_of = box_classes(boxes)
+    def check_consistency(self, class_of: np.ndarray) -> None:
+        """Assert that every instance id names a box in ``class_of`` and carries its class."""
         owned = self.instance > 0
         ids = self.instance[owned]
         if ids.size and (ids.max() >= class_of.size or not class_of[ids].all()):
@@ -106,7 +104,7 @@ def generate_labels(
     xyz: np.ndarray,
     trinary: np.ndarray,
     box_assign: np.ndarray,
-    boxes: list[Box2D],
+    class_of: np.ndarray,
     radii: dict[int, float],
 ) -> PseudoLabels:
     """Final semantic/instance pseudo labels of a frame's N points, from the
@@ -115,11 +113,12 @@ def generate_labels(
     the labels returned cover all N points.
 
     Per box, the trinary-foreground points are clustered at its class's
-    radius, ``radii[class_id]``, and only the largest component becomes the
-    instance; the remaining clusters are set to ignore since they may be
-    occluded parts of something else. A box with no foreground points emits
-    no instance. All boxes are clustered in one call, the points sorted by box
-    and each box its own group.
+    radius, ``radii[class_of[box_id]]``, and only the largest component
+    becomes the instance; the remaining clusters are set to ignore since they
+    may be occluded parts of something else. A box with no foreground points
+    emits no instance; an id past ``class_of`` or of class 0 names no box,
+    and its points are left alone. All boxes are clustered in one call, the
+    points sorted by box id and each box its own group.
     """
     trinary = np.asarray(trinary)
     box_assign = np.asarray(box_assign)
@@ -132,29 +131,24 @@ def generate_labels(
     semantic = np.zeros(n, dtype=np.int32)
     semantic[trinary == TRINARY_IGNORE] = -1
     instance = np.zeros(n, dtype=np.int32)
-    # Each in-box foreground point's column in ``xyz`` and its slot in
-    # ``boxes`` (a repeated box id takes its last slot), sorted by slot;
-    # points of no listed box are left alone.
-    box_ids = [b.box_id for b in boxes]
-    slot_of = np.full(max([int(box_assign.max(initial=0)), *box_ids]) + 1, -1)
-    slot_of[box_ids] = np.arange(len(boxes))
+    # Each in-box foreground point's column in ``xyz`` and its box id,
+    # sorted by id; points of an id that names no box are left alone.
     column = np.flatnonzero(trinary[in_box] == TRINARY_FG)
-    idx = in_box[column]
-    slot = slot_of[box_assign[idx]]
-    order = np.argsort(slot, kind="stable")
-    order = order[slot[order] >= 0]
+    ids = box_assign[in_box[column]]
+    order = np.argsort(ids, kind="stable")
+    order = order[np.isin(ids[order], np.flatnonzero(class_of))]
     if order.size == 0:
         return PseudoLabels(semantic=semantic, instance=instance)
-    idx, column = idx[order], column[order]
-    slots, starts, group = np.unique(slot[order], return_index=True, return_inverse=True)
-    owners = [boxes[k] for k in slots]
+    column = column[order]
+    idx = in_box[column]
+    box_ids, starts, group = np.unique(ids[order], return_index=True, return_inverse=True)
     sub = xyz.take(column, axis=1).T  # (k, 3) over three contiguous rows
-    comps = ccl_cluster(sub, [radii[b.class_id] for b in owners], group)
+    comps = ccl_cluster(sub, [radii[c] for c in class_of[box_ids].tolist()], group)
     bounds = np.append(starts, idx.size)
     semantic[idx] = -1
-    for k, box in enumerate(owners):
+    for k, box_id in enumerate(box_ids.tolist()):
         lo, hi = bounds[k], bounds[k + 1]
         keep = idx[lo + max_component(comps.labels[lo:hi], sub[lo:hi])]
-        semantic[keep] = box.class_id
-        instance[keep] = box.box_id
+        semantic[keep] = class_of[box_id]
+        instance[keep] = box_id
     return PseudoLabels(semantic=semantic, instance=instance)

@@ -2,8 +2,9 @@
 
 Given the last few epochs of per-point foreground scores from a teacher
 model, points that were confidently foreground or background in enough epochs
-get their pseudo label overridden. Which epochs to pass, and whether voting
-is enabled yet, is decided by the caller (``pipeline.process_frame``).
+get their pseudo label overridden, and a foreground point takes its box's
+class from the table of box id to class id. Which epochs to pass, and whether
+voting is enabled yet, is decided by the caller (``pipeline.process_frame``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Box2D, box_classes
 from .spatial import PseudoLabels
 
 __all__ = ["PvcConfig", "vote_correct"]
@@ -47,7 +47,7 @@ def vote_correct(
     cfg: PvcConfig,
     labels: PseudoLabels,
     box_assign: np.ndarray,
-    boxes: list[Box2D],
+    class_of: np.ndarray,
 ) -> PseudoLabels:
     """New pseudo labels, overridden by majority vote over epoch scores;
     ``labels`` is left as it is.
@@ -58,10 +58,10 @@ def vote_correct(
     them or any dtype that converts to float64; the thresholds are compared
     in float64 either way. A row is checked and counted before the next is
     taken, so only one row need be alive at a time. Foreground overrides
-    require the point to lie in some box frustum, which supplies the class
-    and the instance id; a reliable-background vote clears both labels. A
-    point that is reliable in both directions follows the foreground rule
-    first.
+    require the point to lie in some box frustum, which supplies the instance
+    id and, through the box-class table ``class_of``, the class; a
+    reliable-background vote clears both labels. A point that is reliable in
+    both directions follows the foreground rule first.
     """
     n = labels.semantic.shape[0]
     # A float64 threshold makes every comparison a float64 one, float32 scores
@@ -86,7 +86,6 @@ def vote_correct(
     fg = (fg_votes >= cfg.t_reliable) & (box_assign > 0)
     bg = (bg_votes >= cfg.t_reliable) & ~fg
     del fg_votes, bg_votes
-    class_of = box_classes(boxes)
     out = PseudoLabels(labels.semantic.copy(), labels.instance.copy())
     out.semantic[fg] = class_of[box_assign[fg]]
     out.instance[fg] = box_assign[fg]

@@ -82,22 +82,23 @@ def chain100():
     for scene in scenes:
         index, pixels = project_points(scene.calibration, scene.xyz)
         assign = crop_frustum(index, pixels, scene.xyz.shape[1], scene.boxes)
+        class_of = box_classes(scene.boxes)
         cfg = scene.config
         ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
         segment_id = dcs_dynamic(*ri, dcs_cfg).segment_id
         trinary = refine_by_segments(assign, segment_id)
-        labels = generate_labels(scene.xyz[:, assign > 0], trinary, assign, scene.boxes, radii)
+        labels = generate_labels(scene.xyz[:, assign > 0], trinary, assign, class_of, radii)
         spg_seconds_mark = time.perf_counter()
 
         scores = np.stack([
             fabricate_votes(scene.gt_semantic, 3, sigma=0.2, seed=scene.config.seed, epoch=epoch)
             for epoch in range(pvc_cfg.n_his)
         ])
-        voted = vote_correct(scores, pvc_cfg, labels, assign, scene.boxes)
+        voted = vote_correct(scores, pvc_cfg, labels, assign, class_of)
         corrected = rsc_correct(voted.semantic, segment_id, rsc_cfg)
 
         variants = {
-            "raw": box_classes(scene.boxes)[assign],
+            "raw": class_of[assign],
             "spg": labels.semantic,
             "pvc": voted.semantic,
             "rsc": corrected,
@@ -184,7 +185,7 @@ def test_3_algorithm_oracle_equivalence():
             rsc_fail += 1
 
     vote_fail = 0
-    boxes = [Box2D(box_id=1, class_id=2, bounds=(0, 0, 10, 10))]
+    class_of = box_classes([Box2D(box_id=1, class_id=2, bounds=(0, 0, 10, 10))])
     for _ in range(1000):
         n = int(rng.integers(1, 40))
         epochs = int(rng.integers(1, 6))
@@ -196,7 +197,7 @@ def test_3_algorithm_oracle_equivalence():
         sem = rng.integers(-1, 3, n).astype(np.int32)
         labels = PseudoLabels(semantic=sem, instance=np.zeros(n, dtype=np.int32))
         cfg = PvcConfig(tau_high=tau_high, tau_low=tau_low, t_reliable=t_rel, n_his=epochs)
-        got = vote_correct(scores, cfg, labels, assign, boxes)
+        got = vote_correct(scores, cfg, labels, assign, class_of)
         want_sem, want_inst = vote_enumerate(
             scores, tau_high, tau_low, t_rel, sem, labels.instance, assign, {1: 2}
         )

@@ -155,6 +155,12 @@ def test_truncated_array_rejected(tmp_path, scene):
         ("boxes.json", lambda boxes: boxes[0].update(class_id="1"), "class_id '1'"),
         ("manifest.json", lambda manifest: manifest.update(num_classes="three"), "num_classes"),
         ("manifest.json", lambda manifest: manifest.update(num_classes=0), "num_classes 0"),
+        ("boxes.json", lambda boxes: boxes[0].update(bounds=["1", "2", "3", "4"]),
+         r"box bounds \('1', '2', '3', '4'\) are not four numbers"),
+        ("boxes.json", lambda boxes: boxes[0].update(bounds=[0, 0, True, True]),
+         r"box bounds \(0, 0, True, True\) are not four numbers"),
+        ("manifest.json", lambda manifest: manifest.update(class_names=["a", "b", "a"]),
+         r"class_names \['a', 'b', 'a'\] is not a list of distinct strings"),
     ],
 )
 def test_bad_ids_and_class_count_name_the_file(tmp_path, scene, name, edit, message):

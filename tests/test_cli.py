@@ -396,12 +396,19 @@ class TestStageCommands:
             ("calibration.json", image_size_text("[640.7, 480]")),
             ("calibration.json", image_size_text("[true, 480]")),
             ("calibration.json", image_size_text(f"[{10**400}, 480]")),
+            ("boxes.json", lambda boxes: boxes[0].update(bounds=["1", "2", "3", "4"])),
+            ("boxes.json", lambda boxes: boxes[0].update(bounds=[0, 0, True, True])),
+            ("manifest.json", lambda manifest: manifest.update(
+                class_names=["vehicle", "vehicle", "cyclist"])),
+            ("manifest.json", lambda manifest: manifest.update(
+                class_names=["cyclist", "pedestrian", "vehicle"])),
         ],
         ids=["degenerate-box", "no-extrinsic", "no-columns", "beam-row-past-beams",
              "class-without-radius", "duplicate-box-id", "float-box-id", "string-num-classes",
              "float-columns", "string-beams", "negative-num-points", "float-num-points",
              "num-classes-differs", "image-size-infinity", "image-size-1e400",
-             "image-size-float", "image-size-bool", "image-size-past-float-range"],
+             "image-size-float", "image-size-bool", "image-size-past-float-range",
+             "string-bounds", "bool-bounds", "repeated-class-name", "class-names-differ"],
     )
     def test_malformed_bundle_exit_3(self, bundles, tmp_path, capsys, name, edit):
         edit_json(bundles / "frame_0002" / name, edit)
@@ -733,6 +740,21 @@ class TestIpg:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert str(bundle / "masks" / "mask_1.json") in err
+
+    @pytest.mark.parametrize("bounds", [["1", "2", "3", "4"], [0, 0, True, True]],
+                             ids=["strings", "bools"])
+    def test_non_numeric_box_bounds_exit_3(self, bundles, tmp_path, capsys, rng, bounds):
+        # Strings compare, so only a type check stops them before box_iou.
+        bundle = bundles / "frame_0001"
+        box = json.loads((bundle / "boxes.json").read_text())[0]
+        write_mask_predictions(bundle, [(box["box_id"], MaskPrediction(
+            prob_map=rng.uniform(0, 1, (4, 4)), score=0.5, pred_box=tuple(box["bounds"])))])
+        edit_json(bundle / "boxes.json", lambda boxes: boxes[0].update(bounds=bounds))
+        out = tmp_path / "o"
+        assert run("ipg", "--frames", f"{bundles}/*", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert f"{bundle / 'boxes.json'}: " in err and "Traceback" not in err
+        assert not list(out.glob("frame_*"))
 
     def test_bad_later_bundle_writes_nothing(self, tmp_path, capsys, rng):
         frames = tmp_path / "frames"

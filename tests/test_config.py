@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -42,14 +43,33 @@ class TestRoundTrip:
             "got = [cfg.config_hash() for cfg in cfgs]; "
             "print([m for m in ('hashlib', '_hashlib') if m in sys.modules]); "
             "import hashlib; "
-            "print(got == [hashlib.sha256(json.dumps(cfg.to_dict(), sort_keys=True).encode())"
-            ".hexdigest()[:16] for cfg in cfgs])"
+            "hashed = [{k: v for k, v in cfg.to_dict().items() "
+            "if k not in ('frames', 'out_dir', 'threads')} for cfg in cfgs]; "
+            "print(got == [hashlib.sha256(json.dumps(d, sort_keys=True).encode())"
+            ".hexdigest()[:16] for d in hashed])"
         )
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "True"]
+
+    def test_hash_ignores_paths_and_threads(self):
+        # Where a run reads and writes, and its thread count, never change
+        # its labels; run.json's config block still records them.
+        base = non_default()
+        moved = replace(base, frames="/elsewhere/frames/*", out_dir="out", threads=1)
+        assert moved.config_hash() == base.config_hash()
+        assert moved.to_dict() != base.to_dict()
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"dcs": DcsConfig(window=7)}, {"radii": {1: 0.5}}, {"pvc": PvcConfig(n_his=3)},
+         {"stages": ("spg",)}],
+        ids=["dcs", "radii", "pvc", "stages"],
+    )
+    def test_stage_setting_changes_hash(self, change):
+        assert replace(PipelineConfig(), **change).config_hash() != PipelineConfig().config_hash()
 
     def test_radius_keys_are_sorted_strings(self):
         assert list(non_default().to_dict()["radii"]) == ["1", "3", "12"]

@@ -196,6 +196,13 @@ class TestBox2D:
         with pytest.raises(ValueError):
             Box2D(box_id=1, class_id=1, bounds=(10, 10, 10, 20))
 
+    @pytest.mark.parametrize("bounds", [("1", "2", "3", "4"), (0, 0, True, True),
+                                        (0, 0, 10, None), (0.0, 0.0, 10, "20")],
+                             ids=["strings", "bools", "none", "one-string"])
+    def test_non_numeric_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="not four numbers"):
+            Box2D(box_id=1, class_id=1, bounds=bounds)
+
 
 class TestCropFrustum:
     def make_proj(self, pixels, valid=None):
@@ -317,3 +324,9 @@ class TestBoxClasses:
                  Box2D(box_id=1, class_id=1, bounds=(0, 0, 2, 2))]
         assert box_classes(boxes).tolist() == [0, 1, 0, 2]
         assert box_classes([]).tolist() == [0]
+
+    def test_repeated_id_takes_its_last_listing(self):
+        boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 1, 1)),
+                 Box2D(box_id=2, class_id=2, bounds=(0, 0, 1, 1)),
+                 Box2D(box_id=1, class_id=3, bounds=(0, 0, 2, 2))]
+        assert box_classes(boxes).tolist() == [0, 3, 2]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import rsc_trace
 
-from wlf.frames import Box2D
+from wlf.frames import Box2D, box_classes
 from wlf.pipeline import reconcile_instances
 from wlf.ring_correct import RscConfig, rsc_correct
 from wlf.spatial import PseudoLabels
@@ -100,12 +100,12 @@ class TestConfig:
 
 
 class TestReconcile:
-    BOXES = [Box2D(box_id=1, class_id=2, bounds=(0, 0, 1, 1))]
+    CLASS_OF = box_classes([Box2D(box_id=1, class_id=2, bounds=(0, 0, 1, 1))])
 
     def test_instances_that_left_their_class_dropped_in_place(self):
         labels = PseudoLabels(semantic=np.array([2, 0, 1, 2]), instance=np.array([1, 1, 1, 0]))
         instance = labels.instance
-        out = reconcile_instances(labels, self.BOXES)
+        out = reconcile_instances(labels, self.CLASS_OF)
         assert out is labels and out.instance is instance
         assert out.instance.tolist() == [1, 0, 0, 0]
         assert out.semantic.tolist() == [2, 0, 1, 2]
@@ -114,6 +114,6 @@ class TestReconcile:
         # Labels read from an earlier run are read-only views of the file.
         instance = np.frombuffer(np.array([1, 1], dtype=np.int32).tobytes(), dtype=np.int32)
         labels = PseudoLabels(semantic=np.array([2, 0]), instance=instance)
-        out = reconcile_instances(labels, self.BOXES)
+        out = reconcile_instances(labels, self.CLASS_OF)
         assert out.instance.tolist() == [1, 0]
         assert instance.tolist() == [1, 1]

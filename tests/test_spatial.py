@@ -95,7 +95,7 @@ class TestGenerateLabels:
         trinary = np.ones(24, dtype=np.int8)
         assign = np.ones(24, dtype=np.int32)
         boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 10, 10))]
-        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, RADII)
+        labels = generate_labels(xyz[:, assign > 0], trinary, assign, box_classes(boxes), RADII)
         assert (labels.semantic[:20] == 1).all()
         assert (labels.instance[:20] == 1).all()
         assert (labels.semantic[20:] == -1).all()
@@ -106,7 +106,7 @@ class TestGenerateLabels:
         trinary = np.zeros(6, dtype=np.int8)
         assign = np.ones(6, dtype=np.int32)
         boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 10, 10))]
-        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, RADII)
+        labels = generate_labels(xyz[:, assign > 0], trinary, assign, box_classes(boxes), RADII)
         assert (labels.semantic == 0).all()
         assert (labels.instance == 0).all()
 
@@ -121,18 +121,18 @@ class TestGenerateLabels:
             Box2D(box_id=2, class_id=2, bounds=(20, 0, 30, 10)),
         ]
         radii = {1: 0.6, 2: 0.6}
-        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, radii)
+        labels = generate_labels(xyz[:, assign > 0], trinary, assign, box_classes(boxes), radii)
         assert set(np.unique(labels.instance[labels.instance > 0]).tolist()) == {1, 2}
         assert (labels.semantic[:10] == 1).all()
         assert (labels.semantic[10:] == 2).all()
-        labels.check_consistency(boxes)
+        labels.check_consistency(box_classes(boxes))
 
     def test_ignored_points_stay_ignored(self):
         xyz = as_columns(self.cluster_points(np.array([5.0, 0, 0]), 4))
         trinary = np.array([-1, -1, 0, 0], dtype=np.int8)
         assign = np.array([1, 0, 1, 0], dtype=np.int32)
         boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 10, 10))]
-        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, RADII)
+        labels = generate_labels(xyz[:, assign > 0], trinary, assign, box_classes(boxes), RADII)
         assert labels.semantic.tolist() == [-1, -1, 0, 0]
 
     def test_labels_partition(self, rng):
@@ -144,16 +144,16 @@ class TestGenerateLabels:
         ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
         segment_id = dcs_dynamic(*ri, DcsConfig()).segment_id
         trinary = refine_by_segments(assign, segment_id)
-        labels = generate_labels(scene.xyz[:, assign > 0], trinary, assign, scene.boxes,
-                                 RADII)
-        labels.check_consistency(scene.boxes)
+        class_of = box_classes(scene.boxes)
+        labels = generate_labels(scene.xyz[:, assign > 0], trinary, assign, class_of, RADII)
+        labels.check_consistency(class_of)
         sem, inst = labels.semantic, labels.instance
         assert np.all((inst > 0) == (sem > 0))
         assert np.all((sem == -1) | (sem == 0) | (inst > 0))
 
 
 def assert_matches_per_box(xyz, trinary, assign, boxes, radii):
-    labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, radii)
+    labels = generate_labels(xyz[:, assign > 0], trinary, assign, box_classes(boxes), radii)
     semantic, instance = generate_labels_per_box(xyz, trinary, assign, boxes, radii)
     assert np.array_equal(labels.semantic, semantic)
     assert np.array_equal(labels.instance, instance)
@@ -163,7 +163,8 @@ def assert_matches_per_box(xyz, trinary, assign, boxes, radii):
 def label_cases(draw):
     """Frames of clustered points with up to five boxes: ids in any order and
     with gaps, repeated classes, class 4 (no radius, never foreground), the
-    highest id often given no points, and assignments to unlisted ids."""
+    highest id often given no points, and assignments to unlisted ids, both
+    past the box-class table and in a gap of it."""
     ids = draw(st.lists(st.integers(1, 9), unique=True, max_size=5))
     classes = [draw(st.integers(1, 4)) for _ in ids]
     boxes = [Box2D(box_id=i, class_id=c, bounds=(0, 0, 1, 1)) for i, c in zip(ids, classes)]
@@ -171,7 +172,10 @@ def label_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     centers = rng.uniform(-3, 3, (4, 3))
     xyz = centers[rng.integers(0, 4, n)] + rng.normal(0, draw(st.floats(0.02, 0.5)), (n, 3))
-    pool = [0, 10] + ids
+    # 10 lies past the box-class table; a gap below the highest id is in it
+    # with class 0.
+    gaps = [k for k in range(1, max(ids, default=0)) if k not in ids]
+    pool = [0, 10] + ids + gaps[:1]
     if ids and draw(st.booleans()):
         pool.remove(max(ids))
     assign = rng.choice(pool, n).astype(np.int32)
@@ -214,7 +218,7 @@ class TestGenerateLabelsMatchesPerBox:
                  Box2D(box_id=2, class_id=2, bounds=(0, 0, 1, 1)),
                  Box2D(box_id=1, class_id=3, bounds=(0, 0, 2, 2))]
         assert_matches_per_box(xyz, trinary, assign, boxes, RADII)
-        labels = generate_labels(xyz[:, assign > 0], trinary, assign, boxes, RADII)
+        labels = generate_labels(xyz[:, assign > 0], trinary, assign, box_classes(boxes), RADII)
         # The case reaches what it names: the last listing of id 1 wins,
         # ignore stays on points of no box, and those never join a box.
         assert (labels.semantic[labels.instance == 1] == 3).any()
@@ -228,7 +232,7 @@ class TestGenerateLabelsMatchesPerBox:
         assign = np.array([1, 0, 1, 0, 1, 0], dtype=np.int32)
         boxes = [Box2D(box_id=1, class_id=1, bounds=(0, 0, 1, 1))]
         with pytest.raises(ValueError, match=r"\(3, 3\) columns of the in-box points"):
-            generate_labels(xyz, np.ones(6, dtype=np.int8), assign, boxes, RADII)
+            generate_labels(xyz, np.ones(6, dtype=np.int8), assign, box_classes(boxes), RADII)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("stage", ["spg", "plain"])
@@ -268,10 +272,9 @@ class TestDirectionalQuality:
             ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
             segment_id = dcs_dynamic(*ri, DcsConfig()).segment_id
             trinary = refine_by_segments(assign, segment_id)
-            labels = generate_labels(scene.xyz[:, assign > 0], trinary, assign, scene.boxes,
-                                     RADII)
-            for acc, sem in (((tp, fp, fn), labels.semantic),
-                             ((tp_r, fp_r, fn_r), box_classes(scene.boxes)[assign])):
+            class_of = box_classes(scene.boxes)
+            labels = generate_labels(scene.xyz[:, assign > 0], trinary, assign, class_of, RADII)
+            for acc, sem in (((tp, fp, fn), labels.semantic), ((tp_r, fp_r, fn_r), class_of[assign])):
                 a, b, c = confusion_counts(sem, scene.gt_semantic, 3)
                 acc[0][:] += a
                 acc[1][:] += b
@@ -290,11 +293,11 @@ class TestPseudoLabels:
         boxes = [Box2D(box_id=1, class_id=2, bounds=(0, 0, 1, 1))]
         labels = PseudoLabels(semantic=np.array([1]), instance=np.array([1]))
         with pytest.raises(AssertionError):
-            labels.check_consistency(boxes)
+            labels.check_consistency(box_classes(boxes))
 
     def test_consistency_catches_unknown_instance(self):
         boxes = [Box2D(box_id=2, class_id=1, bounds=(0, 0, 1, 1))]
         for inst in (1, 3):  # below and above the only box id
             labels = PseudoLabels(semantic=np.array([0]), instance=np.array([inst]))
             with pytest.raises(AssertionError, match="name a box"):
-                labels.check_consistency(boxes)
+                labels.check_consistency(box_classes(boxes))

@@ -12,7 +12,7 @@ from oracles import cast_full, fabricate_votes_full, ray_directions_grid
 from wlf import synth
 from wlf.clustering import ccl_cluster
 from wlf.config import PipelineConfig
-from wlf.frames import crop_frustum, project_points
+from wlf.frames import box_classes, crop_frustum, project_points
 from wlf.range_image import build_range_image
 from wlf.spatial import PseudoLabels
 from wlf.synth import CLASS_NAMES, SceneConfig, fabricate_votes, generate_scene
@@ -311,10 +311,8 @@ class TestFabricateScores:
             semantic=np.full(n, -1, dtype=np.int32),
             instance=np.zeros(n, dtype=np.int32),
         )
-        out = vote_correct(scores, PvcConfig(), start, assign, scene.boxes)
+        out = vote_correct(scores, PvcConfig(), start, assign, box_classes(scene.boxes))
         in_box = assign > 0
-        box_class = {b.box_id: b.class_id for b in scene.boxes}
-        frustum_cls = np.array([box_class.get(int(b), 0) for b in assign])
         fg = in_box & (scene.gt_semantic > 0)
         # Foreground votes land the box class, which matches GT for points
         # assigned to their own object's box.

@@ -144,6 +144,15 @@ def test_label_io_and_rsc_load_no_clustering():
     assert proc.stdout.strip() == "[]"
 
 
+def test_spg_and_pvc_load_no_frames():
+    # spg and pvc read the box-class table, a plain array, not the boxes.
+    code = "import sys, wlf.spatial, wlf.voting; print('wlf.frames' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_import_freezes_its_heap():
     # Frozen, the import-time objects are skipped by the collections at
     # interpreter exit, which every short `wlf` child would otherwise pay for.

@@ -14,7 +14,7 @@ from wlf.bundle import (
 )
 from wlf.cli import main
 from wlf.config import PipelineConfig
-from wlf.frames import Box2D, crop_frustum, project_points
+from wlf.frames import Box2D, box_classes, crop_frustum, project_points
 from wlf.pipeline import MissingInputError, process_frame
 from wlf.spatial import PseudoLabels
 from wlf.voting import PvcConfig, vote_correct
@@ -26,7 +26,7 @@ def make_labels(n, sem=0, inst=0):
     )
 
 
-BOXES = [Box2D(box_id=1, class_id=2, bounds=(0, 0, 10, 10))]
+CLASS_OF = box_classes([Box2D(box_id=1, class_id=2, bounds=(0, 0, 10, 10))])
 
 
 @pytest.fixture
@@ -57,16 +57,16 @@ def assert_pvc_skipped(bundle, caplog, wanted, **pvc):
 class TestVoteCorrect:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="as long as the labels"):
-            vote_correct(np.zeros((2, 3)), PvcConfig(), make_labels(4), np.zeros(4), BOXES)
+            vote_correct(np.zeros((2, 3)), PvcConfig(), make_labels(4), np.zeros(4), CLASS_OF)
 
     def test_one_row_per_epoch_required(self):
         with pytest.raises(ValueError, match="one row per epoch"):
-            vote_correct(np.zeros(3), PvcConfig(), make_labels(3), np.zeros(3), BOXES)
+            vote_correct(np.zeros(3), PvcConfig(), make_labels(3), np.zeros(3), CLASS_OF)
 
     def test_scores_out_of_range_rejected(self):
         for bad in (1.2, -0.1, np.nan):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                vote_correct(np.array([[bad]]), PvcConfig(), make_labels(1), np.zeros(1), BOXES)
+                vote_correct(np.array([[bad]]), PvcConfig(), make_labels(1), np.zeros(1), CLASS_OF)
 
     def test_float32_scores_out_of_range_rejected(self):
         one_up = np.nextafter(np.float32(1), np.float32(2))
@@ -74,25 +74,25 @@ class TestVoteCorrect:
         for bad in (np.nan, np.inf, one_up, below, 1.5):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 scores = np.array([[bad]], dtype=np.float32)
-                vote_correct(scores, PvcConfig(), make_labels(1), np.zeros(1), BOXES)
+                vote_correct(scores, PvcConfig(), make_labels(1), np.zeros(1), CLASS_OF)
 
     def test_nan_among_valid_scores_rejected(self):
         for dtype in (np.float32, np.float64):
             scores = np.array([[0.2, 0.9], [np.nan, 0.5]], dtype=dtype)
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                vote_correct(scores, PvcConfig(), make_labels(2), np.zeros(2), BOXES)
+                vote_correct(scores, PvcConfig(), make_labels(2), np.zeros(2), CLASS_OF)
 
     def test_range_ends_accepted(self):
         for dtype in (np.float32, np.float64):
             scores = np.array([[-0.0, 1.0]] * 4, dtype=dtype)
-            out = vote_correct(scores, PvcConfig(), make_labels(2, 1, 1), np.array([0, 1]), BOXES)
+            out = vote_correct(scores, PvcConfig(), make_labels(2, 1, 1), np.array([0, 1]), CLASS_OF)
             assert out.semantic.tolist() == [0, 2]
             assert out.instance.tolist() == [0, 1]
 
     def test_empty_frame_accepted(self):
         for shape in ((4, 0), (0, 0)):
             out = vote_correct(np.zeros(shape, dtype=np.float32), PvcConfig(), make_labels(0),
-                               np.zeros(0, dtype=np.int32), BOXES)
+                               np.zeros(0, dtype=np.int32), CLASS_OF)
             assert out.semantic.shape == out.instance.shape == (0,)
 
     @settings(max_examples=150, deadline=None)
@@ -114,8 +114,8 @@ class TestVoteCorrect:
                         t_reliable=data.draw(st.integers(1, 4)))
         box_assign = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
         labels = make_labels(n, sem=-1)
-        got = vote_correct(scores, cfg, labels, box_assign, BOXES)
-        want = vote_correct(scores.astype(np.float64), cfg, labels, box_assign, BOXES)
+        got = vote_correct(scores, cfg, labels, box_assign, CLASS_OF)
+        want = vote_correct(scores.astype(np.float64), cfg, labels, box_assign, CLASS_OF)
         assert np.array_equal(got.semantic, want.semantic)
         assert np.array_equal(got.instance, want.instance)
 
@@ -131,8 +131,8 @@ class TestVoteCorrect:
         labels = make_labels(n, sem=-1)
         box_assign = rng.integers(0, 2, n)
         rows = [row.astype(np.float32) if k % 2 else row for k, row in enumerate(scores)]
-        got = vote_correct((row for row in rows), cfg, labels, box_assign, BOXES)
-        want = vote_correct(np.array(rows, dtype=np.float64), cfg, labels, box_assign, BOXES)
+        got = vote_correct((row for row in rows), cfg, labels, box_assign, CLASS_OF)
+        want = vote_correct(np.array(rows, dtype=np.float64), cfg, labels, box_assign, CLASS_OF)
         assert np.array_equal(got.semantic, want.semantic)
         assert np.array_equal(got.instance, want.instance)
         assert (labels.semantic == -1).all()  # input untouched
@@ -144,20 +144,20 @@ class TestVoteCorrect:
             raise AssertionError("read past the bad row")
 
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            vote_correct(rows(), PvcConfig(), make_labels(2), np.zeros(2), BOXES)
+            vote_correct(rows(), PvcConfig(), make_labels(2), np.zeros(2), CLASS_OF)
 
     def test_foreground_override(self):
         # Four confident epochs, threshold 3: the in-box point becomes its box class.
         scores = np.array([[0.9], [0.8], [0.7], [0.9]])
         cfg = PvcConfig(tau_high=0.5, tau_low=0.5, t_reliable=3)
-        out = vote_correct(scores, cfg, make_labels(1, sem=-1), np.array([1]), BOXES)
+        out = vote_correct(scores, cfg, make_labels(1, sem=-1), np.array([1]), CLASS_OF)
         assert out.semantic.tolist() == [2]
         assert out.instance.tolist() == [1]
 
     def test_background_override(self):
         scores = np.array([[0.4], [0.6], [0.3], [0.2]])
         cfg = PvcConfig(tau_high=0.5, tau_low=0.5, t_reliable=3)
-        out = vote_correct(scores, cfg, make_labels(1, sem=2, inst=1), np.array([1]), BOXES)
+        out = vote_correct(scores, cfg, make_labels(1, sem=2, inst=1), np.array([1]), CLASS_OF)
         assert out.semantic.tolist() == [0]
         assert out.instance.tolist() == [0]
 
@@ -189,7 +189,7 @@ class TestVoteCorrect:
 
     def test_out_of_box_foreground_vote_skipped(self):
         scores = np.array([[0.9], [0.9], [0.9], [0.9]])
-        out = vote_correct(scores, PvcConfig(), make_labels(1, sem=-1), np.array([0]), BOXES)
+        out = vote_correct(scores, PvcConfig(), make_labels(1, sem=-1), np.array([0]), CLASS_OF)
         assert out.semantic.tolist() == [-1]
 
     def test_bad_votes_name_the_bundle(self, bundle):
@@ -215,8 +215,8 @@ class TestVoteCorrect:
         scores = np.array([[0.9], [0.2], [0.9], [0.9]])
         cfg = PvcConfig()
         labels = make_labels(1, sem=-1)
-        a = vote_correct(scores, cfg, labels, np.array([1]), BOXES)
-        b = vote_correct(scores, cfg, labels, np.array([1]), BOXES)
+        a = vote_correct(scores, cfg, labels, np.array([1]), CLASS_OF)
+        b = vote_correct(scores, cfg, labels, np.array([1]), CLASS_OF)
         assert np.array_equal(a.semantic, b.semantic)
         assert np.array_equal(a.instance, b.instance)
         assert labels.semantic.tolist() == [-1]  # input untouched
@@ -224,7 +224,7 @@ class TestVoteCorrect:
     def test_exactly_threshold_scores_count_neither_side(self):
         scores = np.array([[0.5], [0.5], [0.5], [0.5]])
         cfg = PvcConfig(tau_high=0.5, tau_low=0.5, t_reliable=1)
-        out = vote_correct(scores, cfg, make_labels(1, sem=-1), np.array([1]), BOXES)
+        out = vote_correct(scores, cfg, make_labels(1, sem=-1), np.array([1]), CLASS_OF)
         assert out.semantic.tolist() == [-1]
 
     @settings(max_examples=60, deadline=None)
@@ -234,7 +234,7 @@ class TestVoteCorrect:
         cfg = PvcConfig(tau_high=0.7, tau_low=0.3, t_reliable=1)
         scores = rng.uniform(0.31, 0.69, (4, 6))
         labels = make_labels(6, sem=1, inst=0)
-        out = vote_correct(scores, cfg, labels, rng.integers(0, 2, 6), BOXES)
+        out = vote_correct(scores, cfg, labels, rng.integers(0, 2, 6), CLASS_OF)
         assert np.array_equal(out.semantic, labels.semantic)
 
     @settings(max_examples=60, deadline=None)
@@ -246,7 +246,7 @@ class TestVoteCorrect:
         sem = rng.integers(-1, 3, 8).astype(np.int32)
         inst = np.where(sem == 2, 1, 0).astype(np.int32)
         labels = PseudoLabels(semantic=sem, instance=inst)
-        out = vote_correct(scores, cfg, labels, rng.integers(0, 2, 8), BOXES)
+        out = vote_correct(scores, cfg, labels, rng.integers(0, 2, 8), CLASS_OF)
         assert np.array_equal(out.semantic, sem)
         assert np.array_equal(out.instance, inst)
 
@@ -264,7 +264,7 @@ class TestVoteCorrect:
         sem = rng.integers(-1, 3, n).astype(np.int32)
         inst = np.zeros(n, dtype=np.int32)
         labels = PseudoLabels(semantic=sem, instance=inst)
-        got = vote_correct(scores, cfg, labels, box_assign, BOXES)
+        got = vote_correct(scores, cfg, labels, box_assign, CLASS_OF)
         want_sem, want_inst = vote_enumerate(
             scores, tau_high, tau_low, t_rel, sem, inst, box_assign, {1: 2}
         )
