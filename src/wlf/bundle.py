@@ -2,7 +2,8 @@
 
 One directory per frame:
 
-    manifest.json       frame id, counts, raster shape, dtypes, class names
+    manifest.json       frame id, counts, raster shape, class names, and the
+                        ``arrays`` object of dtypes and shapes, never read
     points.f32          (N, 4) float32, little-endian, row-major: x, y, z and
                         intensity; the reader returns x, y, z as the (3, N)
                         float32 ``xyz``, as stored, and never reads intensity
@@ -16,14 +17,15 @@ One directory per frame:
 
 Pseudo labels (sem.i32, inst.i32) live outside the bundle, in
 ``<out>/<frame_id>/`` of a run. All binary arrays are flat little-endian;
-shapes live in the manifest or the sidecar JSON. A run reads each manifest
-once (``read_manifest``) and hands it to ``read_frame_bundle``, which returns
-the points, beams, calibration and boxes as plain values, and, once the
-frame's labels are made, to ``read_ground_truth``, so that the ground truth
-is never alive while the stages run; ``wlf ipg`` reads only the manifest,
-``boxes.json`` (``read_boxes``) and ``masks/``. The points stay float32 as
-stored, and each stage widens them to float64 where it computes, which is
-exact.
+shapes live in the manifest or the sidecar JSON. Every JSON leaf goes through
+``wlf.fields``: one of the wrong type or range is a BundleError naming the
+file and the key path. A run reads each manifest once (``read_manifest``) and
+hands it to ``read_frame_bundle``, which returns the points, beams,
+calibration and boxes as plain values, and, once the frame's labels are made,
+to ``read_ground_truth``, so that the ground truth is never alive while the
+stages run; ``wlf ipg`` reads only the manifest, ``boxes.json``
+(``read_boxes``) and ``masks/``. The points stay float32 as stored, and each
+stage widens them to float64 where it computes, which is exact.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fields import integer, listof, mapping, name, within
 from .frames import Box2D, Calibration
 from .mask_fusion import MaskPrediction
 
@@ -79,12 +82,6 @@ def _read_array(path: Path, kind: str, count: int | None = None) -> np.ndarray:
     if count is not None and len(raw) != count * itemsize:
         raise BundleError(f"{path}: expected {count} values, found {len(raw) / itemsize:g}")
     return np.frombuffer(raw, dtype=_DTYPES[kind])
-
-
-def _int_at_least(value, low: int, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValueError(f"{what} {value!r} is not an integer >= {low}")
-    return value
 
 
 @contextmanager
@@ -179,18 +176,16 @@ def read_manifest(directory: str | Path) -> dict:
     if not path.is_file():
         raise FileNotFoundError(f"no manifest.json in {directory}")
     with _naming(path):
-        manifest = json.loads(path.read_text())
-        frame_id = manifest["frame_id"]
-        if not isinstance(frame_id, str) or frame_id in ("", "..") or Path(frame_id).name != frame_id:
-            raise ValueError(f"frame_id {frame_id!r} is not a plain directory name")
-        _int_at_least(manifest["num_points"], 0, "num_points")
-        _int_at_least(manifest["beams"], 1, "beams")
-        _int_at_least(manifest["columns"], 1, "columns")
-        _int_at_least(manifest.setdefault("num_classes", DEFAULT_NUM_CLASSES), 1, "num_classes")
-        names = manifest.setdefault("class_names", [])
-        if (not isinstance(names, list) or not all(isinstance(name, str) for name in names)
-                or len(set(names)) != len(names)):
+        manifest = mapping(json.loads(path.read_text()), "manifest")
+        name(manifest["frame_id"], "frame_id")
+        integer(manifest["num_points"], "num_points")
+        integer(manifest["beams"], "beams", 1, 65536)  # beam_row.u16 holds rows 0..65535
+        integer(manifest["columns"], "columns", 1)
+        integer(manifest.setdefault("num_classes", DEFAULT_NUM_CLASSES), "num_classes", 1)
+        names = listof(manifest.setdefault("class_names", []), "class_names", name)
+        if len(set(names)) != len(names):
             raise ValueError(f"class_names {names!r} is not a list of distinct strings")
+        mapping(manifest.get("arrays", {}), "arrays")  # informative: nothing in it is read
     return manifest
 
 
@@ -220,12 +215,8 @@ def read_frame_bundle(
         if n and int(beam_row.max()) >= manifest["beams"]:
             raise ValueError(f"beam_row {int(beam_row.max())} >= beams {manifest['beams']}")
     with _naming(directory / "calibration.json"):
-        calib_raw = json.loads((directory / "calibration.json").read_text())
-        calib = Calibration(
-            intrinsic=np.asarray(calib_raw["intrinsic"]),
-            extrinsic=np.asarray(calib_raw["extrinsic"]),
-            image_size=tuple(calib_raw["image_size"]),
-        )
+        raw = mapping(json.loads((directory / "calibration.json").read_text()), "calibration")
+        calib = Calibration(raw["intrinsic"], raw["extrinsic"], raw["image_size"])
     return xyz, beam_row, calib, read_boxes(directory, manifest)
 
 
@@ -255,14 +246,10 @@ def read_boxes(directory: str | Path, manifest: dict) -> list[Box2D]:
     """
     path = Path(directory) / "boxes.json"
     with _naming(path):
-        boxes = [
-            Box2D(
-                box_id=_int_at_least(b["box_id"], 1, "box_id"),
-                class_id=_int_at_least(b["class_id"], 1, "class_id"),
-                bounds=tuple(b["bounds"]),
-            )
-            for b in json.loads(path.read_text())
-        ]
+        boxes = []
+        for k, b in enumerate(listof(json.loads(path.read_text()), "boxes", mapping)):
+            with within(f"boxes[{k}]"):
+                boxes.append(Box2D(b["box_id"], b["class_id"], b["bounds"]))
         ids = sorted(b.box_id for b in boxes)
         repeated = [i for i, k in zip(ids, ids[1:]) if i == k]
         if repeated:
@@ -349,18 +336,14 @@ def read_mask_predictions(directory: str | Path) -> dict[int, list[MaskPredictio
     )
     for sidecar in sidecars:
         with _naming(sidecar):
-            meta = json.loads(sidecar.read_text())
-            h, w = (_int_at_least(v, 0, "shape entry") for v in meta["shape"])
+            meta = mapping(json.loads(sidecar.read_text()), "mask")
+            h, w = listof(meta["shape"], "shape", integer, 2)
             prob = _read_array(sidecar.with_suffix(".f32"), "f32", h * w).reshape(h, w)
             # As for points: MaskPrediction names a widened signalling NaN.
             with np.errstate(invalid="ignore"):
                 prob = prob.astype(np.float64)
-            pred = MaskPrediction(
-                prob_map=prob,
-                score=float(meta["score"]),
-                pred_box=tuple(float(v) for v in meta["pred_box"]),
-            )
-            preds = grouped.setdefault(_int_at_least(meta["box_id"], 1, "box_id"), [])
+            pred = MaskPrediction(prob_map=prob, score=meta["score"], pred_box=meta["pred_box"])
+            preds = grouped.setdefault(integer(meta["box_id"], "box_id", 1), [])
             if preds and preds[0].prob_map.shape != (h, w):
                 raise ValueError(f"shape {[h, w]} differs from the "
                                  f"{list(preds[0].prob_map.shape)} of an earlier mask of its box")

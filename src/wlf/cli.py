@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import logging
 import os
 import sys
@@ -38,7 +37,7 @@ from .bundle import (  # noqa: E402
     write_json,
     write_votes,
 )
-from .config import ConfigError, PipelineConfig  # noqa: E402
+from .config import ConfigError, PipelineConfig, read_config  # noqa: E402
 from .mask_fusion import binarize, pseudo_loss, weight_masks  # noqa: E402
 from .pipeline import (  # noqa: E402
     MissingInputError,
@@ -88,7 +87,7 @@ def _flags(**values) -> dict:
 
 
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
+    cfg = read_config(args.config, PipelineConfig.from_dict) if args.config else PipelineConfig()
     stages = None if args.stages is None else tuple(s for s in args.stages.split(",") if s)
     cfg = replace(cfg, **_flags(frames=args.frames, out_dir=args.out, threads=args.threads,
                                 stages=stages))
@@ -103,17 +102,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     if args.num_frames < 0 or args.epochs < 0:
         raise ConfigError("--num-frames and --epochs must be >= 0")
-    text = None
-    if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise MissingInputError(f"scene config not found: {path}")
-        text = path.read_text()
+    scene_cfg = read_config(args.config, SceneConfig.from_dict) if args.config else SceneConfig()
     try:
-        scene_cfg = SceneConfig() if text is None else SceneConfig.from_dict(json.loads(text))
         scene_cfg = replace(scene_cfg, **_flags(seed=args.seed, score_sigma=args.score_sigma))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scene config: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = Path(args.out)
     check_out_dir(out)
     # A rerun with fewer frames or epochs would leave the old ones behind.

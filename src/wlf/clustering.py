@@ -41,15 +41,10 @@ import numpy as np
 
 __all__ = [
     "Components",
-    "EmptySelectionError",
     "ccl_cluster",
     "connected_components",
     "max_component",
 ]
-
-
-class EmptySelectionError(ValueError):
-    """Raised when a largest component is requested from an empty point set."""
 
 
 @dataclass
@@ -294,7 +289,7 @@ def max_component(labels: np.ndarray, points: np.ndarray) -> np.ndarray:
     """
     labels = np.asarray(labels)
     if labels.size == 0:
-        raise EmptySelectionError("no points to select a component from")
+        raise ValueError("no points to select a component from")
     sizes = np.bincount(labels)
     tied = np.flatnonzero(sizes == sizes.max())
     if tied.shape[0] > 1:  # only the tied components' points are widened

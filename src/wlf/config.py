@@ -12,11 +12,11 @@ checks validate either; every failure is a ``ConfigError``.
 from __future__ import annotations
 
 import json
-import math
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .fields import check_fields, integer, leaf, listof, mapping, name, number, within
 from .mask_fusion import IpgConfig
 from .range_image import DcsConfig
 from .ring_correct import RscConfig
@@ -32,7 +32,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-__all__ = ["ConfigError", "STAGES", "PipelineConfig", "check_fields"]
+__all__ = ["ConfigError", "STAGES", "PipelineConfig", "read_config"]
 
 # The optional label-correction stages in run order; frustum crop and
 # clustering always run.
@@ -46,40 +46,12 @@ class ConfigError(ValueError):
     """Malformed pipeline configuration."""
 
 
-def _same_kind(value, default) -> bool:
-    """Whether ``value`` fits a field whose default is ``default``: an int
-    (not a bool) for an int, any number for a float, and for a tuple a tuple
-    of as many such items."""
-    if isinstance(default, tuple):
-        return (isinstance(value, tuple) and len(value) == len(default)
-                and all(map(_same_kind, value, default)))
-    kinds = int if isinstance(default, int) else (int, float)
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
-def _finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def check_fields(obj) -> None:
-    """TypeError unless each field of the dataclass ``obj`` is of its
-    default's kind; ValueError unless each number in it is finite."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if not _same_kind(value, f.default):
-            raise TypeError(f"{f.name} must be {f.type}, not {value!r}")
-        if not all(map(_finite, value if isinstance(value, tuple) else (value,))):
-            raise ValueError(f"{f.name} must be finite, not {value!r}")
-
-
 @dataclass
 class PipelineConfig:
-    frames: str = ""
-    out_dir: str = ""
-    threads: int = 1
+    frames: str = leaf("")
+    out_dir: str = leaf("")
+    # A pool starts as many threads as it has frames in flight, up to this.
+    threads: int = leaf(1, 1, 64)
     dcs: DcsConfig = field(default_factory=DcsConfig)
     # Clustering radius in metres per class id.
     radii: dict[int, float] = field(default_factory=lambda: {1: 0.6, 2: 0.1, 3: 0.15})
@@ -89,29 +61,19 @@ class PipelineConfig:
     stages: tuple[str, ...] = STAGES
 
     def __post_init__(self) -> None:
-        if not isinstance(self.frames, str) or not isinstance(self.out_dir, str):
-            raise ConfigError("frames and out_dir must be strings")
-        if not _same_kind(self.threads, 1) or self.threads < 1:
-            raise ConfigError("threads must be an integer >= 1")
-        if not isinstance(self.stages, (list, tuple)):
-            raise ConfigError(f"stages must be a list drawn from {list(STAGES)}")
-        unknown = [name for name in self.stages if name not in STAGES]
-        if unknown:
-            raise ConfigError(f"unknown stages: {unknown}")
-        self.stages = tuple(name for name in STAGES if name in self.stages)
-        if not isinstance(self.radii, dict):
-            raise ConfigError(f"radii must map class ids to radii, not {self.radii!r}")
-        for cls, r in self.radii.items():
-            if not _same_kind(cls, 1) or cls < 1:
-                raise ConfigError(f"radii: class id {cls!r} is not an integer >= 1")
-            if not _same_kind(r, 0.0) or not (_finite(r) and r > 0):
-                raise ConfigError(f"radii: radius {r!r} for class {cls} is not finite and positive")
-        self.radii = {cls: float(r) for cls, r in self.radii.items()}
-        for name in _SECTIONS:
-            try:
-                check_fields(getattr(self, name))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
+        # The sections check themselves as they are made.
+        try:
+            check_fields(self)
+            unknown = [s for s in listof(self.stages, "stages", name) if s not in STAGES]
+            if unknown:
+                raise ValueError(f"stages {unknown} are not among {list(STAGES)}")
+            self.stages = tuple(s for s in STAGES if s in self.stages)
+            self.radii = {
+                integer(c, "radii key", 1): float(number(r, f"radii.{c}", 0, exclusive=True))
+                for c, r in mapping(self.radii, "radii").items()
+            }
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -129,34 +91,30 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        """The config a JSON object gives; ConfigError naming a bad key or value."""
         try:
-            kwargs = {k: _SECTIONS[k](**v) if k in _SECTIONS else v for k, v in data.items()}
-            if isinstance(kwargs.get("radii"), dict):
-                # A class id is written as str(int) writes it, so that no two
-                # keys ("1" and "01") name one class.
-                radii = kwargs["radii"]
-                bad = [k for k in radii if not re.fullmatch(r"[1-9][0-9]*", k)]
-                if bad:
-                    raise ConfigError(f"radii: key {bad[0]!r} is not a class id >= 1")
-                kwargs["radii"] = {int(k): r for k, r in radii.items()}
+            kwargs = dict(mapping(data, "config", cls))
+            for key, section in _SECTIONS.items():
+                if key in kwargs:
+                    values = mapping(kwargs[key], key, section)
+                    with within(key):
+                        kwargs[key] = section(**values)
+            if "radii" in kwargs:
+                # A key is a class id only as str(int) writes it, so that "1" and
+                # "01" never name one class; the constructor refuses any other.
+                kwargs["radii"] = {int(k) if re.fullmatch(r"[1-9][0-9]*", k) else k: r
+                                   for k, r in mapping(kwargs["radii"], "radii").items()}
             return cls(**kwargs)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError(f"bad pipeline config: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "PipelineConfig":
-        path = Path(path)
-        if not path.is_file():
-            raise FileNotFoundError(f"config file not found: {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+
+def read_config(path: str | Path, build):
+    """``build`` of the JSON file at ``path``; a ConfigError names the file for any ValueError."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"config file not found: {path}")
+    try:
+        return build(json.loads(path.read_text()))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

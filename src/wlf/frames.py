@@ -21,8 +21,11 @@ on those points alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+
+from .fields import integer, listof, number
 
 __all__ = [
     "Calibration",
@@ -31,6 +34,12 @@ __all__ = [
     "box_classes",
     "crop_frustum",
 ]
+
+
+def _matrix(value, where: str, k: int) -> np.ndarray:
+    """The float64 k x k matrix of nested lists (or an array) of finite numbers."""
+    rows = value.tolist() if isinstance(value, np.ndarray) else value
+    return np.array(listof(rows, where, partial(listof, read=number, k=k), k), dtype=np.float64)
 
 
 @dataclass
@@ -42,15 +51,8 @@ class Calibration:
     image_size: tuple[int, int]
 
     def __post_init__(self) -> None:
-        self.intrinsic = np.asarray(self.intrinsic, dtype=np.float64)
-        self.extrinsic = np.asarray(self.extrinsic, dtype=np.float64)
-        if self.intrinsic.shape != (3, 3):
-            raise ValueError("intrinsic must be 3x3")
-        if self.extrinsic.shape != (4, 4):
-            raise ValueError("extrinsic must be 4x4")
-        # NaN passes every comparison below.
-        if not (np.isfinite(self.intrinsic).all() and np.isfinite(self.extrinsic).all()):
-            raise ValueError("intrinsic and extrinsic must be finite")
+        self.intrinsic = _matrix(self.intrinsic, "intrinsic", 3)
+        self.extrinsic = _matrix(self.extrinsic, "extrinsic", 4)
         k = self.intrinsic
         lower = np.abs([k[1, 0], k[2, 0], k[2, 1]])
         if lower.max() > 0:
@@ -62,14 +64,7 @@ class Calibration:
         r = self.rotation
         if np.linalg.norm(r.T @ r - np.eye(3)) >= 1e-9:
             raise ValueError("extrinsic rotation is not orthonormal")
-        # Pixels are compared with the size as float64, which a larger
-        # integer overflows; a float or bool size would be truncated.
-        size = tuple(self.image_size)
-        if len(size) != 2 or not all(
-            isinstance(s, (int, np.integer)) and not isinstance(s, bool) and 0 < s < 2**31
-            for s in size
-        ):
-            raise ValueError(f"image_size {list(size)} is not two integers in [1, 2**31)")
+        size = listof(self.image_size, "image_size", partial(integer, lo=1), 2)
         self.image_size = (int(size[0]), int(size[1]))
 
     @property
@@ -106,16 +101,12 @@ class Box2D:
     bounds: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        if self.box_id < 1:
-            raise ValueError("box_id must be >= 1")
-        if self.class_id < 1:
-            raise ValueError("class_id must be >= 1")
+        integer(self.box_id, "box_id", 1)
+        integer(self.class_id, "class_id", 1)
+        object.__setattr__(self, "bounds", tuple(listof(self.bounds, "bounds", number, 4)))
         x0, y0, x1, y1 = self.bounds
-        # Strings would compare, and a bool is an int.
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.bounds):
-            raise ValueError(f"box bounds {self.bounds} are not four numbers")
         if not (x0 < x1 and y0 < y1):
-            raise ValueError(f"degenerate box bounds {self.bounds}")
+            raise ValueError(f"bounds {self.bounds} are degenerate")
 
     @property
     def area(self) -> float:

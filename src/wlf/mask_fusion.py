@@ -9,11 +9,11 @@ BCE + soft-dice loss that skips ignored pixels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_fields, leaf, listof, number
 from .frames import Box2D
 
 __all__ = [
@@ -40,28 +40,27 @@ class MaskPrediction:
 
     def __post_init__(self) -> None:
         self.prob_map = np.asarray(self.prob_map, dtype=np.float64)
-        if self.prob_map.ndim != 2:
-            raise ValueError("prob_map must be 2D")
-        if not np.isfinite(self.prob_map).all():
-            raise ValueError("prob_map must be finite")
-        if not math.isfinite(self.score) or self.score < 0:
-            raise ValueError("score must be finite and nonnegative")
+        if self.prob_map.ndim != 2 or not np.isfinite(self.prob_map).all():
+            raise ValueError("prob_map must be a finite 2D map")
+        self.score = float(number(self.score, "score", 0))
+        self.pred_box = tuple(float(v) for v in listof(self.pred_box, "pred_box", number, 4))
         x0, y0, x1, y1 = self.pred_box
         if not (x0 < x1 and y0 < y1):
-            raise ValueError(f"degenerate predicted box {self.pred_box}")
+            raise ValueError(f"pred_box {self.pred_box} is degenerate")
 
 
 @dataclass
 class IpgConfig:
     """Fusion exponent k and the trinarisation thresholds."""
 
-    k: float = 1.0
-    tau_low: float = 0.3
-    tau_high: float = 0.7
+    k: float = leaf(1.0)
+    tau_low: float = leaf(0.3, 0, 1, exclusive=True)
+    tau_high: float = leaf(0.7, 0, 1, exclusive=True)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.tau_low < self.tau_high < 1.0):
-            raise ValueError("need 0 < tau_low < tau_high < 1")
+        check_fields(self)
+        if self.tau_low >= self.tau_high:
+            raise ValueError(f"tau_low {self.tau_low!r} is not below tau_high {self.tau_high!r}")
 
 
 def box_iou(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:

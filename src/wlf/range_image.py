@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import connected_components
+from .fields import INT32_MAX, check_fields, leaf
 
 __all__ = [
     "RingSegments",
@@ -63,17 +64,10 @@ class DcsConfig:
     rows are rescaled by their maximum depth.
     """
 
-    window: int = 10
-    depth_base: float = 0.24
-    reference_range: float = 50.0
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.depth_base <= 0:
-            raise ValueError("depth_base must be positive")
-        if self.reference_range <= 0:
-            raise ValueError("reference_range must be positive")
+    window: int = leaf(10, 1, INT32_MAX)
+    depth_base: float = leaf(0.24, 0, exclusive=True)
+    reference_range: float = leaf(50.0, 0, exclusive=True)
+    __post_init__ = check_fields
 
 
 def build_range_image(

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_fields, leaf
+
 __all__ = ["RscConfig", "rsc_correct"]
 
 
@@ -24,12 +26,9 @@ class RscConfig:
     """Voting thresholds: background/class ratio above t1 clears a segment,
     class/segment share above t2 claims it."""
 
-    t1: float = 0.5
-    t2: float = 0.7
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.t1 <= 1.0 and 0.0 <= self.t2 <= 1.0):
-            raise ValueError("thresholds must lie in [0, 1]")
+    t1: float = leaf(0.5, 0, 1)
+    t2: float = leaf(0.7, 0, 1)
+    __post_init__ = check_fields
 
 
 def rsc_correct(pred: np.ndarray, segment_id: np.ndarray, cfg: RscConfig) -> np.ndarray:

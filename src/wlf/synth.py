@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import check_fields
+from .fields import INT32_MAX, check_fields, leaf, mapping, number
 from .frames import Box2D, Calibration, project_points
 
 __all__ = [
@@ -47,68 +47,55 @@ class SceneConfig:
     """Scene layout, sensor model, and noise knobs. All draws come from
     ``seed``, so equal configs generate identical scenes."""
 
-    seed: int = 0
-    beams: int = 32
-    columns: int = 512
-    fov_up_deg: float = 2.0
-    fov_down_deg: float = -24.5
-    sensor_height: float = 2.0
-    max_range: float = 120.0
+    seed: int = leaf(0, 0, math.inf)
+    beams: int = leaf(32, 1, 65536)  # beam_row.u16 holds rows 0..65535
+    columns: int = leaf(512, 1, INT32_MAX)
+    fov_up_deg: float = leaf(2.0, -90, 90)
+    fov_down_deg: float = leaf(-24.5, -90, 90)
+    sensor_height: float = leaf(2.0)
+    max_range: float = leaf(120.0)
     # Placement wedge (degrees) and per-class object count / distance ranges.
-    azimuth_deg: tuple[float, float] = (-32.0, 32.0)
-    vehicles: tuple[int, int] = (1, 4)
-    pedestrians: tuple[int, int] = (0, 3)
-    cyclists: tuple[int, int] = (0, 2)
-    vehicle_distance: tuple[float, float] = (7.0, 22.0)
-    pedestrian_distance: tuple[float, float] = (3.5, 6.5)
-    cyclist_distance: tuple[float, float] = (4.0, 9.0)
+    azimuth_deg: tuple[float, float] = leaf((-32.0, 32.0))
+    vehicles: tuple[int, int] = leaf((1, 4), 0, INT32_MAX)
+    pedestrians: tuple[int, int] = leaf((0, 3), 0, INT32_MAX)
+    cyclists: tuple[int, int] = leaf((0, 2), 0, INT32_MAX)
+    vehicle_distance: tuple[float, float] = leaf((7.0, 22.0), 0, exclusive=True)
+    pedestrian_distance: tuple[float, float] = leaf((3.5, 6.5), 0, exclusive=True)
+    cyclist_distance: tuple[float, float] = leaf((4.0, 9.0), 0, exclusive=True)
     # Unlabelled building-like slabs behind the objects; they contaminate
     # frustum crops the way street furniture does.
-    background_walls: tuple[int, int] = (2, 4)
-    wall_distance: tuple[float, float] = (24.0, 45.0)
-    min_separation: float = 2.5
+    background_walls: tuple[int, int] = leaf((2, 4), 0, INT32_MAX)
+    wall_distance: tuple[float, float] = leaf((24.0, 45.0), 0, exclusive=True)
+    min_separation: float = leaf(2.5)
     # Slack added around the tight pixel bounds, emulating human annotation
     # looseness; 0 keeps boxes exactly tight.
-    box_pad_px: float = 0.0
-    depth_jitter: float = 0.0
-    score_sigma: float = 0.0
+    box_pad_px: float = leaf(0.0, 0)
+    depth_jitter: float = leaf(0.0, 0)
+    score_sigma: float = leaf(0.0, 0)
     # Camera: pinhole at ``camera_offset`` (LiDAR frame), looking forward.
-    image_width: int = 640
-    image_height: int = 480
-    focal: float = 420.0
-    camera_offset: tuple[float, float, float] = (0.2, 0.0, -0.3)
+    image_width: int = leaf(640, 1, INT32_MAX)
+    image_height: int = leaf(480, 1, INT32_MAX)
+    focal: float = leaf(420.0, 0, exclusive=True)
+    camera_offset: tuple[float, float, float] = leaf((0.2, 0.0, -0.3))
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.beams < 1 or self.columns < 1:
-            raise ValueError("beams and columns must be >= 1")
-        if self.beams > 65536:
-            raise ValueError("beams must be <= 65536, as beam_row.u16 holds rows 0..65535")
-        if not -90.0 <= self.fov_down_deg < self.fov_up_deg <= 90.0:
-            raise ValueError("need -90 <= fov_down_deg < fov_up_deg <= 90")
-        if self.depth_jitter < 0 or self.score_sigma < 0:
-            raise ValueError("noise sigmas must be >= 0")
-        for name in ("vehicles", "pedestrians", "cyclists", "background_walls"):
+        if self.fov_down_deg >= self.fov_up_deg:
+            raise ValueError(f"fov_down_deg {self.fov_down_deg!r} is not below fov_up_deg")
+        for name in ("vehicles", "pedestrians", "cyclists", "background_walls", "vehicle_distance",
+                     "pedestrian_distance", "cyclist_distance", "wall_distance"):
             lo, hi = getattr(self, name)
-            if lo > hi or lo < 0:
-                raise ValueError(f"bad count range for {name}")
-        for name in ("vehicle_distance", "pedestrian_distance", "cyclist_distance", "wall_distance"):
-            lo, hi = getattr(self, name)
-            if lo > hi or lo <= 0:
-                raise ValueError(f"bad distance range for {name}")
+            if lo > hi:
+                raise ValueError(f"{name} {(lo, hi)!r} is not a range lo <= hi")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SceneConfig":
-        kwargs = dict(data)
-        for key, val in kwargs.items():
-            if isinstance(val, list):
-                kwargs[key] = tuple(val)
-        return cls(**kwargs)
+        """The config a JSON object gives, its lists as tuples."""
+        data = mapping(data, "scene config", cls)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
 @dataclass
@@ -446,8 +433,7 @@ def fabricate_votes(
     Deterministic per (seed, epoch). Labels outside 1..n_cls get no one-hot
     column. Clamping commutes with the maximum, so only the maximum is clamped.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    number(sigma, "sigma", 0)
     gt_semantic = np.asarray(gt_semantic)
     fg = (gt_semantic >= 1) & (gt_semantic <= n_cls)
     if sigma == 0:

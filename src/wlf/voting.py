@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import INT32_MAX, check_fields, leaf
 from .spatial import PseudoLabels
 
 __all__ = ["PvcConfig", "vote_correct"]
@@ -24,22 +25,17 @@ class PvcConfig:
     """Vote thresholds: scores > tau_high count foreground, < tau_low count
     background, and a point needs at least t_reliable consistent epochs."""
 
-    tau_high: float = 0.5
-    tau_low: float = 0.5
-    t_reliable: int = 3
-    n_his: int = 4
-    start_epoch: int = 1
+    tau_high: float = leaf(0.5, 0, 1)
+    tau_low: float = leaf(0.5, 0, 1)
+    # t_reliable may exceed n_his: that disables voting entirely.
+    t_reliable: int = leaf(3, 1, INT32_MAX)
+    n_his: int = leaf(4, 1, INT32_MAX)
+    start_epoch: int = leaf(1, 0, INT32_MAX)
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.tau_low <= self.tau_high <= 1.0):
-            raise ValueError("need 0 <= tau_low <= tau_high <= 1")
-        # t_reliable may exceed n_his: that disables voting entirely.
-        if self.t_reliable < 1:
-            raise ValueError("t_reliable must be >= 1")
-        if self.n_his < 1:
-            raise ValueError("n_his must be >= 1")
-        if self.start_epoch < 0:
-            raise ValueError("start_epoch must be >= 0")
+        check_fields(self)
+        if self.tau_low > self.tau_high:
+            raise ValueError(f"tau_low {self.tau_low!r} is above tau_high {self.tau_high!r}")
 
 
 def vote_correct(

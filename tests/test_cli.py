@@ -1,6 +1,8 @@
 import contextlib
+import copy
 import io
 import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -15,6 +17,7 @@ from wlf.cli import main
 from wlf.config import ConfigError, PipelineConfig
 from wlf.mask_fusion import MaskPrediction
 from wlf.pipeline import run_pipeline
+from wlf.synth import SceneConfig
 
 
 def run(*args) -> int:
@@ -119,7 +122,8 @@ class TestSynth:
         out = tmp_path / "frames"
         assert run("synth", "--out", out, "--config", config, "--num-frames", "2", *flags) == 3
         err = capsys.readouterr().err
-        assert "seed must be >= 0" in err and "Traceback" not in err
+        assert "is not an integer in [0, inf]" in err and "Traceback" not in err
+        assert (f"{config}: seed -3" in err) == (flags == [])
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--num-frames", "--epochs"])
@@ -129,13 +133,24 @@ class TestSynth:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("scene", [{"seed": "x"}, {"columns": 512.0}, {"vehicles": 2}])
+    # Values of the wrong type, and then out of their range, each of which
+    # once reached generate_scene and ended in a traceback.
+    @pytest.mark.parametrize("scene", [
+        {"seed": "x"}, {"columns": 512.0}, {"vehicles": 2},
+        pytest.param({"image_width": 0}, id="image-width-0"),
+        pytest.param({"image_height": -1}, id="image-height-negative"),
+        pytest.param({"focal": 0}, id="focal-0"),
+        pytest.param({"box_pad_px": -1}, id="box-pad-negative"),
+        pytest.param({"columns": 2**70}, id="columns-2**70"),
+        pytest.param({"sensor_height": 2**70}, id="sensor-height-2**70"),
+    ])
     def test_mistyped_scene_config_exit_3_writes_nothing(self, tmp_path, capsys, scene):
         config = tmp_path / "scene.json"
         config.write_text(json.dumps(scene))
         out = tmp_path / "frames"
         assert run("synth", "--out", out, "--config", config, "--num-frames", "2") == 3
-        assert next(iter(scene)) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{config}: {next(iter(scene))} " in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -150,7 +165,7 @@ class TestSynth:
         out = tmp_path / "frames"
         assert run("synth", "--out", out, "--config", config, "--num-frames", "2", *flags) == 3
         err = capsys.readouterr().err
-        assert "must be finite" in err and "Traceback" not in err
+        assert "is not a finite number" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_beams_past_uint16_rows_exit_3_writes_nothing(self, tmp_path, capsys):
@@ -235,7 +250,8 @@ class TestPipeline:
         points.tofile(bundle / "points.f32")
         assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 0
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
+    # Above 64, a pool over a large corpus would start a thread per frame.
+    @pytest.mark.parametrize("threads", ["0", "-3", "65"])
     def test_bad_threads_exit_3(self, bundles, tmp_path, threads):
         out = tmp_path / "o"
         assert run("pipeline", "--frames", f"{bundles}/*", "--out", out, "--threads", threads) == 3
@@ -420,6 +436,36 @@ class TestStageCommands:
             assert f"{bundles / 'frame_0002' / name}: " in err
 
     @pytest.mark.parametrize(
+        "name, edit, where",
+        [
+            ("manifest.json", lambda m: m.update(beams=2**70), "beams"),
+            ("manifest.json", lambda m: m.update(columns=2**70), "columns"),
+            ("manifest.json", lambda m: m.update(num_classes=2**70), "num_classes"),
+            ("manifest.json", lambda m: m.update(arrays="junk"), "arrays"),
+            ("boxes.json", lambda boxes: boxes[0].update(box_id=2**70), "boxes[0].box_id"),
+            ("boxes.json", lambda boxes: boxes[0]["bounds"].__setitem__(2, math.inf),
+             "boxes[0].bounds[2]"),
+            ("boxes.json", lambda boxes: "{}", "boxes"),
+            ("calibration.json", lambda calib: calib["intrinsic"][0].__setitem__(0, "420"),
+             "intrinsic[0][0]"),
+            ("calibration.json", lambda calib: calib["intrinsic"][0].__setitem__(0, True),
+             "intrinsic[0][0]"),
+        ],
+        ids=["beams-2**70", "columns-2**70", "num-classes-2**70", "arrays-string",
+             "box-id-2**70", "bound-infinity", "boxes-object", "intrinsic-string",
+             "intrinsic-bool"],
+    )
+    def test_json_leaf_of_wrong_type_or_range_exit_3(self, bundles, tmp_path, capsys, name, edit,
+                                                     where):
+        # Each once ended in a traceback or was read as a valid bundle.
+        edit_json(bundles / "frame_0000" / name, edit)
+        out = tmp_path / "o"
+        assert run("pipeline", "--frames", f"{bundles}/*", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert f"{bundles / 'frame_0000' / name}: {where} " in err and "Traceback" not in err
+        assert not any(p.is_file() for p in out.rglob("*"))
+
+    @pytest.mark.parametrize(
         "key, row, col, value",
         [("extrinsic", 0, 0, float("nan")), ("intrinsic", 0, 2, float("inf")),
          ("extrinsic", 2, 3, float("nan"))],
@@ -431,8 +477,8 @@ class TestStageCommands:
                   lambda calib: calib[key][row].__setitem__(col, value))
         assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o") == 3
         err = capsys.readouterr().err
-        assert f"{bundles / 'frame_0002' / 'calibration.json'}: " in err
-        assert "must be finite" in err and "Traceback" not in err
+        assert f"{bundles / 'frame_0002' / 'calibration.json'}: {key}[{row}][{col}] " in err
+        assert "is not a finite number" in err and "Traceback" not in err
 
     # float32 bit patterns; a signalling NaN raises the invalid flag as it is widened.
     @pytest.mark.parametrize("bits", [0x7FC00000, 0x7FA00000, 0x7F800000, 0xFF800000],
@@ -777,6 +823,37 @@ FUZZ_REQUIRED = ("manifest.json", "boxes.json", "calibration.json", "points.f32"
 FUZZ_OPTIONAL = ("gt_semantic.i32", "gt_instance.i32", "votes_0.f32", "votes_3.f32")
 # Damage here is run through ipg, which has no mask to fuse without either file.
 FUZZ_MASKS = ("masks/mask_0.json", "masks/mask_0.f32")
+FUZZ_JSON = ("manifest.json", "boxes.json", "calibration.json", "masks/mask_0.json")
+# What a JSON leaf is replaced with: each is of the wrong type, out of some
+# leaf's range, or a valid value in a leaf that is not its default.
+LEAF_VALUES = [True, "1", math.inf, -math.inf, -1, 0, None, [], {}, 1.5, 2**70, math.nan]
+
+
+def leaves(payload, path=()) -> list[tuple]:
+    """The key path of every scalar in a JSON payload."""
+    if isinstance(payload, (dict, list)):
+        items = payload.items() if isinstance(payload, dict) else enumerate(payload)
+        return [leaf for key, value in items for leaf in leaves(value, (*path, key))]
+    return [path]
+
+
+def replaced(payload, path: tuple, value):
+    """A copy of a JSON payload with ``value`` at the leaf ``path``."""
+    payload = copy.deepcopy(payload)
+    *parents, key = path
+    node = payload
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    return payload
+
+
+def run_quietly(*args) -> tuple[int, str]:
+    """``main``'s exit code and stderr, with its stdout discarded."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        rc = run(*args)
+    return rc, stderr.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -795,20 +872,26 @@ def fuzz_bundle(tmp_path_factory):
 
 
 class TestBundleFuzz:
-    """Each bundle file in turn is dropped, truncated or has bytes flipped.
-    A run (ipg for the masks/ files, pipeline for the rest) ends with exit 2
-    or 3 and no traceback, or, where the damage leaves a well-formed bundle,
-    with exit 0."""
+    """Each bundle file in turn is dropped, truncated, has bytes flipped or,
+    for a JSON file, has one leaf replaced by one of LEAF_VALUES. A run (ipg
+    for the masks/ files, pipeline for the rest) ends with exit 2 or 3 and no
+    traceback, or, where the damage leaves a well-formed bundle, with exit 0.
+    An exit 3 names the bundle, and a refused run writes nothing."""
 
     @settings(max_examples=200, deadline=None)
     @given(
-        name=st.sampled_from(FUZZ_REQUIRED + FUZZ_OPTIONAL + FUZZ_MASKS),
-        action=st.sampled_from(["drop", "truncate", "corrupt"]),
+        damage=st.one_of(
+            st.tuples(st.sampled_from(FUZZ_REQUIRED + FUZZ_OPTIONAL + FUZZ_MASKS),
+                      st.sampled_from(["drop", "truncate", "corrupt"])),
+            st.tuples(st.sampled_from(FUZZ_JSON), st.just("leaf")),
+        ),
         cut=st.floats(0.0, 1.0, exclude_max=True),
         flips=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255)),
                        min_size=1, max_size=4),
+        value=st.sampled_from(LEAF_VALUES),
     )
-    def test_damaged_bundle_exits_cleanly(self, fuzz_bundle, name, action, cut, flips):
+    def test_damaged_bundle_exits_cleanly(self, fuzz_bundle, damage, cut, flips, value):
+        name, action = damage
         with tempfile.TemporaryDirectory() as tmp:
             frames = Path(tmp) / "frames"
             bundle = frames / fuzz_bundle.name
@@ -823,16 +906,50 @@ class TestBundleFuzz:
                 keep = len(data) - 2 if name.endswith(".json") else len(data) - 1
                 path.write_bytes(data[: int(cut * (keep + 1))])
                 expected = {3}
+            elif action == "leaf":  # cut picks the leaf
+                payload = json.loads(data)
+                paths = leaves(payload)
+                path.write_text(json.dumps(replaced(payload, paths[int(cut * len(paths))], value)))
+                expected = {0, 3}
             else:
                 for where, mask in flips:
                     data[int(where * len(data))] ^= mask
                 path.write_bytes(bytes(data))
                 expected = {0, 3}
-            stderr = io.StringIO()
-            with contextlib.redirect_stderr(stderr):
-                command = "ipg" if name in FUZZ_MASKS else "pipeline"
-                rc = run(command, "--frames", f"{frames}/*", "--out", Path(tmp) / "out")
-            assert rc in expected, stderr.getvalue()
-            assert "Traceback" not in stderr.getvalue()
+            out = Path(tmp) / "out"
+            command = "ipg" if name in FUZZ_MASKS else "pipeline"
+            rc, err = run_quietly(command, "--frames", f"{frames}/*", "--out", out)
+            assert rc in expected, err
+            assert "Traceback" not in err
             if rc == 3:
-                assert str(bundle) in stderr.getvalue()
+                assert str(bundle) in err
+                assert not any(p.is_file() for p in out.rglob("*"))
+
+
+# Every leaf of a tiny scene config and of the default pipeline config.
+TINY_SCENE = json.loads(json.dumps({**SceneConfig().to_dict(), "beams": 4, "columns": 64}))
+PIPELINE = json.loads(json.dumps(PipelineConfig().to_dict()))
+CONFIG_LEAVES = [("synth", path) for path in leaves(TINY_SCENE)] + \
+                [("pipeline", path) for path in leaves(PIPELINE)]
+
+
+@pytest.mark.parametrize("command, path", CONFIG_LEAVES,
+                         ids=[f"{c}-{'.'.join(map(str, p))}" for c, p in CONFIG_LEAVES])
+def test_config_leaf_exits_cleanly(fuzz_bundle, tmp_path, command, path):
+    """The leaf, replaced by each of LEAF_VALUES in turn: exit 0, or exit 3
+    naming the config file with nothing written, and never a traceback."""
+    for k, value in enumerate(LEAF_VALUES):
+        config, out = tmp_path / f"config_{k}.json", tmp_path / f"out_{k}"
+        config.write_text(json.dumps(replaced(TINY_SCENE if command == "synth" else PIPELINE,
+                                              path, value)))
+        if command == "synth":
+            rc, err = run_quietly("synth", "--out", out, "--config", config, "--num-frames", "1",
+                                  "--epochs", "1")
+        else:
+            rc, err = run_quietly("pipeline", "--config", config, "--frames", fuzz_bundle,
+                                  "--out", out)
+        assert rc in (0, 3), (value, err)
+        assert "Traceback" not in err
+        if rc == 3:
+            assert f"{config}: " in err, (value, err)
+            assert not out.exists()

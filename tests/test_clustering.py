@@ -10,7 +10,6 @@ from oracles import bfs_components, edge_list_components
 
 from wlf import clustering
 from wlf.clustering import (
-    EmptySelectionError,
     ccl_cluster,
     connected_components,
     max_component,
@@ -350,7 +349,7 @@ class TestMaxComponent:
 
     def test_empty_selection_error(self):
         comps = ccl_cluster(np.zeros((0, 3)), 0.5)
-        with pytest.raises(EmptySelectionError):
+        with pytest.raises(ValueError, match="no points"):
             max_component(comps.labels, np.zeros((0, 3)))
 
     def test_size_matches_sizes_max(self, rng):

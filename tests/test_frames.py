@@ -200,7 +200,7 @@ class TestBox2D:
                                         (0, 0, 10, None), (0.0, 0.0, 10, "20")],
                              ids=["strings", "bools", "none", "one-string"])
     def test_non_numeric_bounds_rejected(self, bounds):
-        with pytest.raises(ValueError, match="not four numbers"):
+        with pytest.raises(ValueError, match=r"^bounds\[\d\] .* is not a finite number"):
             Box2D(box_id=1, class_id=1, bounds=bounds)
 
 

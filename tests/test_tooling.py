@@ -144,6 +144,16 @@ def test_label_io_and_rsc_load_no_clustering():
     assert proc.stdout.strip() == "[]"
 
 
+def test_field_readers_load_no_other_module():
+    # Every module reads its JSON leaves through wlf.fields, so it imports
+    # nothing of wlf that could import it back.
+    code = "import sys, wlf.fields; print(sorted(m for m in sys.modules if m.startswith('wlf')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['wlf', 'wlf.fields']"
+
+
 def test_spg_and_pvc_load_no_frames():
     # spg and pvc read the box-class table, a plain array, not the boxes.
     code = "import sys, wlf.spatial, wlf.voting; print('wlf.frames' in sys.modules)"
