@@ -6,7 +6,9 @@ One directory per frame:
                         ``arrays`` object of dtypes and shapes, never read
     points.f32          (N, 4) float32, little-endian, row-major: x, y, z and
                         intensity; the reader returns x, y, z as the (3, N)
-                        float32 ``xyz``, as stored, and never reads intensity
+                        float32 ``xyz``, as stored, read a block of
+                        ``frames.POINT_BLOCK`` points at a time, and never
+                        reads intensity
     beam_row.u16        (N,) uint16
     gt_semantic.i32     (N,) int32, optional
     gt_instance.i32     (N,) int32, optional
@@ -25,21 +27,24 @@ calibration and boxes as plain values, and, once the frame's labels are made,
 to ``read_ground_truth``, so that the ground truth is never alive while the
 stages run; ``wlf ipg`` reads only the manifest, ``boxes.json``
 (``read_boxes``) and ``masks/``. The points stay float32 as stored, and each
-stage widens them to float64 where it computes, which is exact.
+stage widens them to float64 where it computes, which is exact. points.f32 is
+read a block of rows at a time into the (3, N) ``xyz``, so the reader never
+holds the file's bytes whole.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .fields import integer, listof, mapping, name, within
-from .frames import Box2D, Calibration
+from .fields import INT32_MAX, integer, listof, mapping, name, within
+from .frames import Box2D, Calibration, point_blocks
 from .mask_fusion import MaskPrediction
 
 __all__ = [
@@ -76,12 +81,37 @@ def _write_array(path: Path, arr: np.ndarray, kind: str) -> None:
     np.asarray(arr).astype(_DTYPES[kind], order="C", copy=False).tofile(path)
 
 
+def _check_size(path: Path, size: int, kind: str, count: int | None) -> None:
+    itemsize = np.dtype(_DTYPES[kind]).itemsize
+    if count is not None and size != count * itemsize:
+        raise BundleError(f"{path}: expected {count} values, found {size / itemsize:g}")
+
+
 def _read_array(path: Path, kind: str, count: int | None = None) -> np.ndarray:
     raw = path.read_bytes()
-    itemsize = np.dtype(_DTYPES[kind]).itemsize
-    if count is not None and len(raw) != count * itemsize:
-        raise BundleError(f"{path}: expected {count} values, found {len(raw) / itemsize:g}")
+    _check_size(path, len(raw), kind, count)
     return np.frombuffer(raw, dtype=_DTYPES[kind])
+
+
+def _read_points(path: Path, n: int) -> np.ndarray:
+    """The finite (3, N) float32 x, y and z of points.f32, read one
+    ``point_blocks`` block of (N, 4) rows at a time straight into their
+    columns through one block of staging rows."""
+    blocks = list(point_blocks(n))
+    with path.open("rb") as f:
+        _check_size(path, os.fstat(f.fileno()).st_size, "f32", 4 * n)
+        rows = np.empty((blocks[0].stop, 4), dtype=_DTYPES["f32"])
+        xyz = np.empty((3, n), dtype=_DTYPES["f32"])
+        for block in blocks:
+            part = rows[: block.stop - block.start]
+            if f.readinto(part) != part.nbytes:
+                raise BundleError(f"{path}: expected {4 * n} values, the file ended early")
+            xyz[:, block] = part[:, :3].T
+    del rows, part  # first, so that the finiteness tests' scratch reuses their pages
+    for block in blocks:
+        if not np.isfinite(xyz[:, block]).all():
+            raise ValueError("non-finite point coordinates")
+    return xyz
 
 
 @contextmanager
@@ -166,8 +196,10 @@ def write_frame_bundle(
 
 
 def read_manifest(directory: str | Path) -> dict:
-    """A bundle's manifest with its counts checked, its class names distinct,
-    and ``num_classes`` and ``class_names`` filled in when absent.
+    """A bundle's manifest with its counts checked, its raster's cells within
+    the int32 cell index of ``range_image.build_range_image``, its class
+    names distinct, and ``num_classes`` and ``class_names`` filled in when
+    absent.
 
     Raises FileNotFoundError without manifest.json, and BundleError naming it
     for any malformed content.
@@ -181,6 +213,9 @@ def read_manifest(directory: str | Path) -> dict:
         integer(manifest["num_points"], "num_points")
         integer(manifest["beams"], "beams", 1, 65536)  # beam_row.u16 holds rows 0..65535
         integer(manifest["columns"], "columns", 1)
+        cells = manifest["beams"] * manifest["columns"]
+        if cells > INT32_MAX:  # the range image's cell index is int32
+            raise ValueError(f"beams * columns {cells} is above {INT32_MAX}")
         integer(manifest.setdefault("num_classes", DEFAULT_NUM_CLASSES), "num_classes", 1)
         names = listof(manifest.setdefault("class_names", []), "class_names", name)
         if len(set(names)) != len(names):
@@ -194,10 +229,11 @@ def read_frame_bundle(
 ) -> tuple[np.ndarray, np.ndarray, Calibration, list[Box2D]]:
     """Load a frame bundle whose manifest ``read_manifest`` has read, as
     ``(xyz, beam_row, calib, boxes)``: the finite (3, N) C-contiguous
-    float32 coordinates and the uint16 beam rows, both as stored, the
-    calibration and the boxes. A stage that computes with the coordinates
-    widens them to float64 itself. The ground truth is
-    ``read_ground_truth``'s, read when the frame is scored.
+    float32 coordinates, read from points.f32 a block of points at a time,
+    and the uint16 beam rows, both as stored, the calibration and the
+    boxes. A stage that computes with the coordinates widens them to float64
+    itself. The ground truth is ``read_ground_truth``'s, read when the frame
+    is scored.
 
     Raises FileNotFoundError for a missing file, and BundleError, naming the
     bundle's file at fault, for any malformed or inconsistent content.
@@ -205,11 +241,7 @@ def read_frame_bundle(
     directory = Path(directory)
     n = manifest["num_points"]
     with _naming(directory / "points.f32"):
-        # x, y and z are the first three of each point's four values, copied
-        # into one (3, N) array; the file's bytes go as the copy is made.
-        xyz = _read_array(directory / "points.f32", "f32", 4 * n).reshape(n, 4).T[:3].copy()
-        if not np.isfinite(xyz).all():
-            raise ValueError("non-finite point coordinates")
+        xyz = _read_points(directory / "points.f32", n)
     with _naming(directory / "beam_row.u16"):
         beam_row = _read_array(directory / "beam_row.u16", "u16", n)
         if n and int(beam_row.max()) >= manifest["beams"]:

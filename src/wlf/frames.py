@@ -16,10 +16,19 @@ The crop is frustum first: ``project_points`` returns only the points whose
 pixel falls inside the image, from row sums ``x*r[i,0] + y*r[i,1] +
 z*r[i,2] + t[i]`` (no matrix product), and ``crop_frustum`` tests the boxes
 on those points alone.
+
+The per-point front end (the bundle reader, ``project_points`` and
+``range_image.build_range_image``, and the per-point gather of
+``range_image.dcs_rows``) takes a frame ``POINT_BLOCK`` points at a time
+(``point_blocks``), so its scratch is a block's whatever the frame's size: loop blocking, as in Lam, Rothberg & Wolf, "The Cache Performance and
+Optimizations of Blocked Algorithms" (ASPLOS 1991). Only what a layer returns
+grows with the frame. Every point is computed as it would be in one pass, so
+the blocks change no output bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 
@@ -33,7 +42,20 @@ __all__ = [
     "project_points",
     "box_classes",
     "crop_frustum",
+    "POINT_BLOCK",
+    "point_blocks",
 ]
+
+# Points per block of the front end. A power of two starts every block
+# aligned, as one pass over the frame would be; a 32 x 512 frame (about 15k
+# points) is one block, a 64 x 2048 sensor frame (about 118k) four.
+POINT_BLOCK = 2**15
+
+
+def point_blocks(n: int) -> Iterator[slice]:
+    """The slices of ``n`` points, ``POINT_BLOCK`` at a time; one empty slice
+    when ``n`` is 0, so that a layer's results always have a first block."""
+    return (slice(s, min(s + POINT_BLOCK, n)) for s in range(0, max(n, 1), POINT_BLOCK))
 
 
 def _matrix(value, where: str, k: int) -> np.ndarray:
@@ -44,7 +66,8 @@ def _matrix(value, where: str, k: int) -> np.ndarray:
 
 @dataclass
 class Calibration:
-    """Pinhole camera intrinsics plus a rigid LiDAR-to-camera transform."""
+    """Pinhole camera intrinsics plus a rigid LiDAR-to-camera transform, a
+    4 x 4 matrix whose bottom row is [0, 0, 0, 1]."""
 
     intrinsic: np.ndarray
     extrinsic: np.ndarray
@@ -64,6 +87,8 @@ class Calibration:
         r = self.rotation
         if np.linalg.norm(r.T @ r - np.eye(3)) >= 1e-9:
             raise ValueError("extrinsic rotation is not orthonormal")
+        if not np.array_equal(self.extrinsic[3], [0, 0, 0, 1]):
+            raise ValueError(f"extrinsic[3] {self.extrinsic[3].tolist()} is not [0, 0, 0, 1]")
         size = listof(self.image_size, "image_size", partial(integer, lo=1), 2)
         self.image_size = (int(size[0]), int(size[1]))
 
@@ -118,38 +143,50 @@ def project_points(calib: Calibration, xyz: np.ndarray) -> tuple[np.ndarray, np.
     """``(index, pixels)``: the ascending indices of the (3, N) ``xyz`` points
     in front of the camera (positive camera z) whose pixel lies in [0, w) x
     [0, h), and their (k, 2) float64 pixels. Only points in front get a u and
-    v computed."""
+    v computed, one ``point_blocks`` block at a time; a block's in-image
+    indices and pixels are kept, and joined once the last block is done."""
     r, t = calib.rotation, calib.translation
-    # Each camera axis is summed in place, one point axis at a time, in the
-    # order of x*r[i,0] + y*r[i,1] + z*r[i,2] + t[i]; the float64 entries of
-    # r and t make every product float64, float32 coordinates included. A
-    # non-finite coordinate makes camera z non-finite (inf * 0 is NaN).
-    with np.errstate(invalid="ignore"):
-        depth = xyz[0] * r[2, 0]
-        depth += xyz[1] * r[2, 1]
-        depth += xyz[2] * r[2, 2]
-        depth += t[2]
-    if not np.isfinite(depth).all():
-        raise ValueError("non-finite point coordinates")
-    front = np.flatnonzero(depth > 0)
-    depth = depth[front]
-    p = xyz[0].take(front)
-    u, v = p * r[0, 0], p * r[1, 0]
-    for j in (1, 2):
-        p = xyz[j].take(front)
-        u += p * r[0, j]
-        v += p * r[1, j]
-    del p
-    # fx * cam / depth + cx, the same operations in place.
-    for c, i, f, centre in ((u, 0, calib.fx, calib.cx), (v, 1, calib.fy, calib.cy)):
-        c += t[i]
-        c *= f
-        c /= depth
-        c += centre
-    del depth
     w, h = calib.image_size
-    inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
-    return front[inside], np.stack([u[inside], v[inside]], axis=1)
+    index, pixels = [], []
+    for block in point_blocks(xyz.shape[1]):
+        x, y, z = xyz[:, block]
+        # Each camera axis is summed in place, one point axis at a time, in
+        # the order of x*r[i,0] + y*r[i,1] + z*r[i,2] + t[i]; the float64
+        # entries of r and t make every product float64, float32 coordinates
+        # included. A non-finite coordinate makes camera z non-finite
+        # (inf * 0 is NaN).
+        with np.errstate(invalid="ignore"):
+            depth = x * r[2, 0]
+            depth += y * r[2, 1]
+            depth += z * r[2, 2]
+            depth += t[2]
+        if not np.isfinite(depth).all():
+            raise ValueError("non-finite point coordinates")
+        front = np.flatnonzero(depth > 0)
+        depth = depth[front]
+        p = x.take(front)
+        u, v = p * r[0, 0], p * r[1, 0]
+        for j, row in ((1, y), (2, z)):
+            p = row.take(front)
+            u += p * r[0, j]
+            v += p * r[1, j]
+        del p
+        # fx * cam / depth + cx, the same operations in place.
+        for c, i, f, centre in ((u, 0, calib.fx, calib.cx), (v, 1, calib.fy, calib.cy)):
+            c += t[i]
+            c *= f
+            c /= depth
+            c += centre
+        del depth
+        inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
+        front = front[inside]
+        front += block.start
+        index.append(front)
+        pixels.append(np.stack([u[inside], v[inside]], axis=1))
+        del front, u, v, inside  # before the next block, or the join
+    if len(index) == 1:  # a lone block's arrays, uncopied
+        return index[0], pixels[0]
+    return np.concatenate(index), np.concatenate(pixels)
 
 
 def box_classes(boxes: list[Box2D]) -> np.ndarray:

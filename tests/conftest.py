@@ -7,7 +7,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from wlf import frames
 from wlf.metrics import GT_INSTANCE, PRED_INSTANCE
+
+# The point block of the ``small_blocks`` fixture.
+SMALL_BLOCK = 4
 
 
 def as_columns(points) -> np.ndarray:
@@ -55,3 +59,10 @@ def instances_from_sets(frame_id: str, preds: list, gts: list) -> tuple:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """The front end's point block cut to ``SMALL_BLOCK`` points, so that a
+    test frame spans many blocks."""
+    monkeypatch.setattr(frames, "POINT_BLOCK", SMALL_BLOCK)

@@ -359,6 +359,13 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
     # transient of 3.6 MiB. The live budgets are below what the float32 xyz
     # (1.3 MiB), the ground truth (0.9 MiB) or the vote stack would add if
     # kept there.
+    # With the bundle read, the projection and the range image taking the
+    # points a block of frames.POINT_BLOCK at a time, and an int32 cell
+    # index, the frame peak is 4.19 MiB (4.94 before), still while the range
+    # image is built, and the labels from spg come next at 4.14; the reader
+    # peaks at 1.86 MiB (3.15) and the projection at 2.86 (4.15), and 2.0
+    # MiB is live when dcs starts. The peak budget is 4.19 plus the same
+    # 1.1 MiB.
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(SENSOR_SCENE))
     rc = cli_main(["synth", "--out", str(tmp_path / "c"), "--config", str(scene), "--seed", "2",
@@ -419,7 +426,7 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
     mib = 2**20
     check(
         9,
-        f"sensor frame traced peak {max(peaks) / mib:.1f} MiB <= 6, "
+        f"sensor frame traced peak {max(peaks) / mib:.2f} MiB <= 5.3, "
         f"ccl transient {max(transients) / mib:.1f} MiB <= 3, "
         f"pvc transient {max(pvc_transients) / mib:.1f} MiB <= 2.9, "
         f"live at dcs {max(live_at_dcs) / mib:.1f} MiB <= 3, "
@@ -427,7 +434,7 @@ def test_9_sensor_frame_memory(tmp_path, monkeypatch):
         f"live at the metrics {max(live) / mib:.1f} MiB <= 2.7",
         len(transients) == 1 and len(live) == 1 and len(live_at_dcs) == 1
         and len(pvc_transients) == 1 and len(dcs_transients) == 1
-        and max(transients) <= 3 * mib and max(peaks) <= 6 * mib
+        and max(transients) <= 3 * mib and max(peaks) <= 5.3 * mib
         and max(pvc_transients) <= 2.9 * mib
         and max(live_at_dcs) <= 3 * mib and max(dcs_transients) <= 1.9 * mib
         and max(live) <= 2.7 * mib,

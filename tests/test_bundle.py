@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import SMALL_BLOCK
 
 from wlf.bundle import (
     BundleError,
@@ -143,6 +144,39 @@ def test_truncated_array_rejected(tmp_path, scene):
     data = (bundle / "points.f32").read_bytes()
     (bundle / "points.f32").write_bytes(data[:-8])
     with pytest.raises(BundleError, match="expected"):
+        read_bundle(bundle)
+
+
+@pytest.mark.parametrize("n", [0, SMALL_BLOCK, SMALL_BLOCK + 1, 7 * SMALL_BLOCK + 3])
+def test_points_round_trip_across_blocks(tmp_path, scene, small_blocks, n):
+    bundle = write_frame_bundle(
+        tmp_path / "f0", scene.frame_id, scene.xyz[:, :n], scene.beam_row[:n],
+        scene.intensity[:n], scene.gt_semantic[:n], scene.gt_instance[:n], scene.calibration,
+        scene.boxes, CLASS_NAMES, beams=scene.config.beams, columns=scene.config.columns,
+    )
+    xyz, beam_row, _, _ = read_bundle(bundle)
+    assert xyz.dtype == np.float32 and xyz.flags.c_contiguous and xyz.shape == (3, n)
+    np.testing.assert_array_equal(xyz, scene.xyz[:, :n].astype(np.float32))
+    np.testing.assert_array_equal(beam_row, scene.beam_row[:n])
+
+
+def test_non_finite_point_in_a_later_block_names_the_file(tmp_path, scene, small_blocks):
+    bundle = write_bundle(tmp_path / "f0", scene)
+    path = bundle / "points.f32"
+    points = np.fromfile(path, dtype="<f4").reshape(-1, 4)
+    points[5 * SMALL_BLOCK + 1, 1] = np.inf
+    points.tofile(path)
+    with pytest.raises(BundleError, match=rf"{path}: non-finite point coordinates"):
+        read_bundle(bundle)
+
+
+def test_truncated_points_across_blocks(tmp_path, scene, small_blocks):
+    bundle = write_bundle(tmp_path / "f0", scene)
+    path = bundle / "points.f32"
+    path.write_bytes(path.read_bytes()[: 4 * 4 * (3 * SMALL_BLOCK) + 8])
+    n = scene.xyz.shape[1]
+    with pytest.raises(BundleError, match=rf"{path}: expected {4 * n} values, found "
+                                          rf"{4 * 3 * SMALL_BLOCK + 2}$"):
         read_bundle(bundle)
 
 

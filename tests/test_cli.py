@@ -450,10 +450,18 @@ class TestStageCommands:
              "intrinsic[0][0]"),
             ("calibration.json", lambda calib: calib["intrinsic"][0].__setitem__(0, True),
              "intrinsic[0][0]"),
+            # The range image's cell index is int32: this raster once asked
+            # numpy for 128 GiB.
+            ("manifest.json", lambda m: m.update(columns=2**31 - 1), "beams * columns"),
+            ("calibration.json", lambda calib: calib["extrinsic"][3].__setitem__(0, 1.5),
+             "extrinsic[3]"),
+            ("calibration.json", lambda calib: calib["extrinsic"][3].__setitem__(3, 0),
+             "extrinsic[3]"),
         ],
         ids=["beams-2**70", "columns-2**70", "num-classes-2**70", "arrays-string",
              "box-id-2**70", "bound-infinity", "boxes-object", "intrinsic-string",
-             "intrinsic-bool"],
+             "intrinsic-bool", "raster-past-int32-cells", "extrinsic-bottom-row-1.5",
+             "extrinsic-bottom-row-0"],
     )
     def test_json_leaf_of_wrong_type_or_range_exit_3(self, bundles, tmp_path, capsys, name, edit,
                                                      where):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_columns
+from conftest import SMALL_BLOCK, as_columns
 from oracles import back_project, crop_frustum_trace, project_points_full
 
 from wlf.frames import (
@@ -108,6 +108,36 @@ class TestProjectPoints:
         assert np.array_equal(pixels, np.stack([u[inside], v[inside]], axis=1))
 
 
+class TestProjectInBlocks:
+    """Under ``small_blocks`` a frame spans many point blocks; the indices
+    and pixels are those of one pass."""
+
+    @pytest.mark.parametrize("n", [0, SMALL_BLOCK, SMALL_BLOCK + 1, 7 * SMALL_BLOCK + 3])
+    def test_matches_full_arrays(self, small_blocks, rng, n):
+        # Points behind, beside and in front of a turned camera, so some
+        # blocks keep no point and others all of theirs.
+        extrinsic = np.eye(4)
+        extrinsic[:3, :3] = rotation_from_angles(0.3, -0.2, 0.1)
+        extrinsic[:3, 3] = [0.5, -0.25, 1.0]
+        k = np.array([[40.0, 0, 32], [0, 40.0, 24], [0, 0, 1]])
+        calib = Calibration(k, extrinsic, (64, 48))
+        xyz = rng.uniform(-4.0, 4.0, (3, n)).astype(np.float32)
+        xyz[:, 2 * SMALL_BLOCK : 3 * SMALL_BLOCK] = [[0.0], [0.0], [-8.0]]
+        pixels, _, valid = project_points_full(calib, xyz)
+        index, got_pixels = project_points(calib, xyz)
+        assert index.dtype == np.intp and got_pixels.dtype == np.float64
+        assert np.array_equal(index, np.flatnonzero(valid))
+        assert np.array_equal(got_pixels, pixels[valid])
+        if n > SMALL_BLOCK + 1:
+            assert 0 < index.size < n
+
+    def test_non_finite_in_a_later_block_rejected(self, small_blocks):
+        xyz = as_columns([[0, 0, 5]] * (3 * SMALL_BLOCK))
+        xyz[2, -1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            project_points(simple_calib(), xyz)
+
+
 @st.composite
 def frustum_cases(draw):
     """A calibration, a frame's xyz and boxes. Half the cases are dyadic: a signed
@@ -179,6 +209,13 @@ class TestCalibrationValidation:
         bad[0, 1] = 0.01
         with pytest.raises(ValueError, match="orthonormal"):
             Calibration(np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1.0]]), bad, (10, 10))
+
+    @pytest.mark.parametrize("col, value", [(0, 1.5), (3, 0.0), (2, -1.0)])
+    def test_rejects_bottom_row_other_than_0001(self, col, value):
+        bad = np.eye(4)
+        bad[3, col] = value
+        with pytest.raises(ValueError, match=r"extrinsic\[3\] .* is not \[0, 0, 0, 1\]"):
+            Calibration(np.eye(3), bad, (10, 10))
 
     def test_rejects_lower_triangular_terms(self):
         k = np.array([[100, 0, 5], [3, 100, 5], [0, 0, 1.0]])

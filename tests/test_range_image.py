@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_columns, random_range_image, ri_from_depth
+from conftest import SMALL_BLOCK, as_columns, random_range_image, ri_from_depth
 from oracles import dcs_dynamic_trace, dcs_simplified_trace, range_image_trace
 
 from wlf.range_image import (
@@ -87,7 +87,7 @@ def assert_build_matches_trace(xyz, beam_row, beams, columns):
     want_depth, want_cell = range_image_trace(xyz, beam_row, beams, columns)
     assert np.array_equal(depth, want_depth, equal_nan=True)
     assert np.array_equal(cell, want_cell)
-    assert cell.dtype == np.int64
+    assert cell.dtype == np.int32
 
 
 class TestBuildMatchesTrace:
@@ -124,6 +124,39 @@ class TestBuildMatchesTrace:
         rows = np.concatenate([scene.beam_row, scene.beam_row[extra]])
         perm = rng.permutation(xyz.shape[1])
         assert_build_matches_trace(xyz[:, perm], rows[perm], cfg.beams, cfg.columns // 2)
+
+
+class TestBuildInBlocks:
+    """Under ``small_blocks`` a frame spans many point blocks; the raster and
+    the cells are those of one pass."""
+
+    @pytest.mark.parametrize("n", [0, SMALL_BLOCK, SMALL_BLOCK + 1, 7 * SMALL_BLOCK + 3])
+    def test_random_points_match_trace(self, small_blocks, rng, n):
+        # Few cells, so points of different blocks meet in one cell and the
+        # nearer one, wherever it is, must win.
+        xyz = rng.uniform(-3.0, 3.0, (3, n))
+        xyz[:, n // 2 :: 3] *= 0.5
+        rows = rng.integers(0, 2, n).astype(np.uint16)
+        assert_build_matches_trace(xyz.astype(np.float32), rows, 2, 6)
+
+    def test_sweep_matches_trace(self, small_blocks):
+        scene = generate_scene(SceneConfig(seed=5, beams=8, columns=128))
+        assert_build_matches_trace(scene.xyz.astype(np.float32), scene.beam_row, 8, 128)
+
+    def test_segments_gathered_across_blocks_match_trace(self, small_blocks, rng):
+        # dcs_rows hands each point its cell's segment a block at a time.
+        depth = rng.uniform(2.0, 40.0, (3, 24))
+        depth[rng.random((3, 24)) > 0.7] = np.nan
+        _, cell = ri_from_depth(depth)
+        cell = rng.permutation(np.repeat(cell, 2)).astype(np.int32)
+        windows, thresholds = np.full(3, 6.0), np.full(3, 3.0)
+        segs = dcs_rows(depth, cell, windows, thresholds)
+        assert segs.segment_id.dtype == np.int32
+        assert_matches_trace(segs, (depth, cell), windows, thresholds)
+
+    def test_raster_past_int32_cells_rejected(self):
+        with pytest.raises(ValueError, match="more cells than an int32 index holds"):
+            build_range_image(as_columns([[1.0, 0.0, 0.0]]), np.zeros(1, np.uint16), 2, 2**30)
 
 
 def assert_matches_trace(segs, ri, windows, thresholds):
