@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import INT32_MAX, integer, listof, mapping, name, within
-from .frames import Box2D, Calibration, point_blocks
+from .frames import BOX_ID_MAX, Box2D, Calibration, point_blocks
 from .mask_fusion import MaskPrediction
 
 __all__ = [
@@ -375,7 +375,7 @@ def read_mask_predictions(directory: str | Path) -> dict[int, list[MaskPredictio
             with np.errstate(invalid="ignore"):
                 prob = prob.astype(np.float64)
             pred = MaskPrediction(prob_map=prob, score=meta["score"], pred_box=meta["pred_box"])
-            preds = grouped.setdefault(integer(meta["box_id"], "box_id", 1), [])
+            preds = grouped.setdefault(integer(meta["box_id"], "box_id", 1, BOX_ID_MAX), [])
             if preds and preds[0].prob_map.shape != (h, w):
                 raise ValueError(f"shape {[h, w]} differs from the "
                                  f"{list(preds[0].prob_map.shape)} of an earlier mask of its box")

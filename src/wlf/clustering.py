@@ -10,7 +10,12 @@ id and the number of components.
 Neighbour search uses cells of edge r/2 (the grid argument of Gan & Tao,
 "DBSCAN Revisited", SIGMOD 2015), so any pair within r lies in cells at most
 two apart per axis, and any two points of one cell are within r: its box's
-diagonal is about 0.87 r. Each cell is therefore one graph node. A pair of
+diagonal is about 0.87 r. Each cell is therefore one graph node. A cell's
+code is its group and its raw floor keys, each shifted to start at 2, in
+one int64; a call sorts the codes once, and their order is the
+lexicographic (group, x, y, z) order of the cells. Only keys whose code
+would not fit in int64, such as points 10**7 radii apart, are squeezed
+first (``_squeeze``), in the same order. A pair of
 neighbouring cells is decided from the two boxes when it can be: skipped
 when the gap between them fails the test, linked when their union box
 passes. Float subtraction, squaring and addition are monotone, so these box
@@ -22,13 +27,17 @@ tests build one sum of squares each, axis by axis and in place, in the
 point test's order. Only the remaining pairs whose cells the sure links
 leave apart are tested point by point, in blocks of whole cell pairs of
 about ``_BLOCK`` member pairs each; a cell pair adds one edge at its first
-member pair that hits.
+member pair that hits. Those links join the components of the sure links
+rather than cells, so merging them is a second union over a contracted
+graph, and no sure link is merged twice.
 The result equals the all-pairs definition while coordinates stay within
 2**33 radii of the origin: there, rounding in the cell keys moves a point by
 at most 2**-19 cells, so a cell's points stay within r of each other.
 ``ccl_cluster`` refuses points farther out with a ValueError.
 
-``connected_components`` merges the edges by hooking and pointer jumping.
+``connected_components`` merges the edges by hooking and pointer jumping;
+the jumps take turns between two node arrays, in place, and a round keeps
+only the edges it has not yet joined, copying none while all are live.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ class Components:
 # About this many member pairs are point-tested together, in blocks of whole
 # cell pairs, so the test's scratch arrays stay small however many candidate
 # pairs a call has.
-_BLOCK = 2**14
+_BLOCK = 2**13
 
 # Neighbour columns (dx, dy) >= (0, 0) of a cell's half space.
 _COLUMNS = np.array(
@@ -78,8 +87,11 @@ def _expand(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The arrays end to end, and a lone array itself rather than a copy."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    """The arrays end to end, a lone array itself rather than a copy, and an
+    empty index array for none."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
 
 
 def _member_pairs(
@@ -100,23 +112,34 @@ def connected_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     each round hooks the larger root of every edge onto the smaller, then
     jumps pointers until every node points at its root. Every root ends as
     its component's smallest node, so ids are dense in first-occurrence order.
+    A round keeps only the edges whose ends it has not joined yet, and the
+    jumps take turns between two n-arrays.
     """
     parent = np.arange(n)
+    jumped = np.empty_like(parent)
     a = np.asarray(a, dtype=np.intp)
     b = np.asarray(b, dtype=np.intp)
     while True:
         ra, rb = parent[a], parent[b]
         live = ra != rb
-        if not live.any():
+        if not live.all():
+            a, b, ra, rb = a[live], b[live], ra[live], rb[live]
+        del live
+        if not a.size:
             break
-        a, b, ra, rb = a[live], b[live], ra[live], rb[live]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        high = np.maximum(ra, rb)
+        low = np.minimum(ra, rb, out=ra)
+        del ra, rb
+        np.minimum.at(parent, high, low)
+        del high, low
         while True:  # parents never exceed their node, so jumping converges
-            nxt = parent[parent]
-            if np.array_equal(nxt, parent):
+            np.take(parent, parent, out=jumped, mode="clip")  # 'clip' writes unbuffered
+            if np.array_equal(jumped, parent):
                 break
-            parent = nxt
-    return (np.cumsum(parent == np.arange(n)) - 1)[parent]  # rank of each root
+            parent, jumped = jumped, parent
+    np.cumsum(parent == np.arange(n), out=jumped)
+    jumped -= 1
+    return jumped[parent]  # rank of each root
 
 
 def _squeeze(keys: np.ndarray) -> np.ndarray:
@@ -137,17 +160,45 @@ def _cell_codes(pts: np.ndarray, r: np.ndarray, g: np.ndarray) -> tuple[np.ndarr
     """Each point's cell code and the code's (x, y, z) extents.
 
     Cells are a hair over r/2 on a side, so that rounding in pts / edge never
-    puts a pair within r three cells apart. The group leads the x key, with a
-    narrowed gap of three between groups, so groups never neighbour.
+    puts a pair within r three cells apart. Each group's keys on each axis
+    are shifted to start at 2, and the group leads the x key, each group's
+    keys after the previous group's with a gap of three, so groups never
+    neighbour. Keys too wide to code in int64 are squeezed instead.
     """
-    keys = np.floor(pts / (r * (0.5 + 2.0**-20))[g][:, None]).astype(np.int64)
-    kx, ky, kz = (_squeeze(keys[:, axis]) for axis in range(3))
-    if r.size > 1:
-        kx = _squeeze(g * (int(kx.max()) + 3) + kx)
-    dims = [int(k.max()) + 3 for k in (kx, ky, kz)]
+    edge = r * (0.5 + 2.0**-20)
+    edge = edge[0] if r.size == 1 else edge[g]  # one group needs no per-point edge
+    keys = []
+    for c in pts.T:  # an axis at a time, so the key's scratch is (N,) arrays
+        k = np.floor(c / edge).astype(np.int64)
+        if r.size == 1:
+            k -= int(k.min()) - 2
+        else:  # far out, groups of other radii have far other keys
+            low = np.full(r.size, np.iinfo(np.int64).max)
+            np.minimum.at(low, g, k)
+            low -= 2
+            k -= low[g]
+        keys.append(k)
+    del edge
+    top = [int(k.max()) for k in keys]
+    stride = top[0] + 1  # group j's x keys run from j * stride + 2
+    dims = [int(g.max()) * stride + top[0] + 3, top[1] + 3, top[2] + 3]
     if dims[0] * dims[1] * dims[2] >= 2**63:
-        raise ValueError("too many cells to key in int64")
-    return (kx * dims[1] + ky) * dims[2] + kz, dims
+        keys = [_squeeze(k) for k in keys]
+        if r.size > 1:
+            keys[0] = _squeeze(g * (int(keys[0].max()) + 3) + keys[0])
+        dims = [int(k.max()) + 3 for k in keys]
+        if dims[0] * dims[1] * dims[2] >= 2**63:
+            raise ValueError("too many cells to key in int64")
+    elif r.size > 1:
+        keys[0] += g * stride
+    kx, ky, kz = keys
+    del keys
+    kx *= dims[1]
+    kx += ky
+    del ky
+    kx *= dims[2]
+    kx += kz
+    return kx, dims
 
 
 def _neighbour_cells(
@@ -200,7 +251,7 @@ def _box_tests(
 def ccl_cluster(
     points: np.ndarray, radius: float | np.ndarray, groups: np.ndarray | None = None
 ) -> Components:
-    """Cluster (N, 3) points of any float dtype, widened to float64, into
+    """Cluster (N, 3) points of any float dtype, compared in float64, into
     radius-connected components, one graph node per occupied cell.
 
     With ``groups``, point i belongs to group ``groups[i]`` and is clustered at
@@ -213,39 +264,52 @@ def ccl_cluster(
     r = np.asarray(radius, dtype=np.float64).reshape(-1)
     if r.size == 0 or not np.all((r > 0) & np.isfinite(r)):
         raise ValueError("radius must be finite and positive")
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    pts = np.asarray(points)
+    if pts.dtype not in (np.float32, np.float64):  # both widen to float64 exactly
+        pts = pts.astype(np.float64)
+    pts = pts.reshape(-1, 3)
     n = pts.shape[0]
     g = np.zeros(n, dtype=np.intp) if groups is None else np.asarray(groups, dtype=np.intp)
     if g.shape != (n,) or (n and (g.min() < 0 or g.max() >= r.size)):
         raise ValueError("groups must give each point an index into radius")
     if n == 0:
         return Components(labels=np.zeros(0, dtype=np.int32), num=0)
-    limit = (2.0**33 * r)[g]
+    limit = 2.0**33 * r
+    limit = limit[0] if r.size == 1 else limit[g]
     for c in pts.T:  # an axis at a time, so the test's scratch is (N,) arrays
         if not np.all(np.abs(c) <= limit):  # also refuses NaN
             raise ValueError("points must lie within 2**33 radii of the origin to be clustered")
     del limit
     codes, dims = _cell_codes(pts, r, g)
     order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    starts = np.flatnonzero(np.diff(sorted_codes, prepend=-1))
-    cells = sorted_codes[starts]
+    codes = codes[order]
+    first = np.empty(n, dtype=bool)  # whether a sorted point starts its cell
+    first[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    cells = codes[starts]
+    del codes
     counts = np.diff(starts, append=n)
-    xyz = pts[order].T.copy()  # one array per axis gathers faster
+    lead = order[starts]  # each cell's first point: the sort is stable
+    xyz = pts.T.take(order, axis=1).astype(np.float64, copy=False)  # one row per axis
+    del pts
     lo = np.minimum.reduceat(xyz, starts, axis=1)
     hi = np.maximum.reduceat(xyz, starts, axis=1)
-    cell_rr = (r * r)[g[order[starts]]]
+    cell_rr = (r * r)[g[lead]]
+    del g
     # A cell's points are all within r of each other, so it is one node,
     # numbered by its first point so that node ids keep first-occurrence order.
-    node = np.empty(cells.shape[0], dtype=np.intp)
-    node[np.argsort(order[starts])] = np.arange(cells.shape[0])
+    first[:] = False
+    first[lead] = True
+    node = (np.cumsum(first) - 1)[lead]
+    del first, lead
 
     # Skip a pair whose box gap fails the test, link it when its union box
     # passes. A block of query cells at a time keeps only its sure links and
     # its other near pairs.
     sure_a, sure_b, near_v, near_w = [], [], [], []
-    for first in range(0, cells.shape[0], _CELL_BLOCK):
-        v, w = _neighbour_cells(cells, dims, first, first + _CELL_BLOCK)
+    for start in range(0, cells.shape[0], _CELL_BLOCK):
+        v, w = _neighbour_cells(cells, dims, start, start + _CELL_BLOCK)
         near, sure = _box_tests(lo, hi, v, w, cell_rr[v])
         sure_a.append(node[v[sure]])
         sure_b.append(node[w[sure]])
@@ -253,15 +317,20 @@ def ccl_cluster(
         near_v.append(v[near])
         near_w.append(w[near])
         del v, w, near, sure  # before the next block's search
+    del lo, hi
+    # Each cell's component over the sure links. The point-tested links join
+    # those components, not cells, so no sure link is merged twice.
     sure_a, sure_b = _joined(sure_a), _joined(sure_b)
+    comp = connected_components(cells.shape[0], sure_a, sure_b)[node]
+    del sure_a, sure_b, node
     # Point-test the other near pairs whose cells the sure links left apart.
     v, w = _joined(near_v), _joined(near_w)
     del near_v, near_w
-    comp = connected_components(cells.shape[0], sure_a, sure_b)
-    apart = comp[node[v]] != comp[node[w]]
+    apart = comp[v] != comp[w]
     v, w = v[apart], w[apart]
+    del apart
     ends = np.cumsum(counts[v] * counts[w])
-    edges_a, edges_b = [sure_a], [sure_b]
+    edges_a, edges_b = [], []
     lo_k = 0
     while lo_k < v.shape[0]:
         done = ends[lo_k - 1] if lo_k else 0
@@ -270,12 +339,14 @@ def ccl_cluster(
         ia, ib, pair = _member_pairs(starts, counts, bv, bw)
         pair = pair[_within([c[ia] - c[ib] for c in xyz], cell_rr[bv[pair]])]
         pair = pair[np.diff(pair, prepend=-1) != 0]  # one edge per linked cell pair
-        edges_a.append(node[bv[pair]])
-        edges_b.append(node[bw[pair]])
+        edges_a.append(comp[bv[pair]])
+        edges_b.append(comp[bw[pair]])
         lo_k = hi_k
-    ids = connected_components(cells.shape[0], np.concatenate(edges_a), np.concatenate(edges_b))
+    # Components ranked by their smallest sure-link component are ranked by
+    # their smallest node, so the contracted ids keep first-occurrence order.
+    ids = connected_components(int(comp.max()) + 1, _joined(edges_a), _joined(edges_b))[comp]
     labels = np.empty(n, dtype=np.int32)
-    labels[order] = np.repeat(ids[node], counts)
+    labels[order] = np.repeat(ids, counts)
     return Components(labels=labels, num=int(ids.max()) + 1)
 
 

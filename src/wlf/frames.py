@@ -44,7 +44,12 @@ __all__ = [
     "crop_frustum",
     "POINT_BLOCK",
     "point_blocks",
+    "BOX_ID_MAX",
 ]
+
+# Box ids run from 1 to this, so the id -> class table of ``box_classes`` is
+# at most 256 KiB however the ids are chosen.
+BOX_ID_MAX = 65535
 
 # Points per block of the front end. A power of two starts every block
 # aligned, as one pass over the frame would be; a 32 x 512 frame (about 15k
@@ -126,7 +131,7 @@ class Box2D:
     bounds: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        integer(self.box_id, "box_id", 1)
+        integer(self.box_id, "box_id", 1, BOX_ID_MAX)
         integer(self.class_id, "class_id", 1)
         object.__setattr__(self, "bounds", tuple(listof(self.bounds, "bounds", number, 4)))
         x0, y0, x1, y1 = self.bounds

@@ -132,19 +132,25 @@ def generate_labels(
     semantic[trinary == TRINARY_IGNORE] = -1
     instance = np.zeros(n, dtype=np.int32)
     # Each in-box foreground point's column in ``xyz`` and its box id,
-    # sorted by id; points of an id that names no box are left alone.
+    # sorted by id; points of an id past ``class_of`` or of class 0 name no
+    # box and are left alone.
     column = np.flatnonzero(trinary[in_box] == TRINARY_FG)
     ids = box_assign[in_box[column]]
     order = np.argsort(ids, kind="stable")
-    order = order[np.isin(ids[order], np.flatnonzero(class_of))]
+    ids = ids[order]
+    named = class_of[ids[: np.searchsorted(ids, class_of.size)]] > 0
+    order, ids = order[: named.size][named], ids[: named.size][named]
     if order.size == 0:
         return PseudoLabels(semantic=semantic, instance=instance)
     column = column[order]
     idx = in_box[column]
-    box_ids, starts, group = np.unique(ids[order], return_index=True, return_inverse=True)
+    counts = np.bincount(ids)
+    box_ids = np.flatnonzero(counts)
+    counts = counts[box_ids]
     sub = xyz.take(column, axis=1).T  # (k, 3) over three contiguous rows
-    comps = ccl_cluster(sub, [radii[c] for c in class_of[box_ids].tolist()], group)
-    bounds = np.append(starts, idx.size)
+    comps = ccl_cluster(sub, [radii[c] for c in class_of[box_ids].tolist()],
+                        np.repeat(np.arange(box_ids.size), counts))
+    bounds = np.append(0, np.cumsum(counts))
     semantic[idx] = -1
     for k, box_id in enumerate(box_ids.tolist()):
         lo, hi = bounds[k], bounds[k + 1]

@@ -443,6 +443,8 @@ class TestStageCommands:
             ("manifest.json", lambda m: m.update(num_classes=2**70), "num_classes"),
             ("manifest.json", lambda m: m.update(arrays="junk"), "arrays"),
             ("boxes.json", lambda boxes: boxes[0].update(box_id=2**70), "boxes[0].box_id"),
+            # box_classes' table is as long as the largest id: 2**31 - 1 asked for 8 GiB.
+            ("boxes.json", lambda boxes: boxes[0].update(box_id=65536), "boxes[0].box_id"),
             ("boxes.json", lambda boxes: boxes[0]["bounds"].__setitem__(2, math.inf),
              "boxes[0].bounds[2]"),
             ("boxes.json", lambda boxes: "{}", "boxes"),
@@ -459,7 +461,7 @@ class TestStageCommands:
              "extrinsic[3]"),
         ],
         ids=["beams-2**70", "columns-2**70", "num-classes-2**70", "arrays-string",
-             "box-id-2**70", "bound-infinity", "boxes-object", "intrinsic-string",
+             "box-id-2**70", "box-id-65536", "bound-infinity", "boxes-object", "intrinsic-string",
              "intrinsic-bool", "raster-past-int32-cells", "extrinsic-bottom-row-1.5",
              "extrinsic-bottom-row-0"],
     )
@@ -776,9 +778,10 @@ class TestIpg:
             ("mask_1.f32", lambda path: path.write_bytes(np.full(16, 0x7FA00000, "<u4").tobytes())),
             # Still 16 values, so the map reads, but not in the 4x4 of mask_0.
             ("mask_1.json", lambda path: edit_json(path, lambda m: m.update(shape=[2, 8]))),
+            ("mask_1.json", lambda path: edit_json(path, lambda m: m.update(box_id=65536))),
         ],
         ids=["bad-json", "missing-key", "degenerate-box", "negative-score", "non-finite-map",
-             "signalling-nan-map", "shape-mismatch"],
+             "signalling-nan-map", "shape-mismatch", "box-id-65536"],
     )
     def test_malformed_masks_exit_3(self, bundles, tmp_path, capsys, rng, name, damage):
         bundle = bundles / "frame_0001"

@@ -1,5 +1,6 @@
 import itertools
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -137,6 +138,35 @@ def per_group_labels(pts, radii, groups, label=lambda p, r: ccl_cluster(p, r).la
     return np.argsort(np.argsort(first))[inv]
 
 
+@contextmanager
+def squeezes():
+    """A list that gains an item each time ``ccl_cluster`` squeezes a key
+    array, which it does only when the raw cell keys do not fit in int64."""
+    calls = []
+    squeeze = clustering._squeeze
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "_squeeze", lambda keys: calls.append(1) or squeeze(keys))
+        yield calls
+
+
+def cluster_on(key_path, points, radius, groups=None):
+    """``ccl_cluster``'s labels of ``points`` on the given key path, which is
+    asserted to be the one taken. For "squeezed", two points are appended at
+    opposite corners of group 0's bound, 2**33 radii out on every axis, so
+    that no int64 code can hold the raw keys; they are isolated, and come
+    last, so the given points keep their ids."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    n = pts.shape[0]
+    if key_path == "squeezed":
+        corner = 2.0**33 * float(np.reshape(radius, -1)[0])
+        pts = np.vstack([pts, [[corner] * 3, [-corner] * 3]])
+        groups = None if groups is None else np.append(groups, [0, 0])
+    with squeezes() as calls:
+        labels = ccl_cluster(pts, radius, groups).labels
+    assert bool(calls) == (key_path == "squeezed")
+    return labels[:n]
+
+
 class TestGroupedCcl:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -194,7 +224,10 @@ def blocked_clouds(draw, min_groups=1):
 
 class TestBlockedCcl:
     """Cell pairs searched and box-tested a few query cells at a time, and
-    point-tested a few member pairs at a time, against BFS."""
+    point-tested a few member pairs at a time, against BFS, on the raw cell
+    keys."""
+
+    key_path = "raw"
 
     @pytest.mark.parametrize("block", [1, 5])
     @settings(max_examples=150, deadline=None)
@@ -203,7 +236,7 @@ class TestBlockedCcl:
         pts, radii, groups = cloud
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clustering, "_BLOCK", block)
-            got = ccl_cluster(pts, radii, groups).labels
+            got = cluster_on(self.key_path, pts, radii, groups)
         assert np.array_equal(got, per_group_labels(pts, radii, groups, bfs_components))
 
     @pytest.mark.parametrize("cell_block", [1, 7])
@@ -214,8 +247,14 @@ class TestBlockedCcl:
         pts, radii, groups = cloud
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clustering, "_CELL_BLOCK", cell_block)
-            got = ccl_cluster(pts, radii, groups).labels
+            got = cluster_on(self.key_path, pts, radii, groups)
         assert np.array_equal(got, per_group_labels(pts, radii, groups, bfs_components))
+
+
+class TestBlockedCclSqueezed(TestBlockedCcl):
+    """The same, on keys squeezed as keys too wide for int64 are."""
+
+    key_path = "squeezed"
 
 
 class TestCclAdversarial:
@@ -283,7 +322,9 @@ class TestCclAdversarial:
 
 class TestCclBound:
     """Coordinates up to 2**33 radii from the origin are clustered; any
-    farther, or NaN, are refused."""
+    farther, or NaN, are refused; on the raw cell keys."""
+
+    key_path = "raw"
 
     @pytest.mark.parametrize("radius", [0.1, 0.6, 1.0 / 3.0])
     @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -292,23 +333,90 @@ class TestCclBound:
         bound = sign * 2.0**33 * radius
         pts = np.zeros((4, 3))
         pts[:, axis] = [bound, bound - sign * radius / 2, bound - sign * 2.5 * radius, 0.0]
-        labels = ccl_cluster(pts, radius).labels
+        labels = cluster_on(self.key_path, pts, radius)
         assert np.array_equal(labels, bfs_components(pts, radius))
         assert np.array_equal(labels, [0, 0, 1, 2])
         pts[0, axis] = np.nextafter(bound, sign * np.inf)
         with pytest.raises(ValueError, match=r"2\*\*33 radii"):
-            ccl_cluster(pts, radius)
+            cluster_on(self.key_path, pts, radius)
 
     def test_bound_is_each_groups_own(self):
         # Inside the bound of group 1's radius but past that of group 0's.
         x = 2.0**33 * 0.2
-        assert ccl_cluster([[0, 0, 0], [x, 0, 0]], [0.1, 0.2], [0, 1]).num == 2
+        assert np.array_equal(cluster_on(self.key_path, [[0, 0, 0], [x, 0, 0]], [0.1, 0.2], [0, 1]),
+                              [0, 1])
         with pytest.raises(ValueError, match=r"2\*\*33 radii"):
-            ccl_cluster([[0, 0, 0], [x, 0, 0]], [0.1, 0.2], [1, 0])
+            cluster_on(self.key_path, [[0, 0, 0], [x, 0, 0]], [0.1, 0.2], [1, 0])
 
     def test_nan_refused(self):
         with pytest.raises(ValueError, match=r"2\*\*33 radii"):
-            ccl_cluster([[0, 0, 0], [0, np.nan, 0]], 0.5)
+            cluster_on(self.key_path, [[0, 0, 0], [0, np.nan, 0]], 0.5)
+
+
+class TestCclBoundSqueezed(TestCclBound):
+    """The same, on keys squeezed as keys too wide for int64 are."""
+
+    key_path = "squeezed"
+
+
+class TestSqueezedKeys:
+    """Raw cell keys too wide for an int64 code are squeezed, one axis at a
+    time and then with the groups, and cluster as the raw keys would."""
+
+    def test_grouped_cloud_too_wide_for_raw_keys(self, rng):
+        # Blobs up to 2 * 10**7 radii apart on every axis: the raw keys'
+        # product is far past 2**63.
+        radii = [0.1, 0.25, 0.6]
+        centres = np.array([[0, 0, 0], [1, 1, 1], [-2, 1, -1], [1, -2, 2]]) * 1e6
+        pts = np.vstack([c + rng.uniform(-1.0, 1.0, (60, 3)) for c in centres])
+        groups = rng.integers(0, len(radii), pts.shape[0])
+        with squeezes() as calls:
+            got = ccl_cluster(pts, radii, groups)
+        assert len(calls) == 4  # three axes, then x with the groups
+        want = per_group_labels(pts, radii, groups, bfs_components)
+        assert np.array_equal(got.labels, want)
+        assert got.num == np.bincount(want).shape[0]
+
+    def test_single_group_squeezes_only_the_axes(self):
+        pts = [[0, 0, 0], [1e6, 1e6, 1e6], [1e6 + 0.05, 1e6, 1e6], [3e7, -4e7, 1e3]]
+        with squeezes() as calls:
+            assert np.array_equal(ccl_cluster(pts, 0.1).labels, [0, 1, 1, 2])
+        assert len(calls) == 3
+
+
+@st.composite
+def linked_clouds(draw):
+    """(points, radii, groups): two to four interleaved groups, each of clumps
+    about half its radius across on a lattice of a pitch near its radius.
+    A clump's cells link through their boxes; neighbouring clumps' cells
+    are near but not sure, so they link only through point tests."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    radii = draw(st.lists(st.floats(0.2, 1.0), min_size=2, max_size=4))
+    n = draw(st.integers(2, 400))
+    groups = rng.integers(0, len(radii), n)
+    r = np.array(radii)[groups, None]
+    pitch = rng.uniform(0.9, 1.1, len(radii))[groups, None]
+    spread = draw(st.floats(0.1, 0.3))
+    pts = (rng.integers(0, 5, (n, 3)) * pitch + rng.uniform(-spread, spread, (n, 3))) * r
+    return pts, radii, groups
+
+
+class TestContractedMerge:
+    """The point-tested links join the components of the box-tested sure
+    links; with many of both, across groups, ids match the edge-list oracle
+    over all point pairs within their group's radius."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(linked_clouds())
+    def test_matches_edge_list_oracle(self, cloud):
+        pts, radii, groups = cloud
+        d = pts[:, None, :] - pts[None, :, :]
+        rr = np.square(radii)[groups]
+        linked = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2] <= rr[:, None]
+        linked &= groups[:, None] == groups[None, :]
+        a, b = np.nonzero(np.triu(linked, 1))
+        want = edge_list_components(pts.shape[0], a.tolist(), b.tolist())
+        assert np.array_equal(ccl_cluster(pts, radii, groups).labels, want)
 
 
 class TestMaxComponent:

@@ -240,6 +240,15 @@ class TestBox2D:
         with pytest.raises(ValueError, match=r"^bounds\[\d\] .* is not a finite number"):
             Box2D(box_id=1, class_id=1, bounds=bounds)
 
+    def test_box_id_bound(self):
+        # The id -> class table is as long as the largest id: 65535 makes a
+        # 256 KiB table, and one id past it is refused.
+        top = Box2D(box_id=65535, class_id=2, bounds=(0, 0, 1, 1))
+        class_of = box_classes([top])
+        assert class_of.nbytes == 2**18 and class_of[65535] == 2
+        with pytest.raises(ValueError, match=r"^box_id 65536 is not an integer in \[1, 65535\]"):
+            Box2D(box_id=65536, class_id=1, bounds=(0, 0, 1, 1))
+
 
 class TestCropFrustum:
     def make_proj(self, pixels, valid=None):
