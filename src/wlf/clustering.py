@@ -29,7 +29,14 @@ leave apart are tested point by point, in blocks of whole cell pairs of
 about ``_BLOCK`` member pairs each; a cell pair adds one edge at its first
 member pair that hits. Those links join the components of the sure links
 rather than cells, so merging them is a second union over a contracted
-graph, and no sure link is merged twice.
+graph, and no sure link is merged twice. The point test takes two rounds
+over that graph: the first tests one cell pair for each pair of
+components, and the second only the other cell pairs whose components the
+first round's links leave apart. A pair the second round skips could only
+join components already joined, so the partition, and with it the
+first-occurrence ids, is that of testing every pair. Where two components
+have many near cell pairs, as the parts of a large object do, one hit
+settles them all.
 The result equals the all-pairs definition while coordinates stay within
 2**33 radii of the origin: there, rounding in the cell keys moves a point by
 at most 2**-19 cells, so a cell's points stay within r of each other.
@@ -103,6 +110,26 @@ def _member_pairs(
     row, j = _expand(counts[w][pair])
     pair = pair[row]
     return starts[v[pair]] + i[row], starts[w[pair]] + j, pair
+
+
+def _linked(
+    xyz: np.ndarray, starts: np.ndarray, counts: np.ndarray, rr: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """The k, in order, of every cell pair (v[k], w[k]) with a member pair
+    that passes the point test at its cells' ``rr``, tested in blocks of whole
+    cell pairs of about ``_BLOCK`` member pairs each."""
+    ends = np.cumsum(counts[v] * counts[w])
+    hits = []
+    lo_k = 0
+    while lo_k < v.shape[0]:
+        done = ends[lo_k - 1] if lo_k else 0
+        hi_k = max(int(np.searchsorted(ends, done + _BLOCK, "right")), lo_k + 1)
+        bv, bw = v[lo_k:hi_k], w[lo_k:hi_k]
+        ia, ib, pair = _member_pairs(starts, counts, bv, bw)
+        pair = pair[_within([c[ia] - c[ib] for c in xyz], rr[bv[pair]])]
+        hits.append(lo_k + pair[np.diff(pair, prepend=-1) != 0])  # once per cell pair
+        lo_k = hi_k
+    return _joined(hits)
 
 
 def connected_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -254,6 +281,11 @@ def ccl_cluster(
     """Cluster (N, 3) points of any float dtype, compared in float64, into
     radius-connected components, one graph node per occupied cell.
 
+    Cell pairs that the box tests leave undecided are point-tested in two
+    rounds, one cell pair per pair of sure-link components first, then the
+    pairs whose components are still apart; the ids depend only on the
+    partition, so they are those of testing every pair.
+
     With ``groups``, point i belongs to group ``groups[i]`` and is clustered at
     ``radius[groups[i]]``; points of different groups never connect. Ids are
     dense in first-occurrence order over all points. ValueError if a
@@ -323,28 +355,27 @@ def ccl_cluster(
     sure_a, sure_b = _joined(sure_a), _joined(sure_b)
     comp = connected_components(cells.shape[0], sure_a, sure_b)[node]
     del sure_a, sure_b, node
-    # Point-test the other near pairs whose cells the sure links left apart.
+    # Point-test the other near pairs whose cells the sure links left apart:
+    # first one cell pair per pair of components, then only the cell pairs
+    # whose components those hits left apart.
     v, w = _joined(near_v), _joined(near_w)
     del near_v, near_w
-    apart = comp[v] != comp[w]
-    v, w = v[apart], w[apart]
+    a, b = comp[v], comp[w]
+    apart = a != b
+    v, w, a, b = v[apart], w[apart], a[apart], b[apart]
     del apart
-    ends = np.cumsum(counts[v] * counts[w])
-    edges_a, edges_b = [], []
-    lo_k = 0
-    while lo_k < v.shape[0]:
-        done = ends[lo_k - 1] if lo_k else 0
-        hi_k = max(int(np.searchsorted(ends, done + _BLOCK, "right")), lo_k + 1)
-        bv, bw = v[lo_k:hi_k], w[lo_k:hi_k]
-        ia, ib, pair = _member_pairs(starts, counts, bv, bw)
-        pair = pair[_within([c[ia] - c[ib] for c in xyz], cell_rr[bv[pair]])]
-        pair = pair[np.diff(pair, prepend=-1) != 0]  # one edge per linked cell pair
-        edges_a.append(comp[bv[pair]])
-        edges_b.append(comp[bw[pair]])
-        lo_k = hi_k
+    num = int(comp.max()) + 1
+    _, rep = np.unique(np.minimum(a, b) * num + np.maximum(a, b), return_index=True)
+    hit = rep[_linked(xyz, starts, counts, cell_rr, v[rep], w[rep])]
+    if rep.shape[0] < v.shape[0]:  # else each pair of components has one cell pair, tested
+        joined = connected_components(num, a[hit], b[hit])
+        rest = joined[a] != joined[b]
+        rest[rep] = False
+        rest = np.flatnonzero(rest)
+        hit = np.concatenate([hit, rest[_linked(xyz, starts, counts, cell_rr, v[rest], w[rest])]])
     # Components ranked by their smallest sure-link component are ranked by
     # their smallest node, so the contracted ids keep first-occurrence order.
-    ids = connected_components(int(comp.max()) + 1, _joined(edges_a), _joined(edges_b))[comp]
+    ids = connected_components(num, a[hit], b[hit])[comp]
     labels = np.empty(n, dtype=np.int32)
     labels[order] = np.repeat(ids, counts)
     return Components(labels=labels, num=int(ids.max()) + 1)

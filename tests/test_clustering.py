@@ -419,6 +419,86 @@ class TestContractedMerge:
         assert np.array_equal(ccl_cluster(pts, radii, groups).labels, want)
 
 
+def facing_chains(links, cells, per_cell, radius):
+    """Pairs of parallel chains a and b of ``cells`` cells along x, each cell
+    of ``per_cell`` points; pair p lies 7 radii along x from pair p - 1. A
+    chain's neighbouring cells link through their boxes, so each chain is one
+    sure-link component. Facing cells a_i and b_i are the only undecided cell
+    pairs between components: a_i's upper points and b_i's lower points are
+    0.95 radii apart in y, and in z about 0.44 radii, out of reach, or for
+    the i in ``links[p]`` about 0.23, within it. The points come chain by
+    chain, a before b."""
+    jitter = np.arange(per_cell // 2) * 1e-3
+    pts = []
+    for p, linked in enumerate(links):
+        x = 7.0 * p + 0.5 * np.arange(cells) + 0.25
+        for xi in x:
+            pts += [(xi, 0.02, 0.25 + j) for j in jitter] + [(xi, 0.48, 0.02 + j) for j in jitter]
+        for i, xi in enumerate(x):
+            low = 0.25 if i in linked else 0.46
+            pts += [(xi, 1.43, low + j) for j in jitter] + [(xi, 1.49, 0.25 + j) for j in jitter]
+    return np.array(pts) * radius
+
+
+class TestTwoRoundPointTest:
+    """Undecided cell pairs are point-tested one per pair of sure-link
+    components first, and the others only where those components are still
+    apart; ids match BFS either way."""
+
+    @pytest.mark.parametrize("radius", [1.0, 0.6])
+    @pytest.mark.parametrize(
+        "links",
+        [[{5}], [set()], [{5}, set(), {3}]],
+        ids=["later-pair-links", "never-links", "mixed"],
+    )
+    def test_facing_chains(self, links, radius):
+        # The first facing pair, tested in the first round, misses; only a
+        # later one, tested in the second, can join the two chains.
+        pts = facing_chains(links, cells=6, per_cell=4, radius=radius)
+        labels = ccl_cluster(pts, radius).labels
+        assert np.array_equal(labels, bfs_components(pts, radius))
+        want = []  # each chain's id
+        for linked in links:
+            k = want[-1] + 1 if want else 0
+            want += [k, k] if linked else [k, k + 1]
+        assert np.array_equal(labels, np.repeat(want, 6 * 4))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4),
+           st.integers(50, 600), st.floats(0.3, 1.0))
+    def test_dense_grouped_clouds(self, seed, radii, n, spread):
+        # Clumps of about a radius holding several points per cell: the box
+        # tests leave many sure-link components, and many cell pairs between
+        # them that only the point test decides.
+        rng = np.random.default_rng(seed)
+        groups = rng.integers(0, len(radii), n)
+        centres = rng.uniform(0.0, 3.0, (len(radii), 3, 3))[groups, rng.integers(0, 3, n)]
+        pts = (centres + rng.normal(0.0, spread, (n, 3))) * np.array(radii)[groups, None]
+        got = ccl_cluster(pts, radii, groups).labels
+        assert np.array_equal(got, per_group_labels(pts, radii, groups, bfs_components))
+
+    def test_point_tests_one_cell_pair_per_pair_of_components(self):
+        # Every facing pair links, so the first one joins its two chains and
+        # the others need no point test: one in ``cells`` of the member pairs
+        # of the undecided cell pairs between components is tested.
+        links, cells, per_cell = [set(range(8))] * 3, 8, 10
+        pts = facing_chains(links, cells, per_cell, radius=0.6)
+        tested = []
+        within = clustering._within
+
+        def counted(ext, rr):
+            tested.append(ext[0].shape[0])
+            return within(ext, rr)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "_within", counted)
+            labels = ccl_cluster(pts, 0.6).labels
+        assert np.array_equal(labels, bfs_components(pts, 0.6))
+        assert labels.max() + 1 == len(links)
+        undecided = len(links) * cells * per_cell**2
+        assert sum(tested) <= undecided / 5
+
+
 class TestMaxComponent:
     def test_largest_wins(self):
         pts = np.vstack([np.random.default_rng(0).normal(0, 0.05, (5, 3)),
