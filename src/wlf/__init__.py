@@ -6,3 +6,19 @@ annotations, with a synthetic scene oracle for verification.
 """
 
 __version__ = "0.1.0"
+
+# The logging set-up of a `wlf` command, which ``cli.main`` puts here; the
+# first warning runs it, so a run that warns of nothing never imports logging.
+log_setup = None
+
+
+def warn(logger: str, msg: str, *args: object) -> None:
+    """``logging.getLogger(logger).warning(msg, *args)``, importing logging
+    and running ``log_setup`` only at the first warning."""
+    global log_setup
+    import logging  # noqa: PLC0415
+
+    if log_setup is not None:
+        setup, log_setup = log_setup, None
+        setup()
+    logging.getLogger(logger).warning(msg, *args)

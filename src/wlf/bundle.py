@@ -35,17 +35,20 @@ holds the file's bytes whole.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import warn
 from .fields import INT32_MAX, integer, listof, mapping, name, within
 from .frames import BOX_ID_MAX, Box2D, Calibration, point_blocks
-from .mask_fusion import MaskPrediction
+
+if TYPE_CHECKING:  # only wlf ipg reads masks, and imports the 2D branch
+    from .mask_fusion import MaskPrediction
 
 __all__ = [
     "BundleError",
@@ -63,8 +66,6 @@ __all__ = [
     "read_mask_predictions",
     "write_json",
 ]
-
-logger = logging.getLogger(__name__)
 
 _DTYPES = {"f32": "<f4", "u16": "<u2", "i32": "<i4"}
 # A manifest without num_classes has the synth classes: vehicle, pedestrian, cyclist.
@@ -266,7 +267,7 @@ def read_ground_truth(
     gt = tuple(_read_array(p, "i32", manifest["num_points"]) for p in paths if p.is_file())
     if len(gt) == 1:
         missing = next(p for p in paths if not p.is_file())
-        logger.warning("%s is missing: the frame is not scored", missing)
+        warn(__name__, "%s is missing: the frame is not scored", missing)
     return gt if len(gt) == 2 else None
 
 
@@ -314,15 +315,22 @@ def write_votes(directory: str | Path, epoch: int, scores: np.ndarray) -> None:
 
 
 def list_vote_epochs(directory: str | Path) -> list[int]:
-    """Ascending epochs of the bundle's vote files; BundleError, naming the
-    file, for a ``votes_*.f32`` whose name is not ``votes_<epoch>.f32`` with
-    the epoch written as ``str(int)`` writes it (``votes_03.f32`` is not)."""
-    epochs = []
-    for path in sorted(Path(directory).glob("votes_*.f32")):
-        m = re.fullmatch(r"votes_(0|[1-9][0-9]*)\.f32", path.name)
-        if not m:
-            raise BundleError(f"{path}: vote file name is not votes_<epoch>.f32")
-        epochs.append(int(m.group(1)))
+    """Ascending epochs of the bundle's vote files, from one directory scan;
+    BundleError, naming the file (the first in name order), for a
+    ``votes_*.f32`` whose name is not ``votes_<epoch>.f32`` with the epoch
+    written as ``str(int)`` writes it (``votes_03.f32`` is not)."""
+    epochs, bad = [], []
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            name = entry.name
+            if name.startswith("votes_") and name.endswith(".f32"):
+                digits = name[6:-4]
+                if digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0"):
+                    epochs.append(int(digits))
+                else:
+                    bad.append(name)
+    if bad:
+        raise BundleError(f"{Path(directory) / min(bad)}: vote file name is not votes_<epoch>.f32")
     return sorted(epochs)
 
 
@@ -357,6 +365,8 @@ def read_mask_predictions(directory: str | Path) -> dict[int, list[MaskPredictio
     naming the sidecar, for malformed content or for maps of one box that
     differ in shape.
     """
+    from .mask_fusion import MaskPrediction  # noqa: PLC0415
+
     masks_dir = Path(directory) / "masks"
     if not masks_dir.is_dir():
         return {}

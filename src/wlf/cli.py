@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import logging
 import os
 import sys
 from dataclasses import replace
@@ -29,6 +28,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
+import wlf  # noqa: E402
+
 from .bundle import (  # noqa: E402
     BundleError,
     read_boxes,
@@ -38,7 +39,6 @@ from .bundle import (  # noqa: E402
     write_votes,
 )
 from .config import ConfigError, PipelineConfig, read_config  # noqa: E402
-from .mask_fusion import binarize, pseudo_loss, weight_masks  # noqa: E402
 from .pipeline import (  # noqa: E402
     MissingInputError,
     RunResult,
@@ -56,8 +56,6 @@ from .pipeline import (  # noqa: E402
 # collected as before.
 gc.freeze()
 
-logger = logging.getLogger("wlf")
-
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
 EXIT_BAD_CONFIG = 3
@@ -74,6 +72,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _setup_logging() -> None:
+    """Log to stderr at the ``WLF_LOG`` level; ``wlf.warn`` runs this at a
+    run's first warning, so a run that warns of nothing imports no logging."""
+    import logging  # noqa: PLC0415
+
     level = os.environ.get("WLF_LOG", "warning").upper()
     logging.basicConfig(
         level=getattr(logging, level, logging.WARNING),
@@ -161,6 +163,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_ipg(args: argparse.Namespace) -> int:
+    # Only this command needs the 2D branch.
+    from .mask_fusion import binarize, pseudo_loss, weight_masks  # noqa: PLC0415
+
     cfg = _load_pipeline_config(args)
     out_root = Path(cfg.out_dir)
     bundles = discover_bundles(cfg.frames)
@@ -179,7 +184,7 @@ def cmd_ipg(args: argparse.Namespace) -> int:
         for box_id in sorted(grouped):
             box = box_by_id.get(box_id)
             if box is None:
-                logger.warning("%s: masks reference unknown box %d", bundle, box_id)
+                wlf.warn("wlf", "%s: masks reference unknown box %d", bundle, box_id)
                 continue
             preds = grouped[box_id]
             fused = weight_masks(preds, box, cfg.ipg.k)
@@ -254,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
+    wlf.log_setup = _setup_logging
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

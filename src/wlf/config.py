@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .fields import check_fields, integer, leaf, listof, mapping, name, number, within
-from .mask_fusion import IpgConfig
 from .range_image import DcsConfig
 from .ring_correct import RscConfig
 from .voting import PvcConfig
@@ -32,11 +31,27 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-__all__ = ["ConfigError", "STAGES", "PipelineConfig", "read_config"]
+__all__ = ["ConfigError", "STAGES", "IpgConfig", "PipelineConfig", "read_config"]
 
 # The optional label-correction stages in run order; frustum crop and
 # clustering always run.
 STAGES = ("spg", "pvc", "rsc")
+
+
+@dataclass
+class IpgConfig:
+    """Fusion exponent k and the trinarisation thresholds of ``wlf ipg``,
+    kept here so that a config needs no import of ``wlf.mask_fusion``."""
+
+    k: float = leaf(1.0)
+    tau_low: float = leaf(0.3, 0, 1, exclusive=True)
+    tau_high: float = leaf(0.7, 0, 1, exclusive=True)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.tau_low >= self.tau_high:
+            raise ValueError(f"tau_low {self.tau_low!r} is not below tau_high {self.tau_high!r}")
+
 
 # Config-file sections given as keyword objects of their own dataclass.
 _SECTIONS = {"dcs": DcsConfig, "pvc": PvcConfig, "rsc": RscConfig, "ipg": IpgConfig}

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import check_fields, leaf, listof, number
+from .config import IpgConfig
+from .fields import listof, number
 from .frames import Box2D
 
 __all__ = [
@@ -47,20 +48,6 @@ class MaskPrediction:
         x0, y0, x1, y1 = self.pred_box
         if not (x0 < x1 and y0 < y1):
             raise ValueError(f"pred_box {self.pred_box} is degenerate")
-
-
-@dataclass
-class IpgConfig:
-    """Fusion exponent k and the trinarisation thresholds."""
-
-    k: float = leaf(1.0)
-    tau_low: float = leaf(0.3, 0, 1, exclusive=True)
-    tau_high: float = leaf(0.7, 0, 1, exclusive=True)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if self.tau_low >= self.tau_high:
-            raise ValueError(f"tau_low {self.tau_low!r} is not below tau_high {self.tau_high!r}")
 
 
 def box_iou(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:

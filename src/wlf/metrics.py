@@ -89,15 +89,22 @@ def confusion_counts(
 
     Row 0, the background, stays zero. One histogram of (pred, gt) bins holds
     every count: labels below 1 land in bin 0 and labels above n_cls in bin
-    n_cls + 1, so both count as no class.
+    n_cls + 1, so both count as no class. Only the points that can land in
+    rows 1..n_cls are binned: those with ``pred > 0`` or ``gt > 0``, and
+    ``gt != -1``.
     """
     pred, gt = np.asarray(pred), np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError("pred/gt length mismatch")
     k = n_cls + 2
-    key = np.clip(pred, 0, n_cls + 1).astype(np.int32, copy=False) * k
-    key += np.clip(gt, 0, n_cls + 1)
-    hist = np.bincount(key[gt != -1], minlength=k * k).reshape(k, k)
+    scored = pred > 0
+    scored |= gt > 0
+    scored &= gt != -1
+    at = np.flatnonzero(scored)
+    del scored
+    key = np.clip(pred[at], 0, n_cls + 1).astype(np.int32, copy=False) * k
+    key += np.clip(gt[at], 0, n_cls + 1)
+    hist = np.bincount(key, minlength=k * k).reshape(k, k)
     tp = np.diag(hist)[: n_cls + 1].copy()
     fp = hist.sum(axis=1)[: n_cls + 1] - tp
     fn = hist.sum(axis=0)[: n_cls + 1] - tp
@@ -185,12 +192,15 @@ def instances_from_labels(
     dropped.
 
     An instance takes the class of its lowest-index kept point and is left
-    out when that class is not a foreground class.
+    out when that class is not a foreground class. Past the one test that
+    finds the points with an instance (``instance > 0``), only they are read.
     """
     semantic, instance = np.asarray(semantic), np.asarray(instance)
-    kept = instance > 0 if ignore is None else (instance > 0) & ~np.asarray(ignore)
+    kept = np.flatnonzero(instance > 0)
+    if ignore is not None:
+        kept = kept[~np.asarray(ignore)[kept]]
     ids, first, sizes = np.unique(instance[kept], return_index=True, return_counts=True)
-    classes = semantic[kept][first]
+    classes = semantic[kept[first]]
     fg = classes > 0
     out = np.empty(np.count_nonzero(fg), dtype=GT_INSTANCE)
     out["id"], out["cls"], out["size"] = ids[fg], classes[fg], sizes[fg]
@@ -224,9 +234,13 @@ def overlap_table(
 ) -> np.ndarray:
     """Points that each pred (row) shares with each gt (column), ignored
     points left out; ``pred_ids`` and ``gt_ids`` are the sorted ``id``
-    columns of the two extractors' arrays, and ids not in them are dropped."""
+    columns of the two extractors' arrays, and ids not in them are dropped.
+    Past the one test that finds the points with a predicted instance, only
+    they are read."""
     pred_instance, gt_instance = np.asarray(pred_instance), np.asarray(gt_instance)
-    both = (pred_instance > 0) & (gt_instance > 0) & ~np.asarray(ignore)
+    both = np.flatnonzero(pred_instance > 0)
+    both = both[gt_instance[both] > 0]
+    both = both[~np.asarray(ignore)[both]]
     p = pred_instance[both].astype(np.int64)
     g = gt_instance[both]
     # One key per (pred, gt) pair of ids.

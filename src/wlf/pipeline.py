@@ -17,7 +17,7 @@ box-class table (``frames.box_classes``), the full float32 points, as
 stored, and the beams until the range image is built (spg keeps only the
 in-box points' columns), the raster until dcs returns, the trinary labels
 until clustering, one epoch's vote row at a time as pvc counts, the box
-assignment until pvc and the segment ids until rsc. The instances are
+assignment until pvc and the segment ids and their sizes until rsc. The instances are
 reconciled in the labels rsc leaves. The ground truth is read only when the
 frame is scored, where the metrics see it and the labels alone, so a run's
 peak memory is that of its largest frame's largest stage.
@@ -26,14 +26,13 @@ peak memory is that of its largest frame's largest stage.
 from __future__ import annotations
 
 import glob
-import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, warn
 from .bundle import (
     BundleError,
     list_vote_epochs,
@@ -56,7 +55,7 @@ from .metrics import (
     overlap_table,
     pred_instances_from_labels,
 )
-from .range_image import build_range_image, dcs_dynamic
+from .range_image import build_range_image, dcs_dynamic, segment_sizes
 from .spatial import (
     TRINARY_FG,
     PseudoLabels,
@@ -67,8 +66,6 @@ from .ring_correct import rsc_correct
 from .voting import vote_correct
 
 __all__ = ["MissingInputError", "FrameOutput", "RunResult", "process_frame", "run_pipeline"]
-
-logger = logging.getLogger(__name__)
 
 
 class MissingInputError(FileNotFoundError):
@@ -97,10 +94,12 @@ class RunResult:
 
 def reconcile_instances(labels: PseudoLabels, class_of: np.ndarray) -> PseudoLabels:
     """Drop instance ids wherever the semantic label left the box class in
-    ``class_of``, in place, and return ``labels``; a read-only
-    ``labels.instance`` (as ``read_labels`` returns it) is copied first."""
-    mismatch = labels.instance > 0
-    mismatch &= labels.semantic != class_of[labels.instance]
+    ``class_of``, in place, and return ``labels``; only the points with an
+    instance (``instance > 0``) are read past the one test that finds them,
+    and a read-only ``labels.instance`` (as ``read_labels`` returns it) is
+    copied first."""
+    owned = np.flatnonzero(labels.instance > 0)
+    mismatch = owned[labels.semantic[owned] != class_of[labels.instance[owned]]]
     if not labels.instance.flags.writeable:
         labels.instance = labels.instance.copy()
     labels.instance[mismatch] = 0
@@ -156,13 +155,15 @@ def process_frame(
     in_box_xyz = xyz[:, box_assign > 0] if spg_runs else None
 
     # Only rsc and a running spg read the segment ids.
-    segment_id = None
+    segment_id = seg_size = None
     if "rsc" in cfg.stages or ("spg" in cfg.stages and spg_runs):
         t0 = time.perf_counter()
         depth, cell = build_range_image(xyz, beam_row, beams, columns)
         del xyz, beam_row
         segment_id = dcs_dynamic(depth, cell, cfg.dcs).segment_id
         del depth, cell
+        # One table of segment sizes, read by refine and rsc.
+        seg_size = segment_sizes(segment_id)
         timings["segments"] = time.perf_counter() - t0
     else:
         del xyz, beam_row
@@ -177,7 +178,7 @@ def process_frame(
                               f"no clustering radius for class {missing[0]}")
         t0 = time.perf_counter()
         if "spg" in cfg.stages:
-            trinary = refine_by_segments(box_assign, segment_id)
+            trinary = refine_by_segments(box_assign, segment_id, seg_size)
         else:
             trinary = np.where(box_assign > 0, TRINARY_FG, 0).astype(np.int8)
         try:  # such as an in-box point past ccl_cluster's bound
@@ -196,8 +197,8 @@ def process_frame(
             raise MissingInputError(f"no votes_*.f32 in {bundle_dir}")
         recent, epoch = epochs[-cfg.pvc.n_his :], epochs[-1] + 1
         if len(recent) < cfg.pvc.n_his or epoch < cfg.pvc.start_epoch:
-            logger.warning(
-                "%s: pvc skipped: %d of n_his=%d vote epochs, next epoch %d (start_epoch %d)",
+            warn(
+                __name__, "%s: pvc skipped: %d of n_his=%d vote epochs, next epoch %d (start_epoch %d)",
                 bundle_dir, len(recent), cfg.pvc.n_his, epoch, cfg.pvc.start_epoch,
             )
         else:
@@ -216,10 +217,10 @@ def process_frame(
 
     if "rsc" in cfg.stages:
         t0 = time.perf_counter()
-        semantic = rsc_correct(labels.semantic, segment_id, cfg.rsc)
+        semantic = rsc_correct(labels.semantic, segment_id, cfg.rsc, seg_size)
         labels = reconcile_instances(PseudoLabels(semantic, labels.instance), class_of)
         timings["rsc"] = time.perf_counter() - t0
-    del segment_id
+    del segment_id, seg_size
 
     try:
         labels.check_consistency(class_of)

@@ -31,13 +31,22 @@ class RscConfig:
     __post_init__ = check_fields
 
 
-def rsc_correct(pred: np.ndarray, segment_id: np.ndarray, cfg: RscConfig) -> np.ndarray:
+def rsc_correct(
+    pred: np.ndarray, segment_id: np.ndarray, cfg: RscConfig, sizes: np.ndarray | None = None
+) -> np.ndarray:
     """Correct predicted labels (0 = background) by segment-level voting,
-    given each point's ring segment id, dense from 0; ``pred`` is left as it is.
+    given each point's ring segment id, dense from 0, and each segment's
+    point count ``sizes`` (``np.bincount(segment_id)``, counted here when not
+    given); ``pred`` is left as it is.
 
     For each class c and each segment containing a c-predicted point:
     if bg_count / c_count > t1 the whole segment becomes background, else if
     c_count / segment_size > t2 the whole segment becomes c.
+
+    Classes are counted over the points with a nonzero label only; a
+    segment's background count is its size less those, so an ignored point
+    (-1) counts towards the size alone. Only the points of the segments a
+    class pass relabels are written.
     """
     pred = np.asarray(pred)
     seg = np.asarray(segment_id)
@@ -46,13 +55,15 @@ def rsc_correct(pred: np.ndarray, segment_id: np.ndarray, cfg: RscConfig) -> np.
     out = pred.copy()
     if pred.size == 0:
         return out
-    fg = pred > 0
-    fg_seg, fg_pred = seg[fg], pred[fg]
-    seg_total = np.bincount(seg)
+    seg_total = np.bincount(seg) if sizes is None else np.asarray(sizes)
     k = seg_total.shape[0]
-    bg_count = np.bincount(seg[pred == 0], minlength=k)
+    labelled = np.flatnonzero(pred)
+    nz_seg, nz_pred = seg[labelled], pred[labelled]
+    bg_count = seg_total - np.bincount(nz_seg, minlength=k)
+    fg = nz_pred > 0
+    fg_seg, fg_pred = nz_seg[fg], nz_pred[fg]
     # Each segment's new label, -1 for none; later classes overwrite earlier.
-    table = np.full(k, -1, dtype=np.int64)
+    table = np.full(k, -1, dtype=np.int32)
     for cls in np.flatnonzero(np.bincount(fg_pred)):
         cls_count = np.bincount(fg_seg[fg_pred == cls], minlength=k)
         touched = np.flatnonzero(cls_count > 0)
@@ -60,7 +71,9 @@ def rsc_correct(pred: np.ndarray, segment_id: np.ndarray, cfg: RscConfig) -> np.
         to_cls = ~to_bg & (cls_count[touched] / seg_total[touched] > cfg.t2)
         table[touched[to_bg]] = 0
         table[touched[to_cls]] = cls
-    label = table[seg]
-    changed = label >= 0
-    out[changed] = label[changed]
+    # np.take casts an int32 index once, where indexing casts it per element.
+    relabelled = table >= 0
+    if relabelled.any():
+        at = np.flatnonzero(np.take(relabelled, seg))
+        out[at] = np.take(table, seg[at])
     return out

@@ -52,8 +52,10 @@ class PseudoLabels:
             raise ValueError("semantic/instance length mismatch")
 
     def check_consistency(self, class_of: np.ndarray) -> None:
-        """Assert that every instance id names a box in ``class_of`` and carries its class."""
-        owned = self.instance > 0
+        """Assert that every instance id names a box in ``class_of`` and carries
+        its class; only the points with an instance (``instance > 0``) are read
+        past the one test that finds them."""
+        owned = np.flatnonzero(self.instance > 0)
         ids = self.instance[owned]
         if ids.size and (ids.max() >= class_of.size or not class_of[ids].all()):
             raise AssertionError("instance ids must name a box")
@@ -74,14 +76,18 @@ def trinary_from_prop(prop: np.ndarray | float) -> np.ndarray:
     return codes
 
 
-def refine_by_segments(box_assign: np.ndarray, segment_id: np.ndarray) -> np.ndarray:
+def refine_by_segments(
+    box_assign: np.ndarray, segment_id: np.ndarray, sizes: np.ndarray | None = None
+) -> np.ndarray:
     """Trinary labels from segment-level voting, given each point's ring
-    segment id, dense from 0.
+    segment id, dense from 0, and each segment's point count ``sizes``
+    (``np.bincount(segment_id)``, counted here when not given).
 
     For every ring segment, prop = |outside| / (|inside| + |outside|) where
     inside means assigned to any box. All in-box points of the segment get the
     label chosen by ``trinary_from_prop``; points outside every box stay
-    background.
+    background. Past the one test that finds the in-box points, only they are
+    read: a segment's outside count is its size less its inside count.
     """
     box_assign = np.asarray(box_assign)
     seg = np.asarray(segment_id)
@@ -90,13 +96,15 @@ def refine_by_segments(box_assign: np.ndarray, segment_id: np.ndarray) -> np.nda
     labels = np.zeros(box_assign.shape[0], dtype=np.int8)
     if seg.size == 0:
         return labels
-    in_box = box_assign > 0
-    k = int(seg.max()) + 1
-    n_in = np.bincount(seg[in_box], minlength=k).astype(np.float64)
-    n_out = np.bincount(seg[~in_box], minlength=k).astype(np.float64)
-    totals = n_in + n_out
-    prop = np.divide(n_out, totals, out=np.zeros(k), where=totals > 0)
-    labels[in_box] = trinary_from_prop(prop)[seg[in_box]]
+    totals = np.bincount(seg) if sizes is None else np.asarray(sizes)
+    in_box = np.flatnonzero(box_assign > 0)
+    in_seg = seg[in_box]
+    n_in = np.bincount(in_seg, minlength=totals.shape[0])
+    # Integer counts, so the outside count and both widenings are exact.
+    n_out = (totals - n_in).astype(np.float64)
+    totals = totals.astype(np.float64)
+    prop = np.divide(n_out, totals, out=np.zeros(totals.shape[0]), where=totals > 0)
+    labels[in_box] = trinary_from_prop(prop)[in_seg]
     return labels
 
 

@@ -52,20 +52,33 @@ def vote_correct(
     generator that reads one epoch at a time: each row holds the N per-point
     foreground scores in [0, 1] of one epoch, float32 as the bundle stores
     them or any dtype that converts to float64; the thresholds are compared
-    in float64 either way. A row is checked and counted before the next is
-    taken, so only one row need be alive at a time. Foreground overrides
-    require the point to lie in some box frustum, which supplies the instance
-    id and, through the box-class table ``class_of``, the class; a
-    reliable-background vote clears both labels. A point that is reliable in
-    both directions follows the foreground rule first.
+    in float64 either way. A row is checked in full and counted before the
+    next is taken, so only one row need be alive at a time. Foreground
+    overrides require the point to lie in some box frustum, which supplies
+    the instance id and, through the box-class table ``class_of``, the class;
+    a reliable-background vote clears both labels. A point that is reliable
+    in both directions follows the foreground rule first.
+
+    Votes are counted only where one can change a label: at the points in a
+    box (``box_assign > 0``) or labelled (``semantic`` or ``instance``
+    nonzero). Elsewhere a foreground vote has no box and a background vote
+    finds both labels 0 already.
     """
     n = labels.semantic.shape[0]
+    box_assign = np.asarray(box_assign)
+    if box_assign.shape != (n,):
+        raise ValueError("box_assign must be as long as the labels")
+    candidate = box_assign > 0
+    candidate |= labels.semantic != 0
+    candidate |= labels.instance != 0
+    at = np.flatnonzero(candidate)
+    del candidate
     # A float64 threshold makes every comparison a float64 one, float32 scores
     # included: a Python float would be rounded to float32 first. int32
     # counts (at most one per epoch) take half the bytes of the default int64.
     tau_high, tau_low = np.float64(cfg.tau_high), np.float64(cfg.tau_low)
-    fg_votes = np.zeros(n, dtype=np.int32)
-    bg_votes = np.zeros(n, dtype=np.int32)
+    fg_votes = np.zeros(at.size, dtype=np.int32)
+    bg_votes = np.zeros(at.size, dtype=np.int32)
     for row in scores:
         row = np.asarray(row)
         if row.dtype != np.float32:  # float32 scores stay uncopied
@@ -76,15 +89,15 @@ def vote_correct(
         # has no score to check.
         if n and not (row.min() >= 0 and row.max() <= 1):
             raise ValueError("scores must lie in [0, 1]")
+        row = row[at]
         fg_votes += row > tau_high
         bg_votes += row < tau_low
-    box_assign = np.asarray(box_assign)
-    fg = (fg_votes >= cfg.t_reliable) & (box_assign > 0)
+    box_id = box_assign[at]
+    fg = (fg_votes >= cfg.t_reliable) & (box_id > 0)
     bg = (bg_votes >= cfg.t_reliable) & ~fg
-    del fg_votes, bg_votes
     out = PseudoLabels(labels.semantic.copy(), labels.instance.copy())
-    out.semantic[fg] = class_of[box_assign[fg]]
-    out.instance[fg] = box_assign[fg]
-    out.semantic[bg] = 0
-    out.instance[bg] = 0
+    out.semantic[at[fg]] = class_of[box_id[fg]]
+    out.instance[at[fg]] = box_id[fg]
+    out.semantic[at[bg]] = 0
+    out.instance[at[bg]] = 0
     return out

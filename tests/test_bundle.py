@@ -118,6 +118,28 @@ def test_labels_round_trip(tmp_path):
     assert sem.dtype == inst.dtype == np.dtype("<i4")
 
 
+@pytest.mark.parametrize(
+    "name", ["votes_03.f32", "votes_.f32", "votes_-1.f32", "votes_+1.f32", "votes_1e3.f32",
+             "votes_ 1.f32", "votes_\u0661.f32"])
+def test_vote_file_not_named_by_its_epoch_refused(tmp_path, name):
+    write_votes(tmp_path, 2, np.zeros(4))
+    (tmp_path / name).write_bytes(b"")
+    with pytest.raises(BundleError) as info:
+        list_vote_epochs(tmp_path)
+    assert str(info.value) == f"{tmp_path / name}: vote file name is not votes_<epoch>.f32"
+
+
+def test_vote_listing_names_the_first_bad_file_and_skips_others(tmp_path):
+    write_votes(tmp_path, 1, np.zeros(4))
+    for other in ("votes_2.f32.part", "votes_2.f64", "xvotes_2.f32", "votes_2", "votes.f32"):
+        (tmp_path / other).write_bytes(b"")
+    assert list_vote_epochs(tmp_path) == [1]
+    for bad in ("votes_b.f32", "votes_a.f32", "votes_c.f32"):
+        (tmp_path / bad).write_bytes(b"")
+    with pytest.raises(BundleError, match="votes_a.f32: vote file name"):
+        list_vote_epochs(tmp_path)
+
+
 def test_votes_round_trip(tmp_path):
     for epoch in (3, 0, 11):
         write_votes(tmp_path, epoch, np.full(4, epoch / 16))

@@ -3,7 +3,10 @@ import copy
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -295,6 +298,26 @@ class TestPipeline:
     def test_unknown_stage_exit_3(self, bundles, tmp_path):
         assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o",
                    "--stages", "spg,warp") == 3
+
+    @pytest.mark.parametrize("level, shown", [(None, True), ("error", False)])
+    def test_warning_format_on_stderr(self, bundles, tmp_path, level, shown):
+        # A child logs nothing until its first warning, which then prints in
+        # the CLI's format at the default level, and not at WLF_LOG=error.
+        # In a child: under pytest the root logger already has handlers.
+        missing = bundles / "frame_0001" / "gt_instance.i32"
+        missing.unlink()
+        env = {k: v for k, v in os.environ.items() if k != "WLF_LOG"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
+        if level is not None:
+            env["WLF_LOG"] = level
+        proc = subprocess.run(
+            [sys.executable, "-m", "wlf.cli", "pipeline", "--frames", f"{bundles}/*",
+             "--out", str(tmp_path / "o")], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        line = f"WARNING wlf.bundle: {missing} is missing: the frame is not scored"
+        assert (line in proc.stderr.splitlines()) is shown, proc.stderr
+        assert ("WARNING" in proc.stderr) is shown
 
     def test_runs_are_byte_identical(self, bundles, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

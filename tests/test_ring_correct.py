@@ -67,9 +67,10 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_matches_literal_trace(self, seed):
+        # Ignored points (-1) are neither background nor a class.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 50))
-        pred = rng.integers(0, 4, n).astype(np.int32)
+        pred = rng.integers(-1, 4, n).astype(np.int32)
         ids = np.sort(rng.integers(0, max(1, n // 4), n)).astype(np.int32)
         ids = np.unique(ids, return_inverse=True)[1].astype(np.int32)
         t1 = float(rng.uniform(0, 1))

@@ -122,10 +122,11 @@ def test_runtime_needs_only_numpy():
 
 
 def test_cli_import_leaves_synth_out():
-    # Only `wlf synth` needs the scene generator, and no command needs hashlib
-    # (OpenSSL, about 3.6 MiB of RSS); every other command would pay for
-    # them at start-up.
-    lazy = ["wlf.synth", "hashlib"]
+    # Only `wlf synth` needs the scene generator and only `wlf ipg` the mask
+    # fusion, no command needs hashlib (OpenSSL, about 3.6 MiB of RSS), and
+    # logging waits for the first warning; every other command would pay
+    # for them at start-up.
+    lazy = ["wlf.synth", "hashlib", "logging", "wlf.mask_fusion"]
     code = f"import sys, wlf.cli; print([m for m in {lazy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=src_env(), timeout=60)
@@ -187,6 +188,22 @@ def test_run_ends_without_openssl(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert json.loads((out / "run.json").read_text())["config_hash"]
+
+
+def test_quiet_run_imports_no_logging_or_2d_branch(tmp_path):
+    # logging is imported at a run's first warning, and only `wlf ipg` needs
+    # the mask fusion; a run that warns of nothing pays for neither.
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["synth", "--out", str(corpus), "--num-frames", "2"]) == 0
+    argv = ["pipeline", "--frames", f"{corpus}/*", "--out", str(out)]
+    lazy = ["logging", "wlf.mask_fusion"]
+    code = (f"import sys, wlf.cli; assert wlf.cli.main({argv!r}) == 0; "
+            f"print([m for m in {lazy!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert json.loads((out / "metrics.json").read_text())["miou"] > 0
 
 
 def test_one_thread_run_imports_no_pool(tmp_path):
