@@ -18,7 +18,11 @@ def warn(logger: str, msg: str, *args: object) -> None:
     global log_setup
     import logging  # noqa: PLC0415
 
-    if log_setup is not None:
-        setup, log_setup = log_setup, None
+    # Set up before clearing: a warning from another pool thread in between
+    # runs the set-up again (basicConfig then waits on logging's lock and
+    # does nothing) rather than logging before the handler is there.
+    setup = log_setup
+    if setup is not None:
         setup()
+        log_setup = None
     logging.getLogger(logger).warning(msg, *args)

@@ -55,7 +55,7 @@ from .metrics import (
     overlap_table,
     pred_instances_from_labels,
 )
-from .range_image import build_range_image, dcs_dynamic, segment_sizes
+from .range_image import build_range_image, dcs_dynamic
 from .spatial import (
     TRINARY_FG,
     PseudoLabels,
@@ -163,7 +163,7 @@ def process_frame(
         segment_id = dcs_dynamic(depth, cell, cfg.dcs).segment_id
         del depth, cell
         # One table of segment sizes, read by refine and rsc.
-        seg_size = segment_sizes(segment_id)
+        seg_size = np.bincount(segment_id)
         timings["segments"] = time.perf_counter() - t0
     else:
         del xyz, beam_row

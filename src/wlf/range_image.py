@@ -39,7 +39,6 @@ __all__ = [
     "build_range_image",
     "dcs_dynamic",
     "dcs_rows",
-    "segment_sizes",
     "MIN_WINDOW",
     "MIN_DEPTH_THRESHOLD",
 ]
@@ -196,21 +195,6 @@ def dcs_rows(
             raise AssertionError("point mapped to an unsegmented cell")
         segment_id[block] = ids[rank.astype(np.intp)]
     return RingSegments(segment_id=segment_id, num_segments=int(ids.max(initial=-1)) + 1)
-
-
-def segment_sizes(segment_id: np.ndarray) -> np.ndarray:
-    """Each segment's point count, ``np.bincount(segment_id)``, counted a run
-    of equal ids at a time when runs are long, as in a sweep stored in scan
-    order: there, bincount's loop adds to one counter point after point and
-    waits on each add."""
-    seg = np.asarray(segment_id)
-    start = np.flatnonzero(seg[1:] != seg[:-1])
-    if start.size >= seg.size // 8:
-        return np.bincount(seg)
-    start += 1
-    length = np.diff(start, prepend=0, append=seg.size)
-    # Whole counts of at most N in float64, so the weighted sum is exact.
-    return np.bincount(seg[np.append(0, start)], weights=length).astype(np.intp)
 
 
 def dcs_dynamic(depth: np.ndarray, cell: np.ndarray, cfg: DcsConfig) -> RingSegments:

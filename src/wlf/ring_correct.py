@@ -32,12 +32,12 @@ class RscConfig:
 
 
 def rsc_correct(
-    pred: np.ndarray, segment_id: np.ndarray, cfg: RscConfig, sizes: np.ndarray | None = None
+    pred: np.ndarray, segment_id: np.ndarray, cfg: RscConfig, sizes: np.ndarray
 ) -> np.ndarray:
     """Correct predicted labels (0 = background) by segment-level voting,
     given each point's ring segment id, dense from 0, and each segment's
-    point count ``sizes`` (``np.bincount(segment_id)``, counted here when not
-    given); ``pred`` is left as it is.
+    point count ``sizes`` (``np.bincount(segment_id)``); ``pred`` is left as
+    it is.
 
     For each class c and each segment containing a c-predicted point:
     if bg_count / c_count > t1 the whole segment becomes background, else if
@@ -55,9 +55,11 @@ def rsc_correct(
     out = pred.copy()
     if pred.size == 0:
         return out
-    seg_total = np.bincount(seg) if sizes is None else np.asarray(sizes)
+    seg_total = np.asarray(sizes)
     k = seg_total.shape[0]
-    labelled = np.flatnonzero(pred)
+    # Through a boolean mask: nonzero of an integer array tests element by
+    # element, at about five times the cost of the compare and the bool scan.
+    labelled = np.flatnonzero(pred != 0)
     nz_seg, nz_pred = seg[labelled], pred[labelled]
     bg_count = seg_total - np.bincount(nz_seg, minlength=k)
     fg = nz_pred > 0

@@ -77,11 +77,11 @@ def trinary_from_prop(prop: np.ndarray | float) -> np.ndarray:
 
 
 def refine_by_segments(
-    box_assign: np.ndarray, segment_id: np.ndarray, sizes: np.ndarray | None = None
+    box_assign: np.ndarray, segment_id: np.ndarray, sizes: np.ndarray
 ) -> np.ndarray:
     """Trinary labels from segment-level voting, given each point's ring
     segment id, dense from 0, and each segment's point count ``sizes``
-    (``np.bincount(segment_id)``, counted here when not given).
+    (``np.bincount(segment_id)``).
 
     For every ring segment, prop = |outside| / (|inside| + |outside|) where
     inside means assigned to any box. All in-box points of the segment get the
@@ -96,7 +96,7 @@ def refine_by_segments(
     labels = np.zeros(box_assign.shape[0], dtype=np.int8)
     if seg.size == 0:
         return labels
-    totals = np.bincount(seg) if sizes is None else np.asarray(sizes)
+    totals = np.asarray(sizes)
     in_box = np.flatnonzero(box_assign > 0)
     in_seg = seg[in_box]
     n_in = np.bincount(in_seg, minlength=totals.shape[0])

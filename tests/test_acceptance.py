@@ -86,7 +86,8 @@ def chain100():
         cfg = scene.config
         ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
         segment_id = dcs_dynamic(*ri, dcs_cfg).segment_id
-        trinary = refine_by_segments(assign, segment_id)
+        seg_size = np.bincount(segment_id)
+        trinary = refine_by_segments(assign, segment_id, seg_size)
         labels = generate_labels(scene.xyz[:, assign > 0], trinary, assign, class_of, radii)
         spg_seconds_mark = time.perf_counter()
 
@@ -95,7 +96,7 @@ def chain100():
             for epoch in range(pvc_cfg.n_his)
         ])
         voted = vote_correct(scores, pvc_cfg, labels, assign, class_of)
-        corrected = rsc_correct(voted.semantic, segment_id, rsc_cfg)
+        corrected = rsc_correct(voted.semantic, segment_id, rsc_cfg, seg_size)
 
         variants = {
             "raw": class_of[assign],
@@ -179,7 +180,7 @@ def test_3_algorithm_oracle_equivalence():
         seg = np.unique(rng.integers(0, max(1, n // 3), n), return_inverse=True)[1]
         seg = seg.astype(np.int32)
         t1, t2 = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
-        got = rsc_correct(pred, seg, RscConfig(t1=t1, t2=t2))
+        got = rsc_correct(pred, seg, RscConfig(t1=t1, t2=t2), np.bincount(seg))
         classes = sorted(int(c) for c in np.unique(pred) if c > 0)
         if not np.array_equal(got, rsc_trace(pred, seg, t1, t2, classes)):
             rsc_fail += 1

@@ -2,12 +2,15 @@ import contextlib
 import copy
 import io
 import json
+import logging
 import math
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wlf
 from wlf.bundle import write_mask_predictions
 from wlf.cli import main
 from wlf.config import ConfigError, PipelineConfig
@@ -299,13 +303,16 @@ class TestPipeline:
         assert run("pipeline", "--frames", f"{bundles}/*", "--out", tmp_path / "o",
                    "--stages", "spg,warp") == 3
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("level, shown", [(None, True), ("error", False)])
-    def test_warning_format_on_stderr(self, bundles, tmp_path, level, shown):
+    def test_warning_format_on_stderr(self, bundles, tmp_path, level, shown, threads):
         # A child logs nothing until its first warning, which then prints in
-        # the CLI's format at the default level, and not at WLF_LOG=error.
+        # the CLI's format at the default level, and not at WLF_LOG=error;
+        # with two threads the frames warn from the pool's threads.
         # In a child: under pytest the root logger already has handlers.
-        missing = bundles / "frame_0001" / "gt_instance.i32"
-        missing.unlink()
+        missing = [bundles / f"frame_{i:04d}" / "gt_instance.i32" for i in range(3)]
+        for path in missing:
+            path.unlink()
         env = {k: v for k, v in os.environ.items() if k != "WLF_LOG"}
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
@@ -313,11 +320,37 @@ class TestPipeline:
             env["WLF_LOG"] = level
         proc = subprocess.run(
             [sys.executable, "-m", "wlf.cli", "pipeline", "--frames", f"{bundles}/*",
-             "--out", str(tmp_path / "o")], capture_output=True, text=True, env=env, timeout=120)
+             "--out", str(tmp_path / "o"), "--threads", str(threads)],
+            capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        line = f"WARNING wlf.bundle: {missing} is missing: the frame is not scored"
-        assert (line in proc.stderr.splitlines()) is shown, proc.stderr
-        assert ("WARNING" in proc.stderr) is shown
+        want = [f"WARNING wlf.bundle: {p} is missing: the frame is not scored" for p in missing]
+        assert sorted(proc.stderr.splitlines()) == (want if shown else []), proc.stderr
+
+    def test_warning_during_another_threads_set_up_waits_for_it(self, monkeypatch):
+        # A thread that warns while the first warning's set-up is still
+        # running must not log before the handler is in place.
+        log = logging.getLogger("wlf.test_setup")
+        monkeypatch.setattr(log, "propagate", False)
+        monkeypatch.setattr(log, "handlers", [])
+        got, lock, other = [], threading.Lock(), []
+
+        class Keep(logging.Handler):
+            def emit(self, record):
+                got.append(record.getMessage())
+
+        def setup():
+            with lock:  # as logging.basicConfig holds logging's lock
+                if not other:
+                    other.append(threading.Thread(target=wlf.warn, args=(log.name, "second")))
+                    other[0].start()
+                    time.sleep(0.05)
+                    log.addHandler(Keep())
+
+        monkeypatch.setattr(wlf, "log_setup", setup)
+        wlf.warn(log.name, "first")
+        other[0].join()
+        assert sorted(got) == ["first", "second"]
+        assert wlf.log_setup is None
 
     def test_runs_are_byte_identical(self, bundles, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

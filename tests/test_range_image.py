@@ -13,7 +13,6 @@ from wlf.range_image import (
     build_range_image,
     dcs_dynamic,
     dcs_rows,
-    segment_sizes,
 )
 from wlf.synth import SceneConfig, generate_scene
 
@@ -446,16 +445,3 @@ class TestEqualTableIdempotence:
         assert n1 == n2
         assert np.array_equal(ids1, ids2)
 
-
-class TestSegmentSizes:
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(0, 200), st.integers(1, 12), st.booleans())
-    def test_equals_bincount(self, seed, n, k, scan_order):
-        # Ids in scan order come in long runs, and are counted a run at a
-        # time; shuffled ones in short runs, and are counted point by point.
-        rng = np.random.default_rng(seed)
-        seg = rng.integers(0, k, n).astype(np.int32)
-        if scan_order:
-            seg.sort()
-        got = segment_sizes(seg)
-        assert got.dtype == np.intp and np.array_equal(got, np.bincount(seg))

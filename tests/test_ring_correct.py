@@ -20,13 +20,13 @@ class TestAlgorithmTraces:
         # so the vehicle pass clears the whole segment (and the pedestrian
         # pass, bg/ped = 1 > 0.5, clears it too).
         pred = np.array([1, 1, 1, 1, 0, 0, 0, 2, 2, 2])
-        out = rsc_correct(pred, [0] * 10, CFG)
+        out = rsc_correct(pred, [0] * 10, CFG, [10])
         assert out.tolist() == [0] * 10
 
     def test_class_claims_segment(self):
         # 8 vehicle, 2 background: 0.25 <= 0.5 and 0.8 > 0.7 claims everything.
         pred = np.array([1] * 8 + [0] * 2)
-        out = rsc_correct(pred, [0] * 10, CFG)
+        out = rsc_correct(pred, [0] * 10, CFG, [10])
         assert out.tolist() == [1] * 10
 
     def test_full_pass_on_mixed_segment(self):
@@ -34,7 +34,7 @@ class TestAlgorithmTraces:
         # (0.4 <= 0.5, 0.5 <= 0.7), then the pedestrian pass (bg/ped = 2/3 > 0.5)
         # clears the segment.
         pred = np.array([1, 1, 1, 1, 1, 0, 0, 2, 2, 2])
-        out = rsc_correct(pred, [0] * 10, CFG)
+        out = rsc_correct(pred, [0] * 10, CFG, [10])
         assert out.tolist() == [0] * 10
 
     def test_counts_use_original_predictions(self):
@@ -42,24 +42,24 @@ class TestAlgorithmTraces:
         # 0 still see the original labels, not the cleared copy.
         pred = np.array([1, 0, 0, 2, 2, 2, 2, 2, 2, 2])
         ids = [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
-        out = rsc_correct(pred, ids, CFG)
+        out = rsc_correct(pred, ids, CFG, np.bincount(ids))
         want = rsc_trace(pred, np.asarray(ids), 0.5, 0.7, [1, 2])
         assert out.tolist() == want.tolist()
 
     def test_uniform_segment_unchanged(self):
         pred = np.array([2, 2, 2])
-        out = rsc_correct(pred, [0, 0, 0], CFG)
+        out = rsc_correct(pred, [0, 0, 0], CFG, [3])
         assert out.tolist() == [2, 2, 2]
 
     def test_ignored_points_count_only_toward_size(self):
         # 3 vehicle, 1 ignore in a 4-point segment: veh share 0.75 > 0.7 claims
         # the segment, overwriting the ignore.
         pred = np.array([1, 1, 1, -1])
-        out = rsc_correct(pred, [0, 0, 0, 0], CFG)
+        out = rsc_correct(pred, [0, 0, 0, 0], CFG, [4])
         assert out.tolist() == [1, 1, 1, 1]
 
     def test_empty_input(self):
-        out = rsc_correct(np.zeros(0, dtype=int), np.zeros(0, dtype=np.int32), CFG)
+        out = rsc_correct(np.zeros(0, dtype=int), np.zeros(0, dtype=np.int32), CFG, [])
         assert out.size == 0
 
 
@@ -75,7 +75,7 @@ class TestProperties:
         ids = np.unique(ids, return_inverse=True)[1].astype(np.int32)
         t1 = float(rng.uniform(0, 1))
         t2 = float(rng.uniform(0, 1))
-        got = rsc_correct(pred, ids, RscConfig(t1=t1, t2=t2))
+        got = rsc_correct(pred, ids, RscConfig(t1=t1, t2=t2), np.bincount(ids))
         classes = sorted(int(c) for c in np.unique(pred) if c > 0)
         want = rsc_trace(pred, ids, t1, t2, classes)
         assert np.array_equal(got, want)
@@ -87,7 +87,7 @@ class TestProperties:
         n = int(rng.integers(1, 40))
         pred = rng.integers(0, 4, n).astype(np.int32)
         ids = np.unique(rng.integers(0, 5, n), return_inverse=True)[1].astype(np.int32)
-        out = rsc_correct(pred, ids, CFG)
+        out = rsc_correct(pred, ids, CFG, np.bincount(ids))
         allowed = {0} | {int(c) for c in np.unique(pred)}
         assert set(np.unique(out).tolist()) <= allowed
 

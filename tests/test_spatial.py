@@ -45,40 +45,40 @@ class TestRefineBySegments:
     def test_mostly_outside_becomes_background(self):
         # One segment: 3 in-box, 7 out-of-box -> prop 0.7 -> background.
         assign = np.array([1, 1, 1] + [0] * 7)
-        labels = refine_by_segments(assign, [0] * 10)
+        labels = refine_by_segments(assign, [0] * 10, [10])
         assert labels[:3].tolist() == [0, 0, 0]
         assert labels[3:].tolist() == [0] * 7
 
     def test_fully_inside_is_foreground(self):
         assign = np.array([2, 2, 2, 2])
-        labels = refine_by_segments(assign, [0, 0, 0, 0])
+        labels = refine_by_segments(assign, [0, 0, 0, 0], [4])
         assert labels.tolist() == [1, 1, 1, 1]
 
     def test_ambiguous_band_is_ignore(self):
         # 8 in, 2 out -> prop 0.2 -> ignore.
         assign = np.array([1] * 8 + [0] * 2)
-        labels = refine_by_segments(assign, [0] * 10)
+        labels = refine_by_segments(assign, [0] * 10, [10])
         assert labels[:8].tolist() == [-1] * 8
 
     def test_exact_half_is_ignore(self):
         assign = np.array([1] * 5 + [0] * 5)
-        labels = refine_by_segments(assign, [0] * 10)
+        labels = refine_by_segments(assign, [0] * 10, [10])
         assert labels[:5].tolist() == [-1] * 5
 
     def test_exact_tenth_is_ignore(self):
         assign = np.array([1] * 9 + [0])
-        labels = refine_by_segments(assign, [0] * 10)
+        labels = refine_by_segments(assign, [0] * 10, [10])
         assert labels[:9].tolist() == [-1] * 9
 
     def test_out_of_box_points_stay_background(self):
         assign = np.array([0, 0, 1, 1])
-        labels = refine_by_segments(assign, [0, 0, 1, 1])
+        labels = refine_by_segments(assign, [0, 0, 1, 1], [2, 2])
         assert labels[0] == 0 and labels[1] == 0
 
     def test_segments_independent(self):
         assign = np.array([1, 1, 2, 0, 0, 0])
         ids = [0, 0, 1, 1, 1, 1]
-        labels = refine_by_segments(assign, ids)
+        labels = refine_by_segments(assign, ids, np.bincount(ids))
         assert labels[0] == 1 and labels[1] == 1  # segment 0 fully inside
         assert labels[2] == 0  # segment 1: 1 in / 3 out -> prop 0.75
 
@@ -143,7 +143,7 @@ class TestGenerateLabels:
         cfg = scene.config
         ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
         segment_id = dcs_dynamic(*ri, DcsConfig()).segment_id
-        trinary = refine_by_segments(assign, segment_id)
+        trinary = refine_by_segments(assign, segment_id, np.bincount(segment_id))
         class_of = box_classes(scene.boxes)
         labels = generate_labels(scene.xyz[:, assign > 0], trinary, assign, class_of, RADII)
         labels.check_consistency(class_of)
@@ -247,7 +247,7 @@ class TestGenerateLabelsMatchesPerBox:
         if stage == "spg":
             ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
             segment_id = dcs_dynamic(*ri, DcsConfig()).segment_id
-            trinary = refine_by_segments(assign, segment_id)
+            trinary = refine_by_segments(assign, segment_id, np.bincount(segment_id))
         else:
             trinary = (assign > 0).astype(np.int8)
         assert np.count_nonzero((assign > 0) & (trinary == 1)) > 4000
@@ -271,7 +271,7 @@ class TestDirectionalQuality:
             cfg = scene.config
             ri = build_range_image(scene.xyz, scene.beam_row, cfg.beams, cfg.columns)
             segment_id = dcs_dynamic(*ri, DcsConfig()).segment_id
-            trinary = refine_by_segments(assign, segment_id)
+            trinary = refine_by_segments(assign, segment_id, np.bincount(segment_id))
             class_of = box_classes(scene.boxes)
             labels = generate_labels(scene.xyz[:, assign > 0], trinary, assign, class_of, RADII)
             for acc, sem in (((tp, fp, fn), labels.semantic), ((tp_r, fp_r, fn_r), class_of[assign])):
